@@ -19,16 +19,16 @@ import math
 
 import numpy as np
 
-from .grid import (Grid, GridFunction, RiSpace, unit_grid,
-                   lebesgue_prefix, lebesgue_suffix,
-                   log_norm_upper, log_norm_lower)
+from .grid import (GridFunction, RiSpace, unit_grid,
+                   lebesgue_prefix, lebesgue_suffix, log_norm_upper)
 from .sv import (SvExpr, Const, EllPow, ComposeWithRho, NormTail, Power,
                  Product, ONE, sv_log_on_grid, sv_to_obj, sv_from_obj,
                  SvDivergenceError)
-from .spaces import (SpaceDescriptor, ThetaSpace, LSpace, RSpace, LLSpace,
+from .spaces import (SpaceDescriptor, ThetaSpace, LSpace, RSpace,
                      RRSpace, Intersection, EndpointX0, EndpointX1,
                      AppMember, UNIT)
-from .kfun import KProfile, k_peetre, norm_in_space, TruncationOracle, _final
+from .kfun import (KProfile, k_peetre, norm_in_space, TruncationOracle,
+                   _final, _full_norm, _div_low, _unstack)
 from .report import EquivalenceReport
 from . import corpus as corpus_mod
 
@@ -214,8 +214,16 @@ def _fss_log(f: GridFunction) -> np.ndarray:
         return np.log(pref) - f.grid.x
 
 
-def norm_app(space: AppSpace, fstar: GridFunction) -> float:
-    """Direct norm recipe on f*, math.inf if outside the space."""
+def norm_app(space: AppSpace, fstar: GridFunction):
+    """Direct norm recipe on f*, math.inf if outside the space.
+
+    fstar.values may be a (rows x n) stack; the result is then an array
+    with one norm per row, each equal to what that row gives alone.
+    """
+    return _unstack(_norm_app(space, fstar))
+
+
+def _norm_app(space: AppSpace, fstar: GridFunction) -> np.ndarray:
     grid = fstar.grid
     if grid.truncated_high:
         raise ValueError("concrete spaces live on (0,1): use a unit grid")
@@ -228,56 +236,50 @@ def norm_app(space: AppSpace, fstar: GridFunction) -> float:
         with np.errstate(divide="ignore"):
             lw = (-space.alpha / space.p) * np.log1p(np.abs(x)) \
                 + np.log(suf) / space.p
-        return _final(float(np.max(lw)))
+        return _final(np.max(lw, axis=-1))
 
     if isinstance(space, SmallLp):
         pref = lebesgue_prefix(f ** space.p, grid)
-        if not np.all(np.isfinite(pref)):
-            return math.inf
         with np.errstate(divide="ignore"):
             inner = np.log(pref) / space.p
         lw = (space.alpha / _pp(space.p) - 1.0) * np.log1p(np.abs(x)) + inner
-        from .kfun import _full_norm
-        return _full_norm(lw, 1.0, grid)
+        return np.where(np.isfinite(pref).all(axis=-1),
+                        _full_norm(lw, 1.0, grid), math.inf)
 
     if isinstance(space, UltraLp):
-        from .kfun import _full_norm
         try:
             lw = x / space.p + sv_log_on_grid(space.b, grid) + lf
-            return _full_norm(lw, space.E.q, grid)
         except SvDivergenceError:
-            return math.inf
+            return np.full(f.shape[:-1], math.inf)
+        return _full_norm(lw, space.E.q, grid)
 
     if isinstance(space, LinfQBeta):
         lw = space.beta * np.log1p(np.abs(x)) + lf
-        from .kfun import _full_norm
         return _full_norm(lw, space.q, grid)
 
     if isinstance(space, GGamma):
-        t = grid.t
         w2 = np.exp(space.w2pow * x + sv_log_on_grid(space.w2sv, grid))
         inner = lebesgue_prefix(w2 * f ** space.p, grid)
-        if not np.all(np.isfinite(inner)):
-            return math.inf
+        ok = np.isfinite(inner).all(axis=-1)
+        # rows outside the space drop out before the outer integral
+        inner = np.where(ok[..., None], inner, 0.0)
         w1 = np.exp(space.w1pow * x + sv_log_on_grid(space.w1sv, grid))
-        total = lebesgue_prefix(w1 * inner ** (space.q / space.p), grid)[-1]
-        return total ** (1.0 / space.q) if np.isfinite(total) else math.inf
+        total = lebesgue_prefix(w1 * inner ** (space.q / space.p), grid)
+        vals = [v ** (1.0 / space.q) if math.isfinite(v) else math.inf
+                for v in total[..., -1].ravel().tolist()]
+        return np.where(ok, np.reshape(vals, ok.shape), math.inf)
 
     if isinstance(space, AType):
-        from .kfun import _full_norm, _div_low
-        lss = _fss_log(fstar)
-        li = x / space.p + lss
-        if _div_low(li, 1.0, grid):
-            return math.inf
+        li = x / space.p + _fss_log(fstar)
         inner = log_norm_upper(li, 1.0, grid.dx)
         lw = (space.alpha - 1.0) * np.log1p(np.abs(x)) + inner
-        return _full_norm(lw, space.E.q, grid)
+        return np.where(_div_low(li, 1.0, grid), math.inf,
+                        _full_norm(lw, space.E.q, grid))
 
     if isinstance(space, BType):
         lss = _fss_log(fstar)
         g = x / space.p + (space.alpha - 1.0) * np.log1p(np.abs(x)) + lss
-        sup = np.maximum.accumulate(g)
-        from .kfun import _full_norm
+        sup = np.maximum.accumulate(g, axis=-1)
         return _full_norm(sup, space.E.q, grid)
 
     raise TypeError(f"unknown concrete space {type(space).__name__}")

@@ -13,10 +13,9 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .grid import Grid, RiSpace, full_grid, unit_grid
+from .grid import Grid, RiSpace
 from .sv import EllPow, ONE
-from .spaces import (UNIT, FULL, AppMember, check_admissible,
-                     space_from_obj)
+from .spaces import UNIT, AppMember, check_admissible, space_from_obj
 from .kfun import k_peetre, norm_in_space
 from .holmstedt import CASES, HolmstedtCase
 from .reiteration import ReiterationCase, verify_reiteration

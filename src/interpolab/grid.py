@@ -144,14 +144,18 @@ def unit_grid(n: int, t_min: float = 1e-8) -> Grid:
 
 @dataclass
 class GridFunction:
-    """Nonnegative samples at the grid nodes."""
+    """Nonnegative samples at the grid nodes.
+
+    values may also be a (rows x n) stack, one function per row; the
+    integrals and norms below then work row by row along the last axis.
+    """
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n,):
+        if self.values.shape[-1:] != (self.grid.n,):
             raise ValueError("values shape does not match grid")
         if np.any(self.values < 0) or np.any(np.isnan(self.values)):
             raise ValueError("values must be nonnegative and finite")
@@ -164,11 +168,15 @@ class GridFunction:
 # ---------------------------------------------------------------------
 # log-domain trapezoid machinery for dt/t integrals
 # ---------------------------------------------------------------------
+#
+# Every function here takes one log integrand of length n or a stack of
+# them, (rows x n), and works along the last axis; a row of a stack
+# gives bit for bit what the same row gives alone.
 
 def _cells(lw: np.ndarray, q: float, dx: float) -> np.ndarray:
     """log of per-cell contribution to int w^q dx, trapezoid rule."""
     lq = q * lw
-    return np.logaddexp(lq[:-1], lq[1:]) + math.log(dx / 2.0)
+    return np.logaddexp(lq[..., :-1], lq[..., 1:]) + math.log(dx / 2.0)
 
 
 def log_norm_lower(lw: np.ndarray, q: float, dx: float) -> np.ndarray:
@@ -178,106 +186,113 @@ def log_norm_lower(lw: np.ndarray, q: float, dx: float) -> np.ndarray:
     the value at i = 0 is -inf (empty interval -> norm 0).
     """
     if math.isinf(q):
-        return np.maximum.accumulate(lw)
+        return np.maximum.accumulate(lw, axis=-1)
     out = np.full(lw.shape, NEG_INF)
-    out[1:] = np.logaddexp.accumulate(_cells(lw, q, dx)) / q
+    out[..., 1:] = np.logaddexp.accumulate(_cells(lw, q, dx), axis=-1) / q
     return out
 
 
 def log_norm_upper(lw: np.ndarray, q: float, dx: float) -> np.ndarray:
     """Mirror of log_norm_lower: norm over (x_i, x_{n-1})."""
-    return log_norm_lower(lw[::-1], q, dx)[::-1]
+    return log_norm_lower(lw[..., ::-1], q, dx)[..., ::-1]
 
 
 def log_norm_between(lw: np.ndarray, q: float, dx: float,
-                     i0: int, i1: int) -> float:
-    """log norm over the node range [i0, i1] (empty -> -inf)."""
+                     i0: int, i1: int):
+    """log norm over the node range [i0, i1] (empty -> -inf).
+
+    A float for one integrand, an array with one value per row for a
+    stack.
+    """
     if i1 <= i0:
-        return NEG_INF
-    seg = lw[i0:i1 + 1]
-    if math.isinf(q):
-        return float(np.max(seg))
-    c = _cells(seg, q, dx)
-    return float(np.logaddexp.reduce(c)) / q
+        out = np.full(lw.shape[:-1], NEG_INF)
+    elif math.isinf(q):
+        out = np.max(lw[..., i0:i1 + 1], axis=-1)
+    else:
+        c = _cells(lw[..., i0:i1 + 1], q, dx)
+        out = np.logaddexp.reduce(c, axis=-1) / q
+    return float(out) if lw.ndim == 1 else out
 
 
 _EDGE_PTOL = 1e-6      # |slope| below this counts as flat in x
 _EDGE_STOL = 0.02      # sup-norm log-power growth threshold
 
 
-def _edge_tail_diverges(h, xa, xb, q) -> bool:
-    """Extrapolate the integrand past a truncated edge and test the tail.
+def _lsq_line(u: np.ndarray, h: np.ndarray):
+    """Least-squares line through (u, h) for every row of h.
 
-    h holds log integrand values from the edge inward (h[0] at the
-    edge, log-t coordinates xa at h[0] and xb at h[-1]).  Two local
-    models are fit by least squares: e^{p x} (a power of t) and
-    |x|^sigma (a power of |log t|); whichever fits the strip better is
-    extrapolated past the edge to decide whether int e^{q h} dx
-    (resp. sup e^h for q = inf) over the unseen side converges.
+    Returns (slope, residual sum of squares), each with one value per
+    row; centred sums keep the fit as accurate as a QR/SVD solve.
     """
-    h = np.asarray(h, dtype=float)
-    h0, hk = float(h[0]), float(h[-1])
-    if math.isnan(h0) or math.isnan(hk) or np.isnan(h).any():
-        return True
-    if h0 == NEG_INF:
-        return False
-    out = 1.0 if xa > xb else -1.0      # direction of the unseen tail
-    if not np.all(np.isfinite(h)):
-        # vanishing samples inside the strip: all mass sits at the
-        # edge, and a flat continuation past it diverges
-        return True
-    xs = np.linspace(xa, xb, len(h))
-    p, ca = np.polyfit(xs, h, 1)
-    res_a = float(np.sum((h - (p * xs + ca)) ** 2))
-    if min(abs(xa), abs(xb)) >= 2.0:
-        u = np.log(np.abs(xs))
-        sigma, cb = np.polyfit(u, h, 1)
-        res_b = float(np.sum((h - (sigma * u + cb)) ** 2))
+    uc = u - u.mean()
+    hc = h - h.mean(axis=-1, keepdims=True)
+    slope = hc @ uc / (uc @ uc)
+    r = hc - slope[..., None] * uc
+    return slope, np.einsum("...i,...i->...", r, r)
+
+
+def _edge_diverges(lw: np.ndarray, q: float, dx: float,
+                   x_edge: float, side: str) -> np.ndarray:
+    """Does int e^{q lw} dx (sup e^lw for q = inf) diverge past one edge?
+
+    lw holds one log integrand or a stack of them, (rows x m); its
+    first node (side='low') or last node ('high') stands in for 0 or
+    infinity and sits at x = x_edge.  One answer per row.
+
+    The integrand is fit over a log(2)-wide strip at that edge by two
+    local models, each by a closed-form least-squares line: e^{p x} (a
+    power of t) and |x|^sigma (a power of |log t|, only where the strip
+    keeps |x| >= 2).  The better fit is extrapolated past the edge: a
+    power tail diverges unless it decays by more than _EDGE_PTOL, a
+    |log t|^sigma tail iff q sigma >= -1 (sigma > _EDGE_STOL for the
+    sup).  A NaN in the strip counts as divergent, an edge value of
+    -inf (nothing at the edge) as convergent, and any other -inf in the
+    strip as divergent: all mass then sits at the edge, and a flat
+    continuation past it diverges.
+    """
+    lw = np.asarray(lw, dtype=float)
+    k = max(2, int(math.ceil(math.log(2.0) / dx)))
+    if lw.shape[-1] - 1 <= k:
+        return np.zeros(lw.shape[:-1], bool)
+    if side == "low":
+        h, x_far = lw[..., :k + 1], x_edge + k * dx
     else:
-        sigma, res_b = 0.0, math.inf
-    if res_b <= res_a:
-        # flat in x: tail behaves like |log t|^sigma
-        if math.isinf(q):
-            return sigma > _EDGE_STOL
-        return q * sigma >= -1.0
-    slope = p * out
-    if slope > _EDGE_PTOL:
-        return True
-    if slope < -_EDGE_PTOL:
-        return False
-    # numerically flat: the integral diverges, the sup does not
-    return not math.isinf(q)
+        h, x_far = lw[..., ::-1][..., :k + 1], x_edge - k * dx
+    finite = np.isfinite(h).all(axis=-1)
+    nan = np.isnan(h).any(axis=-1)
+    hf = np.where(finite[..., None], h, 0.0)
+    xs = np.linspace(x_edge, x_far, k + 1)
+    p, res_a = _lsq_line(xs, hf)
+    if min(abs(x_edge), abs(x_far)) >= 2.0:
+        sigma, res_b = _lsq_line(np.log(np.abs(xs)), hf)
+    else:
+        sigma, res_b = np.zeros_like(p), np.full_like(p, math.inf)
+    slope = p if x_edge > x_far else -p     # growth towards the edge
+    if math.isinf(q):
+        div = np.where(res_b <= res_a, sigma > _EDGE_STOL,
+                       slope > _EDGE_PTOL)
+    else:
+        # numerically flat power tails diverge for q < inf
+        div = np.where(res_b <= res_a, q * sigma >= -1.0,
+                       slope >= -_EDGE_PTOL)
+    return nan | (~finite & (h[..., 0] != NEG_INF)) | (finite & div)
 
 
 def edge_divergent(lw: np.ndarray, q: float, dx: float,
-                   i0: int, i1: int, grid: Grid,
-                   x_lo: float | None = None,
-                   x_hi: float | None = None) -> bool:
-    """Divergence test at truncated edges.
+                   i0: int, i1: int, grid: Grid) -> bool:
+    """Divergence test at the truncated edges of the node range [i0, i1].
 
-    Fits the integrand over a log(2)-wide strip at each edge of
-    [i0, i1] that stands in for 0 or infinity and extrapolates: a pure
-    power tail e^{px} converges iff it decays, a flat-in-x tail
-    behaves like |log t|^sigma and converges iff sigma < -1 (q < inf).
-    x_lo / x_hi override the log-t coordinates of the edge nodes when
-    lw is a slice of a larger grid.
+    Runs the edge test of _edge_diverges at each end of [i0, i1] that
+    is a truncated end of the grid.
     """
     if i1 <= i0:
         return False
-    k = max(2, int(math.ceil(math.log(2.0) / dx)))
-    if x_lo is None:
-        x_lo = grid.x[i0] if hasattr(grid, "x") else None
-    if x_hi is None:
-        x_hi = grid.x[i1] if hasattr(grid, "x") else None
-    if grid.truncated_low and i0 == 0 and i1 - i0 > k:
-        strip = lw[i0:i0 + k + 1]
-        if _edge_tail_diverges(strip, x_lo, x_lo + k * dx, q):
-            return True
-    if grid.truncated_high and i1 == grid.n - 1 and i1 - i0 > k:
-        strip = lw[i1:i1 - k - 1:-1]
-        if _edge_tail_diverges(strip, x_hi, x_hi - k * dx, q):
-            return True
-    return False
+    seg = lw[i0:i1 + 1]
+    if grid.truncated_low and i0 == 0 and _edge_diverges(
+            seg, q, dx, grid.x[i0], "low"):
+        return True
+    return bool(grid.truncated_high and i1 == grid.n - 1
+                and _edge_diverges(seg, q, dx, grid.x[i1], "high"))
 
 
 def _interval_to_nodes(grid: Grid, interval) -> tuple[int, int]:
@@ -326,19 +341,18 @@ def nested_tilde_norms(g: GridFunction, E: RiSpace, side: str) -> GridFunction:
 # ---------------------------------------------------------------------
 
 def _segment_integrals(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """int_{t_j}^{t_{j+1}} v(s) ds for each cell.
+    """int_{t_j}^{t_{j+1}} v(s) ds for each cell (each row of a stack).
 
     Cells with both endpoints positive use the power law through the two
     samples (exact for v = C s^gamma); cells touching zero fall back to
     the linear trapezoid.
     """
     t = grid.t
-    v0, v1 = values[:-1], values[1:]
+    v0, v1 = values[..., :-1], values[..., 1:]
     dx = grid.dx
     both = (v0 > 0) & (v1 > 0)
-    out = np.empty_like(v0)
     # trapezoid fallback (also fine for all-zero cells)
-    out[:] = 0.5 * (v0 + v1) * (t[1:] - t[:-1])
+    out = 0.5 * (v0 + v1) * (t[1:] - t[:-1])
     if np.any(both):
         with np.errstate(divide="ignore", invalid="ignore"):
             gamma = np.where(both, np.log(np.where(both, v1 / v0, 1.0)) / dx, 0.0)
@@ -352,37 +366,45 @@ def _segment_integrals(values: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
-def _head_integral(values: np.ndarray, grid: Grid) -> float:
-    """int_0^{t_min} by power-law extrapolation of the first cell."""
-    v0 = values[0]
-    if v0 == 0.0:
-        return 0.0
-    if grid.x[0] < -700:
-        return 0.0  # t_min below float range; head is genuinely nil
-    gamma = 0.0
-    if values[1] > 0:
-        gamma = math.log(values[1] / v0) / grid.dx
-    p = gamma + 1.0
-    if p <= 1e-9:
-        return math.inf  # local power <= -1: not locally integrable
-    return v0 * grid.t[0] / p
+def _head_integral(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """int_0^{t_min} by power-law extrapolation of the first cell.
+
+    One value per row; scalar math.log per row keeps every row's head
+    the same whether it is integrated alone or in a stack.
+    """
+    t0, dx = grid.t[0], grid.dx
+    tiny = grid.x[0] < -700     # t_min below float range; head is nil
+
+    def head(v0, v1):
+        if v0 == 0.0 or tiny:
+            return 0.0
+        gamma = math.log(v1 / v0) / dx if v1 > 0 else 0.0
+        p = gamma + 1.0
+        if p <= 1e-9:
+            return math.inf  # local power <= -1: not locally integrable
+        return v0 * t0 / p
+
+    v0 = values[..., 0].ravel().tolist()
+    v1 = values[..., 1].ravel().tolist()
+    return np.reshape([head(a, b) for a, b in zip(v0, v1)],
+                      values.shape[:-1])
 
 
 def lebesgue_prefix(values: np.ndarray, grid: Grid) -> np.ndarray:
     """F(t_i) = int_0^{t_i} v(s) ds at every node (head extrapolated)."""
     segs = _segment_integrals(values, grid)
-    out = np.empty(grid.n)
-    out[0] = _head_integral(values, grid)
-    np.cumsum(segs, out=out[1:])
-    out[1:] += out[0]
+    out = np.empty(values.shape)
+    out[..., 0] = _head_integral(values, grid)
+    np.cumsum(segs, axis=-1, out=out[..., 1:])
+    out[..., 1:] += out[..., :1]
     return out
 
 
 def lebesgue_suffix(values: np.ndarray, grid: Grid) -> np.ndarray:
     """G(t_i) = int_{t_i}^{t_max} v(s) ds at every node."""
     segs = _segment_integrals(values, grid)
-    out = np.zeros(grid.n)
-    out[:-1] = np.cumsum(segs[::-1])[::-1]
+    out = np.zeros(values.shape)
+    out[..., :-1] = np.cumsum(segs[..., ::-1], axis=-1)[..., ::-1]
     return out
 
 

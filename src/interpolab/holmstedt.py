@@ -213,10 +213,9 @@ def verify_holmstedt(case: HolmstedtCase, corpus=None, log2n=(9, 10),
             except SvDivergenceError as e:
                 rep.exclude(spec, str(e))
                 continue
-            for i in idx:
-                if not (np.isfinite(lrho[i]) and np.isfinite(lrhs[i])):
-                    continue
-                lhs = float(np.exp(orc.k_at_log(float(lrho[i]))[0]))
+            live = idx[np.isfinite(lrho[idx]) & np.isfinite(lrhs[idx])]
+            lhs_all = np.exp(orc.k_at_log(lrho[live]))
+            for i, lhs in zip(live, lhs_all.tolist()):
                 rhs = float(np.exp(lrhs[i]))
                 if not (math.isfinite(lhs) and lhs > 0 and rhs > 0):
                     continue

@@ -16,6 +16,13 @@ K(t) = min_c (A_c + t B_c) is then available at every t for free.  The
 estimate is an upper bound on the true K; it is exact at the endpoint
 couple itself and two-sided within the equivalence constants everywhere
 the verification harnesses use it.
+
+The cuts are built and normed together: their profiles form a
+(cuts x n) array, taken in row blocks of at most _BLOCK_ELEMS elements,
+and norm_in_space works along the last axis of such a stack, with the
+edge-divergence test a closed-form least-squares fit per row
+(grid._edge_diverges).  Every row gives bit for bit what the same
+profile gives on its own.
 """
 
 from __future__ import annotations
@@ -25,14 +32,18 @@ import math
 
 import numpy as np
 
-from .grid import (Grid, GridFunction, lebesgue_prefix,
-                   log_norm_lower, log_norm_upper, edge_divergent)
+from .grid import (Grid, GridFunction, lebesgue_prefix, log_norm_between,
+                   log_norm_lower, log_norm_upper, _edge_diverges)
 from .sv import sv_log_on_grid, SvDivergenceError
 from .spaces import (SpaceDescriptor, EndpointX0, EndpointX1, ThetaSpace,
                      LSpace, RSpace, LLSpace, RRSpace, Intersection,
                      AppMember)
 
 NEG_INF = -np.inf
+
+# elements (cut rows x grid nodes) of one block of cut profiles; bounds
+# the oracle's working memory whatever the grid size and cut count
+_BLOCK_ELEMS = 1 << 16
 
 
 @dataclass
@@ -54,10 +65,10 @@ class KProfile:
 
 
 def repair_k(grid: Grid, k: np.ndarray) -> np.ndarray:
-    """Enforce K nondecreasing and K(t)/t nonincreasing."""
-    k = np.maximum.accumulate(k)
+    """Enforce K nondecreasing and K(t)/t nonincreasing (row by row)."""
+    k = np.maximum.accumulate(k, axis=-1)
     with np.errstate(over="ignore", invalid="ignore"):
-        slope = np.minimum.accumulate(k / grid.t)
+        slope = np.minimum.accumulate(k / grid.t, axis=-1)
         k = np.minimum(k, slope * grid.t)
     return k
 
@@ -87,116 +98,116 @@ def kprofile_reverse(K: KProfile) -> KProfile:
 # ---------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------
+#
+# The helpers below take one log profile (length n) or a stack of them
+# (rows x n) and return numpy values with one entry per row; the public
+# entry points turn the single-profile answer back into a float.
 
-def _div_low(lw, q, grid) -> bool:
+def _div_low(lw, q, grid) -> np.ndarray:
+    """Per row: does the integrand diverge past the low end of the grid?"""
     if not grid.truncated_low:
-        return False
-    k = max(1, int(math.ceil(math.log(2.0) / grid.dx)))
-
-    class _G:
-        truncated_low = True
-        truncated_high = False
-        n = len(lw)
-    return edge_divergent(lw, q, grid.dx, 0, len(lw) - 1, _G,
-                          x_lo=grid.x[0], x_hi=grid.x[-1])
+        return np.zeros(np.shape(lw)[:-1], bool)
+    return _edge_diverges(lw, q, grid.dx, grid.x[0], "low")
 
 
-def _div_high(lw, q, grid) -> bool:
+def _div_high(lw, q, grid) -> np.ndarray:
+    """Per row: does the integrand diverge past the high end of the grid?"""
     if not grid.truncated_high:
-        return False
-
-    class _G:
-        truncated_low = False
-        truncated_high = True
-        n = len(lw)
-    return edge_divergent(lw, q, grid.dx, 0, len(lw) - 1, _G,
-                          x_lo=grid.x[0], x_hi=grid.x[-1])
+        return np.zeros(np.shape(lw)[:-1], bool)
+    return _edge_diverges(lw, q, grid.dx, grid.x[-1], "high")
 
 
-def _final(logval: float) -> float:
-    if logval == NEG_INF:
-        return 0.0
-    return math.exp(logval) if logval < 700 else math.inf
+def _final(logval) -> np.ndarray:
+    """exp of log norms: 0 for -inf, inf from 700 on.
+
+    math.exp value by value, not np.exp on the array: reports print
+    repr(float), and the two differ in the last bit for some arguments.
+    """
+    v = np.asarray(logval, dtype=float)
+    out = [0.0 if lv == NEG_INF else math.exp(lv) if lv < 700 else math.inf
+           for lv in v.ravel().tolist()]
+    return np.reshape(out, v.shape)
 
 
-def _full_norm(lw, q, grid, check=True) -> float:
-    from .grid import log_norm_between
-    if check and (_div_low(lw, q, grid) or _div_high(lw, q, grid)):
-        return math.inf
-    return _final(log_norm_between(lw, q, grid.dx, 0, grid.n - 1))
+def _full_norm(lw, q, grid, check=True) -> np.ndarray:
+    val = _final(log_norm_between(lw, q, grid.dx, 0, grid.n - 1))
+    if check:
+        val = np.where(_div_low(lw, q, grid) | _div_high(lw, q, grid),
+                       math.inf, val)
+    return val
 
 
-def norm_in_space(K: KProfile, d: SpaceDescriptor, check: bool = True) -> float:
+def _unstack(val):
+    """A float for a single profile, the per-row array for a stack."""
+    return float(val) if np.ndim(val) == 0 else val
+
+
+def norm_in_space(K: KProfile, d: SpaceDescriptor, check: bool = True):
     """|| f || in the space described by d, from the profile K(t, f).
 
     Returns math.inf when a defining integral diverges at a truncated
     edge (the descriptor is then trivial or f lies outside the space).
+    K.logk (and K.fstar) may be a (rows x n) stack of profiles; the
+    result is then an array with one norm per row, each equal to what
+    that row gives alone.
     """
+    return _unstack(_norms(K, d, check))
+
+
+def _norms(K: KProfile, d: SpaceDescriptor, check: bool) -> np.ndarray:
     grid = K.grid
     x = grid.x
+    dx = grid.dx
     logK = K.logk
+    div = np.zeros(logK.shape[:-1], bool)   # rows found divergent
+
+    def edge(lw, q, low):
+        nonlocal div
+        if check:
+            div = div | (_div_low if low else _div_high)(lw, q, grid)
+
     try:
         if isinstance(d, EndpointX0):
             # || f ||_{L1} = K(inf); divergent if K has not saturated
-            if check and _div_high(logK, math.inf, grid):
-                return math.inf
-            return _final(float(np.max(logK)))
-        if isinstance(d, EndpointX1):
+            edge(logK, math.inf, low=False)
+            val = _final(np.max(logK, axis=-1))
+        elif isinstance(d, EndpointX1):
             # || f ||_{Linf} = lim K(t)/t as t -> 0
             lw = logK - x
-            if check and _div_low(lw, math.inf, grid):
-                return math.inf
-            return _final(float(np.max(lw)))
-        if isinstance(d, ThetaSpace):
+            edge(lw, math.inf, low=True)
+            val = _final(np.max(lw, axis=-1))
+        elif isinstance(d, ThetaSpace):
             lw = -d.theta * x + sv_log_on_grid(d.b, grid) + logK
-            return _full_norm(lw, d.E.q, grid, check)
-        if isinstance(d, LSpace):
+            val = _full_norm(lw, d.E.q, grid, check)
+        elif isinstance(d, (LSpace, RSpace)):
+            low = isinstance(d, LSpace)
+            nested = log_norm_lower if low else log_norm_upper
             li = -d.theta * x + sv_log_on_grid(d.a, grid) + logK
-            if check and _div_low(li, d.F.q, grid):
-                return math.inf
-            inner = log_norm_lower(li, d.F.q, grid.dx)
-            lw = sv_log_on_grid(d.b, grid) + inner
-            return _full_norm(lw, d.E.q, grid, check)
-        if isinstance(d, RSpace):
+            edge(li, d.F.q, low)
+            lw = sv_log_on_grid(d.b, grid) + nested(li, d.F.q, dx)
+            val = _full_norm(lw, d.E.q, grid, check)
+        elif isinstance(d, (LLSpace, RRSpace)):
+            low = isinstance(d, LLSpace)
+            nested = log_norm_lower if low else log_norm_upper
             li = -d.theta * x + sv_log_on_grid(d.a, grid) + logK
-            if check and _div_high(li, d.F.q, grid):
-                return math.inf
-            inner = log_norm_upper(li, d.F.q, grid.dx)
-            lw = sv_log_on_grid(d.b, grid) + inner
-            return _full_norm(lw, d.E.q, grid, check)
-        if isinstance(d, LLSpace):
-            li = -d.theta * x + sv_log_on_grid(d.a, grid) + logK
-            if check and _div_low(li, d.G.q, grid):
-                return math.inf
-            inner = log_norm_lower(li, d.G.q, grid.dx)
-            mid = sv_log_on_grid(d.b, grid) + inner
-            if check and _div_low(mid, d.F.q, grid):
-                return math.inf
-            mid2 = log_norm_lower(mid, d.F.q, grid.dx)
-            lw = sv_log_on_grid(d.c, grid) + mid2
-            return _full_norm(lw, d.E.q, grid, check)
-        if isinstance(d, RRSpace):
-            li = -d.theta * x + sv_log_on_grid(d.a, grid) + logK
-            if check and _div_high(li, d.G.q, grid):
-                return math.inf
-            inner = log_norm_upper(li, d.G.q, grid.dx)
-            mid = sv_log_on_grid(d.b, grid) + inner
-            if check and _div_high(mid, d.F.q, grid):
-                return math.inf
-            mid2 = log_norm_upper(mid, d.F.q, grid.dx)
-            lw = sv_log_on_grid(d.c, grid) + mid2
-            return _full_norm(lw, d.E.q, grid, check)
-        if isinstance(d, Intersection):
-            return max(norm_in_space(K, m, check) for m in d.members)
-        if isinstance(d, AppMember):
+            edge(li, d.G.q, low)
+            mid = sv_log_on_grid(d.b, grid) + nested(li, d.G.q, dx)
+            edge(mid, d.F.q, low)
+            lw = sv_log_on_grid(d.c, grid) + nested(mid, d.F.q, dx)
+            val = _full_norm(lw, d.E.q, grid, check)
+        elif isinstance(d, Intersection):
+            return np.maximum.reduce([_norms(K, m, check) for m in d.members])
+        elif isinstance(d, AppMember):
             from .applications import norm_app
             if K.fstar is None:
                 raise ValueError("concrete space norm needs f*, "
                                  "but the profile carries none")
-            return norm_app(d.space, GridFunction(grid, K.fstar))
+            return np.asarray(norm_app(d.space, GridFunction(grid, K.fstar)))
+        else:
+            raise TypeError(f"unknown descriptor {type(d).__name__}")
     except SvDivergenceError:
-        return math.inf
-    raise TypeError(f"unknown descriptor {type(d).__name__}")
+        return np.full(div.shape, math.inf)
+    return np.where(div, math.inf, val)
 
 
 # ---------------------------------------------------------------------
@@ -208,6 +219,10 @@ class TruncationOracle:
 
     A and B hold || g_c ||_{Y0} and || h_c ||_{Y1} for the kept cuts
     (trivial splittings included); k_at evaluates min_c (A_c + t B_c).
+    The cut values are the distinct values of f*, at most max_cuts of
+    them, evenly spaced.  Their profiles K(., g_c) and K(., h_c) are
+    normed as row blocks of one array, each block within _BLOCK_ELEMS
+    elements, and a cut is kept when both its norms are finite.
     """
 
     def __init__(self, fstar: GridFunction, Y0: SpaceDescriptor,
@@ -240,24 +255,26 @@ class TruncationOracle:
         if math.isfinite(b0):
             A.append(0.0)
             B.append(b0)
-        neg_f = -f
-        for c in cuts:
-            j = int(np.searchsorted(neg_f, -c, side="left"))
-            if j <= 0:
-                continue
-            kg = np.where(np.arange(grid.n) < j, S - c * t,
-                          S[j - 1] - c * t[j - 1] if j > 0 else 0.0)
-            kg = np.clip(kg, 0.0, None)
-            kg = repair_k(grid, kg)
+        # cut c keeps the j nodes where f* > c in g_c; the top value
+        # gives g_c = 0 and is no cut
+        j = np.searchsorted(-f, -cuts, side="left")
+        cuts, j = cuts[j > 0], j[j > 0]
+        nodes = np.arange(grid.n)
+        rows = max(1, _BLOCK_ELEMS // grid.n)
+        for s in range(0, len(cuts), rows):
+            c = cuts[s:s + rows, None]
+            jc = j[s:s + rows, None]
+            kg = np.where(nodes < jc, S - c * t, S[jc - 1] - c * t[jc - 1])
+            kg = repair_k(grid, np.clip(kg, 0.0, None))
             kh = np.clip(S - kg, 0.0, None)
             with np.errstate(divide="ignore"):
                 a = norm_in_space(
                     KProfile(grid, np.log(kg), np.maximum(f - c, 0.0)), Y0)
                 b = norm_in_space(
                     KProfile(grid, np.log(kh), np.minimum(f, c)), Y1)
-            if math.isfinite(a) and math.isfinite(b):
-                A.append(a)
-                B.append(b)
+            ok = np.isfinite(a) & np.isfinite(b)
+            A.extend(a[ok].tolist())
+            B.extend(b[ok].tolist())
         if not A:
             raise ValueError("no finite decomposition found: f outside Y0 + Y1")
         self.A = np.asarray(A)

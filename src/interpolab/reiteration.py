@@ -13,14 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 
-import numpy as np
-
 from .grid import RiSpace, full_grid
 from .sv import (SvExpr, ONE, Const, Power, Product, NormTail,
                  ComposeWithRho, SvDivergenceError)
 from .spaces import (SpaceDescriptor, ThetaSpace, LSpace, RSpace, LLSpace,
                      RRSpace, Intersection, FULL)
-from .holmstedt import HolmstedtCase, R_CASES, L_CASES
+from .holmstedt import HolmstedtCase, R_CASES
 from .kfun import TruncationOracle, k_peetre, norm_in_space
 from .report import EquivalenceReport
 from . import corpus as corpus_mod

@@ -25,9 +25,10 @@ import math
 
 import numpy as np
 
-from .grid import (Grid, RiSpace, full_grid, unit_grid,
-                   log_norm_lower, log_norm_upper, log_norm_between)
-from .sv import SvExpr, sv_to_obj, sv_from_obj, sv_log_on_grid, sv_log_eval, \
+from .grid import (Grid, RiSpace, full_grid, unit_grid, edge_divergent,
+                   log_norm_lower, log_norm_upper, log_norm_between,
+                   _edge_diverges)
+from .sv import SvExpr, sv_to_obj, sv_from_obj, sv_log_on_grid, \
     inverse_arg, SvDivergenceError
 
 FULL = "full"
@@ -192,27 +193,12 @@ class AdmissibilityReport:
         return all(c.ok for c in self.conditions)
 
 
-def _norm_piece(lw, q, dx, i0, i1, grid, low_open, high_open):
-    """Norm over node range, inf when divergent at an open truncated edge."""
-    from .grid import edge_divergent
-    sub = lw[i0:i1 + 1]
-    g = _SubGrid(grid, low_open and i0 == 0 and grid.truncated_low,
-                 high_open and i1 == grid.n - 1 and grid.truncated_high,
-                 i1 - i0 + 1)
-    if edge_divergent(sub, q, dx, 0, len(sub) - 1, g,
-                      x_lo=grid.x[i0], x_hi=grid.x[i1]):
+def _norm_piece(lw, q, dx, i0, i1, grid):
+    """Norm over node range, inf when divergent at a truncated grid edge."""
+    if edge_divergent(lw, q, dx, i0, i1, grid):
         return math.inf
-    v = log_norm_between(sub, q, dx, 0, len(sub) - 1)
+    v = log_norm_between(lw, q, dx, i0, i1)
     return math.exp(v) if v < 700 else math.inf
-
-
-class _SubGrid:
-    """Just enough grid surface for edge_divergent on a slice."""
-
-    def __init__(self, grid, trunc_low, trunc_high, n):
-        self.truncated_low = trunc_low
-        self.truncated_high = trunc_high
-        self.n = n
 
 
 def _nested_cond(la, lb, qF, qE, dx, grid, inner_side, inner_from_one,
@@ -226,12 +212,9 @@ def _nested_cond(la, lb, qF, qE, dx, grid, inner_side, inner_from_one,
             inner[i_one:] = log_norm_lower(la[i_one:], qF, dx)
         else:
             inner = log_norm_lower(la, qF, dx)
-            if grid.truncated_low:
-                from .grid import edge_divergent
-                if edge_divergent(la, qF, dx, 0, n - 1,
-                                  _SubGrid(grid, True, False, n),
-                                  x_lo=grid.x[0], x_hi=grid.x[n - 1]):
-                    return math.inf
+            if grid.truncated_low and _edge_diverges(la, qF, dx,
+                                                     grid.x[0], "low"):
+                return math.inf
     else:
         if inner_from_one:
             # || a ||_{F~(t, 1)} for t <= 1
@@ -239,15 +222,11 @@ def _nested_cond(la, lb, qF, qE, dx, grid, inner_side, inner_from_one,
             inner[:i_one + 1] = log_norm_upper(la[:i_one + 1], qF, dx)
         else:
             inner = log_norm_upper(la, qF, dx)
-            if grid.truncated_high:
-                from .grid import edge_divergent
-                if edge_divergent(la, qF, dx, 0, n - 1,
-                                  _SubGrid(grid, False, True, n),
-                                  x_lo=grid.x[0], x_hi=grid.x[n - 1]):
-                    return math.inf
+            if grid.truncated_high and _edge_diverges(la, qF, dx,
+                                                      grid.x[n - 1], "high"):
+                return math.inf
     lo, hi = outer_range
-    return _norm_piece(lb + inner, qE, dx, lo, hi, grid,
-                       low_open=(lo == 0), high_open=(hi == n - 1))
+    return _norm_piece(lb + inner, qE, dx, lo, hi, grid)
 
 
 def check_admissible(d: SpaceDescriptor, grid: Grid | None = None) -> AdmissibilityReport:
@@ -284,8 +263,7 @@ def check_admissible(d: SpaceDescriptor, grid: Grid | None = None) -> Admissibil
             lw = sv_log_on_grid(expr, grid)
         except SvDivergenceError:
             return math.inf
-        return _norm_piece(lw, q, dx, lo, hi, grid,
-                           low_open=(lo == 0), high_open=(hi == n - 1))
+        return _norm_piece(lw, q, dx, lo, hi, grid)
 
     if isinstance(d, ThetaSpace):
         if d.theta == 0.0 and not unit:

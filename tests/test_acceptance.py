@@ -180,7 +180,7 @@ def test_criterion_06_reiteration(capsys):
     for case in runs:
         rep = verify_reiteration(case, log2n=(9, 10))
         win = max(rep.window(n) for n in rep.sizes())
-        assert win <= 100.0, (case.inner.name, case.theta, win)
+        assert win <= 100.0, (case.inner.kind, case.theta, win)
         assert rep.stability() <= 0.10
         worst = max(worst, win)
     _report(capsys, f"criterion 6: PASS reiteration over {len(runs)} "

@@ -1,0 +1,347 @@
+"""The truncation oracle norms its cuts as (rows x n) stacks.
+
+Every stacked path is checked against a one-at-a-time reference kept
+here: the least-squares edge test against the np.polyfit rule it
+replaced, stacked norms against the same norms row by row, and the
+oracle's A/B against the per-cut loop.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from interpolab import corpus
+from interpolab.grid import (GridFunction, Grid, RiSpace, L1, L2, LINF,
+                             full_grid, unit_grid, lebesgue_prefix, rearrange,
+                             edge_divergent, _edge_diverges,
+                             _EDGE_PTOL, _EDGE_STOL)
+from interpolab.sv import EllPow, ONE, NormTail
+from interpolab.spaces import (EndpointX0, EndpointX1, ThetaSpace, LSpace,
+                               RSpace, LLSpace, RRSpace, Intersection,
+                               AppMember, FULL, UNIT)
+from interpolab.kfun import (KProfile, k_peetre, norm_in_space,
+                             TruncationOracle, repair_k, _final)
+from interpolab.applications import (GrandLp, SmallLp, UltraLp, LinfQBeta,
+                                     GGamma, AType, BType, norm_app,
+                                     get_scenario)
+from interpolab.cli import DEFAULT_CASES
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+# -- (a) edge test -------------------------------------------------------
+
+def polyfit_rule(h, xa, xb, q):
+    """The edge rule as first written: np.polyfit on one strip."""
+    h = np.asarray(h, dtype=float)
+    if np.isnan(h).any():
+        return True
+    if h[0] == -np.inf:
+        return False
+    if not np.all(np.isfinite(h)):
+        return True
+    xs = np.linspace(xa, xb, len(h))
+    p, ca = np.polyfit(xs, h, 1)
+    res_a = float(np.sum((h - (p * xs + ca)) ** 2))
+    if min(abs(xa), abs(xb)) >= 2.0:
+        u = np.log(np.abs(xs))
+        sigma, cb = np.polyfit(u, h, 1)
+        res_b = float(np.sum((h - (sigma * u + cb)) ** 2))
+    else:
+        sigma, res_b = 0.0, math.inf
+    if res_b <= res_a:
+        if math.isinf(q):
+            return sigma > _EDGE_STOL
+        return q * sigma >= -1.0
+    slope = p * (1.0 if xa > xb else -1.0)
+    if slope > _EDGE_PTOL:
+        return True
+    if slope < -_EDGE_PTOL:
+        return False
+    return not math.isinf(q)
+
+
+def _strip_rows(x, rng):
+    """Seeded log integrands on the nodes x, one per row."""
+    ax = np.abs(x)
+    ell = np.log1p(ax)
+    rows = []
+    for p in rng.uniform(-2.0, 2.0, 12):                  # power tails
+        rows.append(p * x + rng.normal())
+    for p in (2e-6, -2e-6, 5e-7, -5e-7, 1e-9):           # near-flat powers
+        rows.append(p * x + rng.normal())
+    for q in (1.0, 2.0, 4.0):                            # q sigma near -1
+        for s in rng.uniform(-1.3, -0.7, 6) / q:
+            rows.append(s * ell + rng.normal())
+            rows.append(s * np.log(np.maximum(ax, 1e-3)))
+    for c in rng.normal(size=4):                          # flat strips
+        rows.append(np.full(x.shape, c))
+        rows.append(c + 1e-13 * rng.normal(size=x.shape))
+    for s in _EDGE_STOL + rng.uniform(-0.01, 0.01, 8):    # sup growth
+        rows.append(s * ell)
+        rows.append(s * np.log(np.maximum(ax, 1e-3)))
+    for _ in range(6):                                    # rough data
+        rows.append(np.cumsum(rng.normal(scale=0.1, size=x.shape)))
+    bad = []
+    for r in rows[:6]:
+        head = r.copy()
+        head[0] = head[-1] = -np.inf                      # empty edges
+        bad.append(head)
+        inner = r.copy()
+        inner[len(r) // 2] = -np.inf                      # hole inside
+        inner[1] = inner[-2] = -np.inf
+        bad.append(inner)
+        nan = r.copy()
+        nan[3] = nan[-4] = np.nan
+        bad.append(nan)
+        both = head.copy()
+        both[2] = both[-3] = np.nan
+        bad.append(both)
+        top = r.copy()
+        top[0] = top[-1] = np.inf
+        bad.append(top)
+    return np.array(rows + bad)
+
+
+@pytest.mark.parametrize("grid", [full_grid(512), unit_grid(1024),
+                                  Grid(-750.0, 30.0, 4096)],
+                         ids=["full512", "unit1024", "deep4096"])
+def test_edge_kernel_matches_polyfit_rule(grid):
+    rng = np.random.default_rng(20240611)
+    stack = _strip_rows(grid.x, rng)
+    dx = grid.dx
+    k = max(2, int(math.ceil(math.log(2.0) / dx)))
+    checked = 0
+    for q in (1.0, 2.0, 4.0, math.inf):
+        for side in ("low", "high"):
+            x_edge = grid.x[0] if side == "low" else grid.x[-1]
+            x_far = x_edge + k * dx if side == "low" else x_edge - k * dx
+            got = _edge_diverges(stack, q, dx, x_edge, side)
+            assert got.shape == (len(stack),)
+            for row, g in zip(stack, got):
+                h = row[:k + 1] if side == "low" else row[::-1][:k + 1]
+                assert bool(g) == polyfit_rule(h, x_edge, x_far, q), \
+                    (q, side, h)
+                assert _edge_diverges(row, q, dx, x_edge, side) == g
+                checked += 1
+    assert checked == 8 * len(stack)
+
+
+def test_edge_divergent_is_a_bool_wrapper():
+    g = full_grid(1024)
+    ell = np.log1p(np.abs(g.x))
+    for lw in (-2.0 * ell, -0.5 * ell, 0.5 * g.x, np.zeros(g.n)):
+        for i0, i1 in ((0, g.n - 1), (0, g.n // 2), (g.n // 2, g.n - 1),
+                       (5, 5), (0, 3)):
+            out = edge_divergent(lw, 1.0, g.dx, i0, i1, g)
+            assert type(out) is bool
+            seg = lw[i0:i1 + 1]
+            expect = (i0 == 0 and bool(_edge_diverges(
+                seg, 1.0, g.dx, g.x[i0], "low"))) or \
+                (i1 == g.n - 1 and bool(_edge_diverges(
+                    seg, 1.0, g.dx, g.x[i1], "high")))
+            assert out == expect
+
+
+# -- (b) stacked norms ---------------------------------------------------
+
+def _stack(grid, specs):
+    """Peetre profiles of several prototypes, stacked row-wise."""
+    fs = [corpus.sample(s, grid).values for s in specs]
+    ks = [k_peetre(GridFunction(grid, f)).logk for f in fs]
+    return np.array(ks), np.array(fs)
+
+
+def _rowwise(grid, logk, fstar, d):
+    return [norm_in_space(KProfile(grid, lk, fs), d)
+            for lk, fs in zip(logk, fstar)]
+
+
+FULL_DESCRIPTORS = [
+    EndpointX0(), EndpointX1(),
+    ThetaSpace(0.5, EllPow(0.5), L2),
+    ThetaSpace(0.0, EllPow(-1.0), L1),
+    ThetaSpace(1.0, ONE, LINF),
+    LSpace(0.25, EllPow(-0.5), LINF, ONE, L2),
+    RSpace(0.5, EllPow(-0.5), LINF, ONE, L2),
+    RSpace(0.5, ONE, LINF, EllPow(-1.0), L1),
+    LLSpace(0.25, EllPow(-0.5), L2, ONE, L2, ONE, L1),
+    RRSpace(0.5, ONE, LINF, EllPow(-0.5), LINF, ONE, L2),
+    Intersection((ThetaSpace(0.5, ONE, L2),
+                  RSpace(0.5, ONE, LINF, ONE, L2))),
+    ThetaSpace(0.5, NormTail(EllPow(-0.5), L1, "lower"), L2),
+]
+
+
+@pytest.mark.parametrize("d", FULL_DESCRIPTORS,
+                         ids=lambda d: type(d).__name__)
+def test_stacked_norm_in_space_matches_rows(d):
+    g = full_grid(512)
+    logk, fstar = _stack(g, corpus.STANDARD)
+    got = norm_in_space(KProfile(g, logk, fstar), d)
+    want = _rowwise(g, logk, fstar, d)
+    assert got.shape == (len(corpus.STANDARD),)
+    assert np.array_equal(bits(got), bits(want))
+    assert all(type(v) is float for v in want)
+
+
+APP_SPACES = [
+    GrandLp(2.0, 1.0), GrandLp(4.0, 1.0),
+    SmallLp(2.0, 1.0),
+    UltraLp(2.0, ONE, L2), UltraLp(8.0 / 3.0, EllPow(-0.125), L2),
+    LinfQBeta(2.0, -1.0), LinfQBeta(math.inf, 0.0),
+    GGamma(2.0, 2.0, -1.0, EllPow(-3.0), 0.0, ONE),
+    GGamma(2.0, 3.0, -1.0, EllPow(-3.0), 0.0, EllPow(0.5)),
+    AType(4.0, 0.0, L2), BType(2.0, 0.0, L2),
+]
+
+
+@pytest.mark.parametrize("space", APP_SPACES,
+                         ids=lambda s: type(s).__name__)
+def test_stacked_app_norms_match_rows(space):
+    g = unit_grid(512)
+    specs = corpus.STANDARD + ("pow:1.5", "powlog:2,-3")
+    logk, fstar = _stack(g, specs)
+    # the oracle's cut pieces (f* - c)_+ and min(f*, c) as extra rows
+    f = corpus.sample("pow:4", g).values
+    cs = np.unique(f[f > 0])[::-40][:, None]
+    fstar = np.vstack([fstar, np.maximum(f - cs, 0.0), np.minimum(f, cs)])
+    got = norm_app(space, GridFunction(g, fstar))
+    want = [norm_app(space, GridFunction(g, row)) for row in fstar]
+    assert np.array_equal(bits(got), bits(want))
+    assert all(type(v) is float for v in want)
+    member = AppMember(space, UNIT)
+    got = norm_in_space(KProfile(g, logk, fstar[:len(specs)]), member)
+    assert np.array_equal(bits(got), bits(want[:len(specs)]))
+
+
+def test_final_is_math_exp_value_by_value():
+    # reports print repr(float): np.exp on an array may differ from
+    # math.exp in the last bit, so stacked norms must not use it
+    rng = np.random.default_rng(7)
+    logv = np.concatenate([rng.uniform(-700.0, 699.0, 4000),
+                           [-np.inf, 700.0, 800.0, np.inf, np.nan]])
+    want = [0.0 if v == -np.inf else math.exp(v) if v < 700 else math.inf
+            for v in logv.tolist()]
+    assert np.array_equal(bits(_final(logv)), bits(want))
+    assert np.array_equal(bits(_final(logv.reshape(5, -1))),
+                          bits(np.reshape(want, (5, -1))))
+
+
+def test_stacked_lebesgue_integrals_match_rows():
+    g = unit_grid(512)
+    _, fstar = _stack(g, corpus.STANDARD)
+    stacked = lebesgue_prefix(fstar, g)
+    for row, f in zip(stacked, fstar):
+        assert np.array_equal(bits(row), bits(lebesgue_prefix(f, g)))
+
+
+# -- (c) oracle against the per-cut loop ---------------------------------
+
+def per_cut_oracle(fstar, Y0, Y1, max_cuts):
+    """(A, B) built one cut at a time with 1-D norms."""
+    grid = fstar.grid
+    f = fstar.values
+    S = repair_k(grid, lebesgue_prefix(f, grid))
+    t = grid.t
+    cuts = np.unique(f[f > 0])[::-1]
+    if max_cuts is not None and len(cuts) > max_cuts:
+        idx = np.unique(np.linspace(0, len(cuts) - 1, max_cuts).astype(int))
+        cuts = cuts[idx]
+    A, B = [], []
+    with np.errstate(divide="ignore"):
+        kp = KProfile(grid, np.log(S), f)
+    a0, b0 = norm_in_space(kp, Y0), norm_in_space(kp, Y1)
+    if math.isfinite(a0):
+        A.append(a0)
+        B.append(0.0)
+    if math.isfinite(b0):
+        A.append(0.0)
+        B.append(b0)
+    for c in cuts:
+        j = int(np.searchsorted(-f, -c, side="left"))
+        if j <= 0:
+            continue
+        kg = np.where(np.arange(grid.n) < j, S - c * t,
+                      S[j - 1] - c * t[j - 1])
+        kg = repair_k(grid, np.clip(kg, 0.0, None))
+        kh = np.clip(S - kg, 0.0, None)
+        with np.errstate(divide="ignore"):
+            a = norm_in_space(
+                KProfile(grid, np.log(kg), np.maximum(f - c, 0.0)), Y0)
+            b = norm_in_space(
+                KProfile(grid, np.log(kh), np.minimum(f, c)), Y1)
+        if math.isfinite(a) and math.isfinite(b):
+            A.append(a)
+            B.append(b)
+    if not A:
+        raise ValueError("no finite decomposition found: f outside Y0 + Y1")
+    return np.asarray(A), np.asarray(B)
+
+
+def same_as_per_cut(fstar, Y0, Y1, max_cuts):
+    """Both builds fail alike, or agree bit for bit; returns len(A)."""
+    try:
+        A, B = per_cut_oracle(fstar, Y0, Y1, max_cuts)
+    except ValueError as e:
+        with pytest.raises(ValueError, match=str(e).replace("+", r"\+")):
+            TruncationOracle(fstar, Y0, Y1, max_cuts=max_cuts)
+        return 0
+    orc = TruncationOracle(fstar, Y0, Y1, max_cuts=max_cuts)
+    assert np.array_equal(bits(orc.A), bits(A))
+    assert np.array_equal(bits(orc.B), bits(B))
+    return len(A)
+
+
+@pytest.mark.parametrize("kind", sorted(DEFAULT_CASES))
+def test_oracle_matches_per_cut_loop(kind):
+    g = full_grid(512)
+    y0, y1 = DEFAULT_CASES[kind].members()
+    built = [same_as_per_cut(corpus.sample(spec, g), y0, y1, 128)
+             for spec in corpus.STANDARD]
+    assert max(built) > 100     # some prototype hits the cut cap
+
+
+def test_oracle_matches_per_cut_loop_on_app_members():
+    sc = get_scenario("small-grand-interior")
+    g = unit_grid(512)
+    f = corpus.sample("pow:4", g)
+    assert same_as_per_cut(f, *sc.members, 192) > 2
+
+
+def test_oracle_blocks_span_large_grids():
+    # at n = 2^14 a block holds 4 cut rows: many blocks, same answer
+    g = full_grid(1 << 14)
+    y0, y1 = DEFAULT_CASES["R_interior"].members()
+    f = corpus.sample("pow:2", g)
+    assert same_as_per_cut(f, y0, y1, 9) > 4
+
+
+# -- (d) cut cap and errors ----------------------------------------------
+
+@pytest.mark.parametrize("max_cuts", [1, 2, 7, 28, 29, 64, None])
+def test_max_cuts_cap(max_cuts):
+    g = full_grid(512)
+    # a step f* whose every cut has finite norms in both endpoints
+    f = rearrange(np.linspace(1.0, 40.0, 40), np.full(40, 0.025), g)
+    n_values = len(np.unique(f.values[f.values > 0]))
+    assert n_values == 29
+    # the cap keeps evenly spaced values, the top one among them; the
+    # top value is no cut, and the two trivial splittings come first
+    cap = n_values if max_cuts is None else min(max_cuts, n_values)
+    assert same_as_per_cut(f, EndpointX0(), EndpointX1(), max_cuts) \
+        == 2 + cap - 1
+
+
+def test_oracle_errors():
+    g = full_grid(512)
+    f = GridFunction(g, np.exp(-1.5 * g.x))   # t^-3/2: not in L1 + Linf
+    with pytest.raises(ValueError, match="not locally integrable"):
+        TruncationOracle(f, EndpointX0(), EndpointX1())
+    # the theta = 0 L~1 norm of any nonzero K diverges at infinity
+    y = ThetaSpace(0.0, ONE, RiSpace(1.0), FULL)
+    with pytest.raises(ValueError, match="no finite decomposition"):
+        TruncationOracle(corpus.sample("pow:2", g), y, y, max_cuts=16)
