@@ -6,8 +6,7 @@ window is the max/min spread of lhs/rhs ratios, and stability is the
 relative change of the window under grid doubling.
 """
 
-from interpolab.cli import DEFAULT_CASES
-from interpolab.holmstedt import verify_holmstedt
+from interpolab.holmstedt import DEFAULT_CASES, verify_holmstedt
 from interpolab.reiteration import ReiterationCase, verify_reiteration
 
 

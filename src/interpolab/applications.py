@@ -21,12 +21,12 @@ import numpy as np
 
 from .grid import (GridFunction, RiSpace, unit_grid,
                    lebesgue_prefix, lebesgue_suffix, log_norm_upper)
-from .sv import (SvExpr, Const, EllPow, ComposeWithRho, NormTail, Power,
-                 Product, ONE, sv_log_on_grid, sv_to_obj, sv_from_obj,
-                 SvDivergenceError)
+from .sv import (SvExpr, EllPow, NormTail, Power, Product, ONE,
+                 sv_log_on_grid, compose_rho, SvDivergenceError)
 from .spaces import (SpaceDescriptor, ThetaSpace, LSpace, RSpace,
                      RRSpace, Intersection, EndpointX0, EndpointX1,
                      AppMember, UNIT)
+from .wire import Wire
 from .kfun import (KProfile, k_peetre, norm_in_space, TruncationOracle,
                    _final, _full_norm, _div_low, _unstack)
 from .report import EquivalenceReport
@@ -41,21 +41,15 @@ def _pp(p: float) -> float:
     return p / (p - 1.0)
 
 
-def _ri_obj(E):
-    return {"q": "inf" if math.isinf(E.q) else E.q}
+class AppSpace(Wire):
+    """A concrete space over (0, 1); written through its wire tag."""
 
-
-def _ri_from(o):
-    return RiSpace(math.inf if o["q"] == "inf" else float(o["q"]))
-
-
-class AppSpace:
     def validate(self) -> None:
         pass
 
 
 @dataclass(frozen=True)
-class GrandLp(AppSpace):
+class GrandLp(AppSpace, kind="grand"):
     """|| l^(-alpha/p)(t) || f* ||_{L_p(t,1)} ||_{L_inf(0,1)}."""
     p: float
     alpha: float
@@ -66,12 +60,9 @@ class GrandLp(AppSpace):
         if not self.alpha > 0:
             raise ValueError("grand space needs alpha > 0")
 
-    def to_obj(self):
-        return {"kind": "grand", "p": self.p, "alpha": self.alpha}
-
 
 @dataclass(frozen=True)
-class SmallLp(AppSpace):
+class SmallLp(AppSpace, kind="small"):
     """|| l^(alpha/p'-1)(t) || f* ||_{L_p(0,t)} ||_{L~1(0,1)}."""
     p: float
     alpha: float
@@ -82,12 +73,9 @@ class SmallLp(AppSpace):
         if not self.alpha > 0:
             raise ValueError("small space needs alpha > 0")
 
-    def to_obj(self):
-        return {"kind": "small", "p": self.p, "alpha": self.alpha}
-
 
 @dataclass(frozen=True)
-class UltraLp(AppSpace):
+class UltraLp(AppSpace, kind="ultra"):
     """|| t^(1/p) b(t) f*(t) ||_{E~(0,1)}."""
     p: float
     b: SvExpr
@@ -97,13 +85,9 @@ class UltraLp(AppSpace):
         if not self.p >= 1:
             raise ValueError("ultrasymmetric space needs p >= 1")
 
-    def to_obj(self):
-        return {"kind": "ultra", "p": self.p, "b": sv_to_obj(self.b),
-                "E": _ri_obj(self.E)}
-
 
 @dataclass(frozen=True)
-class LinfQBeta(AppSpace):
+class LinfQBeta(AppSpace, kind="linfq"):
     """|| l^beta(t) f*(t) ||_{L~q(0,1)} (beta + 1/q < 0, or q=inf, beta<=0)."""
     q: float
     beta: float
@@ -115,13 +99,9 @@ class LinfQBeta(AppSpace):
         elif not self.beta + 1.0 / self.q < 0:
             raise ValueError("needs beta + 1/q < 0")
 
-    def to_obj(self):
-        return {"kind": "linfq", "q": "inf" if math.isinf(self.q) else self.q,
-                "beta": self.beta}
-
 
 @dataclass(frozen=True)
-class GGamma(AppSpace):
+class GGamma(AppSpace, kind="ggamma"):
     """Generalized Gamma with double weight.
 
     Weights are w_i(u) = u^pow_i * sv_i(u); the identification with an
@@ -139,14 +119,9 @@ class GGamma(AppSpace):
         if not (self.p >= 1 and 1 <= self.q and not math.isinf(self.q)):
             raise ValueError("GGamma needs 1 <= p, q < inf")
 
-    def to_obj(self):
-        return {"kind": "ggamma", "p": self.p, "q": self.q,
-                "w1pow": self.w1pow, "w1sv": sv_to_obj(self.w1sv),
-                "w2pow": self.w2pow, "w2sv": sv_to_obj(self.w2sv)}
-
 
 @dataclass(frozen=True)
-class AType(AppSpace):
+class AType(AppSpace, kind="atype"):
     """|| l^(alpha-1)(t) int_t^1 s^(1/p) f**(s) ds/s ||_{E~(0,1)}."""
     p: float
     alpha: float
@@ -164,43 +139,17 @@ class AType(AppSpace):
         if not ok:
             raise ValueError("l^(alpha-1) not in E~(0,1)")
 
-    def to_obj(self):
-        return {"kind": "atype", "p": self.p, "alpha": self.alpha,
-                "E": _ri_obj(self.E)}
-
 
 @dataclass(frozen=True)
-class BType(AppSpace):
+class BType(AppSpace, kind="btype"):
     """|| sup_{0<s<t} s^(1/p) l^(alpha-1)(s) f**(s) ||_{E~(0,1)}."""
     p: float
     alpha: float
     E: RiSpace
 
-    def to_obj(self):
-        return {"kind": "btype", "p": self.p, "alpha": self.alpha,
-                "E": _ri_obj(self.E)}
-
 
 def app_from_obj(o: dict) -> AppSpace:
-    kind = o["kind"]
-    if kind == "grand":
-        return GrandLp(float(o["p"]), float(o["alpha"]))
-    if kind == "small":
-        return SmallLp(float(o["p"]), float(o["alpha"]))
-    if kind == "ultra":
-        return UltraLp(float(o["p"]), sv_from_obj(o["b"]), _ri_from(o["E"]))
-    if kind == "linfq":
-        q = o["q"]
-        return LinfQBeta(math.inf if q == "inf" else float(q), float(o["beta"]))
-    if kind == "ggamma":
-        return GGamma(float(o["p"]), float(o["q"]), float(o["w1pow"]),
-                      sv_from_obj(o["w1sv"]), float(o["w2pow"]),
-                      sv_from_obj(o["w2sv"]))
-    if kind == "atype":
-        return AType(float(o["p"]), float(o["alpha"]), _ri_from(o["E"]))
-    if kind == "btype":
-        return BType(float(o["p"]), float(o["alpha"]), _ri_from(o["E"]))
-    raise ValueError(f"unknown concrete space kind {kind!r}")
+    return AppSpace.from_obj(o)
 
 
 # ---------------------------------------------------------------------
@@ -338,12 +287,6 @@ class Scenario:
     outer: SpaceDescriptor | None = None
 
 
-def _brho(b: SvExpr, gamma: float, rho_sv: SvExpr) -> SvExpr:
-    if isinstance(b, Const):
-        return b
-    return ComposeWithRho(b, gamma, rho_sv)
-
-
 def _scenarios() -> dict:
     reg = {}
 
@@ -389,12 +332,13 @@ def _scenarios() -> dict:
     b_t0 = EllPow(-0.5)
     put(Scenario("grand-vs-ultra-theta0", smooth,
                  lhs=None,
-                 rhs=LSpace(1.0 - 1.0 / p0, _brho(b_t0, gamma_g, rho_g),
+                 rhs=LSpace(1.0 - 1.0 / p0,
+                            compose_rho(b_t0, gamma_g, rho_g),
                             RiSpace(2.0), ONE, RiSpace(p0), UNIT),
                  members=(ultra_descriptor(p0, ONE, RiSpace(p0)), grand),
                  outer=ThetaSpace(0.0, b_t0, RiSpace(2.0), UNIT)))
     b_t1 = EllPow(-1.0)
-    brho_t1 = _brho(b_t1, gamma_g, rho_g)
+    brho_t1 = compose_rho(b_t1, gamma_g, rho_g)
     put(Scenario("grand-vs-ultra-theta1", smooth,
                  lhs=None,
                  rhs=Intersection((
@@ -432,7 +376,7 @@ def _scenarios() -> dict:
                  members=(small, grand),
                  outer=ThetaSpace(0.0, ONE, RiSpace(r), UNIT)))
     rho_sg = EllPow(alpha / _pp(p0) + beta / p1)
-    brho_sg = _brho(b_t1, gamma_g, rho_sg)
+    brho_sg = compose_rho(b_t1, gamma_g, rho_sg)
     put(Scenario("small-grand-theta1", ("chi:1", "chi:0.01", "pow:4",
                                         "log:1"),
                  lhs=None,

@@ -13,40 +13,15 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .grid import Grid, RiSpace
-from .sv import EllPow, ONE
+from .grid import Grid, L2
+from .sv import EllPow
 from .spaces import UNIT, AppMember, check_admissible, space_from_obj
 from .kfun import k_peetre, norm_in_space
-from .holmstedt import CASES, HolmstedtCase
+from .holmstedt import CASES, DEFAULT_CASES
 from .reiteration import ReiterationCase, verify_reiteration
 from . import corpus as corpus_mod
 from . import holmstedt as holmstedt_mod
 from . import applications as app_mod
-
-L2 = RiSpace(2.0)
-LINF = RiSpace(math.inf)
-
-# parameter choices used by `verify holmstedt` and `verify reiteration`;
-# the thetas sit strictly inside the admissible ranges and each SV/Lq
-# pairing keeps every tail norm finite.
-DEFAULT_CASES = {
-    "R_interior": HolmstedtCase("R_interior", 0.25, 0.5,
-                                b0=EllPow(0.5), E0=L2,
-                                b1=EllPow(-0.5), E1=LINF, a=ONE, F=L2),
-    "R_theta0_zero": HolmstedtCase("R_theta0_zero", 0.0, 0.5,
-                                   b0=EllPow(-0.5), E0=LINF,
-                                   b1=ONE, E1=LINF, a=ONE, F=L2),
-    "R_x0": HolmstedtCase("R_x0", 0.0, 0.5, b1=ONE, E1=LINF,
-                          a=ONE, F=LINF),
-    "L_interior": HolmstedtCase("L_interior", 0.25, 0.5,
-                                b0=EllPow(-0.5), E0=LINF,
-                                b1=EllPow(0.5), E1=L2, a=ONE, F=L2),
-    "L_theta1_one": HolmstedtCase("L_theta1_one", 0.25, 1.0,
-                                  b0=EllPow(-0.5), E0=LINF,
-                                  b1=EllPow(-0.5), E1=LINF, a=ONE, F=L2),
-    "L_x1": HolmstedtCase("L_x1", 0.5, 1.0, b0=EllPow(-0.5), E0=LINF,
-                          a=ONE, F=L2),
-}
 
 REITERATION_ALIASES = {
     "ThmR_interior": "R_interior",

@@ -27,15 +27,17 @@ import math
 
 import numpy as np
 
+from .wire import Wire
+
 NEG_INF = -np.inf
 
 
 @dataclass(frozen=True)
-class RiSpace:
+class RiSpace(Wire):
     """The rearrangement invariant parameter space E = L_q, q in [1, inf].
 
     Only the Lebesgue scale is supported; the fundamental function is
-    phi_E(t) = t^(1/q).
+    phi_E(t) = t^(1/q).  Written untagged, as {"q": ...}.
     """
 
     q: float

@@ -26,9 +26,10 @@ import math
 
 import numpy as np
 
-from .grid import RiSpace, full_grid, log_norm_lower, log_norm_upper
-from .sv import (SvExpr, ONE, Power, Product, NormTail, sv_log_on_grid,
-                 SvDivergenceError)
+from .grid import (RiSpace, L2, LINF, full_grid, log_norm_lower,
+                   log_norm_upper)
+from .sv import (SvExpr, ONE, EllPow, Power, Product, NormTail,
+                 sv_log_on_grid, SvDivergenceError)
 from .spaces import (ThetaSpace, LSpace, RSpace, EndpointX0, EndpointX1,
                      FULL)
 from .kfun import KProfile, TruncationOracle, k_peetre
@@ -119,67 +120,68 @@ class HolmstedtCase:
         return 1.0 - self.theta0, sv
 
 
-def _logsum(*parts):
-    out = parts[0]
-    for p in parts[1:]:
-        out = np.logaddexp(out, p)
-    return out
+# parameter choices used by `verify holmstedt` and `verify reiteration`;
+# the thetas sit strictly inside the admissible ranges and each SV/Lq
+# pairing keeps every tail norm finite.
+DEFAULT_CASES = {
+    "R_interior": HolmstedtCase("R_interior", 0.25, 0.5,
+                                b0=EllPow(0.5), E0=L2,
+                                b1=EllPow(-0.5), E1=LINF, a=ONE, F=L2),
+    "R_theta0_zero": HolmstedtCase("R_theta0_zero", 0.0, 0.5,
+                                   b0=EllPow(-0.5), E0=LINF,
+                                   b1=ONE, E1=LINF, a=ONE, F=L2),
+    "R_x0": HolmstedtCase("R_x0", 0.0, 0.5, b1=ONE, E1=LINF,
+                          a=ONE, F=LINF),
+    "L_interior": HolmstedtCase("L_interior", 0.25, 0.5,
+                                b0=EllPow(-0.5), E0=LINF,
+                                b1=EllPow(0.5), E1=L2, a=ONE, F=L2),
+    "L_theta1_one": HolmstedtCase("L_theta1_one", 0.25, 1.0,
+                                  b0=EllPow(-0.5), E0=LINF,
+                                  b1=EllPow(-0.5), E1=LINF, a=ONE, F=L2),
+    "L_x1": HolmstedtCase("L_x1", 0.5, 1.0, b0=EllPow(-0.5), E0=LINF,
+                          a=ONE, F=L2),
+}
 
 
 def holmstedt_rhs(case: HolmstedtCase, K: KProfile):
     """Per-node arrays: (log rho(u_i), log RHS(u_i)) for every grid node.
 
-    Entries where a tail norm has not converged on the truncated grid
-    are -inf/NaN free: the caller restricts to interior nodes anyway.
+    For L, RHS is a mixed term over the L member (theta_m, b_m, E_m, a, F)
+
+        || b_m ||_{E_m~(u,inf)} || s^-theta_m a K ||_{F~(0,u)}
+          + || b_m(t) || s^-theta_m a K ||_{F~(0,t)} ||_{E_m~(0,u)}
+
+    plus rho(u) times an endpoint term || t^-theta b K ||_{E~(u,inf)}
+    over the theta member (none for X1).  R is the mirror image: every
+    interval reversed, (0,u) <-> (u,inf), and rho multiplying the mixed
+    term instead.  Entries where a tail norm has not converged on the
+    truncated grid are -inf/NaN free: the caller restricts to interior
+    nodes anyway.
     """
     grid = K.grid
     x = grid.x
     dx = grid.dx
     logk = K.logk
-    lell = np.log1p(np.abs(x))
 
     gamma, sv = case.rho_params()
     lrho = gamma * x + sv_log_on_grid(sv, grid)
 
-    la = sv_log_on_grid(case.a, grid)
-    k = case.kind
-    if k in R_CASES:
-        lb1 = sv_log_on_grid(case.b1, grid)
-        # prefix/suffix tables in log domain
-        b1_low = log_norm_lower(lb1, case.E1.q, dx)          # ||b1||_(0,u)
-        g1 = -case.theta1 * x + la + logk
-        aK_up = log_norm_upper(g1, case.F.q, dx)             # ||t^-th1 aK||_(u,oo)
-        # Q1(u) = || b1(t) ||s^-th1 aK||_F(t,oo) ||_E1(u,oo)
-        q1 = log_norm_upper(lb1 + aK_up, case.E1.q, dx)
-        if k == "R_interior":
-            lb0 = sv_log_on_grid(case.b0, grid)
-            p0 = log_norm_lower(-case.theta0 * x + lb0 + logk, case.E0.q, dx)
-        elif k == "R_theta0_zero":
-            lb0 = sv_log_on_grid(case.b0, grid)
-            p0 = log_norm_lower(lb0 + logk, case.E0.q, dx)
-        else:
-            p0 = np.full_like(x, -np.inf)
-        r1 = b1_low + aK_up
-        rhs = _logsum(p0, lrho + _logsum(r1, q1))
-        return lrho, rhs
-
-    lb0 = sv_log_on_grid(case.b0, grid)
-    b0_up = log_norm_upper(lb0, case.E0.q, dx)               # ||b0||_(u,oo)
-    g0 = -case.theta0 * x + la + logk
-    aK_low = log_norm_lower(g0, case.F.q, dx)                # ||t^-th0 aK||_(0,u)
-    # T1(u) = || b0(t) ||s^-th0 aK||_F(0,t) ||_E0(0,u)
-    t1 = log_norm_lower(lb0 + aK_low, case.E0.q, dx)
-    t2 = b0_up + aK_low
-    if k == "L_interior":
-        lb1 = sv_log_on_grid(case.b1, grid)
-        t3 = lrho + log_norm_upper(-case.theta1 * x + lb1 + logk,
-                                   case.E1.q, dx)
-    elif k == "L_theta1_one":
-        lb1 = sv_log_on_grid(case.b1, grid)
-        t3 = lrho + log_norm_upper(-x + lb1 + logk, case.E1.q, dx)
-    else:
-        t3 = np.full_like(x, -np.inf)
-    rhs = _logsum(t1, t2, t3)
+    y0, y1 = case.members()
+    low = isinstance(y0, LSpace)
+    mixed, end = (y0, y1) if low else (y1, y0)
+    pre, suf = (log_norm_lower, log_norm_upper) if low else \
+        (log_norm_upper, log_norm_lower)
+    la = sv_log_on_grid(mixed.a, grid)
+    lb = sv_log_on_grid(mixed.b, grid)
+    aK = pre(-mixed.theta * x + la + logk, mixed.F.q, dx)
+    rhs = np.logaddexp(suf(lb, mixed.E.q, dx) + aK,
+                       pre(lb + aK, mixed.E.q, dx))
+    if not low:
+        rhs = lrho + rhs
+    if isinstance(end, ThetaSpace):
+        lb = sv_log_on_grid(end.b, grid)
+        e = suf(-end.theta * x + lb + logk, end.E.q, dx)
+        rhs = np.logaddexp(rhs, lrho + e if low else e)
     return lrho, rhs
 
 
@@ -215,11 +217,13 @@ def verify_holmstedt(case: HolmstedtCase, corpus=None, log2n=(9, 10),
                 continue
             live = idx[np.isfinite(lrho[idx]) & np.isfinite(lrhs[idx])]
             lhs_all = np.exp(orc.k_at_log(lrho[live]))
+            added = 0
             for i, lhs in zip(live, lhs_all.tolist()):
                 rhs = float(np.exp(lrhs[i]))
                 if not (math.isfinite(lhs) and lhs > 0 and rhs > 0):
                     continue
                 rep.add(spec, n, float(grid.t[i]), lhs, rhs)
-            if not any(r.function_id == spec and r.n == n for r in rep.rows):
+                added += 1
+            if not added:
                 rep.exclude(spec, f"no admissible split points at n={n}")
     return rep

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import math
 
 from .grid import RiSpace, full_grid
-from .sv import (SvExpr, ONE, Const, Power, Product, NormTail,
-                 ComposeWithRho, SvDivergenceError)
+from .sv import (SvExpr, ONE, Power, Product, NormTail, compose_rho,
+                 SvDivergenceError)
 from .spaces import (SpaceDescriptor, ThetaSpace, LSpace, RSpace, LLSpace,
                      RRSpace, Intersection, FULL)
 from .holmstedt import HolmstedtCase, R_CASES
@@ -36,18 +36,12 @@ class ReiterationCase:
             raise ValueError("outer theta must lie in [0, 1]")
 
 
-def _compose(b: SvExpr, gamma: float, sv: SvExpr) -> SvExpr:
-    if isinstance(b, Const):
-        return b
-    return ComposeWithRho(b, gamma, sv)
-
-
 def reiterate(case: ReiterationCase) -> SpaceDescriptor:
     """Descriptor over the endpoint couple equivalent to the outer space."""
     c = case.inner
     th = case.theta
     gamma, rho_sv = c.rho_params()
-    brho = _compose(case.b, gamma, rho_sv)
+    brho = compose_rho(case.b, gamma, rho_sv)
     k = c.kind
 
     if k in R_CASES:

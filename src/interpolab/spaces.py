@@ -15,6 +15,8 @@ Settings: "full" norms run over the whole truncated line (0, inf),
 "unit" over (0, 1) with t = 1 a genuine edge.  Admissibility follows the
 parameter tables that make the space nontrivial; conditions involving
 (1, inf) are dropped in the unit setting.
+
+Each descriptor has a JSON form through its wire tag (see wire.py).
 """
 
 from __future__ import annotations
@@ -22,37 +24,41 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import json
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .grid import (Grid, RiSpace, full_grid, unit_grid, edge_divergent,
                    log_norm_lower, log_norm_upper, log_norm_between,
                    _edge_diverges)
-from .sv import SvExpr, sv_to_obj, sv_from_obj, sv_log_on_grid, \
-    inverse_arg, SvDivergenceError
+from .sv import SvExpr, sv_log_on_grid, inverse_arg, SvDivergenceError
+from .wire import Wire, to_json
+
+if TYPE_CHECKING:
+    from .applications import AppSpace
 
 FULL = "full"
 UNIT = "unit"
 
 
-class SpaceDescriptor:
+class SpaceDescriptor(Wire):
     """Base class for the descriptor variants."""
 
     setting: str
 
 
 @dataclass(frozen=True)
-class EndpointX0(SpaceDescriptor):
+class EndpointX0(SpaceDescriptor, kind="x0"):
     setting: str = FULL
 
 
 @dataclass(frozen=True)
-class EndpointX1(SpaceDescriptor):
+class EndpointX1(SpaceDescriptor, kind="x1"):
     setting: str = FULL
 
 
 @dataclass(frozen=True)
-class ThetaSpace(SpaceDescriptor):
+class ThetaSpace(SpaceDescriptor, kind="theta"):
     theta: float
     b: SvExpr
     E: RiSpace
@@ -64,21 +70,7 @@ class ThetaSpace(SpaceDescriptor):
 
 
 @dataclass(frozen=True)
-class LSpace(SpaceDescriptor):
-    theta: float
-    b: SvExpr
-    E: RiSpace
-    a: SvExpr
-    F: RiSpace
-    setting: str = FULL
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class RSpace(SpaceDescriptor):
+class LSpace(SpaceDescriptor, kind="L"):
     theta: float
     b: SvExpr
     E: RiSpace
@@ -92,7 +84,21 @@ class RSpace(SpaceDescriptor):
 
 
 @dataclass(frozen=True)
-class LLSpace(SpaceDescriptor):
+class RSpace(SpaceDescriptor, kind="R"):
+    theta: float
+    b: SvExpr
+    E: RiSpace
+    a: SvExpr
+    F: RiSpace
+    setting: str = FULL
+
+    def __post_init__(self):
+        if not 0.0 <= self.theta <= 1.0:
+            raise ValueError("theta must lie in [0, 1]")
+
+
+@dataclass(frozen=True)
+class LLSpace(SpaceDescriptor, kind="LL"):
     """Outer (c, E), middle (b, F), inner (a, G), all prefix norms."""
     theta: float
     c: SvExpr
@@ -105,7 +111,7 @@ class LLSpace(SpaceDescriptor):
 
 
 @dataclass(frozen=True)
-class RRSpace(SpaceDescriptor):
+class RRSpace(SpaceDescriptor, kind="RR"):
     """Outer (c, E), middle (b, F), inner (a, G), all suffix norms."""
     theta: float
     c: SvExpr
@@ -118,8 +124,12 @@ class RRSpace(SpaceDescriptor):
 
 
 @dataclass(frozen=True)
-class Intersection(SpaceDescriptor):
-    members: tuple
+class Intersection(SpaceDescriptor, kind="intersection"):
+    members: tuple[SpaceDescriptor, ...]
+
+    def __post_init__(self):
+        if not self.members:
+            raise ValueError("an intersection needs at least one member")
 
     @property
     def setting(self):
@@ -127,10 +137,15 @@ class Intersection(SpaceDescriptor):
 
 
 @dataclass(frozen=True)
-class AppMember(SpaceDescriptor):
+class AppMember(SpaceDescriptor, kind="app"):
     """Wraps a concrete function space (applications.AppSpace)."""
-    space: object
+    space: AppSpace
     setting: str = UNIT
+
+    def __post_init__(self):
+        if self.setting != UNIT:
+            raise ValueError("concrete spaces live on (0,1): setting must "
+                             f"be {UNIT!r}")
 
 
 # ---------------------------------------------------------------------
@@ -152,18 +167,14 @@ def couple_reverse(d: SpaceDescriptor) -> SpaceDescriptor:
         return EndpointX0()
     if isinstance(d, ThetaSpace):
         return ThetaSpace(1.0 - d.theta, inverse_arg(d.b), d.E)
-    if isinstance(d, LSpace):
-        return RSpace(1.0 - d.theta, inverse_arg(d.b), d.E,
+    if isinstance(d, (LSpace, RSpace)):
+        mirror = RSpace if isinstance(d, LSpace) else LSpace
+        return mirror(1.0 - d.theta, inverse_arg(d.b), d.E,
                       inverse_arg(d.a), d.F)
-    if isinstance(d, RSpace):
-        return LSpace(1.0 - d.theta, inverse_arg(d.b), d.E,
-                      inverse_arg(d.a), d.F)
-    if isinstance(d, LLSpace):
-        return RRSpace(1.0 - d.theta, inverse_arg(d.c), d.E,
-                       inverse_arg(d.b), d.F, inverse_arg(d.a), d.G)
-    if isinstance(d, RRSpace):
-        return LLSpace(1.0 - d.theta, inverse_arg(d.c), d.E,
-                       inverse_arg(d.b), d.F, inverse_arg(d.a), d.G)
+    if isinstance(d, (LLSpace, RRSpace)):
+        mirror = RRSpace if isinstance(d, LLSpace) else LLSpace
+        return mirror(1.0 - d.theta, inverse_arg(d.c), d.E,
+                      inverse_arg(d.b), d.F, inverse_arg(d.a), d.G)
     if isinstance(d, Intersection):
         return Intersection(tuple(couple_reverse(m) for m in d.members))
     raise ValueError(f"cannot reverse {type(d).__name__}")
@@ -201,30 +212,24 @@ def _norm_piece(lw, q, dx, i0, i1, grid):
     return math.exp(v) if v < 700 else math.inf
 
 
-def _nested_cond(la, lb, qF, qE, dx, grid, inner_side, inner_from_one,
-                 outer_range, i_one):
-    """Conditions of shape || b(t) || a ||_{F~(I(t))} ||_{E~(J)}."""
-    n = len(la)
-    if inner_side == "lower":
-        if inner_from_one:
-            # || a ||_{F~(1, t)} for t >= 1
-            inner = np.full(n, -np.inf)
-            inner[i_one:] = log_norm_lower(la[i_one:], qF, dx)
-        else:
-            inner = log_norm_lower(la, qF, dx)
-            if grid.truncated_low and _edge_diverges(la, qF, dx,
-                                                     grid.x[0], "low"):
-                return math.inf
+def _nested_cond(la, lb, qF, qE, dx, grid, low, from_one, outer_range,
+                 i_one):
+    """Conditions of shape || b(t) || a ||_{F~(I(t))} ||_{E~(J)}.
+
+    I(t) is (0,t) if low, else (t,inf); from_one starts it at 1 instead:
+    (1,t) for t >= 1, or (t,1) for t <= 1.
+    """
+    norm = log_norm_lower if low else log_norm_upper
+    if from_one:
+        part = slice(i_one, None) if low else slice(None, i_one + 1)
+        inner = np.full(len(la), -np.inf)
+        inner[part] = norm(la[part], qF, dx)
     else:
-        if inner_from_one:
-            # || a ||_{F~(t, 1)} for t <= 1
-            inner = np.full(n, -np.inf)
-            inner[:i_one + 1] = log_norm_upper(la[:i_one + 1], qF, dx)
-        else:
-            inner = log_norm_upper(la, qF, dx)
-            if grid.truncated_high and _edge_diverges(la, qF, dx,
-                                                      grid.x[n - 1], "high"):
-                return math.inf
+        inner = norm(la, qF, dx)
+        truncated = grid.truncated_low if low else grid.truncated_high
+        if truncated and _edge_diverges(la, qF, dx, grid.x[0 if low else -1],
+                                        "low" if low else "high"):
+            return math.inf
     lo, hi = outer_range
     return _norm_piece(lb + inner, qE, dx, lo, hi, grid)
 
@@ -274,141 +279,65 @@ def check_admissible(d: SpaceDescriptor, grid: Grid | None = None) -> Admissibil
                                    norm_of(d.b, d.E.q, 0, i_one)))
         return AdmissibilityReport(conds, notes)
 
-    if isinstance(d, (LSpace, LLSpace)):
-        b_out = d.b if isinstance(d, LSpace) else d.c
-        E_out = d.E
-        a_in = d.a
-        F_in = d.F if isinstance(d, LSpace) else d.G
-        if isinstance(d, LLSpace):
-            notes.append("LL conditions taken from the L table applied to "
-                         "the outer level")
-        try:
-            la = sv_log_on_grid(a_in, grid)
-            lb = sv_log_on_grid(b_out, grid)
-        except SvDivergenceError:
-            return AdmissibilityReport([Condition("parameter tail norm",
-                                                  math.inf)], notes)
-        if not unit:
-            conds.append(Condition("||b||_{E~(1,inf)}",
-                                   norm_of(b_out, E_out.q, i_one, n - 1)))
-        if d.theta == 0.0 and not unit:
-            conds.append(Condition(
-                "||b(t)||a||_{F~(1,t)}||_{E~(1,inf)}",
-                _nested_cond(la, lb, F_in.q, E_out.q, dx, grid,
-                             "lower", True, (i_one, n - 1), i_one)))
-            conds.append(Condition("||ab||_{E~(1,inf)}",
-                                   norm_of(a_in * b_out, E_out.q, i_one, n - 1)))
-        if d.theta == 1.0:
-            conds.append(Condition(
-                "||b(t)||a||_{F~(0,t)}||_{E~(0,1)}",
-                _nested_cond(la, lb, F_in.q, E_out.q, dx, grid,
-                             "lower", False, (0, i_one), i_one)))
-        return AdmissibilityReport(conds, notes)
-
-    if isinstance(d, (RSpace, RRSpace)):
-        b_out = d.b if isinstance(d, RSpace) else d.c
-        E_out = d.E
-        a_in = d.a
-        F_in = d.F if isinstance(d, RSpace) else d.G
+    if not isinstance(d, (LSpace, RSpace, LLSpace, RRSpace)):
+        raise TypeError(f"unknown descriptor {type(d).__name__}")
+    # R is L with the inner norm reversed: (0,1) <-> (1,inf) and
+    # theta = 0 <-> theta = 1.  "far" is where ||b||_E must always be
+    # finite: (1,inf) for L, (0,1) for R.
+    low = isinstance(d, (LSpace, LLSpace))
+    nested = isinstance(d, (LLSpace, RRSpace))
+    b_out = d.c if nested else d.b
+    F_in = d.G if nested else d.F
+    side = "L" if low else "R"
+    if not low:
         notes.append("R-space conditions implemented exactly as the printed "
                      "theta=1 table reads")
-        if isinstance(d, RRSpace):
-            notes.append("RR conditions taken from the R table applied to "
-                         "the outer level")
-        try:
-            la = sv_log_on_grid(a_in, grid)
-            lb = sv_log_on_grid(b_out, grid)
-        except SvDivergenceError:
-            return AdmissibilityReport([Condition("parameter tail norm",
-                                                  math.inf)], notes)
-        conds.append(Condition("||b||_{E~(0,1)}",
-                               norm_of(b_out, E_out.q, 0, i_one)))
-        if d.theta == 0.0 and not unit:
+    if nested:
+        notes.append(f"{side * 2} conditions taken from the {side} table "
+                     "applied to the outer level")
+    try:
+        la = sv_log_on_grid(d.a, grid)
+        lb = sv_log_on_grid(b_out, grid)
+    except SvDivergenceError:
+        return AdmissibilityReport([Condition("parameter tail norm",
+                                              math.inf)], notes)
+    nodes = {"(0,1)": (0, i_one), "(1,inf)": (i_one, n - 1)}
+    far, near = ("(1,inf)", "(0,1)") if low else ("(0,1)", "(1,inf)")
+    in_far, in_near = ("(1,t)", "(0,t)") if low else ("(t,1)", "(t,inf)")
+    theta_far = 0.0 if low else 1.0
+    if not (unit and far == "(1,inf)"):
+        conds.append(Condition(f"||b||_{{E~{far}}}",
+                               norm_of(b_out, d.E.q, *nodes[far])))
+        if d.theta == theta_far:
             conds.append(Condition(
-                "||b(t)||a||_{F~(t,inf)}||_{E~(1,inf)}",
-                _nested_cond(la, lb, F_in.q, E_out.q, dx, grid,
-                             "upper", False, (i_one, n - 1), i_one)))
-        if d.theta == 1.0:
-            conds.append(Condition(
-                "||b(t)||a||_{F~(t,1)}||_{E~(0,1)}",
-                _nested_cond(la, lb, F_in.q, E_out.q, dx, grid,
-                             "upper", True, (0, i_one), i_one)))
-            conds.append(Condition("||ab||_{E~(0,1)}",
-                                   norm_of(a_in * b_out, E_out.q, 0, i_one)))
-        return AdmissibilityReport(conds, notes)
-
-    raise TypeError(f"unknown descriptor {type(d).__name__}")
+                f"||b(t)||a||_{{F~{in_far}}}||_{{E~{far}}}",
+                _nested_cond(la, lb, F_in.q, d.E.q, dx, grid, low,
+                             True, nodes[far], i_one)))
+            conds.append(Condition(f"||ab||_{{E~{far}}}",
+                                   norm_of(d.a * b_out, d.E.q,
+                                           *nodes[far])))
+    if d.theta == 1.0 - theta_far and not (unit and near == "(1,inf)"):
+        conds.append(Condition(
+            f"||b(t)||a||_{{F~{in_near}}}||_{{E~{near}}}",
+            _nested_cond(la, lb, F_in.q, d.E.q, dx, grid, low,
+                         False, nodes[near], i_one)))
+    return AdmissibilityReport(conds, notes)
 
 
 # ---------------------------------------------------------------------
 # JSON wire format
 # ---------------------------------------------------------------------
 
-def _ri_to_obj(E: RiSpace):
-    return {"q": "inf" if math.isinf(E.q) else E.q}
-
-
-def _ri_from_obj(o) -> RiSpace:
-    q = o["q"]
-    return RiSpace(math.inf if q == "inf" else float(q))
-
-
 def space_to_obj(d: SpaceDescriptor) -> dict:
-    if isinstance(d, EndpointX0):
-        return {"kind": "x0", "setting": d.setting}
-    if isinstance(d, EndpointX1):
-        return {"kind": "x1", "setting": d.setting}
-    if isinstance(d, ThetaSpace):
-        return {"kind": "theta", "theta": d.theta, "b": sv_to_obj(d.b),
-                "E": _ri_to_obj(d.E), "setting": d.setting}
-    if isinstance(d, (LSpace, RSpace)):
-        return {"kind": "L" if isinstance(d, LSpace) else "R",
-                "theta": d.theta, "b": sv_to_obj(d.b), "E": _ri_to_obj(d.E),
-                "a": sv_to_obj(d.a), "F": _ri_to_obj(d.F),
-                "setting": d.setting}
-    if isinstance(d, (LLSpace, RRSpace)):
-        return {"kind": "LL" if isinstance(d, LLSpace) else "RR",
-                "theta": d.theta, "c": sv_to_obj(d.c), "E": _ri_to_obj(d.E),
-                "b": sv_to_obj(d.b), "F": _ri_to_obj(d.F),
-                "a": sv_to_obj(d.a), "G": _ri_to_obj(d.G),
-                "setting": d.setting}
-    if isinstance(d, Intersection):
-        return {"kind": "intersection",
-                "members": [space_to_obj(m) for m in d.members]}
-    if isinstance(d, AppMember):
-        return {"kind": "app", "space": d.space.to_obj(), "setting": d.setting}
-    raise TypeError(f"unknown descriptor {type(d).__name__}")
+    return d.to_obj()
 
 
 def space_from_obj(o: dict) -> SpaceDescriptor:
-    kind = o["kind"]
-    setting = o.get("setting", FULL)
-    if kind == "x0":
-        return EndpointX0(setting)
-    if kind == "x1":
-        return EndpointX1(setting)
-    if kind == "theta":
-        return ThetaSpace(float(o["theta"]), sv_from_obj(o["b"]),
-                          _ri_from_obj(o["E"]), setting)
-    if kind in ("L", "R"):
-        cls = LSpace if kind == "L" else RSpace
-        return cls(float(o["theta"]), sv_from_obj(o["b"]), _ri_from_obj(o["E"]),
-                   sv_from_obj(o["a"]), _ri_from_obj(o["F"]), setting)
-    if kind in ("LL", "RR"):
-        cls = LLSpace if kind == "LL" else RRSpace
-        return cls(float(o["theta"]), sv_from_obj(o["c"]), _ri_from_obj(o["E"]),
-                   sv_from_obj(o["b"]), _ri_from_obj(o["F"]),
-                   sv_from_obj(o["a"]), _ri_from_obj(o["G"]), setting)
-    if kind == "intersection":
-        return Intersection(tuple(space_from_obj(m) for m in o["members"]))
-    if kind == "app":
-        from . import applications
-        return AppMember(applications.app_from_obj(o["space"]), setting)
-    raise ValueError(f"unknown descriptor kind {kind!r}")
+    return SpaceDescriptor.from_obj(o)
 
 
 def space_to_json(d: SpaceDescriptor) -> str:
-    return json.dumps(space_to_obj(d), sort_keys=True)
+    return to_json(d)
 
 
 def space_from_json(s: str) -> SpaceDescriptor:

@@ -11,25 +11,28 @@ for gamma > 0, and the running tail norms
 which are again slowly varying and keep appearing as derived parameters.
 
 Everything evaluates as a function of x = log t, so expressions stay
-finite on grids whose t range leaves float64.
+finite on grids whose t range leaves float64.  Every node has a JSON
+form through its wire tag (see wire.py).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import json
 import math
 
 import numpy as np
 
 from .grid import Grid, RiSpace, log_norm_lower, log_norm_upper, edge_divergent
+from .wire import Wire, to_json
 
 
 class SvDivergenceError(ValueError):
     """A NormTail integral diverges on the requested grid."""
 
 
-class SvExpr:
+class SvExpr(Wire):
     """Base class; subclasses are frozen dataclasses, hence hashable."""
 
     def __mul__(self, other):
@@ -40,7 +43,7 @@ class SvExpr:
 
 
 @dataclass(frozen=True)
-class Const(SvExpr):
+class Const(SvExpr, kind="const"):
     c: float
 
     def __post_init__(self):
@@ -49,20 +52,20 @@ class Const(SvExpr):
 
 
 @dataclass(frozen=True)
-class EllPow(SvExpr):
+class EllPow(SvExpr, kind="ell"):
     """l^alpha(t) = (1 + |log t|)^alpha."""
     alpha: float
 
 
 @dataclass(frozen=True)
-class BrokenEll(SvExpr):
+class BrokenEll(SvExpr, kind="broken_ell"):
     """l^alpha for t <= 1, l^beta for t > 1."""
     alpha: float
     beta: float
 
 
 @dataclass(frozen=True)
-class IteratedEll(SvExpr):
+class IteratedEll(SvExpr, kind="iterated_ell"):
     """(l o l o ... o l)^alpha with `depth` compositions (depth >= 2)."""
     depth: int
     alpha: float
@@ -73,7 +76,7 @@ class IteratedEll(SvExpr):
 
 
 @dataclass(frozen=True)
-class ExpLogPow(SvExpr):
+class ExpLogPow(SvExpr, kind="exp_log_pow"):
     """exp(|log t|^alpha), 0 < alpha < 1."""
     alpha: float
 
@@ -83,25 +86,38 @@ class ExpLogPow(SvExpr):
 
 
 @dataclass(frozen=True)
-class Product(SvExpr):
+class Product(SvExpr, kind="product"):
+    """left * right, written as {"args": [left, right]}; reading folds
+    any number of args from the left."""
     left: SvExpr
     right: SvExpr
 
+    def to_obj(self) -> dict:
+        return {"kind": "product",
+                "args": [self.left.to_obj(), self.right.to_obj()]}
+
+    @classmethod
+    def _decode(cls, o) -> SvExpr:
+        args = [SvExpr.from_obj(a) for a in o["args"]]
+        if not args:
+            raise ValueError("product needs at least one factor")
+        return functools.reduce(Product, args)
+
 
 @dataclass(frozen=True)
-class Power(SvExpr):
+class Power(SvExpr, kind="power"):
     base: SvExpr
     r: float
 
 
 @dataclass(frozen=True)
-class InverseArg(SvExpr):
+class InverseArg(SvExpr, kind="inverse_arg"):
     """t -> inner(1/t)."""
     inner: SvExpr
 
 
 @dataclass(frozen=True)
-class NormTail(SvExpr):
+class NormTail(SvExpr, kind="norm_tail"):
     """t -> || b ||_{E~(0,t)} (side='lower') or || b ||_{E~(t,edge)} ('upper').
 
     Finiteness is checked the first time a table is built on a grid;
@@ -117,7 +133,7 @@ class NormTail(SvExpr):
 
 
 @dataclass(frozen=True)
-class ComposeWithRho(SvExpr):
+class ComposeWithRho(SvExpr, kind="compose_rho"):
     """t -> outer(t^gamma * inner(t)), gamma > 0 (closure under rho)."""
     outer: SvExpr
     gamma: float
@@ -148,6 +164,13 @@ def inverse_arg(e: SvExpr) -> SvExpr:
     return InverseArg(e)
 
 
+def compose_rho(b: SvExpr, gamma: float, sv: SvExpr) -> SvExpr:
+    """t -> b(t^gamma * sv(t)), leaving a constant b as it is."""
+    if isinstance(b, Const):
+        return b
+    return ComposeWithRho(b, gamma, sv)
+
+
 # ---------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------
@@ -161,20 +184,14 @@ def _tail_table(expr: NormTail, grid: Grid) -> np.ndarray:
     if tab is not None:
         return tab
     lb = sv_log_on_grid(expr.b, grid)
-    dx = grid.dx
-    if expr.side == "lower":
-        if grid.truncated_low and edge_divergent(lb, expr.E.q, dx, 0,
-                                                 grid.n - 1, grid):
-            raise SvDivergenceError(
-                f"lower tail norm of {expr.b!r} in L_{expr.E.q} diverges at 0")
-        tab = log_norm_lower(lb, expr.E.q, dx)
-    else:
-        if grid.truncated_high and edge_divergent(lb, expr.E.q, dx, 0,
-                                                  grid.n - 1, grid):
-            raise SvDivergenceError(
-                f"upper tail norm of {expr.b!r} in L_{expr.E.q} diverges at inf")
-        tab = log_norm_upper(lb, expr.E.q, dx)
-    _TAIL_TABLES[key] = tab
+    low = expr.side == "lower"
+    if (grid.truncated_low if low else grid.truncated_high) and \
+            edge_divergent(lb, expr.E.q, grid.dx, 0, grid.n - 1, grid):
+        raise SvDivergenceError(
+            f"{expr.side} tail norm of {expr.b!r} in L_{expr.E.q} "
+            f"diverges at {'0' if low else 'inf'}")
+    norm = log_norm_lower if low else log_norm_upper
+    tab = _TAIL_TABLES[key] = norm(lb, expr.E.q, grid.dx)
     return tab
 
 
@@ -298,76 +315,9 @@ def sv_local_scale_bound(expr: SvExpr, eps: float,
 # JSON wire format
 # ---------------------------------------------------------------------
 
-def _q_to_json(q: float):
-    return "inf" if math.isinf(q) else q
-
-
-def _q_from_json(v) -> float:
-    if v == "inf":
-        return math.inf
-    return float(v)
-
-
-def sv_to_obj(e: SvExpr) -> dict:
-    if isinstance(e, Const):
-        return {"kind": "const", "c": e.c}
-    if isinstance(e, EllPow):
-        return {"kind": "ell", "alpha": e.alpha}
-    if isinstance(e, BrokenEll):
-        return {"kind": "broken_ell", "alpha": e.alpha, "beta": e.beta}
-    if isinstance(e, IteratedEll):
-        return {"kind": "iterated_ell", "depth": e.depth, "alpha": e.alpha}
-    if isinstance(e, ExpLogPow):
-        return {"kind": "exp_log_pow", "alpha": e.alpha}
-    if isinstance(e, Product):
-        return {"kind": "product", "args": [sv_to_obj(e.left), sv_to_obj(e.right)]}
-    if isinstance(e, Power):
-        return {"kind": "power", "base": sv_to_obj(e.base), "r": e.r}
-    if isinstance(e, InverseArg):
-        return {"kind": "inverse_arg", "inner": sv_to_obj(e.inner)}
-    if isinstance(e, NormTail):
-        return {"kind": "norm_tail", "b": sv_to_obj(e.b),
-                "E": {"q": _q_to_json(e.E.q)}, "side": e.side}
-    if isinstance(e, ComposeWithRho):
-        return {"kind": "compose_rho", "outer": sv_to_obj(e.outer),
-                "gamma": e.gamma, "inner": sv_to_obj(e.inner)}
-    raise TypeError(f"unknown SvExpr node {e!r}")
-
-
-def sv_from_obj(o: dict) -> SvExpr:
-    kind = o["kind"]
-    if kind == "const":
-        return Const(float(o["c"]))
-    if kind == "ell":
-        return EllPow(float(o["alpha"]))
-    if kind == "broken_ell":
-        return BrokenEll(float(o["alpha"]), float(o["beta"]))
-    if kind == "iterated_ell":
-        return IteratedEll(int(o["depth"]), float(o["alpha"]))
-    if kind == "exp_log_pow":
-        return ExpLogPow(float(o["alpha"]))
-    if kind == "product":
-        args = [sv_from_obj(a) for a in o["args"]]
-        out = args[0]
-        for a in args[1:]:
-            out = Product(out, a)
-        return out
-    if kind == "power":
-        return Power(sv_from_obj(o["base"]), float(o["r"]))
-    if kind == "inverse_arg":
-        return InverseArg(sv_from_obj(o["inner"]))
-    if kind == "norm_tail":
-        return NormTail(sv_from_obj(o["b"]), RiSpace(_q_from_json(o["E"]["q"])),
-                        o["side"])
-    if kind == "compose_rho":
-        return ComposeWithRho(sv_from_obj(o["outer"]), float(o["gamma"]),
-                              sv_from_obj(o["inner"]))
-    raise ValueError(f"unknown SvExpr kind {kind!r}")
-
-
 def sv_to_json(e: SvExpr) -> str:
-    return json.dumps(sv_to_obj(e), sort_keys=True)
+    return to_json(e)
 
 
 def sv_from_json(s: str) -> SvExpr:
-    return sv_from_obj(json.loads(s))
+    return SvExpr.from_obj(json.loads(s))

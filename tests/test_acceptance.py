@@ -29,10 +29,10 @@ from interpolab.kfun import (k_peetre, k_oracle, kprofile_reverse,
                              norm_in_space)
 from interpolab.spaces import (EndpointX0, EndpointX1, ThetaSpace, LSpace,
                                RSpace, couple_reverse)
-from interpolab.holmstedt import verify_holmstedt
+from interpolab.holmstedt import DEFAULT_CASES, verify_holmstedt
 from interpolab.reiteration import ReiterationCase, verify_reiteration
 from interpolab.applications import verify_identity
-from interpolab.cli import DEFAULT_CASES, main
+from interpolab.cli import main
 from interpolab import corpus
 
 

@@ -25,7 +25,7 @@ from interpolab.kfun import (KProfile, k_peetre, norm_in_space,
 from interpolab.applications import (GrandLp, SmallLp, UltraLp, LinfQBeta,
                                      GGamma, AType, BType, norm_app,
                                      get_scenario)
-from interpolab.cli import DEFAULT_CASES
+from interpolab.holmstedt import DEFAULT_CASES
 
 
 def bits(a):

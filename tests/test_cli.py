@@ -123,3 +123,33 @@ def test_verify_threshold_exceeded(capsys):
     out = capsys.readouterr().out
     assert code == 3
     assert "window=" in out
+
+
+GRAND = {"kind": "grand", "p": 2, "alpha": 1}
+
+
+def _norm_of_literal(tmp_path, obj):
+    p = tmp_path / "desc.json"
+    p.write_text(json.dumps(obj))
+    return main(["norm", "--space", str(p), "--fn", "chi:0.5",
+                 "--grid", "9"])
+
+
+def test_norm_app_without_setting_is_unit(tmp_path, capsys):
+    code = _norm_of_literal(tmp_path, {"kind": "app", "space": GRAND})
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert code == 0
+    assert lines[0] == "admissibility: parameter checks passed"
+    assert math.isfinite(float(lines[-1]))
+
+
+@pytest.mark.parametrize("obj", [
+    {"kind": "app", "setting": "full", "space": GRAND},
+    {"kind": "intersection", "members": []},
+    {"kind": "theta", "theta": 0.5, "E": {"q": 2},
+     "b": {"kind": "product", "args": []}},
+], ids=["app-full", "empty-intersection", "empty-product"])
+def test_norm_bad_descriptor_exits_1(tmp_path, capsys, obj):
+    code = _norm_of_literal(tmp_path, obj)
+    assert code == 1
+    assert "bad descriptor field" in capsys.readouterr().err

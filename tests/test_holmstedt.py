@@ -5,15 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from interpolab.grid import L2, LINF, full_grid
-from interpolab.sv import EllPow, ONE
+from interpolab.grid import (L1, L2, LINF, full_grid, log_norm_lower,
+                             log_norm_upper)
+from interpolab.sv import EllPow, BrokenEll, ONE, sv_log_on_grid
 from interpolab.spaces import (EndpointX0, EndpointX1, ThetaSpace, LSpace,
                                RSpace)
 from interpolab.holmstedt import (HolmstedtCase, CASES, R_CASES, L_CASES,
-                                  holmstedt_rhs, verify_holmstedt)
+                                  DEFAULT_CASES, holmstedt_rhs,
+                                  verify_holmstedt)
 from interpolab.kfun import k_peetre
 from interpolab import corpus
-from interpolab.cli import DEFAULT_CASES
 
 
 def test_case_registry():
@@ -88,3 +89,73 @@ def test_report_determinism():
     r2 = verify_holmstedt(DEFAULT_CASES["L_interior"], **kw)
     assert [(a.function_id, a.n, a.u, a.lhs, a.rhs) for a in r1.rows] == \
            [(a.function_id, a.n, a.u, a.lhs, a.rhs) for a in r2.rows]
+
+
+# -- the folded split formula against the separate R and L tables ------
+
+def _logsum(*parts):
+    out = parts[0]
+    for p in parts[1:]:
+        out = np.logaddexp(out, p)
+    return out
+
+
+def _rhs_ref(case, K):
+    grid, x, dx, logk = K.grid, K.grid.x, K.grid.dx, K.logk
+    gamma, sv = case.rho_params()
+    lrho = gamma * x + sv_log_on_grid(sv, grid)
+    la = sv_log_on_grid(case.a, grid)
+    k = case.kind
+    if k in R_CASES:
+        lb1 = sv_log_on_grid(case.b1, grid)
+        b1_low = log_norm_lower(lb1, case.E1.q, dx)
+        aK_up = log_norm_upper(-case.theta1 * x + la + logk, case.F.q, dx)
+        q1 = log_norm_upper(lb1 + aK_up, case.E1.q, dx)
+        if k == "R_interior":
+            lb0 = sv_log_on_grid(case.b0, grid)
+            p0 = log_norm_lower(-case.theta0 * x + lb0 + logk, case.E0.q, dx)
+        elif k == "R_theta0_zero":
+            lb0 = sv_log_on_grid(case.b0, grid)
+            p0 = log_norm_lower(lb0 + logk, case.E0.q, dx)
+        else:
+            p0 = np.full_like(x, -np.inf)
+        return lrho, _logsum(p0, lrho + _logsum(b1_low + aK_up, q1))
+    lb0 = sv_log_on_grid(case.b0, grid)
+    b0_up = log_norm_upper(lb0, case.E0.q, dx)
+    aK_low = log_norm_lower(-case.theta0 * x + la + logk, case.F.q, dx)
+    t1 = log_norm_lower(lb0 + aK_low, case.E0.q, dx)
+    if k == "L_interior":
+        lb1 = sv_log_on_grid(case.b1, grid)
+        t3 = lrho + log_norm_upper(-case.theta1 * x + lb1 + logk,
+                                   case.E1.q, dx)
+    elif k == "L_theta1_one":
+        lb1 = sv_log_on_grid(case.b1, grid)
+        t3 = lrho + log_norm_upper(-x + lb1 + logk, case.E1.q, dx)
+    else:
+        t3 = np.full_like(x, -np.inf)
+    return lrho, _logsum(t1, b0_up + aK_low, t3)
+
+
+_EDGE_CASES = [
+    HolmstedtCase("R_interior", 0.1, 0.9, b0=EllPow(-1.0), E0=L1,
+                  b1=EllPow(-2.0), E1=L2, a=EllPow(0.5), F=L1),
+    HolmstedtCase("R_theta0_zero", 0.0, 1.0, b0=EllPow(-2.0), E0=L1,
+                  b1=ONE, E1=LINF, a=BrokenEll(1.0, -1.0), F=L2),
+    HolmstedtCase("L_theta1_one", 0.0, 1.0, b0=EllPow(-2.0), E0=L1,
+                  b1=EllPow(-1.0), E1=LINF, a=BrokenEll(1.0, -1.0), F=L2),
+    HolmstedtCase("L_x1", 0.0, 1.0, b0=EllPow(-1.0), E0=L2,
+                  a=EllPow(-1.0), F=L2),
+]
+
+
+@pytest.mark.parametrize("case", list(DEFAULT_CASES.values()) + _EDGE_CASES,
+                         ids=list(DEFAULT_CASES) + [
+                             f"edge-{c.kind}" for c in _EDGE_CASES])
+def test_folded_rhs_matches_side_tables(case):
+    g = full_grid(512)
+    for spec in ("chi:0.1", "pow:2", "powlog:2,1", "log:2"):
+        K = k_peetre(corpus.sample(spec, g))
+        got = holmstedt_rhs(case, K)
+        want = _rhs_ref(case, K)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes(), (case.kind, spec)

@@ -10,7 +10,7 @@ from interpolab.spaces import (ThetaSpace, LSpace, RSpace, LLSpace, RRSpace,
                                Intersection, couple_reverse)
 from interpolab.reiteration import (ReiterationCase, reiterate,
                                     verify_reiteration)
-from interpolab.cli import DEFAULT_CASES
+from interpolab.holmstedt import DEFAULT_CASES
 
 
 def test_interior_theta_mixes_linearly():

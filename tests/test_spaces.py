@@ -5,15 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from interpolab.grid import L1, L2, LINF, full_grid, unit_grid
-from interpolab.sv import EllPow, BrokenEll, ExpLogPow, InverseArg, ONE, Power
+from interpolab.grid import (L1, L2, LINF, full_grid, unit_grid,
+                             log_norm_lower, log_norm_upper, _edge_diverges)
+from interpolab.sv import (EllPow, BrokenEll, ExpLogPow, InverseArg, ONE,
+                           Power, sv_log_on_grid)
 from interpolab.spaces import (EndpointX0, EndpointX1, ThetaSpace, LSpace,
                                RSpace, LLSpace, RRSpace, Intersection,
                                FULL, UNIT, couple_reverse, check_admissible,
-                               space_to_json, space_from_json)
+                               space_to_json, space_from_json, _norm_piece)
 from interpolab.kfun import k_peetre, norm_in_space, kprofile_reverse
 from interpolab import corpus
-from interpolab.cli import DEFAULT_CASES
+from interpolab.holmstedt import DEFAULT_CASES
 
 
 # -- admissibility -----------------------------------------------------
@@ -130,3 +132,105 @@ def test_theta_range_validation():
         ThetaSpace(1.5, ONE, L2)
     with pytest.raises(ValueError):
         LSpace(-0.25, ONE, L2, ONE, L2, FULL)
+
+
+# -- the folded L/R admissibility against the mirrored tables ----------
+
+def _nested_ref(la, lb, qF, qE, dx, grid, inner_side, inner_from_one,
+                outer_range, i_one):
+    n = len(la)
+    if inner_side == "lower":
+        if inner_from_one:
+            inner = np.full(n, -np.inf)
+            inner[i_one:] = log_norm_lower(la[i_one:], qF, dx)
+        else:
+            inner = log_norm_lower(la, qF, dx)
+            if grid.truncated_low and _edge_diverges(la, qF, dx,
+                                                     grid.x[0], "low"):
+                return math.inf
+    else:
+        if inner_from_one:
+            inner = np.full(n, -np.inf)
+            inner[:i_one + 1] = log_norm_upper(la[:i_one + 1], qF, dx)
+        else:
+            inner = log_norm_upper(la, qF, dx)
+            if grid.truncated_high and _edge_diverges(la, qF, dx,
+                                                      grid.x[n - 1], "high"):
+                return math.inf
+    lo, hi = outer_range
+    return _norm_piece(lb + inner, qE, dx, lo, hi, grid)
+
+
+def _admissible_ref(d, grid):
+    """(name, value) pairs and notes as the separate L and R tables give."""
+    unit = d.setting == UNIT
+    dx, n, i_one = grid.dx, grid.n, grid.index_of(1.0)
+    conds, notes = [], []
+
+    def norm_of(expr, q, lo, hi):
+        return _norm_piece(sv_log_on_grid(expr, grid), q, dx, lo, hi, grid)
+
+    nested = isinstance(d, (LLSpace, RRSpace))
+    b_out = d.c if nested else d.b
+    F_in = d.G if nested else d.F
+    la = sv_log_on_grid(d.a, grid)
+    lb = sv_log_on_grid(b_out, grid)
+    E = d.E
+    if isinstance(d, (LSpace, LLSpace)):
+        if nested:
+            notes.append("LL conditions taken from the L table applied to "
+                         "the outer level")
+        if not unit:
+            conds.append(("||b||_{E~(1,inf)}",
+                          norm_of(b_out, E.q, i_one, n - 1)))
+        if d.theta == 0.0 and not unit:
+            conds.append(("||b(t)||a||_{F~(1,t)}||_{E~(1,inf)}",
+                          _nested_ref(la, lb, F_in.q, E.q, dx, grid,
+                                      "lower", True, (i_one, n - 1), i_one)))
+            conds.append(("||ab||_{E~(1,inf)}",
+                          norm_of(d.a * b_out, E.q, i_one, n - 1)))
+        if d.theta == 1.0:
+            conds.append(("||b(t)||a||_{F~(0,t)}||_{E~(0,1)}",
+                          _nested_ref(la, lb, F_in.q, E.q, dx, grid,
+                                      "lower", False, (0, i_one), i_one)))
+        return conds, notes
+    notes.append("R-space conditions implemented exactly as the printed "
+                 "theta=1 table reads")
+    if nested:
+        notes.append("RR conditions taken from the R table applied to "
+                     "the outer level")
+    conds.append(("||b||_{E~(0,1)}", norm_of(b_out, E.q, 0, i_one)))
+    if d.theta == 0.0 and not unit:
+        conds.append(("||b(t)||a||_{F~(t,inf)}||_{E~(1,inf)}",
+                      _nested_ref(la, lb, F_in.q, E.q, dx, grid,
+                                  "upper", False, (i_one, n - 1), i_one)))
+    if d.theta == 1.0:
+        conds.append(("||b(t)||a||_{F~(t,1)}||_{E~(0,1)}",
+                      _nested_ref(la, lb, F_in.q, E.q, dx, grid,
+                                  "upper", True, (0, i_one), i_one)))
+        conds.append(("||ab||_{E~(0,1)}",
+                      norm_of(d.a * b_out, E.q, 0, i_one)))
+    return conds, notes
+
+
+# (b, E, a, F): convergent and divergent tails at each end
+_PARAMS = [(ONE, LINF, ONE, L2), (EllPow(-1.0), L2, ONE, L1),
+           (EllPow(-1.0), L1, EllPow(0.5), LINF),
+           (BrokenEll(-2.0, 1.0), L1, EllPow(-1.0), L2),
+           (BrokenEll(1.0, -2.0), L2, BrokenEll(-2.0, 0.5), L1),
+           (EllPow(-0.5), LINF, EllPow(-2.0), L1)]
+
+
+@pytest.mark.parametrize("setting", [FULL, UNIT])
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+def test_folded_admissibility_matches_side_tables(setting, theta):
+    grid = unit_grid(257) if setting == UNIT else full_grid(257)
+    for b, E, a, F in _PARAMS:
+        for d in (LSpace(theta, b, E, a, F, setting),
+                  RSpace(theta, b, E, a, F, setting),
+                  LLSpace(theta, b, E, a, F, a, F, setting),
+                  RRSpace(theta, b, E, a, F, a, F, setting)):
+            rep = check_admissible(d, grid)
+            conds, notes = _admissible_ref(d, grid)
+            assert [(c.name, c.value) for c in rep.conditions] == conds, d
+            assert rep.notes == notes

@@ -7,10 +7,14 @@ Runs, in-process through ``interpolab.cli.main``:
   theta in {0, 0.5, 1};
 * ``verify identity`` for every registered scenario;
 * ``verify holmstedt`` for R_interior and L_interior at ``--grid 13,14``;
+* ``norm`` on a fixed set of descriptor files, written here as literal
+  JSON: every wire kind, and the L/R/LL/RR spaces at theta 0, 1/2 and 1
+  in both settings;
 
-and prints one ``<sha256>  <report>`` line per written CSV/JSON file.
-Reports are deterministic, so two checkouts that print the same digests
-write byte-identical reports.  Compare a change against its parent with
+and prints one ``<sha256>  <report>`` line per written CSV/JSON file,
+plus one line, ``norm/stdout+exit``, for the stdout and exit codes of
+all the ``norm`` calls.  Reports are deterministic, so two checkouts
+that print the same digests write byte-identical reports.  Compare a change against its parent with
 
     PYTHONPATH=src python3 tools/report_digest.py > change.txt
     PYTHONPATH=/path/to/parent/src python3 tools/report_digest.py > parent.txt
@@ -26,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -51,6 +56,90 @@ def runs():
                             "--grid", "13,14"]
 
 
+def _ell(alpha):
+    return {"kind": "ell", "alpha": alpha}
+
+
+def _q(q):
+    return {"q": q}
+
+
+ONE = {"kind": "const", "c": 1.0}
+SV_KINDS = {
+    "const": {"kind": "const", "c": 2.0},
+    "ell": _ell(-0.5),
+    "broken_ell": {"kind": "broken_ell", "alpha": -1.0, "beta": 0.5},
+    "iterated_ell": {"kind": "iterated_ell", "depth": 2, "alpha": 1.0},
+    "exp_log_pow": {"kind": "exp_log_pow", "alpha": 0.5},
+    "product": {"kind": "product", "args": [_ell(0.5), ONE, _ell(-1.0)]},
+    "power": {"kind": "power", "base": _ell(0.5), "r": -3.0},
+    "inverse_arg": {"kind": "inverse_arg",
+                    "inner": {"kind": "broken_ell", "alpha": 1.0,
+                              "beta": -1.0}},
+    "norm_tail": {"kind": "norm_tail", "b": _ell(-2.0), "E": _q(1.0),
+                  "side": "upper"},
+    "compose_rho": {"kind": "compose_rho", "outer": _ell(-1.0),
+                    "gamma": 0.5, "inner": _ell(0.5)},
+}
+APP_KINDS = [
+    {"kind": "grand", "p": 2.0, "alpha": 1.0},
+    {"kind": "small", "p": 2.0, "alpha": 1.0},
+    {"kind": "ultra", "p": 2.0, "b": _ell(-0.5), "E": _q(2.0)},
+    {"kind": "linfq", "q": "inf", "beta": -1.0},
+    {"kind": "ggamma", "p": 2.0, "q": 2.0, "w1pow": -1.0,
+     "w1sv": _ell(-3.0), "w2pow": 0.0, "w2sv": ONE},
+    {"kind": "atype", "p": 4.0, "alpha": 0.0, "E": _q(2.0)},
+    {"kind": "btype", "p": 2.0, "alpha": 0.0, "E": _q(2.0)},
+]
+
+
+def norm_descriptors():
+    """(name, descriptor JSON object) of every ``norm`` call."""
+    for name, b in SV_KINDS.items():
+        yield f"theta-{name}", {"kind": "theta", "theta": 0.5, "b": b,
+                                "E": _q(2.0), "setting": "full"}
+    for setting in ("full", "unit"):
+        yield f"x0-{setting}", {"kind": "x0", "setting": setting}
+        yield f"x1-{setting}", {"kind": "x1", "setting": setting}
+        for th in (0.0, 0.5, 1.0):
+            yield f"theta-{th}-{setting}", {
+                "kind": "theta", "theta": th, "b": _ell(-1.0),
+                "E": _q(2.0), "setting": setting}
+            for kind in ("L", "R"):
+                yield f"{kind}-{th}-{setting}", {
+                    "kind": kind, "theta": th, "b": _ell(-1.0),
+                    "E": _q(2.0), "a": ONE, "F": _q("inf"),
+                    "setting": setting}
+            for kind in ("LL", "RR"):
+                yield f"{kind}-{th}-{setting}", {
+                    "kind": kind, "theta": th, "c": _ell(-1.0),
+                    "E": _q(2.0), "b": _ell(-0.5), "F": _q("inf"),
+                    "a": ONE, "G": _q(2.0), "setting": setting}
+    yield "intersection", {"kind": "intersection", "members": [
+        {"kind": "theta", "theta": 0.5, "b": ONE, "E": _q(2.0),
+         "setting": "full"},
+        {"kind": "R", "theta": 1.0, "b": _ell(-1.0), "E": _q("inf"),
+         "a": ONE, "F": _q(2.0), "setting": "full"}]}
+    for space in APP_KINDS:
+        yield f"app-{space['kind']}", {"kind": "app", "space": space,
+                                       "setting": "unit"}
+
+
+def norm_transcript(cli, root: str) -> bytes:
+    """Name, stdout and exit code of every ``norm`` call, concatenated."""
+    out = io.StringIO()
+    for name, obj in norm_descriptors():
+        path = os.path.join(root, f"{name}.json")
+        with open(path, "w") as fh:
+            json.dump(obj, fh)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            rc = cli.main(["norm", "--space", path, "--fn", "chi:0.5",
+                           "--grid", "10"])
+        out.write(f"{name}\n{buf.getvalue()}exit {rc}\n")
+    return out.getvalue().encode()
+
+
 def digest(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -71,6 +160,9 @@ def main() -> int:
             for name in sorted(os.listdir(os.path.join(root, sub))):
                 print(f"{digest(os.path.join(root, sub, name))}  "
                       f"{sub}/{name}")
+    with tempfile.TemporaryDirectory() as root:
+        text = norm_transcript(cli, root)
+    print(f"{hashlib.sha256(text).hexdigest()}  norm/stdout+exit")
     return 0
 
 
