@@ -10,8 +10,11 @@ needs it.
 Two kinds of integral live here:
 
 * "tilde" norms, i.e. L_q norms against the measure dt/t.  These are
-  trapezoid sums in x on log-scale values, accumulated with
-  np.logaddexp so nothing ever overflows.
+  trapezoid sums in x on log-scale values.  Terms are exponentiated
+  after a shift by the max of their row (log_norm_between) or of their
+  chunk of _CHUNK cells (the prefix scans, whose chunk totals are
+  carried in log space), so nothing overflows; a row that cannot be
+  shifted safely goes through np.logaddexp term by term.
 * plain Lebesgue integrals of nonnegative samples (used for the
   K-functional of the couple (L1, Linf) and a few inner norms in the
   concrete function spaces).  Those use a piecewise power-law model
@@ -175,10 +178,68 @@ class GridFunction:
 # them, (rows x n), and works along the last axis; a row of a stack
 # gives bit for bit what the same row gives alone.
 
-def _cells(lw: np.ndarray, q: float, dx: float) -> np.ndarray:
-    """log of per-cell contribution to int w^q dx, trapezoid rule."""
+_CHUNK = 256       # cells per shift block of the prefix scan
+_GUARD = 575.0     # a term further below its chunk max than this
+                   # (e^-575 ~ 1e-250) nears the subnormals, e^-708
+
+
+def _logaddexp_scan(lw: np.ndarray, q: float, dx: float) -> np.ndarray:
+    """Reference prefix scan: log || w ||_{L~q(x_0, x_i)} for every i.
+
+    Every trapezoid cell and every running sum goes through np.logaddexp,
+    so any dynamic range is exact to rounding; the fast kernels fall back
+    to it for rows they cannot shift safely.
+    """
     lq = q * lw
-    return np.logaddexp(lq[..., :-1], lq[..., 1:]) + math.log(dx / 2.0)
+    cells = np.logaddexp(lq[..., :-1], lq[..., 1:]) + math.log(dx / 2.0)
+    out = np.full(lw.shape, NEG_INF)
+    out[..., 1:] = np.logaddexp.accumulate(cells, axis=-1) / q
+    return out
+
+
+def _shifted_scan(lw: np.ndarray, q: float, dx: float):
+    """log_norm_lower for q < inf on a (rows x n) stack, by chunks.
+
+    The n - 1 trapezoid cells are cut into chunks of _CHUNK.  Each chunk
+    is exponentiated after a shift by its own max of q lw and summed
+    with cumsum; the chunk totals are carried with logaddexp over
+    n/_CHUNK values per row, and each node costs one log.  Returns
+    (log norms, rows to redo): a row is redone by the reference path
+    when a chunk max is +inf or NaN, or when a finite term sits more
+    than _GUARD below its chunk max.
+    """
+    rows, n = lw.shape
+    chunks = -(-(n - 1) // _CHUNK)
+    out = np.empty((rows, chunks * _CHUNK + 1))
+    np.multiply(lw, q, out=out[:, :n])
+    out[:, n:] = NEG_INF
+    # nodes of chunk c are out[:, c B : c B + B + 1] (B = _CHUNK)
+    st = out.strides
+    nodes = np.lib.stride_tricks.as_strided(
+        out, (rows, chunks, _CHUNK + 1), (st[0], _CHUNK * st[1], st[1]),
+        writeable=False)
+    top = nodes.max(axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        e = nodes - np.where(top > NEG_INF, top, 0.0)[..., None]
+        redo = ((e < -_GUARD) & (e > NEG_INF)).any(axis=(1, 2)) | \
+            ~(top < np.inf).all(axis=1)
+        np.exp(e, out=e)
+        # the cells overwrite q lw, which e no longer needs
+        out[:, 0] = NEG_INF
+        cells = out[:, 1:].reshape(rows, chunks, _CHUNK)
+        np.add(e[..., :-1], e[..., 1:], out=cells)
+        np.cumsum(cells, axis=-1, out=cells)
+        total = top + np.log(cells[..., -1])
+        carry = np.full(top.shape, NEG_INF)
+        carry[:, 1:] = np.logaddexp.accumulate(total[:, :-1], axis=-1)
+        shift = np.maximum(top, carry)
+        shift[shift == NEG_INF] = 0.0
+        cells *= np.exp(top - shift)[..., None]
+        cells += np.exp(carry - shift)[..., None]
+        np.log(cells, out=cells)
+    cells += (shift + math.log(dx / 2.0))[..., None]
+    cells /= q
+    return out[:, :n], redo
 
 
 def log_norm_lower(lw: np.ndarray, q: float, dx: float) -> np.ndarray:
@@ -189,9 +250,12 @@ def log_norm_lower(lw: np.ndarray, q: float, dx: float) -> np.ndarray:
     """
     if math.isinf(q):
         return np.maximum.accumulate(lw, axis=-1)
-    out = np.full(lw.shape, NEG_INF)
-    out[..., 1:] = np.logaddexp.accumulate(_cells(lw, q, dx), axis=-1) / q
-    return out
+    lw = np.asarray(lw, dtype=float)
+    flat = lw.reshape(math.prod(lw.shape[:-1]), lw.shape[-1])
+    out, redo = _shifted_scan(flat, q, dx)
+    if redo.any():
+        out[redo] = _logaddexp_scan(flat[redo], q, dx)
+    return out.reshape(lw.shape)
 
 
 def log_norm_upper(lw: np.ndarray, q: float, dx: float) -> np.ndarray:
@@ -204,15 +268,28 @@ def log_norm_between(lw: np.ndarray, q: float, dx: float,
     """log norm over the node range [i0, i1] (empty -> -inf).
 
     A float for one integrand, an array with one value per row for a
-    stack.
+    stack.  For q < inf: with M the row max of q lw, the trapezoid sum
+    is e^M dx sum_k w_k e^{q lw_k - M}, w_k = 1/2 at both ends and 1
+    between; a row whose max is not finite goes the reference path.
     """
+    lw = np.asarray(lw, dtype=float)
     if i1 <= i0:
         out = np.full(lw.shape[:-1], NEG_INF)
     elif math.isinf(q):
         out = np.max(lw[..., i0:i1 + 1], axis=-1)
     else:
-        c = _cells(lw[..., i0:i1 + 1], q, dx)
-        out = np.logaddexp.reduce(c, axis=-1) / q
+        seg = lw[..., i0:i1 + 1].reshape(-1, i1 + 1 - i0)
+        e = q * seg
+        top = e.max(axis=-1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            e -= top[:, None]
+            np.exp(e, out=e)
+            s = e.sum(axis=-1) - 0.5 * (e[:, 0] + e[:, -1])
+            out = (top + np.log(dx * s)) / q
+        redo = ~np.isfinite(top)
+        if redo.any():
+            out[redo] = _logaddexp_scan(seg[redo], q, dx)[:, -1]
+        out = out.reshape(lw.shape[:-1])
     return float(out) if lw.ndim == 1 else out
 
 

@@ -217,9 +217,9 @@ def verify_holmstedt(case: HolmstedtCase, corpus=None, log2n=(9, 10),
                 continue
             live = idx[np.isfinite(lrho[idx]) & np.isfinite(lrhs[idx])]
             lhs_all = np.exp(orc.k_at_log(lrho[live]))
+            rhs_all = np.exp(lrhs[live])
             added = 0
-            for i, lhs in zip(live, lhs_all.tolist()):
-                rhs = float(np.exp(lrhs[i]))
+            for i, lhs, rhs in zip(live, lhs_all.tolist(), rhs_all.tolist()):
                 if not (math.isfinite(lhs) and lhs > 0 and rhs > 0):
                     continue
                 rep.add(spec, n, float(grid.t[i]), lhs, rhs)

@@ -13,6 +13,7 @@ Serialization is deterministic: repeated runs give byte-identical files.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import json
 import math
 import os
@@ -35,7 +36,7 @@ class Row:
     lhs: float
     rhs: float
 
-    @property
+    @cached_property
     def ratio(self) -> float:
         if self.rhs == 0.0:
             return math.inf
@@ -48,19 +49,36 @@ class EquivalenceReport:
     rows: list = field(default_factory=list)
     excluded: list = field(default_factory=list)
     notes: list = field(default_factory=list)
+    _by_n: dict | None = field(default=None, init=False, repr=False,
+                               compare=False)
 
     def add(self, function_id, n, u, lhs, rhs):
         self.rows.append(Row(self.case, function_id, n, u, lhs, rhs))
+        self._by_n = None
 
     def exclude(self, function_id, reason):
         self.excluded.append((function_id, reason))
 
+    def _groups(self) -> dict:
+        """Finite positive ratios by grid size, every size a key; one
+        scan of the rows, repeated only after an add."""
+        if self._by_n is None:
+            self._by_n = {}
+            for r in self.rows:
+                g = self._by_n.setdefault(r.n, [])
+                if math.isfinite(r.ratio) and r.ratio > 0:
+                    g.append(r.ratio)
+        return self._by_n
+
     def sizes(self) -> list:
-        return sorted({r.n for r in self.rows})
+        return sorted(self._groups())
 
     def ratios(self, n=None) -> list:
-        out = [r.ratio for r in self.rows if (n is None or r.n == n)]
-        return [x for x in out if math.isfinite(x) and x > 0]
+        """Finite positive ratios at grid size n (all sizes for None)."""
+        groups = self._groups()
+        if n is not None:
+            return list(groups.get(n, ()))
+        return [x for g in groups.values() for x in g]
 
     def window(self, n=None) -> float:
         ratios = self.ratios(n)

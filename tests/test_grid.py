@@ -9,7 +9,9 @@ from interpolab.grid import (Grid, GridFunction, L1, L2, LINF, RiSpace,
                              full_grid, unit_grid, tilde_norm,
                              nested_tilde_norms, lebesgue_prefix,
                              lebesgue_suffix, rearrange, double_star,
-                             edge_divergent)
+                             edge_divergent, log_norm_lower, log_norm_upper,
+                             log_norm_between, _logaddexp_scan,
+                             _shifted_scan, _CHUNK, _GUARD)
 
 from util import rel_err
 
@@ -122,6 +124,140 @@ def test_double_star_of_indicator():
     # the jump cell carries half a cell of extra mass: O(dx) accuracy
     keep = np.abs(g.x - math.log(a_eff)) > 3 * g.dx
     assert np.max(np.abs(dd.values[keep] / expect[keep] - 1.0)) < 1e-2
+
+
+# -- shift-and-sum quadrature kernels --------------------------------
+#
+# log_norm_lower/upper/between against exactly summed trapezoid rules,
+# and against the np.logaddexp reference path where a row is not finite
+# or has too wide a range to shift.
+
+def bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def exact_prefix(lw, q, dx):
+    """log || w ||_{L~q(x_0, x_i)} at every node, like math.fsum.
+
+    The terms e^{q lw - top} are added exactly, as integer multiples
+    of 2^-1100, and each prefix sum is rounded to a float once.
+    """
+    lq = q * lw
+    if not (lq > -math.inf).any():
+        return np.full(lw.shape, -math.inf)
+    top = lq[lq > -math.inf].max()
+    scale = 1 << 1100
+    ints = []
+    for v in (lq - top).tolist():
+        num, den = math.exp(v).as_integer_ratio()
+        ints.append(num * (scale // den))
+    out, acc = [-math.inf], 0
+    for a, b in zip(ints, ints[1:]):
+        acc += a + b
+        out.append((top + math.log(acc / scale * (dx / 2.0))) / q
+                   if acc else -math.inf)
+    return np.array(out)
+
+
+def assert_close(got, want):
+    """Same -inf entries, and relative error <= 1e-12 on the norms."""
+    assert np.array_equal(got == -math.inf, want == -math.inf)
+    fin = want > -math.inf
+    assert np.all(np.abs(got[fin] - want[fin]) <= 1e-12)
+
+
+def assert_rows_alone(f, stack):
+    """Each row of a stack gives bit for bit what it gives alone."""
+    whole = f(stack)
+    for i, row in enumerate(stack):
+        assert np.array_equal(bits(f(row)), bits(whole[i]))
+
+
+def walk(rng, rows, n):
+    """Seeded log integrands: a power trend plus a random walk."""
+    x = np.linspace(-18.4, 18.4, n)
+    slope = rng.uniform(-1.0, 1.0, (rows, 1))
+    lw = slope * x + np.cumsum(rng.normal(0.0, 0.05, (rows, n)), axis=1)
+    return lw, x[1] - x[0]
+
+
+@pytest.mark.parametrize("n", [2, 3, _CHUNK, _CHUNK + 1, _CHUNK + 2, 1 << 14])
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.5])
+def test_kernels_match_exact_sums(q, n):
+    rng = np.random.default_rng(n * 10 + int(2 * q))
+    rows = 1 if n > 4096 else 3
+    lw, dx = walk(rng, rows, n)
+    low = log_norm_lower(lw, q, dx)
+    up = log_norm_upper(lw, q, dx)
+    i0, i1 = n // 3, n - 1 - n // 4
+    for r in range(rows):
+        ref = exact_prefix(lw[r], q, dx)
+        assert_close(low[r], ref)
+        assert_close(up[r], exact_prefix(lw[r, ::-1], q, dx)[::-1])
+        assert_close(np.array([log_norm_between(lw[r], q, dx, 0, n - 1)]),
+                     ref[-1:])
+        assert_close(np.array([log_norm_between(lw[r], q, dx, i0, i1)]),
+                     exact_prefix(lw[r, i0:i1 + 1], q, dx)[-1:])
+    assert_rows_alone(lambda a: log_norm_lower(a, q, dx), lw)
+    assert_rows_alone(lambda a: log_norm_upper(a, q, dx), lw)
+    assert_rows_alone(lambda a: log_norm_between(a, q, dx, i0, i1), lw)
+
+
+def special_rows(n):
+    lw, dx = walk(np.random.default_rng(7), 6, n)
+    lw[1, :n // 3] = -math.inf          # -inf head
+    lw[2, 2 * n // 3:] = -math.inf      # -inf tail
+    lw[3] = -math.inf                   # nothing at all
+    lw[4, n // 2] = math.inf
+    lw[5, n // 2] = math.nan
+    return lw, dx
+
+
+@pytest.mark.parametrize("n", [3, _CHUNK + 1, 1000])
+@pytest.mark.parametrize("q", [1.0, 2.0])
+def test_kernels_on_infinite_and_nan_rows(q, n):
+    lw, dx = special_rows(n)
+    with np.errstate(invalid="ignore"):
+        low = log_norm_lower(lw, q, dx)
+        up = log_norm_upper(lw, q, dx)
+        mid = log_norm_between(lw, q, dx, 0, n - 1)
+        for r in range(4):
+            ref = exact_prefix(lw[r], q, dx)
+            assert_close(low[r], ref)
+            assert_close(up[r], exact_prefix(lw[r, ::-1], q, dx)[::-1])
+            assert_close(mid[r:r + 1], ref[-1:])
+        assert np.all(low[3] == -math.inf) and mid[3] == -math.inf
+        # +inf and NaN rows answer as the logaddexp path always did
+        lq = q * lw[4:]
+        cells = np.logaddexp(lq[:, :-1], lq[:, 1:]) + math.log(dx / 2.0)
+        today = np.logaddexp.reduce(cells, axis=-1) / q
+        assert np.array_equal(bits(low[4:]),
+                              bits(_logaddexp_scan(lw[4:], q, dx)))
+        assert np.array_equal(bits(mid[4:]), bits(today))
+        assert mid[4] == math.inf and math.isnan(mid[5])
+        assert_rows_alone(lambda a: log_norm_lower(a, q, dx), lw)
+        assert_rows_alone(lambda a: log_norm_upper(a, q, dx), lw)
+        assert_rows_alone(lambda a: log_norm_between(a, q, dx, 0, n - 1), lw)
+
+
+def test_wide_chunk_takes_reference_path():
+    # a term 700 nats below its chunk max, past the guard: that row
+    # goes the logaddexp path, bit for bit, and the others do not
+    n = 3 * _CHUNK
+    lw, dx = walk(np.random.default_rng(3), 3, n)
+    lw[1, _CHUNK + 5] -= 700.0
+    assert 700.0 > _GUARD
+    for q in (1.0, 2.0):
+        assert _shifted_scan(lw, q, dx)[1].tolist() == [False, True, False]
+        low = log_norm_lower(lw, q, dx)
+        up = log_norm_upper(lw, q, dx)
+        assert np.array_equal(bits(low[1]),
+                              bits(_logaddexp_scan(lw[1], q, dx)))
+        assert np.array_equal(
+            bits(up[1]), bits(_logaddexp_scan(lw[1, ::-1], q, dx)[::-1]))
+        for r in (0, 2):
+            assert_close(low[r], exact_prefix(lw[r], q, dx))
+        assert_rows_alone(lambda a: log_norm_lower(a, q, dx), lw)
 
 
 # -- edge divergence ---------------------------------------------------

@@ -14,7 +14,10 @@ Runs, in-process through ``interpolab.cli.main``:
 and prints one ``<sha256>  <report>`` line per written CSV/JSON file,
 plus one line, ``norm/stdout+exit``, for the stdout and exit codes of
 all the ``norm`` calls.  Reports are deterministic, so two checkouts
-that print the same digests write byte-identical reports.  Compare a change against its parent with
+that print the same digests write byte-identical reports.  A change to
+the numerics moves last bits and so every digest; ``report_compare.py``
+then checks the reports value by value.  Compare a change against its
+parent with
 
     PYTHONPATH=src python3 tools/report_digest.py > change.txt
     PYTHONPATH=/path/to/parent/src python3 tools/report_digest.py > parent.txt
@@ -125,18 +128,24 @@ def norm_descriptors():
                                        "setting": "unit"}
 
 
+def norm_call(cli, root: str, name: str, obj) -> tuple[str, int]:
+    """stdout and exit code of ``norm`` on one descriptor, written to root."""
+    path = os.path.join(root, f"{name}.json")
+    with open(path, "w") as fh:
+        json.dump(obj, fh)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = cli.main(["norm", "--space", path, "--fn", "chi:0.5",
+                       "--grid", "10"])
+    return buf.getvalue(), rc
+
+
 def norm_transcript(cli, root: str) -> bytes:
     """Name, stdout and exit code of every ``norm`` call, concatenated."""
     out = io.StringIO()
     for name, obj in norm_descriptors():
-        path = os.path.join(root, f"{name}.json")
-        with open(path, "w") as fh:
-            json.dump(obj, fh)
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            rc = cli.main(["norm", "--space", path, "--fn", "chi:0.5",
-                           "--grid", "10"])
-        out.write(f"{name}\n{buf.getvalue()}exit {rc}\n")
+        text, rc = norm_call(cli, root, name, obj)
+        out.write(f"{name}\n{text}exit {rc}\n")
     return out.getvalue().encode()
 
 
