@@ -33,20 +33,34 @@ REITERATION_ALIASES = {
 }
 
 
-def _parse_sizes(args) -> tuple:
+def _parse_sizes(grid: str, n: str | None = None) -> tuple:
     """Grid sizes from --grid (log2 exponents) or --n (raw sizes)."""
-    if args.n:
-        sizes = tuple(int(s) for s in args.n.split(","))
-    else:
-        sizes = tuple(1 << int(s) for s in args.grid.split(","))
-    for n in sizes:
-        if n & (n - 1) or not (1 << 8) <= n <= (1 << 20):
-            raise ValueError(f"grid size {n} not a power of two in "
+    text = n or grid
+    try:
+        sizes = tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise ValueError(f"bad grid size list {text!r}") from None
+    if not n:
+        if not all(8 <= k <= 20 for k in sizes):
+            raise ValueError(f"log2 grid sizes must be in [8, 20], "
+                             f"got {text!r}")
+        sizes = tuple(1 << k for k in sizes)
+    for size in sizes:
+        if size & (size - 1) or not (1 << 8) <= size <= (1 << 20):
+            raise ValueError(f"grid size {size} not a power of two in "
                              "[2^8, 2^20]")
     return sizes
 
 
 def cmd_norm(args) -> int:
+    try:
+        sizes = _parse_sizes(args.grid)
+        if len(sizes) != 1:
+            raise ValueError(f"norm takes one grid size, got {args.grid!r}")
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    n, = sizes
     try:
         with open(args.space) as fh:
             obj = json.load(fh)
@@ -62,7 +76,6 @@ def cmd_norm(args) -> int:
         print(f"error: bad descriptor field: {e}", file=sys.stderr)
         return 1
 
-    n = 1 << int(args.grid.split(",")[0])
     try:
         if desc.setting == UNIT:
             tmin = args.tmin if args.tmin is not None else 1e-8
@@ -124,7 +137,7 @@ def _finish(report, args, stem) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        sizes = _parse_sizes(args)
+        sizes = _parse_sizes(args.grid, args.n)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .grid import Grid, GridFunction
+from .grid import Grid, GridFunction, _running
 
 
 def _ell(x):
@@ -85,9 +85,9 @@ def parse_fn(spec: str):
 
 def sample(spec: str, grid: Grid) -> GridFunction:
     _, fn = parse_fn(spec)
-    vals = fn(grid.x)
-    # rearrangement repair: nonincreasing envelope from the right
-    vals = np.maximum.accumulate(vals[::-1])[::-1]
+    # rearrangement repair: nonincreasing envelope from the right,
+    # skipped when the samples are already nonincreasing
+    vals = _running(np.maximum, fn(grid.x)[::-1])[::-1]
     return GridFunction(grid, vals)
 
 

@@ -20,7 +20,9 @@ Two kinds of integral live here:
   concrete function spaces).  Those use a piecewise power-law model
   (log-log linear between nodes) which is exact on pure powers and
   extrapolates the head (0, t_min) by the power fitted to the first
-  cell.
+  cell.  The cell kernel runs as in-place ufuncs on scratch arrays,
+  and the running max/min repairs of f* and K (_running) skip their
+  scalar scans when the samples are already in order.
 """
 
 from __future__ import annotations
@@ -423,25 +425,34 @@ def _segment_integrals(values: np.ndarray, grid: Grid) -> np.ndarray:
     """int_{t_j}^{t_{j+1}} v(s) ds for each cell (each row of a stack).
 
     Cells with both endpoints positive use the power law through the two
-    samples (exact for v = C s^gamma); cells touching zero fall back to
-    the linear trapezoid.
+    samples (exact for v = C s^gamma): with p = log(v1/v0)/dx + 1 the
+    cell is (v0 t_j) expm1(dx p)/p, and (v0 t_j) dx where |p| < 1e-12.
+    Cells touching zero, or whose power law overflows, fall back to the
+    linear trapezoid.  The power law runs as in-place ufuncs on two
+    scratch arrays and is copied over the trapezoid where it is finite.
     """
+    values = np.asarray(values, dtype=float)
     t = grid.t
     v0, v1 = values[..., :-1], values[..., 1:]
     dx = grid.dx
-    both = (v0 > 0) & (v1 > 0)
     # trapezoid fallback (also fine for all-zero cells)
-    out = 0.5 * (v0 + v1) * (t[1:] - t[:-1])
-    if np.any(both):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gamma = np.where(both, np.log(np.where(both, v1 / v0, 1.0)) / dx, 0.0)
-        p = gamma + 1.0
-        flat = np.abs(p) < 1e-12
-        with np.errstate(over="ignore", invalid="ignore"):
-            pw = np.where(flat, dx, np.expm1(dx * np.where(flat, 1.0, p))
-                          / np.where(flat, 1.0, p))
-        cand = v0 * t[:-1] * pw
-        out = np.where(both & np.isfinite(cand), cand, out)
+    out = np.add(v0, v1)
+    out *= 0.5
+    out *= t[1:] - t[:-1]
+    both = (v0 > 0) & (v1 > 0)
+    if both.any():
+        # cells outside `both` compute garbage that copyto drops
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            p = np.divide(v1, v0)
+            np.log(p, out=p)
+            p /= dx
+            p += 1.0
+            cand = np.multiply(p, dx)
+            np.expm1(cand, out=cand)
+            cand /= p
+            np.copyto(cand, dx, where=np.abs(p) < 1e-12)
+            cand *= np.multiply(v0, t[:-1], out=p)
+        np.copyto(out, cand, where=both & np.isfinite(cand))
     return out
 
 
@@ -485,6 +496,21 @@ def lebesgue_suffix(values: np.ndarray, grid: Grid) -> np.ndarray:
     out = np.zeros(values.shape)
     out[..., :-1] = np.cumsum(segs[..., ::-1], axis=-1)[..., ::-1]
     return out
+
+
+def _running(ufunc, a: np.ndarray) -> np.ndarray:
+    """ufunc.accumulate along the last axis, ufunc np.maximum or np.minimum.
+
+    A running max (min) of a nondecreasing (nonincreasing) array is the
+    array itself, and sampled f* and K almost always are in order, so
+    one vector compare over the whole array decides whether the scalar
+    scan runs at all; the result is then a itself.  The scan and the
+    skip can differ only in the sign of a tie between 0.0 and -0.0.
+    """
+    ordered = np.greater_equal if ufunc is np.maximum else np.less_equal
+    if ordered(a[..., 1:], a[..., :-1]).all():
+        return a
+    return ufunc.accumulate(a, axis=-1)
 
 
 def rearrange(values: np.ndarray, weights: np.ndarray,

@@ -3,6 +3,9 @@ and a decomposition oracle for derived couples.
 
 For the couple (L1, Linf) over a measure space, K(t, f) = int_0^t f*(s) ds,
 computed here with the power-law cell model (exact on pure powers).
+repair_k then enforces K nondecreasing and K(t)/t nonincreasing; each
+of its two running scans costs one vector compare when the samples are
+already in order, as they almost always are, and runs only otherwise.
 
 For a derived couple (Y0, Y1) no closed form exists, so k_oracle takes an
 infimum over an explicit family of decompositions f = g_c + h_c built by
@@ -33,7 +36,7 @@ import math
 import numpy as np
 
 from .grid import (Grid, GridFunction, lebesgue_prefix, log_norm_between,
-                   log_norm_lower, log_norm_upper, _edge_diverges)
+                   log_norm_lower, log_norm_upper, _edge_diverges, _running)
 from .sv import sv_log_on_grid, SvDivergenceError
 from .spaces import (SpaceDescriptor, EndpointX0, EndpointX1, ThetaSpace,
                      LSpace, RSpace, LLSpace, RRSpace, Intersection,
@@ -65,12 +68,16 @@ class KProfile:
 
 
 def repair_k(grid: Grid, k: np.ndarray) -> np.ndarray:
-    """Enforce K nondecreasing and K(t)/t nonincreasing (row by row)."""
-    k = np.maximum.accumulate(k, axis=-1)
+    """Enforce K nondecreasing and K(t)/t nonincreasing (row by row).
+
+    Returns a new array.  Each running scan is skipped when its input
+    is already in order (grid._running), as sampled K almost always is.
+    """
+    k = _running(np.maximum, k)
     with np.errstate(over="ignore", invalid="ignore"):
-        slope = np.minimum.accumulate(k / grid.t, axis=-1)
-        k = np.minimum(k, slope * grid.t)
-    return k
+        slope = _running(np.minimum, k / grid.t)
+        slope *= grid.t
+        return np.minimum(k, slope, out=slope)
 
 
 def k_peetre(fstar: GridFunction) -> KProfile:

@@ -24,7 +24,8 @@ import math
 
 import numpy as np
 
-from .grid import Grid, RiSpace, log_norm_lower, log_norm_upper, edge_divergent
+from .grid import (Grid, RiSpace, log_norm_lower, log_norm_upper,
+                   _edge_diverges)
 from .wire import Wire, to_json
 
 
@@ -185,8 +186,10 @@ def _tail_table(expr: NormTail, grid: Grid) -> np.ndarray:
         return tab
     lb = sv_log_on_grid(expr.b, grid)
     low = expr.side == "lower"
+    # only the edge the norm runs towards: 0 for the lower, inf the upper
     if (grid.truncated_low if low else grid.truncated_high) and \
-            edge_divergent(lb, expr.E.q, grid.dx, 0, grid.n - 1, grid):
+            _edge_diverges(lb, expr.E.q, grid.dx, grid.x[0 if low else -1],
+                           "low" if low else "high"):
         raise SvDivergenceError(
             f"{expr.side} tail norm of {expr.b!r} in L_{expr.E.q} "
             f"diverges at {'0' if low else 'inf'}")

@@ -153,3 +153,20 @@ def test_norm_bad_descriptor_exits_1(tmp_path, capsys, obj):
     code = _norm_of_literal(tmp_path, obj)
     assert code == 1
     assert "bad descriptor field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", ["x", "-1", "9,10", "21"])
+def test_norm_bad_grid_exits_1_before_building(tmp_path, capsys,
+                                               monkeypatch, grid):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr("interpolab.cli.Grid.from_bounds", no_grid)
+    spath = _write_space(tmp_path / "theta.json",
+                         ThetaSpace(0.5, ONE, L2))
+    code = main(["norm", "--space", spath, "--fn", "chi:0.5",
+                 "--grid", grid])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:")

@@ -102,6 +102,22 @@ def test_norm_tail_divergence_raises():
         sv_log_on_grid(tail, g)
 
 
+@pytest.mark.parametrize("b,side", [
+    (BrokenEll(-2.0, 1.0), "lower"),
+    (BrokenEll(1.0, -2.0), "upper"),
+], ids=["lower", "upper"])
+def test_norm_tail_tests_only_its_own_edge(b, side):
+    # b is integrable against dt/t at the edge the norm runs towards and
+    # grows at the other; only the first edge decides divergence
+    g = full_grid(1024)
+    lb = sv_log_on_grid(NormTail(b, L1, side), g)
+    x = g.x if side == "lower" else -g.x
+    sl = (x <= 0) & (x > x.min() + 1.0)
+    # int l^-2 dt/t from the grid edge: 1/l(t) - 1/l(t_edge)
+    expect = 1.0 / (1.0 + np.abs(x[sl])) - 1.0 / (1.0 + np.abs(x).max())
+    assert np.max(np.abs(np.exp(lb[sl]) / expect - 1.0)) < 1e-3
+
+
 def test_tail_norm_property():
     # || s^alpha b ||_{E~(0,t)} ~ t^alpha b(t) for alpha > 0 (one instance;
     # the full sweep is an acceptance criterion)

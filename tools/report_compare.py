@@ -23,6 +23,7 @@ passes here.
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -76,16 +77,25 @@ def split(text: str):
     return NUMBER.sub("#", text), [float(v) for v in NUMBER.findall(text)]
 
 
+def read_rows(path: str):
+    """(keys (case, function_id, n, u), values [lhs, rhs, ratio]) by row.
+
+    Reports from before function ids were quoted write an id such as
+    powlog:2,-1 bare, so it spreads over two fields; it is joined back.
+    """
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    rows = [[r[0], ",".join(r[1:-5]), *r[-5:]] for r in rows]
+    return [tuple(r[:4]) for r in rows], [r[4:] for r in rows]
+
+
 def compare_csv(pa: str, pb: str, bad: list, name: str) -> float:
-    # rows end in lhs,rhs,ratio; a function id may itself hold a comma
-    with open(pa) as fa, open(pb) as fb:
-        ra = [r.rsplit(",", 3) for r in fa.read().splitlines()[1:]]
-        rb = [r.rsplit(",", 3) for r in fb.read().splitlines()[1:]]
-    if [r[0] for r in ra] != [r[0] for r in rb]:
+    (ka, va), (kb, vb) = read_rows(pa), read_rows(pb)
+    if ka != kb:
         bad.append(f"{name}: row keys differ")
         return math.inf
-    return max((rel(float(x), float(y)) for a, b in zip(ra, rb)
-                for x, y in zip(a[1:], b[1:])), default=0.0)
+    return max((rel(float(x), float(y)) for a, b in zip(va, vb)
+                for x, y in zip(a, b)), default=0.0)
 
 
 def compare_json(pa: str, pb: str, bad: list, name: str) -> float:

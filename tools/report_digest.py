@@ -19,13 +19,14 @@ the numerics moves last bits and so every digest; ``report_compare.py``
 then checks the reports value by value.  Compare a change against its
 parent with
 
-    PYTHONPATH=src python3 tools/report_digest.py > change.txt
+    python3 tools/report_digest.py > change.txt
     PYTHONPATH=/path/to/parent/src python3 tools/report_digest.py > parent.txt
     diff parent.txt change.txt
 
-The package is imported from wherever ``PYTHONPATH`` points; its path is
-printed to stderr.  Exit code 0 whatever the verification windows are:
-the digests, not the verdicts, are the output.
+The package is imported from wherever ``PYTHONPATH`` points, else from
+the ``src`` directory of this checkout; its path is printed to stderr.
+Exit code 0 whatever the verification windows are: the digests, not
+the verdicts, are the output.
 """
 
 from __future__ import annotations
@@ -155,7 +156,13 @@ def digest(path: str) -> str:
 
 
 def main() -> int:
-    import interpolab
+    try:
+        import interpolab
+    except ModuleNotFoundError:
+        sys.path.insert(0, os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "src"))
+        import interpolab
     from interpolab import cli
     print(f"interpolab from {os.path.dirname(interpolab.__file__)}",
           file=sys.stderr)
