@@ -8,6 +8,8 @@ exceeded.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
 import math
 import sys
@@ -31,6 +33,35 @@ REITERATION_ALIASES = {
     "ThmL_theta1_one": "L_theta1_one",
     "ThmL_x1": "L_x1",
 }
+
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _hold_heap() -> None:
+    """Keep freed arrays mapped for the rest of the process.
+
+    glibc's default thresholds start at 128 KiB and grow only as mmapped
+    chunks are freed: until then a 512 KB array (an n = 2^16 profile or
+    an oracle block) is mmapped afresh on every allocation, and after
+    that a freed heap top beyond twice the threshold goes back to the
+    kernel, so the next op faults the same pages in again.  Fixed
+    thresholds (setting either one turns the growth off) serve every
+    array the CLI makes, up to an 8 MiB 2^20 grid vector, from the heap
+    and keep it mapped once freed.  Called from the entry points only:
+    library callers keep the default allocator.  Without a libc
+    mallopt this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
 def _parse_sizes(grid: str, n: str | None = None) -> tuple:
@@ -76,14 +107,15 @@ def cmd_norm(args) -> int:
         print(f"error: bad descriptor field: {e}", file=sys.stderr)
         return 1
 
+    unit = desc.setting == UNIT
+    tmin = 1e-8 if args.tmin is None else args.tmin
+    tmax = (1.0 if unit else 1e8) if args.tmax is None else args.tmax
     try:
-        if desc.setting == UNIT:
-            tmin = args.tmin if args.tmin is not None else 1e-8
-            grid = Grid.from_bounds(tmin, args.tmax or 1.0, n,
-                                    truncated_low=True,
-                                    truncated_high=(args.tmax or 1.0) < 1.0)
+        if unit:
+            grid = Grid.from_bounds(tmin, tmax, n, truncated_low=True,
+                                    truncated_high=tmax < 1.0)
         else:
-            grid = Grid.from_bounds(args.tmin or 1e-8, args.tmax or 1e8, n)
+            grid = Grid.from_bounds(tmin, tmax, n)
     except ValueError as e:
         print(f"error: bad grid: {e}", file=sys.stderr)
         return 1
@@ -138,7 +170,15 @@ def _finish(report, args, stem) -> int:
 def cmd_verify(args) -> int:
     try:
         sizes = _parse_sizes(args.grid, args.n)
-    except ValueError as e:
+        if args.corpus:
+            specs = corpus_mod.resolve_corpus(args.corpus)
+            if not specs:
+                raise ValueError(f"corpus {args.corpus!r} holds no spec")
+            for spec in specs:
+                corpus_mod.parse_fn(spec)
+        if args.target == "reiteration":
+            case = _reiteration_case(args.case, args.theta)
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     log2n = tuple(int(math.log2(n)) for n in sizes)
@@ -154,21 +194,9 @@ def cmd_verify(args) -> int:
         return _finish(rep, args, f"holmstedt_{args.case}")
 
     if args.target == "reiteration":
-        kind = REITERATION_ALIASES.get(args.case, args.case)
-        if kind not in DEFAULT_CASES:
-            print("error: unknown case; available: "
-                  + ", ".join(sorted(REITERATION_ALIASES)), file=sys.stderr)
-            return 1
-        if args.theta in (0.0, 1.0):
-            # with b = 1, E = Linf the endpoint branches reduce to the
-            # same expression on both sides; use a nontrivial weight
-            case = ReiterationCase(DEFAULT_CASES[kind], args.theta,
-                                   b=EllPow(-1.0), E=L2)
-        else:
-            case = ReiterationCase(DEFAULT_CASES[kind], args.theta)
         rep = verify_reiteration(case, corpus=corpus, log2n=log2n)
         return _finish(rep, args,
-                       f"reiteration_{kind}_theta{args.theta:g}")
+                       f"reiteration_{case.inner.kind}_theta{args.theta:g}")
 
     # identity scenarios
     names = app_mod.scenario_names()
@@ -192,7 +220,21 @@ def cmd_verify(args) -> int:
     return max(codes) if codes else 0
 
 
+def _reiteration_case(name: str, theta: float) -> ReiterationCase:
+    kind = REITERATION_ALIASES.get(name, name)
+    if kind not in DEFAULT_CASES:
+        raise ValueError("unknown case; available: "
+                         + ", ".join(sorted(REITERATION_ALIASES)))
+    if theta in (0.0, 1.0):
+        # with b = 1, E = Linf the endpoint branches reduce to the
+        # same expression on both sides; use a nontrivial weight
+        return ReiterationCase(DEFAULT_CASES[kind], theta,
+                               b=EllPow(-1.0), E=L2)
+    return ReiterationCase(DEFAULT_CASES[kind], theta)
+
+
 def _run_identity(payload):
+    _hold_heap()
     name, log2n, corpus = payload
     cor = corpus_mod.resolve_corpus(corpus) if corpus else None
     return app_mod.verify_identity(name, log2n=log2n, corpus=cor)
@@ -234,6 +276,7 @@ def main(argv=None) -> int:
     pv.set_defaults(fn_=cmd_verify)
 
     args = ap.parse_args(argv)
+    _hold_heap()
     return args.fn_(args)
 
 

@@ -43,7 +43,7 @@ def parse_fn(spec: str):
             return (x <= la).astype(float)
     elif kind == "pow":
         r = float(arg)
-        if r <= 1:
+        if not r > 1:
             raise ValueError(f"pow exponent r must be > 1, got {r}")
 
         def fn(x):
@@ -51,16 +51,18 @@ def parse_fn(spec: str):
     elif kind == "powlog":
         r_s, m_s = arg.split(",")
         r, m = float(r_s), float(m_s)
-        if r <= 1:
-            raise ValueError(f"powlog exponent r must be > 1, got {r}")
+        if not (r > 1 and math.isfinite(m)):
+            raise ValueError(f"powlog needs r > 1 and a finite m, "
+                             f"got {r}, {m}")
 
         def fn(x):
             with np.errstate(over="ignore"):
                 return np.where(x <= 0, np.exp(-x / r) * _ell(x) ** m, 0.0)
     elif kind == "log":
         m = float(arg)
-        if m <= 0:
-            raise ValueError(f"log exponent m must be > 0, got {m}")
+        if not 0 < m < math.inf:
+            raise ValueError(f"log exponent m must be finite and > 0, "
+                             f"got {m}")
 
         def fn(x):
             return np.where(x <= 0, _ell(x) ** m, 0.0)
@@ -68,8 +70,10 @@ def parse_fn(spec: str):
         with open(arg) as fh:
             rows = [r for r in csv.reader(fh) if r and r[0] != "t"]
         pts = np.array(sorted((float(t), float(v)) for t, v in rows))
-        if len(pts) == 0 or np.any(pts[:, 0] <= 0):
-            raise ValueError(f"csv corpus file {arg} needs positive t rows")
+        if (len(pts) == 0 or not np.isfinite(pts).all()
+                or np.any(pts[:, 0] <= 0)):
+            raise ValueError(f"csv corpus file {arg} needs finite rows "
+                             "with positive t")
         tt, vv = pts[:, 0], pts[:, 1]
 
         def fn(x):

@@ -94,8 +94,8 @@ class Grid:
 
     @classmethod
     def from_bounds(cls, t_min: float, t_max: float, n: int, **kw) -> "Grid":
-        if not (t_min > 0 and t_max > t_min):
-            raise ValueError("need 0 < t_min < t_max")
+        if not 0 < t_min < t_max < math.inf:
+            raise ValueError("need 0 < t_min < t_max < inf")
         return cls(math.log(t_min), math.log(t_max), n, **kw)
 
     @classmethod

@@ -2,13 +2,19 @@
 
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 
 import pytest
 
+import interpolab
+from interpolab import cli
 from interpolab.cli import main
 from interpolab.grid import RiSpace
-from interpolab.spaces import ThetaSpace, space_to_obj
-from interpolab.sv import ONE
+from interpolab.spaces import FULL, UNIT, LSpace, ThetaSpace, space_to_obj
+from interpolab.sv import ONE, EllPow
 
 L1 = RiSpace(1.0)
 L2 = RiSpace(2.0)
@@ -170,3 +176,114 @@ def test_norm_bad_grid_exits_1_before_building(tmp_path, capsys,
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("setting", [FULL, UNIT])
+@pytest.mark.parametrize("bound", [("--tmin", "0"), ("--tmax", "0"),
+                                   ("--tmax", "inf"), ("--tmin", "nan")],
+                         ids=["tmin0", "tmax0", "tmax-inf", "tmin-nan"])
+def test_norm_bad_bounds_exit_1(tmp_path, capsys, setting, bound):
+    spath = _write_space(tmp_path / "theta.json",
+                         ThetaSpace(0.5, ONE, L2, setting))
+    code = main(["norm", "--space", spath, "--fn", "chi:0.5",
+                 "--grid", "9", *bound])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad grid:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["reiteration", "--theta", "2"],
+    ["reiteration", "--theta", "nan"],
+    ["holmstedt", "--corpus", "bogus:1"],
+    ["holmstedt", "--corpus", "pow:0"],
+    ["holmstedt", "--corpus", "chi:-1"],
+    ["holmstedt", "--corpus", "csv:{tmp}/missing.csv"],
+    ["identity", "--corpus", "{tmp}/missing-corpus.txt"],
+    ["holmstedt", "--corpus", "pow:nan"],
+    ["holmstedt", "--corpus", "log:inf"],
+    ["holmstedt", "--corpus", "csv:{tmp}/nan.csv"],
+    ["holmstedt", "--corpus", "{tmp}/empty-corpus.txt"],
+], ids=["theta2", "theta-nan", "bogus", "pow0", "chi-neg", "csv-missing",
+        "corpus-file-missing", "pow-nan", "log-inf", "csv-nan",
+        "corpus-empty"])
+def test_verify_bad_input_exits_1_before_sweeping(tmp_path, capsys,
+                                                  monkeypatch, argv):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    (tmp_path / "nan.csv").write_text("t,value\n0.5,nan\n0.9,1\n")
+    (tmp_path / "empty-corpus.txt").write_text("# no specs\n")
+
+    monkeypatch.setattr(cli.holmstedt_mod, "verify_holmstedt", no_sweep)
+    monkeypatch.setattr(cli, "verify_reiteration", no_sweep)
+    monkeypatch.setattr(cli, "_run_identity", no_sweep)
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    code = main(["verify", *argv, "--grid", "9"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize("libc", ["unloadable", "without-mallopt"])
+def test_norm_runs_without_mallopt(tmp_path, capsys, monkeypatch, request,
+                                   libc):
+    calls = []
+
+    def cdll(name):
+        calls.append(name)
+        if libc == "unloadable":
+            raise OSError("no libc")
+        return object()
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    cli._hold_heap.cache_clear()
+    request.addfinalizer(cli._hold_heap.cache_clear)
+    spath = _write_space(tmp_path / "theta.json",
+                         ThetaSpace(0.5, ONE, L2))
+    code = main(["norm", "--space", spath, "--fn", "chi:0.5",
+                 "--grid", "9"])
+    assert calls == [None]
+    assert code == 0
+    assert math.isfinite(float(capsys.readouterr().out.split()[-1]))
+
+
+_TWICE = """
+import contextlib, io, resource, sys
+from interpolab.cli import main
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    main(sys.argv[1:])
+    before = faults()
+    main(sys.argv[1:])
+    after = faults()
+print(after - before, *out.getvalue().split())
+"""
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux")
+                         and platform.libc_ver()[0] == "glibc"),
+                    reason="mallopt thresholds are glibc's")
+def test_second_norm_reuses_the_heap(tmp_path):
+    # an n = 2^16 norm frees dozens of 512 KB temporaries; with the
+    # default allocator the next call faults their pages in again
+    # (about 1,200 minor faults on glibc 2.36), with the held heap it
+    # does not
+    spath = _write_space(tmp_path / "l.json",
+                         LSpace(0.5, EllPow(-1.0), L2, ONE, L2))
+    src = os.path.dirname(os.path.dirname(interpolab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _TWICE, "norm", "--space", spath,
+         "--fn", "pow:4", "--grid", "16"],
+        capture_output=True, text=True, env=env, check=True)
+    faults, *out = proc.stdout.split()
+    half = len(out) // 2
+    assert out[:half] == out[half:]
+    assert int(faults) < 300
