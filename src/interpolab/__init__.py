@@ -11,8 +11,8 @@ from .sv import (SvExpr, Const, EllPow, BrokenEll, IteratedEll, ExpLogPow,
                  Product, Power, InverseArg, NormTail, ComposeWithRho, ONE,
                  sv_eval, sv_verify, sv_to_json, sv_from_json)
 from .spaces import (EndpointX0, EndpointX1, ThetaSpace, LSpace, RSpace,
-                     LLSpace, RRSpace, Intersection, AppMember, FULL, UNIT,
-                     couple_reverse, check_admissible, space_to_json,
+                     LLSpace, RRSpace, Intersection, AppMember, Over, FULL,
+                     UNIT, couple_reverse, check_admissible, space_to_json,
                      space_from_json)
 from .kfun import (KProfile, k_peetre, k_oracle, kprofile_reverse,
                    norm_in_space, TruncationOracle)

@@ -15,6 +15,7 @@ their ratios.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -25,12 +26,11 @@ from .sv import (SvExpr, EllPow, NormTail, Power, Product, ONE,
                  sv_log_on_grid, compose_rho, SvDivergenceError)
 from .spaces import (SpaceDescriptor, ThetaSpace, LSpace, RSpace,
                      RRSpace, Intersection, EndpointX0, EndpointX1,
-                     AppMember, UNIT)
+                     AppMember, Over, UNIT)
 from .wire import Wire
-from .kfun import (KProfile, k_peetre, norm_in_space, TruncationOracle,
-                   _final, _full_norm, _div_low, _unstack)
+from .kfun import _final, _full_norm, _div_low, _unstack
+from .reiteration import _sweep
 from .report import EquivalenceReport
-from . import corpus as corpus_mod
 
 L1 = RiSpace(1.0)
 LINF = RiSpace(math.inf)
@@ -259,34 +259,25 @@ def ggamma_descriptor(g: GGamma) -> SpaceDescriptor:
                   Power(g.w2sv, 1.0 / g.p), RiSpace(g.p), UNIT)
 
 
-def atype_descriptor(a: AType) -> SpaceDescriptor:
-    return RSpace(1.0 - 1.0 / a.p, EllPow(a.alpha - 1.0), a.E, ONE, L1, UNIT)
-
-
-def btype_descriptor(b: BType) -> SpaceDescriptor:
-    return LSpace(1.0 - 1.0 / b.p, ONE, b.E, EllPow(b.alpha - 1.0), LINF, UNIT)
-
-
 # ---------------------------------------------------------------------
 # identity scenarios
 # ---------------------------------------------------------------------
 
 @dataclass
 class Scenario:
-    """One numerical identity check.
+    """One numerical identity check: the norms of f in lhs and in rhs.
 
-    Either a direct comparison of two norm recipes (members is None), or
-    an interpolation identity: lhs is the outer norm applied to the
-    oracle K-functional of the member couple, rhs a norm recipe on f.
+    An interpolation identity has an lhs over a derived couple,
+    Over((Y0, Y1), outer space); a direct characterization compares two
+    norm recipes on the endpoint couple.
     """
     name: str
     corpus: tuple
     lhs: SpaceDescriptor
     rhs: SpaceDescriptor
-    members: tuple | None = None
-    outer: SpaceDescriptor | None = None
 
 
+@functools.cache
 def _scenarios() -> dict:
     reg = {}
 
@@ -307,6 +298,9 @@ def _scenarios() -> dict:
     put(Scenario("small-as-L", smooth,
                  lhs=AppMember(SmallLp(2.0, 1.0)),
                  rhs=small_descriptor(2.0, 1.0)))
+    gg = GGamma(2.0, 2.0, -1.0, EllPow(-3.0), 0.0, ONE)
+    put(Scenario("ggamma-as-L", smooth, lhs=AppMember(gg),
+                 rhs=ggamma_descriptor(gg)))
 
     # -- (L_p0, grand) family ------------------------------------------
     p0, p1, alpha, beta = 2.0, 4.0, 1.0, 1.0
@@ -315,41 +309,37 @@ def _scenarios() -> dict:
     gamma_g = 1.0 / p0 - 1.0 / p1
     rho_g = EllPow(beta / p1)                          # b0 = 1
     put(Scenario("small-dual-limit", smooth,
-                 lhs=None, rhs=AppMember(SmallLp(p0, alpha)),
-                 members=(lp0, grand),
-                 outer=ThetaSpace(0.0, EllPow(alpha / _pp(p0) - 1.0),
-                                  L1, UNIT)))
+                 lhs=Over((lp0, grand),
+                          ThetaSpace(0.0, EllPow(alpha / _pp(p0) - 1.0),
+                                     L1, UNIT)),
+                 rhs=AppMember(SmallLp(p0, alpha))))
     # interior: (L_{p0,b0,E0}, grand)_{1/2,1,L2} = ultra(8/3, l^{-1/8}, L2)
     th = 0.5
     p_mid = 1.0 / ((1 - th) / p0 + th / p1)
     put(Scenario("grand-vs-ultra-interior", smooth,
-                 lhs=None,
+                 lhs=Over((ThetaSpace(1.0 - 1.0 / p0, ONE, RiSpace(2.0),
+                                      UNIT), grand),
+                          ThetaSpace(th, ONE, RiSpace(2.0), UNIT)),
                  rhs=AppMember(UltraLp(p_mid,
-                                       EllPow(-beta * th / p1), RiSpace(2.0))),
-                 members=(ThetaSpace(1.0 - 1.0 / p0, ONE, RiSpace(2.0), UNIT),
-                          grand),
-                 outer=ThetaSpace(th, ONE, RiSpace(2.0), UNIT)))
+                                       EllPow(-beta * th / p1), RiSpace(2.0)))))
     b_t0 = EllPow(-0.5)
     put(Scenario("grand-vs-ultra-theta0", smooth,
-                 lhs=None,
+                 lhs=Over((lp0, grand),
+                          ThetaSpace(0.0, b_t0, RiSpace(2.0), UNIT)),
                  rhs=LSpace(1.0 - 1.0 / p0,
                             compose_rho(b_t0, gamma_g, rho_g),
-                            RiSpace(2.0), ONE, RiSpace(p0), UNIT),
-                 members=(ultra_descriptor(p0, ONE, RiSpace(p0)), grand),
-                 outer=ThetaSpace(0.0, b_t0, RiSpace(2.0), UNIT)))
+                            RiSpace(2.0), ONE, RiSpace(p0), UNIT)))
     b_t1 = EllPow(-1.0)
     brho_t1 = compose_rho(b_t1, gamma_g, rho_g)
     put(Scenario("grand-vs-ultra-theta1", smooth,
-                 lhs=None,
+                 lhs=Over((lp0, grand), ThetaSpace(1.0, b_t1, LINF, UNIT)),
                  rhs=Intersection((
                      RSpace(1.0 - 1.0 / p1,
                             Product(EllPow(-beta / p1), brho_t1), LINF,
                             ONE, RiSpace(p1), UNIT),
                      RRSpace(1.0 - 1.0 / p1, brho_t1, LINF,
                              EllPow(-beta / p1), LINF, ONE, RiSpace(p1),
-                             UNIT))),
-                 members=(ultra_descriptor(p0, ONE, RiSpace(p0)), grand),
-                 outer=ThetaSpace(1.0, b_t1, LINF, UNIT)))
+                             UNIT)))))
 
     # -- (small, grand) family ------------------------------------------
     small = AppMember(SmallLp(p0, alpha))
@@ -357,207 +347,133 @@ def _scenarios() -> dict:
     A = alpha * (1 - th) / _pp(p0) - beta * th / p1
     put(Scenario("small-grand-interior", ("chi:1", "chi:0.01", "pow:4",
                                           "log:1"),
-                 lhs=None,
-                 rhs=AppMember(UltraLp(p_mid, EllPow(A), RiSpace(r))),
-                 members=(small, grand),
-                 outer=ThetaSpace(th, ONE, RiSpace(r), UNIT)))
+                 lhs=Over((small, grand),
+                          ThetaSpace(th, ONE, RiSpace(r), UNIT)),
+                 rhs=AppMember(UltraLp(p_mid, EllPow(A), RiSpace(r)))))
     # theta = 0: intersection; the second member is an L-space over the
     # derived couple (L_{p0}, grand), evaluated through its own oracle.
     put(Scenario("small-grand-theta0", ("chi:1", "chi:0.01", "pow:4",
                                         "log:1"),
-                 lhs=None,
+                 lhs=Over((small, grand),
+                          ThetaSpace(0.0, ONE, RiSpace(r), UNIT)),
                  rhs=Intersection((
                      LSpace(1.0 - 1.0 / p0, EllPow(alpha / _pp(p0)),
                             RiSpace(r), ONE, RiSpace(p0), UNIT),
-                     _DerivedLSpace((lp0, grand),
-                                    LSpace(0.0, ONE, RiSpace(r),
-                                           EllPow(alpha / _pp(p0) - 1.0),
-                                           L1, UNIT)))),
-                 members=(small, grand),
-                 outer=ThetaSpace(0.0, ONE, RiSpace(r), UNIT)))
+                     Over((lp0, grand),
+                          LSpace(0.0, ONE, RiSpace(r),
+                                 EllPow(alpha / _pp(p0) - 1.0), L1,
+                                 UNIT))))))
     rho_sg = EllPow(alpha / _pp(p0) + beta / p1)
     brho_sg = compose_rho(b_t1, gamma_g, rho_sg)
     put(Scenario("small-grand-theta1", ("chi:1", "chi:0.01", "pow:4",
                                         "log:1"),
-                 lhs=None,
+                 lhs=Over((small, grand), ThetaSpace(1.0, b_t1, LINF, UNIT)),
                  rhs=Intersection((
                      RSpace(1.0 - 1.0 / p1,
                             Product(EllPow(-beta / p1), brho_sg), LINF,
                             ONE, RiSpace(p1), UNIT),
                      RRSpace(1.0 - 1.0 / p1, brho_sg, LINF,
                              EllPow(-beta / p1), LINF, ONE, RiSpace(p1),
-                             UNIT))),
-                 members=(small, grand),
-                 outer=ThetaSpace(1.0, b_t1, LINF, UNIT)))
+                             UNIT)))))
 
     # -- (LlogL, grand) and (L1, grand) ---------------------------------
     llogl = ThetaSpace(0.0, ONE, L1, UNIT)
     pa = 1.0 / (1 - th + th / p1)
     put(Scenario("llogl-grand", smooth,
-                 lhs=None,
+                 lhs=Over((llogl, grand),
+                          ThetaSpace(th, ONE, RiSpace(2.0), UNIT)),
                  rhs=AppMember(UltraLp(pa, EllPow(1 - th - beta * th / p1),
-                                       RiSpace(2.0))),
-                 members=(llogl, grand),
-                 outer=ThetaSpace(th, ONE, RiSpace(2.0), UNIT)))
+                                       RiSpace(2.0)))))
     put(Scenario("l1-grand", smooth,
-                 lhs=None,
+                 lhs=Over((EndpointX0(UNIT), grand),
+                          ThetaSpace(th, ONE, RiSpace(2.0), UNIT)),
                  rhs=AppMember(UltraLp(pa, EllPow(-beta * th / p1),
-                                       RiSpace(2.0))),
-                 members=(EndpointX0(UNIT), grand),
-                 outer=ThetaSpace(th, ONE, RiSpace(2.0), UNIT)))
+                                       RiSpace(2.0)))))
 
     # -- (small, *) family ----------------------------------------------
     put(Scenario("small-ultra", ("chi:1", "chi:0.1", "chi:0.01", "log:1"),
-                 lhs=None,
+                 lhs=Over((small, ultra_descriptor(p1, ONE, RiSpace(p1))),
+                          ThetaSpace(th, ONE, RiSpace(2.0), UNIT)),
                  rhs=AppMember(UltraLp(p_mid, EllPow(alpha * (1 - th) / _pp(p0)),
-                                       RiSpace(2.0))),
-                 members=(small, ultra_descriptor(p1, ONE, RiSpace(p1))),
-                 outer=ThetaSpace(th, ONE, RiSpace(2.0), UNIT)))
+                                       RiSpace(2.0)))))
     q1, beta_lz = 2.0, -1.0
     p_lz = p0 / (1 - th)
     # bounded prototypes only: the cut family resolves them exactly,
     # while unbounded ones leave a residual floor below the grid scale
     chis = ("chi:1", "chi:0.1", "chi:0.01", "chi:0.001")
     put(Scenario("small-linfq", chis,
-                 lhs=None,
+                 lhs=Over((small, AppMember(LinfQBeta(q1, beta_lz))),
+                          ThetaSpace(th, ONE, RiSpace(2.0), UNIT)),
                  rhs=AppMember(UltraLp(
                      p_lz,
                      EllPow((1 - th) * alpha / _pp(p0)
                             + th * (beta_lz + 1.0 / q1)),
-                     RiSpace(2.0))),
-                 members=(small, AppMember(LinfQBeta(q1, beta_lz))),
-                 outer=ThetaSpace(th, ONE, RiSpace(2.0), UNIT)))
+                     RiSpace(2.0)))))
     put(Scenario("small-linf", chis,
-                 lhs=None,
+                 lhs=Over((small, EndpointX1(UNIT)),
+                          ThetaSpace(th, ONE, RiSpace(2.0), UNIT)),
                  rhs=AppMember(UltraLp(p_lz, EllPow(alpha * (1 - th) / _pp(p0)),
-                                       RiSpace(2.0))),
-                 members=(small, EndpointX1(UNIT)),
-                 outer=ThetaSpace(th, ONE, RiSpace(2.0), UNIT)))
+                                       RiSpace(2.0)))))
 
     # -- generalized Gamma ------------------------------------------------
-    gg = GGamma(2.0, 2.0, -1.0, EllPow(-3.0), 0.0, ONE)
     tailw1 = NormTail(Power(EllPow(-3.0), 0.5), RiSpace(2.0), "upper")
     put(Scenario("ggamma-ultra", ("chi:1", "chi:0.1", "chi:0.01", "log:1"),
-                 lhs=None,
+                 lhs=Over((AppMember(gg),
+                           ultra_descriptor(p1, ONE, RiSpace(p1))),
+                          ThetaSpace(th, ONE, RiSpace(2.0), UNIT)),
                  rhs=AppMember(UltraLp(
-                     p_mid, Power(tailw1, 1 - th), RiSpace(2.0))),
-                 members=(AppMember(gg),
-                          ultra_descriptor(p1, ONE, RiSpace(p1))),
-                 outer=ThetaSpace(th, ONE, RiSpace(2.0), UNIT)))
+                     p_mid, Power(tailw1, 1 - th), RiSpace(2.0)))))
 
     # -- A and B-type ------------------------------------------------------
     at = AType(4.0, 0.0, RiSpace(2.0))
     bt = BType(2.0, 0.0, RiSpace(2.0))
     tail_a = NormTail(EllPow(-1.0), RiSpace(2.0), "lower")
     put(Scenario("a-type-ultra", chis,
-                 lhs=None,
+                 lhs=Over((ultra_descriptor(2.0, ONE, RiSpace(2.0)),
+                           AppMember(at)),
+                          ThetaSpace(th, ONE, RiSpace(2.0), UNIT)),
                  rhs=AppMember(UltraLp(p_mid, Power(tail_a, th),
-                                       RiSpace(2.0))),
-                 members=(ultra_descriptor(2.0, ONE, RiSpace(2.0)),
-                          AppMember(at)),
-                 outer=ThetaSpace(th, ONE, RiSpace(2.0), UNIT)))
+                                       RiSpace(2.0)))))
     # B_theta = (l^(alpha-1) * phi_E0(l))^{1-theta} b1^theta: with
     # alpha = 0, E0 = L2 this is l^{-1} * l^{1/2} = l^{-1/2}, power 1-theta
     put(Scenario("b-type-ultra", ("chi:1", "chi:0.1", "chi:0.01", "log:1"),
-                 lhs=None,
+                 lhs=Over((AppMember(bt),
+                           ultra_descriptor(p1, ONE, RiSpace(p1))),
+                          ThetaSpace(th, ONE, RiSpace(2.0), UNIT)),
                  rhs=AppMember(UltraLp(p_mid, EllPow(-0.5 * (1 - th)),
-                                       RiSpace(2.0))),
-                 members=(AppMember(bt),
-                          ultra_descriptor(p1, ONE, RiSpace(p1))),
-                 outer=ThetaSpace(th, ONE, RiSpace(2.0), UNIT)))
+                                       RiSpace(2.0)))))
     put(Scenario("b-as-limit-of-A", ("chi:1", "chi:0.1", "chi:0.01", "log:1"),
-                 lhs=None,
-                 rhs=AppMember(bt),
-                 members=(ultra_descriptor(2.0, EllPow(-1.0), LINF),
-                          AppMember(at)),
-                 outer=ThetaSpace(0.0, ONE, RiSpace(2.0), UNIT)))
+                 lhs=Over((ultra_descriptor(2.0, EllPow(-1.0), LINF),
+                           AppMember(at)),
+                          ThetaSpace(0.0, ONE, RiSpace(2.0), UNIT)),
+                 rhs=AppMember(bt)))
     put(Scenario("ultra-between-AB", chis,
-                 lhs=None,
+                 lhs=Over((AppMember(bt), AppMember(at)),
+                          ThetaSpace(th, ONE, RiSpace(2.0), UNIT)),
                  rhs=AppMember(UltraLp(
                      p_mid, Product(EllPow(-0.5 * (1 - th)),
-                                    Power(tail_a, th)), RiSpace(2.0))),
-                 members=(AppMember(bt), AppMember(at)),
-                 outer=ThetaSpace(th, ONE, RiSpace(2.0), UNIT)))
+                                    Power(tail_a, th)), RiSpace(2.0)))))
     return reg
 
 
-@dataclass(frozen=True)
-class _DerivedLSpace:
-    """An L-space over a derived couple, not over (L1, Linf).
-
-    The K-functional of the member couple comes from its own oracle and
-    the descriptor is then applied to that profile.
-    """
-    couple: tuple
-    desc: SpaceDescriptor
-    setting: str = UNIT
-
-
-SCENARIOS = None
-
-
 def scenario_names() -> tuple:
-    global SCENARIOS
-    if SCENARIOS is None:
-        SCENARIOS = _scenarios()
-    return tuple(SCENARIOS.keys())
+    return tuple(_scenarios())
 
 
 def get_scenario(name: str) -> Scenario:
-    global SCENARIOS
-    if SCENARIOS is None:
-        SCENARIOS = _scenarios()
-    if name not in SCENARIOS:
+    reg = _scenarios()
+    if name not in reg:
         raise KeyError(f"unknown identity scenario {name!r}")
-    return SCENARIOS[name]
+    return reg[name]
 
 
-def _norm_of(desc, fstar: GridFunction, K: KProfile,
-             max_cuts: int | None) -> float:
-    if isinstance(desc, _DerivedLSpace):
-        try:
-            orc = TruncationOracle(fstar, *desc.couple, max_cuts=max_cuts)
-        except ValueError:
-            return math.inf
-        return norm_in_space(orc.profile(), desc.desc)
-    if isinstance(desc, Intersection) and any(
-            isinstance(m, _DerivedLSpace) for m in desc.members):
-        return max(_norm_of(m, fstar, K, max_cuts) for m in desc.members)
-    return norm_in_space(K, desc)
-
-
-def verify_identity(name: str, log2n=(9, 10), corpus=None,
-                    max_cuts: int | None = 192) -> EquivalenceReport:
+def verify_identity(name: str, log2n=(9, 10), corpus=None
+                    ) -> EquivalenceReport:
     """Compare the two sides of one identity over the corpus.
 
     One row per (prototype, grid size); the report window is the spread
     of lhs/rhs ratios, i.e. the numerical equivalence constant squared.
     """
     sc = get_scenario(name)
-    rep = EquivalenceReport(name)
-    specs = tuple(corpus) if corpus else sc.corpus
-    for k in log2n:
-        n = 1 << k
-        grid = unit_grid(n)
-        for spec in specs:
-            fstar = corpus_mod.sample(spec, grid)
-            K = k_peetre(fstar)
-            rhs = _norm_of(sc.rhs, fstar, K, max_cuts)
-            if not (math.isfinite(rhs) and rhs > 0):
-                rep.exclude(spec, f"rhs norm not finite/positive at n={n}")
-                continue
-            if sc.members is None:
-                lhs = norm_in_space(K, sc.lhs)
-            else:
-                try:
-                    orc = TruncationOracle(fstar, *sc.members,
-                                           max_cuts=max_cuts)
-                except ValueError as e:
-                    rep.exclude(spec, str(e))
-                    continue
-                lhs = norm_in_space(orc.profile(), sc.outer)
-            if not math.isfinite(lhs):
-                rep.exclude(spec, f"lhs norm not finite at n={n}")
-                continue
-            rep.add(spec, n, None, lhs, rhs)
-    return rep
+    return _sweep(EquivalenceReport(name), corpus or sc.corpus, unit_grid,
+                  log2n, sc.lhs, sc.rhs, ("lhs", "rhs"))

@@ -13,6 +13,11 @@ and three have an L-space as the first member:
   L_theta1_one    Y1 = (1, b1, E1),          theta0 in [0, 1)
   L_x1            Y1 = X1 itself,            theta0 in [0, 1)
 
+Each L case is the R case of the reversed couple (X1, X0), since
+K(t, f; X1, X0) = t K(1/t, f; X0, X1): theta goes to 1 - theta, every
+slowly varying parameter to its value at 1/t, and the members swap
+(HolmstedtCase._reversed).  Only the R cases are written out.
+
 In every case K(rho(u), f; Y0, Y1) is comparable, uniformly in u and f,
 to an explicit expression in K(., f; X0, X1) split at u.  verify_holmstedt
 measures the two sides on a corpus of K-profiles and reports the ratio
@@ -29,10 +34,10 @@ import numpy as np
 from .grid import (RiSpace, L2, LINF, full_grid, log_norm_lower,
                    log_norm_upper)
 from .sv import (SvExpr, ONE, EllPow, Power, Product, NormTail,
-                 sv_log_on_grid, SvDivergenceError)
-from .spaces import (ThetaSpace, LSpace, RSpace, EndpointX0, EndpointX1,
-                     FULL)
-from .kfun import KProfile, TruncationOracle, k_peetre
+                 inverse_arg, sv_log_on_grid, SvDivergenceError)
+from .spaces import (ThetaSpace, LSpace, RSpace, EndpointX0, FULL,
+                     couple_reverse)
+from .kfun import KProfile, TruncationOracle, k_peetre, _cut_cap
 from .report import EquivalenceReport
 from . import corpus as corpus_mod
 
@@ -56,6 +61,15 @@ class HolmstedtCase:
     def __post_init__(self):
         if self.kind not in CASES:
             raise ValueError(f"unknown case {self.kind!r}")
+        if self.kind in L_CASES:
+            try:
+                self._reversed()
+            except ValueError as e:
+                raise ValueError(
+                    f"{self.kind} is the reversed couple's "
+                    f"{R_CASES[L_CASES.index(self.kind)]} with theta0 -> "
+                    f"1 - theta1, theta1 -> 1 - theta0, and {e}") from None
+            return
         t0, t1 = self.theta0, self.theta1
         if self.kind == "R_interior" and not 0 < t0 < t1 < 1:
             raise ValueError("R_interior needs 0 < theta0 < theta1 < 1")
@@ -63,61 +77,39 @@ class HolmstedtCase:
             raise ValueError("R_theta0_zero needs theta0 = 0, theta1 in (0,1]")
         if self.kind == "R_x0" and not 0 < t1 <= 1:
             raise ValueError("R_x0 needs theta1 in (0,1]")
-        if self.kind == "L_interior" and not 0 < t0 < t1 < 1:
-            raise ValueError("L_interior needs 0 < theta0 < theta1 < 1")
-        if self.kind == "L_theta1_one" and not (t1 == 1 and 0 <= t0 < 1):
-            raise ValueError("L_theta1_one needs theta1 = 1, theta0 in [0,1)")
-        if self.kind == "L_x1" and not 0 <= t0 < 1:
-            raise ValueError("L_x1 needs theta0 in [0,1)")
+
+    def _reversed(self) -> HolmstedtCase:
+        """The R case over the reversed couple (X1, X0) that an L case is."""
+        return HolmstedtCase(R_CASES[L_CASES.index(self.kind)],
+                             1.0 - self.theta1, 1.0 - self.theta0,
+                             inverse_arg(self.b1), self.E1,
+                             inverse_arg(self.b0), self.E0,
+                             inverse_arg(self.a), self.F)
 
     def members(self):
         """The couple (Y0, Y1) whose K-functional is being estimated."""
-        k = self.kind
-        if k in R_CASES:
-            y1 = RSpace(self.theta1, self.b1, self.E1, self.a, self.F, FULL)
-            if k == "R_interior":
-                y0 = ThetaSpace(self.theta0, self.b0, self.E0, FULL)
-            elif k == "R_theta0_zero":
-                y0 = ThetaSpace(0.0, self.b0, self.E0, FULL)
-            else:
-                y0 = EndpointX0(FULL)
-            return y0, y1
-        y0 = LSpace(self.theta0, self.b0, self.E0, self.a, self.F, FULL)
-        if k == "L_interior":
-            y1 = ThetaSpace(self.theta1, self.b1, self.E1, FULL)
-        elif k == "L_theta1_one":
-            y1 = ThetaSpace(1.0, self.b1, self.E1, FULL)
-        else:
-            y1 = EndpointX1(FULL)
-        return y0, y1
+        if self.kind in L_CASES:
+            y0, y1 = self._reversed().members()
+            return couple_reverse(y1), couple_reverse(y0)
+        y1 = RSpace(self.theta1, self.b1, self.E1, self.a, self.F, FULL)
+        if self.kind == "R_x0":
+            return EndpointX0(FULL), y1
+        return ThetaSpace(self.theta0, self.b0, self.E0, FULL), y1
 
     def rho_params(self):
         """(gamma, sv) with rho(u) = u^gamma * sv(u)."""
-        k = self.kind
-        inv_a = Power(self.a, -1.0)
-        if k == "R_interior":
-            sv = Product(self.b0, Product(
-                inv_a, Power(NormTail(self.b1, self.E1, "lower"), -1.0)))
-            return self.theta1 - self.theta0, sv
-        if k == "R_theta0_zero":
-            sv = Product(NormTail(self.b0, self.E0, "upper"), Product(
-                inv_a, Power(NormTail(self.b1, self.E1, "lower"), -1.0)))
-            return self.theta1, sv
-        if k == "R_x0":
-            sv = Product(inv_a,
-                         Power(NormTail(self.b1, self.E1, "lower"), -1.0))
-            return self.theta1, sv
-        if k == "L_interior":
-            sv = Product(self.a, Product(
-                NormTail(self.b0, self.E0, "upper"), Power(self.b1, -1.0)))
-            return self.theta1 - self.theta0, sv
-        if k == "L_theta1_one":
-            sv = Product(self.a, Product(
-                NormTail(self.b0, self.E0, "upper"),
-                Power(NormTail(self.b1, self.E1, "lower"), -1.0)))
-            return 1.0 - self.theta0, sv
-        sv = Product(self.a, NormTail(self.b0, self.E0, "upper"))
-        return 1.0 - self.theta0, sv
+        if self.kind in L_CASES:
+            # rho(u) = 1 / rho'(1/u) for the rho' of the reversed case
+            gamma, sv = self._reversed().rho_params()
+            return gamma, Power(inverse_arg(sv), -1.0)
+        sv = Product(Power(self.a, -1.0),
+                     Power(NormTail(self.b1, self.E1, "lower"), -1.0))
+        if self.kind == "R_interior":
+            return self.theta1 - self.theta0, Product(self.b0, sv)
+        if self.kind == "R_theta0_zero":
+            return self.theta1, Product(NormTail(self.b0, self.E0, "upper"),
+                                        sv)
+        return self.theta1, sv
 
 
 # parameter choices used by `verify holmstedt` and `verify reiteration`;
@@ -186,8 +178,8 @@ def holmstedt_rhs(case: HolmstedtCase, K: KProfile):
 
 
 def verify_holmstedt(case: HolmstedtCase, corpus=None, log2n=(9, 10),
-                     u_stride: int = 8, interior: float = 0.05,
-                     max_cuts: int | None = 128) -> EquivalenceReport:
+                     u_stride: int = 8, interior: float = 0.05
+                     ) -> EquivalenceReport:
     """Measure LHS/RHS over a corpus and a sweep of split points u.
 
     LHS is K(rho(u), f; Y0, Y1) from a truncation oracle over the member
@@ -206,7 +198,8 @@ def verify_holmstedt(case: HolmstedtCase, corpus=None, log2n=(9, 10),
         for spec in specs:
             fstar = corpus_mod.sample(spec, grid)
             try:
-                orc = TruncationOracle(fstar, y0, y1, max_cuts=max_cuts)
+                orc = TruncationOracle(fstar, y0, y1,
+                                       max_cuts=_cut_cap(grid))
             except ValueError as e:
                 rep.exclude(spec, str(e))
                 continue

@@ -26,6 +26,13 @@ and norm_in_space works along the last axis of such a stack, with the
 edge-divergence test a closed-form least-squares fit per row
 (grid._edge_diverges).  Every row gives bit for bit what the same
 profile gives on its own.
+
+norm_in_space evaluates a spaces.Over descriptor, a space over a
+derived couple, through such an oracle built from the f* the profile
+carries.  That oracle, and the ones the verification harnesses build,
+take at most _cut_cap(grid) cuts: 128 on the full line, 192 on (0, 1).
+The windows do not depend on the cap (they agree to 4 digits from 32
+cuts up to all of them), while the cost grows with the cut count.
 """
 
 from __future__ import annotations
@@ -40,13 +47,18 @@ from .grid import (Grid, GridFunction, lebesgue_prefix, log_norm_between,
 from .sv import sv_log_on_grid, SvDivergenceError
 from .spaces import (SpaceDescriptor, EndpointX0, EndpointX1, ThetaSpace,
                      LSpace, RSpace, LLSpace, RRSpace, Intersection,
-                     AppMember)
+                     AppMember, Over)
 
 NEG_INF = -np.inf
 
 # elements (cut rows x grid nodes) of one block of cut profiles; bounds
 # the oracle's working memory whatever the grid size and cut count
 _BLOCK_ELEMS = 1 << 16
+
+
+def _cut_cap(grid: Grid) -> int:
+    """Cut cap of the oracles on grid (see the module docstring)."""
+    return 128 if grid.truncated_high else 192
 
 
 @dataclass
@@ -204,17 +216,31 @@ def _norms(K: KProfile, d: SpaceDescriptor, check: bool) -> np.ndarray:
             val = _full_norm(lw, d.E.q, grid, check)
         elif isinstance(d, Intersection):
             return np.maximum.reduce([_norms(K, m, check) for m in d.members])
-        elif isinstance(d, AppMember):
-            from .applications import norm_app
+        elif isinstance(d, (AppMember, Over)):
             if K.fstar is None:
-                raise ValueError("concrete space norm needs f*, "
-                                 "but the profile carries none")
+                raise ValueError("a concrete space or derived couple needs "
+                                 "f*, but the profile carries none")
+            if isinstance(d, Over):
+                rows = np.reshape(K.fstar, (-1, grid.n))
+                return np.reshape([_over(grid, f, d, check) for f in rows],
+                                  np.shape(K.fstar)[:-1])
+            from .applications import norm_app
             return np.asarray(norm_app(d.space, GridFunction(grid, K.fstar)))
         else:
             raise TypeError(f"unknown descriptor {type(d).__name__}")
     except SvDivergenceError:
         return np.full(div.shape, math.inf)
     return np.where(div, math.inf, val)
+
+
+def _over(grid: Grid, f: np.ndarray, d: Over, check: bool) -> float:
+    """d.desc over the couple d.couple, for the f* sampled as f."""
+    try:
+        orc = TruncationOracle(GridFunction(grid, f), *d.couple,
+                               max_cuts=_cut_cap(grid))
+    except ValueError:      # f lies outside Y0 + Y1
+        return math.inf
+    return float(_norms(orc.profile(), d.desc, check))
 
 
 # ---------------------------------------------------------------------

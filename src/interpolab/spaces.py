@@ -10,6 +10,8 @@ A descriptor says how to turn the profile t -> K(t, f) into a norm:
 * intersection     max of the member norms
 * app              a concrete function-space norm computed straight
                    from f* (see applications.py)
+* over             a descriptor applied to K(., f; Y0, Y1) of a derived
+                   couple (Y0, Y1) instead of the endpoint couple
 
 Settings: "full" norms run over the whole truncated line (0, inf),
 "unit" over (0, 1) with t = 1 a genuine edge.  Admissibility follows the
@@ -148,6 +150,25 @@ class AppMember(SpaceDescriptor, kind="app"):
                              f"be {UNIT!r}")
 
 
+@dataclass(frozen=True)
+class Over(SpaceDescriptor, kind="over"):
+    """desc applied to K(., f; Y0, Y1) for the couple (Y0, Y1).
+
+    Y0 and Y1 are descriptors over the endpoint couple; kfun takes
+    their K-functional from a truncation oracle on f*.
+    """
+    couple: tuple[SpaceDescriptor, ...]
+    desc: SpaceDescriptor
+
+    def __post_init__(self):
+        if len(self.couple) != 2:
+            raise ValueError("a couple has exactly two members")
+
+    @property
+    def setting(self):
+        return self.desc.setting
+
+
 # ---------------------------------------------------------------------
 # couple reversal
 # ---------------------------------------------------------------------
@@ -240,11 +261,12 @@ def check_admissible(d: SpaceDescriptor, grid: Grid | None = None) -> Admissibil
     Conditions are truncated integrals on a reference grid; a condition
     holds when the integral is finite under the edge-stability rule.
     """
-    if isinstance(d, Intersection):
-        reps = [check_admissible(m, grid) for m in d.members]
-        out = AdmissibilityReport([c for r in reps for c in r.conditions],
-                                  [n for r in reps for n in r.notes])
-        return out
+    if isinstance(d, (Intersection, Over)):
+        parts = d.members if isinstance(d, Intersection) else \
+            (d.desc, *d.couple)
+        reps = [check_admissible(m, grid) for m in parts]
+        return AdmissibilityReport([c for r in reps for c in r.conditions],
+                                   [n for r in reps for n in r.notes])
     if isinstance(d, (EndpointX0, EndpointX1)):
         return AdmissibilityReport([])
     if isinstance(d, AppMember):

@@ -135,13 +135,13 @@ _EXPECTED = {
     "grand-vs-ultra-theta1", "small-grand-interior", "small-grand-theta0",
     "small-grand-theta1", "llogl-grand", "l1-grand", "small-ultra",
     "small-linfq", "small-linf", "ggamma-ultra", "a-type-ultra",
-    "b-type-ultra", "b-as-limit-of-A", "ultra-between-AB"}
+    "b-type-ultra", "b-as-limit-of-A", "ultra-between-AB", "ggamma-as-L"}
 
 
 def test_registry_names():
     names = scenario_names()
     assert set(names) == _EXPECTED
-    assert len(names) == 20
+    assert len(names) == 21
 
 
 def test_get_scenario_unknown():

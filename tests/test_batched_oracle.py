@@ -309,7 +309,7 @@ def test_oracle_matches_per_cut_loop_on_app_members():
     sc = get_scenario("small-grand-interior")
     g = unit_grid(512)
     f = corpus.sample("pow:4", g)
-    assert same_as_per_cut(f, *sc.members, 192) > 2
+    assert same_as_per_cut(f, *sc.lhs.couple, 192) > 2
 
 
 def test_oracle_blocks_span_large_grids():

@@ -161,6 +161,42 @@ def test_norm_bad_descriptor_exits_1(tmp_path, capsys, obj):
     assert "bad descriptor field" in capsys.readouterr().err
 
 
+def _over_descriptors():
+    from interpolab.applications import get_scenario
+    from interpolab.holmstedt import DEFAULT_CASES
+    from interpolab.spaces import Over
+    rhs = get_scenario("small-grand-theta0").rhs
+    return {"unit": rhs.members[1],
+            "full": Over(DEFAULT_CASES["L_interior"].members(),
+                         ThetaSpace(0.5, EllPow(-1.0), L2))}
+
+
+@pytest.mark.parametrize("fn", ["chi:0.5", "pow:2"])
+@pytest.mark.parametrize("setting", ["unit", "full"])
+def test_norm_over_a_derived_couple(tmp_path, capsys, setting, fn):
+    # the norm comes from a truncation oracle; a divergent one exits 2
+    spath = _write_space(tmp_path / "over.json",
+                         _over_descriptors()[setting])
+    code = main(["norm", "--space", spath, "--fn", fn, "--grid", "9"])
+    captured = capsys.readouterr()
+    assert code in (0, 2)
+    assert "Traceback" not in captured.err
+    if code == 0:
+        assert math.isfinite(float(captured.out.strip().splitlines()[-1]))
+
+
+def test_norm_over_checks_the_couple_members(tmp_path, capsys):
+    from interpolab.applications import GrandLp
+    from interpolab.spaces import AppMember, EndpointX0, Over
+    bad = Over((EndpointX0(UNIT), AppMember(GrandLp(0.5, 1.0))),
+               ThetaSpace(0.5, ONE, L2, UNIT))
+    spath = _write_space(tmp_path / "over.json", bad)
+    code = main(["norm", "--space", spath, "--fn", "chi:0.5", "--grid", "9"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert "grand space needs p > 1" in out and "DIVERGENT" in out
+
+
 @pytest.mark.parametrize("grid", ["x", "-1", "9,10", "21"])
 def test_norm_bad_grid_exits_1_before_building(tmp_path, capsys,
                                                monkeypatch, grid):

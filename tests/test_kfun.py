@@ -9,7 +9,7 @@ import pytest
 from interpolab.grid import (GridFunction, L2, LINF, full_grid, unit_grid)
 from interpolab.sv import EllPow, ONE
 from interpolab.spaces import (EndpointX0, EndpointX1, ThetaSpace, RSpace,
-                               Intersection, FULL)
+                               Intersection, Over, FULL)
 from interpolab.kfun import (KProfile, k_peetre, k_oracle, kprofile_reverse,
                              norm_in_space, TruncationOracle)
 from interpolab import corpus
@@ -143,3 +143,18 @@ def test_peetre_runtime():
     t0 = time.perf_counter()
     k_peetre(f)
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_over_norms_a_stack_row_by_row():
+    # an Over that is a member of another couple is normed on the stacked
+    # cut profiles of that couple's oracle: each row as if alone
+    g = full_grid(512)
+    fs = [corpus.sample(s, g) for s in ("chi:0.1", "pow:4")]
+    d = Over((EndpointX0(), ThetaSpace(0.5, ONE, L2)),
+             ThetaSpace(0.25, ONE, L2))
+    stack = k_peetre(GridFunction(g, np.stack([f.values for f in fs])))
+    alone = [norm_in_space(k_peetre(f), d) for f in fs]
+    assert norm_in_space(stack, d).tolist() == alone
+    assert all(math.isfinite(v) and v > 0 for v in alone)
+    nested = Over((d, EndpointX1()), ThetaSpace(0.5, ONE, L2))
+    assert math.isfinite(norm_in_space(k_peetre(fs[0]), nested))

@@ -1,16 +1,18 @@
 """Reduction of a second interpolation step to endpoint descriptors."""
 
-import math
-
+import numpy as np
 import pytest
 
-from interpolab.grid import L2, LINF
-from interpolab.sv import EllPow, ONE, ComposeWithRho
+from interpolab import corpus
+from interpolab.grid import L2, LINF, GridFunction, full_grid
+from interpolab.kfun import k_peetre, norm_in_space
+from interpolab.sv import (EllPow, BrokenEll, ONE, ComposeWithRho, NormTail,
+                           Power, Product, compose_rho, sv_log_on_grid)
 from interpolab.spaces import (ThetaSpace, LSpace, RSpace, LLSpace, RRSpace,
-                               Intersection, couple_reverse)
+                               Intersection, EndpointX1)
 from interpolab.reiteration import (ReiterationCase, reiterate,
                                     verify_reiteration)
-from interpolab.holmstedt import DEFAULT_CASES
+from interpolab.holmstedt import DEFAULT_CASES, HolmstedtCase
 
 
 def test_interior_theta_mixes_linearly():
@@ -86,13 +88,96 @@ def test_verify_endpoint_window():
     assert win <= 100.0
 
 
-def test_l_interior_is_reverse_of_r_interior():
-    # the L-side interior reduction agrees with reversing the couple,
-    # running the R-side reduction, and reversing back
-    r = DEFAULT_CASES["R_interior"]
-    l_case = ReiterationCase(DEFAULT_CASES["L_interior"], 0.5)
-    d_l = reiterate(l_case)
-    assert isinstance(d_l, ThetaSpace)
-    d_rev = couple_reverse(d_l)
-    assert isinstance(d_rev, ThetaSpace)
-    assert d_rev.theta == pytest.approx(1.0 - d_l.theta)
+# The L cases are derived from the R cases of the reversed couple.  The
+# table below is the direct L formulas they replaced; the two must give
+# the same norms.  L_interior(0.1, 0.3) has thetas that are no dyadic
+# fractions, so 1 - (1 - theta) may differ from theta in the last bit,
+# and broken weights that are not symmetric under t -> 1/t.
+_L_CASES = [DEFAULT_CASES[k] for k in ("L_interior", "L_theta1_one", "L_x1")]
+_L_CASES.append(HolmstedtCase("L_interior", 0.1, 0.3,
+                              b0=BrokenEll(-0.5, -1.0), E0=LINF,
+                              b1=EllPow(0.5), E1=L2,
+                              a=BrokenEll(0.25, -0.25), F=L2))
+
+
+def _direct_members(c):
+    y0 = LSpace(c.theta0, c.b0, c.E0, c.a, c.F)
+    if c.kind == "L_x1":
+        return y0, EndpointX1()
+    return y0, ThetaSpace(c.theta1, c.b1, c.E1)
+
+
+def _direct_rho(c):
+    up0 = NormTail(c.b0, c.E0, "upper")
+    if c.kind == "L_interior":
+        return c.theta1 - c.theta0, Product(c.a, Product(
+            up0, Power(c.b1, -1.0)))
+    if c.kind == "L_theta1_one":
+        return 1.0 - c.theta0, Product(c.a, Product(
+            up0, Power(NormTail(c.b1, c.E1, "lower"), -1.0)))
+    return 1.0 - c.theta0, Product(c.a, up0)
+
+
+def _direct_reiterate(case):
+    c, th = case.inner, case.theta
+    gamma, rho_sv = _direct_rho(c)
+    brho = compose_rho(case.b, gamma, rho_sv)
+    b0_up = NormTail(c.b0, c.E0, "upper")
+    a_b0 = Product(c.a, b0_up)
+    if th == 0.0:
+        return Intersection((
+            LSpace(c.theta0, Product(b0_up, brho), case.E, c.a, c.F),
+            LLSpace(c.theta0, brho, case.E, c.b0, c.E0, c.a, c.F)))
+    if c.kind == "L_interior":
+        if th == 1.0:
+            return RSpace(c.theta1, brho, case.E, c.b1, c.E1)
+        tmix = (1 - th) * c.theta0 + th * c.theta1
+        bmix = Product(Power(a_b0, 1 - th), Power(c.b1, th))
+        return ThetaSpace(tmix, Product(bmix, brho), case.E)
+    if c.kind == "L_theta1_one":
+        b1_low = NormTail(c.b1, c.E1, "lower")
+        if th == 1.0:
+            return Intersection((
+                ThetaSpace(1.0, Product(b1_low, brho), case.E),
+                RSpace(1.0, brho, case.E, c.b1, c.E1)))
+        tmix = (1 - th) * c.theta0 + th
+        bmix = Product(Power(a_b0, 1 - th), Power(b1_low, th))
+        return ThetaSpace(tmix, Product(bmix, brho), case.E)
+    tmix = (1 - th) * c.theta0 + th
+    return ThetaSpace(tmix, Product(Power(a_b0, 1 - th), brho), case.E)
+
+
+def _assert_same(a, b):
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    with np.errstate(invalid="ignore"):
+        rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
+    assert np.all((a == b) | (rel <= 1e-12)), (a, b)
+
+
+@pytest.fixture(scope="module")
+def standard_k():
+    g = full_grid(512)
+    rows = [corpus.sample(s, g).values for s in corpus.STANDARD]
+    return k_peetre(GridFunction(g, np.stack(rows)))
+
+
+@pytest.mark.parametrize("c", _L_CASES, ids=lambda c: f"{c.kind}-{c.theta0}")
+def test_l_case_matches_direct_formulas(c, standard_k):
+    K = standard_k
+    for y, y_direct in zip(c.members(), _direct_members(c)):
+        assert type(y) is type(y_direct)
+        _assert_same(norm_in_space(K, y), norm_in_space(K, y_direct))
+    (gamma, sv), (gamma_d, sv_d) = c.rho_params(), _direct_rho(c)
+    assert gamma == pytest.approx(gamma_d, rel=1e-12)
+    _assert_same(np.exp(sv_log_on_grid(sv, K.grid)),
+                 np.exp(sv_log_on_grid(sv_d, K.grid)))
+    finite = 0
+    for theta in (0.0, 0.25, 0.5, 0.75, 1.0):
+        for b, E in ((ONE, LINF), (EllPow(-1.0), L2)):
+            case = ReiterationCase(c, theta, b, E)
+            d, d_direct = reiterate(case), _direct_reiterate(case)
+            assert type(d) is type(d_direct)
+            v = norm_in_space(K, d)
+            _assert_same(v, norm_in_space(K, d_direct))
+            finite += int(np.isfinite(v).sum())
+    assert finite >= 40         # at least half the comparisons are of numbers

@@ -8,14 +8,14 @@ import pytest
 from interpolab import wire
 from interpolab.applications import (GrandLp, SmallLp, UltraLp, LinfQBeta,
                                      GGamma, AType, BType, AppSpace,
-                                     _DerivedLSpace, app_from_obj,
-                                     get_scenario, scenario_names)
+                                     app_from_obj, get_scenario,
+                                     scenario_names)
 from interpolab.grid import RiSpace
 from interpolab.holmstedt import DEFAULT_CASES
 from interpolab.reiteration import ReiterationCase, reiterate
 from interpolab.spaces import (EndpointX0, EndpointX1, ThetaSpace, LSpace,
                                RSpace, LLSpace, RRSpace, Intersection,
-                               AppMember, SpaceDescriptor, UNIT,
+                               AppMember, Over, SpaceDescriptor, UNIT,
                                space_from_json, space_from_obj,
                                space_to_json, space_to_obj)
 from interpolab.sv import (SvExpr, Const, EllPow, BrokenEll, IteratedEll,
@@ -79,6 +79,11 @@ LITERALS = [
     (AppMember(GrandLp(2.0, 1.0)),
      '{"kind": "app", "setting": "unit",'
      ' "space": {"alpha": 1.0, "kind": "grand", "p": 2.0}}'),
+    (Over((EndpointX0(), EndpointX1()), ThetaSpace(0.5, ONE, RiSpace(2.0))),
+     '{"couple": [{"kind": "x0", "setting": "full"},'
+     ' {"kind": "x1", "setting": "full"}], "desc": {"E": {"q": 2.0},'
+     ' "b": {"c": 1.0, "kind": "const"}, "kind": "theta", "setting": "full",'
+     ' "theta": 0.5}, "kind": "over"}'),
     (GrandLp(2.0, 1.0), '{"alpha": 1.0, "kind": "grand", "p": 2.0}'),
     (SmallLp(3.0, 0.5), '{"alpha": 0.5, "kind": "small", "p": 3.0}'),
     (UltraLp(2.0, EllPow(-0.5), RiSpace(INF)),
@@ -114,7 +119,7 @@ def test_literal_encoding(obj, text):
 def test_literals_cover_every_tag():
     tags = {o._kind for o, _ in LITERALS} - {None}
     assert tags == set(wire._TAGS)
-    assert len(tags) == 26
+    assert len(tags) == 27
 
 
 def test_public_wrappers_match_codec():
@@ -151,16 +156,10 @@ def test_every_concrete_class_has_a_tag(base):
 
 def _descriptors(d):
     """d and every descriptor and concrete space nested in it."""
-    if isinstance(d, _DerivedLSpace):
-        yield from _descriptors(d.desc)
-        for m in d.couple:
-            yield from _descriptors(m)
-        return
-    if isinstance(d, Intersection):
-        for m in d.members:
-            yield from _descriptors(m)
-        if any(isinstance(m, _DerivedLSpace) for m in d.members):
-            return
+    nested = d.members if isinstance(d, Intersection) else \
+        (*d.couple, d.desc) if isinstance(d, Over) else ()
+    for m in nested:
+        yield from _descriptors(m)
     if isinstance(d, AppMember):
         yield d.space
     yield d
@@ -170,9 +169,8 @@ def _built_objects():
     objs = []
     for name in scenario_names():
         sc = get_scenario(name)
-        for d in (sc.lhs, sc.rhs, sc.outer, *(sc.members or ())):
-            if d is not None:
-                objs.extend(_descriptors(d))
+        objs.extend(_descriptors(sc.lhs))
+        objs.extend(_descriptors(sc.rhs))
     for case in DEFAULT_CASES.values():
         objs.extend(case.members())
         objs.append(case.rho_params()[1])
@@ -192,7 +190,7 @@ def test_round_trip_of_built_descriptors():
         assert _base(obj).from_obj(json.loads(text)) == obj
         kinds.add(obj._kind)
     assert {"x0", "x1", "theta", "L", "R", "LL", "RR", "intersection",
-            "app", "product"} <= kinds
+            "app", "over", "product"} <= kinds
 
 
 def test_product_reads_any_number_of_args():

@@ -3,8 +3,8 @@
 Runs, in-process through ``interpolab.cli.main``:
 
 * ``verify holmstedt`` for each of the six cases at the default grid;
-* ``verify reiteration`` for ThmR_interior and ThmL_interior at
-  theta in {0, 0.5, 1};
+* ``verify reiteration`` for each of the six ThmR_*/ThmL_* cases at
+  theta in {0, 0.5, 1}, so every branch of ``reiterate`` on both sides;
 * ``verify identity`` for every registered scenario;
 * ``verify holmstedt`` for R_interior and L_interior at ``--grid 13,14``;
 * ``norm`` on a fixed set of descriptor files, written here as literal
@@ -41,7 +41,8 @@ import tempfile
 
 HOLMSTEDT = ("R_interior", "R_theta0_zero", "R_x0",
              "L_interior", "L_theta1_one", "L_x1")
-REITERATION = ("ThmR_interior", "ThmL_interior")
+REITERATION = ("ThmR_interior", "ThmR_theta0_zero", "ThmR_x0",
+               "ThmL_interior", "ThmL_theta1_one", "ThmL_x1")
 THETAS = ("0", "0.5", "1")
 FINE = ("R_interior", "L_interior")
 
