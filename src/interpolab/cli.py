@@ -17,7 +17,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .grid import Grid, L2
 from .sv import EllPow
-from .spaces import UNIT, AppMember, check_admissible, space_from_obj
+from .spaces import (UNIT, AppMember, check_admissible, contains,
+                     space_from_obj)
 from .kfun import k_peetre, norm_in_space
 from .holmstedt import CASES, DEFAULT_CASES
 from .reiteration import ReiterationCase, verify_reiteration
@@ -111,6 +112,12 @@ def cmd_norm(args) -> int:
     tmin = 1e-8 if args.tmin is None else args.tmin
     tmax = (1.0 if unit else 1e8) if args.tmax is None else args.tmax
     try:
+        if unit and tmax > 1.0:
+            raise ValueError(f"the unit setting lives on (0,1): --tmax "
+                             f"{tmax:g} is above 1")
+        if contains(desc, AppMember) and not (unit and tmax >= 1.0):
+            raise ValueError("concrete spaces live on (0,1): app members "
+                             "need the unit setting and --tmax 1")
         if unit:
             grid = Grid.from_bounds(tmin, tmax, n, truncated_low=True,
                                     truncated_high=tmax < 1.0)

@@ -25,7 +25,9 @@ The cuts are built and normed together: their profiles form a
 and norm_in_space works along the last axis of such a stack, with the
 edge-divergence test a closed-form least-squares fit per row
 (grid._edge_diverges).  Every row gives bit for bit what the same
-profile gives on its own.
+profile gives on its own.  Most cuts never attain the minimum, so they
+are normed in rounds, each refining only the gaps between normed cuts
+that the envelope of the pairs so far cannot rule out.
 
 norm_in_space evaluates a spaces.Over descriptor, a space over a
 derived couple, through such an oracle built from the f* the profile
@@ -47,7 +49,7 @@ from .grid import (Grid, GridFunction, lebesgue_prefix, log_norm_between,
 from .sv import sv_log_on_grid, SvDivergenceError
 from .spaces import (SpaceDescriptor, EndpointX0, EndpointX1, ThetaSpace,
                      LSpace, RSpace, LLSpace, RRSpace, Intersection,
-                     AppMember, Over)
+                     AppMember, Over, contains)
 
 NEG_INF = -np.inf
 
@@ -235,6 +237,8 @@ def _norms(K: KProfile, d: SpaceDescriptor, check: bool) -> np.ndarray:
 
 def _over(grid: Grid, f: np.ndarray, d: Over, check: bool) -> float:
     """d.desc over the couple d.couple, for the f* sampled as f."""
+    if grid.truncated_high and contains(d, AppMember):
+        raise ValueError("concrete spaces live on (0,1): use a unit grid")
     try:
         orc = TruncationOracle(GridFunction(grid, f), *d.couple,
                                max_cuts=_cut_cap(grid))
@@ -250,12 +254,19 @@ def _over(grid: Grid, f: np.ndarray, d: Over, check: bool) -> float:
 class TruncationOracle:
     """K(t, f; Y0, Y1) from truncation decompositions of f*.
 
-    A and B hold || g_c ||_{Y0} and || h_c ||_{Y1} for the kept cuts
-    (trivial splittings included); k_at evaluates min_c (A_c + t B_c).
-    The cut values are the distinct values of f*, at most max_cuts of
-    them, evenly spaced.  Their profiles K(., g_c) and K(., h_c) are
-    normed as row blocks of one array, each block within _BLOCK_ELEMS
-    elements, and a cut is kept when both its norms are finite.
+    A and B hold (|| f ||_{Y0}, 0) and (0, || f ||_{Y1}) when finite,
+    then (|| g_c ||_{Y0}, || h_c ||_{Y1}) for the normed cuts with both
+    finite, in cut order; k_at evaluates min_c (A_c + t B_c).  The cuts
+    are distinct values of f* in descending order (at most max_cuts,
+    evenly spaced), so A does not decrease along them and B does not
+    increase.  They are normed in rounds of row blocks within
+    _BLOCK_ELEMS elements: max(2, _BLOCK_ELEMS // n) evenly spaced cuts,
+    the first and last among them, then the midpoints of the gaps i < k
+    between normed cuts that are not dropped.  A gap with both ends
+    finite is dropped when A_i + t B_k, below every cut inside, is not
+    below the lower envelope of the finite pairs so far at any of its
+    vertices, so k_at, k_at_log, profile and trivial_gap keep the bits
+    of all the cuts.  Couples with app or over members norm every cut.
     """
 
     def __init__(self, fstar: GridFunction, Y0: SpaceDescriptor,
@@ -277,47 +288,44 @@ class TruncationOracle:
             idx = np.unique(np.linspace(0, len(cuts) - 1, max_cuts).astype(int))
             cuts = cuts[idx]
 
-        A, B = [], []
-        kp = KProfile(grid, logS, f)
-        # trivial decompositions
-        a0 = norm_in_space(kp, Y0)
-        if math.isfinite(a0):
-            A.append(a0)
-            B.append(0.0)
-        b0 = norm_in_space(kp, Y1)
-        if math.isfinite(b0):
-            A.append(0.0)
-            B.append(b0)
         # cut c keeps the j nodes where f* > c in g_c; the top value
         # gives g_c = 0 and is no cut
         j = np.searchsorted(-f, -cuts, side="left")
         cuts, j = cuts[j > 0], j[j > 0]
+        # rows 0 and 1: the trivial decompositions f + 0 and 0 + f
+        kp = KProfile(grid, logS, f)
+        A = np.r_[norm_in_space(kp, Y0), 0.0, np.zeros(len(cuts))]
+        B = np.r_[0.0, norm_in_space(kp, Y1), np.zeros(len(cuts))]
+        normed = np.arange(len(A)) < 2
         nodes = np.arange(grid.n)
-        rows = max(1, _BLOCK_ELEMS // grid.n)
-        for s in range(0, len(cuts), rows):
-            c = cuts[s:s + rows, None]
-            jc = j[s:s + rows, None]
-            kg = np.where(nodes < jc, S - c * t, S[jc - 1] - c * t[jc - 1])
-            kg = repair_k(grid, np.clip(kg, 0.0, None))
-            kh = np.clip(S - kg, 0.0, None)
-            with np.errstate(divide="ignore"):
-                a = norm_in_space(
-                    KProfile(grid, np.log(kg), np.maximum(f - c, 0.0)), Y0)
-                b = norm_in_space(
-                    KProfile(grid, np.log(kh), np.minimum(f, c)), Y1)
-            ok = np.isfinite(a) & np.isfinite(b)
-            A.extend(a[ok].tolist())
-            B.extend(b[ok].tolist())
-        if not A:
+        rows = max(2, _BLOCK_ELEMS // grid.n)
+        todo = 2 + np.unique(np.linspace(0, len(cuts) - 1,
+                                         min(rows, len(cuts))).astype(int))
+        if any(contains(y, (AppMember, Over)) for y in (Y0, Y1)):
+            # their norms as sampled need not be monotone along the cuts
+            todo = np.arange(2, len(A))
+        while len(todo):
+            for s in range(0, len(todo), rows):
+                r = todo[s:s + rows]
+                c, jc = cuts[r - 2, None], j[r - 2, None]
+                kg = np.where(nodes < jc, S - c * t, S[jc - 1] - c * t[jc - 1])
+                kg = repair_k(grid, np.clip(kg, 0.0, None))
+                kh = np.clip(S - kg, 0.0, None)
+                with np.errstate(divide="ignore"):
+                    A[r] = norm_in_space(KProfile(
+                        grid, np.log(kg), np.maximum(f - c, 0.0)), Y0)
+                    B[r] = norm_in_space(KProfile(
+                        grid, np.log(kh), np.minimum(f, c)), Y1)
+                normed[r] = True
+            todo = _next_cuts(A, B, normed)
+        ok = normed & np.isfinite(A) & np.isfinite(B)
+        self.A, self.B = A[ok], B[ok]
+        if not len(self.A):
             raise ValueError("no finite decomposition found: f outside Y0 + Y1")
-        self.A = np.asarray(A)
-        self.B = np.asarray(B)
 
     def k_at(self, tvals) -> np.ndarray:
         tvals = np.atleast_1d(np.asarray(tvals, dtype=float))
-        out = np.min(self.A[None, :] + tvals[:, None] * self.B[None, :],
-                     axis=1)
-        return out
+        return np.min(self.A + tvals[:, None] * self.B, axis=1)
 
     def k_at_log(self, xvals) -> np.ndarray:
         """log K at x = log t, robust to t outside float range."""
@@ -336,11 +344,41 @@ class TruncationOracle:
     def trivial_gap(self, tvals) -> np.ndarray:
         """How much the cut family beats the trivial splittings alone."""
         tvals = np.atleast_1d(np.asarray(tvals, dtype=float))
-        triv = np.full(tvals.shape, math.inf)
-        for a, b in zip(self.A, self.B):
-            if a == 0.0 or b == 0.0:
-                triv = np.minimum(triv, a + tvals * b)
+        t = (self.A == 0.0) | (self.B == 0.0)
+        triv = np.min(self.A[t] + tvals[:, None] * self.B[t], axis=1,
+                      initial=math.inf)
         return triv / self.k_at(tvals)
+
+
+def _vertices(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """t = 0 and each t where the line attaining min(a + t b) changes."""
+    o = np.lexsort((b, a))      # by a, keeping only each new lowest b
+    o = o[b[o] < np.minimum.accumulate(np.r_[np.inf, b[o][:-1]])]
+    a, b, hull, tv = a[o].tolist(), b[o].tolist(), [0], [0.0]
+    for k in range(1, len(a)):  # lower hull: drop lines that never attain
+        while (t := (a[k] - a[hull[-1]]) / (b[hull[-1]] - b[k])) <= tv[-1] \
+                and len(hull) > 1:
+            del hull[-1], tv[-1]
+        hull.append(k)
+        tv.append(t)
+    return np.asarray(tv)
+
+
+def _next_cuts(A, B, normed) -> np.ndarray:
+    """Rows to norm next: midpoints of the gaps between normed cuts not
+    dropped (see TruncationOracle), or all rows left if no pair is finite."""
+    fin = normed & np.isfinite(A) & np.isfinite(B)
+    if not fin.any():
+        return np.flatnonzero(~normed)
+    i, k = np.flatnonzero(normed)[:-1], np.flatnonzero(normed)[1:]
+    i, k = i[k > i + 1], k[k > i + 1]
+    keep = ~(fin[i] & fin[k])
+    if not keep.all():
+        tv = _vertices(A[fin], B[fin])
+        env = np.min(A[fin] + tv[:, None] * B[fin], axis=1)
+        keep[~keep] = ~np.all(A[i[~keep], None] + tv * B[k[~keep], None]
+                              >= env, axis=1)
+    return (i[keep] + k[keep]) // 2
 
 
 def k_oracle(fstar: GridFunction, Y0: SpaceDescriptor, Y1: SpaceDescriptor,

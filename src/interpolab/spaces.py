@@ -169,6 +169,18 @@ class Over(SpaceDescriptor, kind="over"):
         return self.desc.setting
 
 
+def parts(d: SpaceDescriptor) -> tuple:
+    """Intersection members, or an over's desc and couple; else ()."""
+    if isinstance(d, Intersection):
+        return d.members
+    return (d.desc, *d.couple) if isinstance(d, Over) else ()
+
+
+def contains(d: SpaceDescriptor, kinds) -> bool:
+    """Is d, or any descriptor it is built from, an instance of kinds?"""
+    return isinstance(d, kinds) or any(contains(m, kinds) for m in parts(d))
+
+
 # ---------------------------------------------------------------------
 # couple reversal
 # ---------------------------------------------------------------------
@@ -261,10 +273,8 @@ def check_admissible(d: SpaceDescriptor, grid: Grid | None = None) -> Admissibil
     Conditions are truncated integrals on a reference grid; a condition
     holds when the integral is finite under the edge-stability rule.
     """
-    if isinstance(d, (Intersection, Over)):
-        parts = d.members if isinstance(d, Intersection) else \
-            (d.desc, *d.couple)
-        reps = [check_admissible(m, grid) for m in parts]
+    if parts(d):
+        reps = [check_admissible(m, grid) for m in parts(d)]
         return AdmissibilityReport([c for r in reps for c in r.conditions],
                                    [n for r in reps for n in r.notes])
     if isinstance(d, (EndpointX0, EndpointX1)):

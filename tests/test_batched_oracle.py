@@ -3,7 +3,7 @@
 Every stacked path is checked against a one-at-a-time reference kept
 here: the least-squares edge test against the np.polyfit rule it
 replaced, stacked norms against the same norms row by row, and the
-oracle's A/B against the per-cut loop.
+oracle's pairs and K against the per-cut loop.
 """
 
 import math
@@ -283,7 +283,15 @@ def per_cut_oracle(fstar, Y0, Y1, max_cuts):
 
 
 def same_as_per_cut(fstar, Y0, Y1, max_cuts):
-    """Both builds fail alike, or agree bit for bit; returns len(A)."""
+    """Both builds fail alike, or give the same K bit for bit.
+
+    The oracle norms only the cuts that can attain K, so its A/B are
+    the per-cut loop's pairs with some cuts left out: the trivial
+    splittings first, then a subsequence of the cut pairs, each equal
+    bit for bit to the loop's value for that cut.  k_at on the grid and
+    k_at_log on a range wider than it equal the envelope of all the
+    loop's pairs.  Returns the loop's len(A).
+    """
     try:
         A, B = per_cut_oracle(fstar, Y0, Y1, max_cuts)
     except ValueError as e:
@@ -291,8 +299,18 @@ def same_as_per_cut(fstar, Y0, Y1, max_cuts):
             TruncationOracle(fstar, Y0, Y1, max_cuts=max_cuts)
         return 0
     orc = TruncationOracle(fstar, Y0, Y1, max_cuts=max_cuts)
-    assert np.array_equal(bits(orc.A), bits(A))
-    assert np.array_equal(bits(orc.B), bits(B))
+    triv = int(np.sum((A == 0.0) | (B == 0.0)))
+    assert np.array_equal(bits(orc.A[:triv]), bits(A[:triv]))
+    assert np.array_equal(bits(orc.B[:triv]), bits(B[:triv]))
+    rest = iter(zip(bits(A[triv:]).tolist(), bits(B[triv:]).tolist()))
+    for pair in zip(bits(orc.A[triv:]).tolist(), bits(orc.B[triv:]).tolist()):
+        assert pair in rest     # consumes the loop's pairs up to a match
+    full = object.__new__(TruncationOracle)
+    full.A, full.B = A, B
+    g = fstar.grid
+    xs = np.linspace(g.x[0] - 40.0, g.x[-1] + 40.0, 1001)
+    assert np.array_equal(bits(orc.k_at(g.t)), bits(full.k_at(g.t)))
+    assert np.array_equal(bits(orc.k_at_log(xs)), bits(full.k_at_log(xs)))
     return len(A)
 
 
@@ -318,6 +336,39 @@ def test_oracle_blocks_span_large_grids():
     y0, y1 = DEFAULT_CASES["R_interior"].members()
     f = corpus.sample("pow:2", g)
     assert same_as_per_cut(f, y0, y1, 9) > 4
+
+
+def test_oracle_norms_only_cuts_that_can_attain_k(monkeypatch):
+    # no cut of pow:2 beats the trivial splittings of the R_interior
+    # couple at any node: rounds of midpoints stop after a few cuts
+    g = full_grid(1 << 12)
+    y0, y1 = DEFAULT_CASES["R_interior"].members()
+    f = corpus.sample("pow:2", g)
+    normed = []
+
+    def counting(K, d, check=True):
+        if d is y0 and np.ndim(K.logk) == 2:
+            normed.append(len(K.logk))
+        return norm_in_space(K, d, check)
+
+    monkeypatch.setattr("interpolab.kfun.norm_in_space", counting)
+    orc = TruncationOracle(f, y0, y1, max_cuts=128)
+    assert 0 < len(orc.A) - 2 <= sum(normed) <= 32
+    monkeypatch.undo()
+    assert same_as_per_cut(f, y0, y1, 128) > 100
+
+
+def test_oracle_matches_per_cut_loop_past_dropped_top_cuts():
+    # the edge rule drops 8 top cuts of pow:2 in (X0, X1): pruning never
+    # reaches across them, and every other cut attains K somewhere; of
+    # the trivial splittings only (0, ||f||_{Linf}) is finite
+    g = full_grid(512)
+    f = corpus.sample("pow:2", g)
+    n_values = len(np.unique(f.values[f.values > 0]))
+    kept = same_as_per_cut(f, EndpointX0(), EndpointX1(), None)
+    assert kept == 1 + (n_values - 1) - 8
+    orc = TruncationOracle(f, EndpointX0(), EndpointX1())
+    assert len(orc.A) == kept
 
 
 # -- (d) cut cap and errors ----------------------------------------------

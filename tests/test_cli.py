@@ -229,6 +229,66 @@ def test_norm_bad_bounds_exit_1(tmp_path, capsys, setting, bound):
     assert captured.err.startswith("error: bad grid:")
 
 
+@pytest.mark.parametrize("tmax", ["1.5", "10", "1000"])
+def test_norm_unit_setting_rejects_tmax_above_1(tmp_path, capsys,
+                                                monkeypatch, tmax):
+    # the unit setting ends at t = 1: a longer grid would integrate past it
+    spath = _write_space(tmp_path / "theta.json",
+                         ThetaSpace(0.5, ONE, L1, UNIT))
+    assert main(["norm", "--space", spath, "--fn", "chi:0.5",
+                 "--grid", "9", "--tmax", "1"]) == 0
+    capsys.readouterr()
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr("interpolab.cli.Grid.from_bounds", no_grid)
+    code = main(["norm", "--space", spath, "--fn", "chi:0.5",
+                 "--grid", "9", "--tmax", tmax])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad grid:")
+
+
+def _app_descriptors():
+    from interpolab.applications import get_scenario
+    from interpolab.spaces import Intersection
+    over = get_scenario("small-grand-interior").lhs
+    return {"app": over.couple[0], "over": over,
+            "intersection": Intersection((ThetaSpace(0.5, ONE, L2, UNIT),
+                                          over.couple[1]))}
+
+
+@pytest.mark.parametrize("kind", ["app", "over", "intersection"])
+def test_norm_app_members_need_tmax_1(tmp_path, capsys, monkeypatch, kind):
+    # concrete spaces live on (0, 1); a shorter grid used to end in a
+    # traceback (app) or pass for a divergent norm (over)
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr("interpolab.cli.Grid.from_bounds", no_grid)
+    spath = _write_space(tmp_path / "app.json", _app_descriptors()[kind])
+    code = main(["norm", "--space", spath, "--fn", "chi:0.5",
+                 "--grid", "9", "--tmax", "0.5"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad grid: concrete spaces")
+
+
+def test_over_of_app_members_on_a_short_grid_is_an_error():
+    # the oracle guard in kfun reads a failed build as "f outside
+    # Y0 + Y1"; a grid that cuts (0, 1) short is a misuse instead
+    from interpolab import corpus
+    from interpolab.grid import Grid
+    from interpolab.kfun import k_peetre, norm_in_space
+    g = Grid.from_bounds(1e-8, 0.5, 512, truncated_low=True)
+    with pytest.raises(ValueError, match="use a unit grid"):
+        norm_in_space(k_peetre(corpus.sample("chi:0.5", g)),
+                      _app_descriptors()["over"])
+
+
 @pytest.mark.parametrize("argv", [
     ["reiteration", "--theta", "2"],
     ["reiteration", "--theta", "nan"],
