@@ -20,15 +20,16 @@ import math
 
 import numpy as np
 
-from .grid import (GridFunction, RiSpace, unit_grid,
-                   lebesgue_prefix, lebesgue_suffix, log_norm_upper)
+from .grid import (GridFunction, RiSpace, unit_grid, checked_norm,
+                   edge_diverges, lebesgue_prefix, lebesgue_suffix,
+                   log_norm_upper, _final)
 from .sv import (SvExpr, EllPow, NormTail, Power, Product, ONE,
                  sv_log_on_grid, compose_rho, SvDivergenceError)
 from .spaces import (SpaceDescriptor, ThetaSpace, LSpace, RSpace,
                      RRSpace, Intersection, EndpointX0, EndpointX1,
                      AppMember, Over, UNIT)
 from .wire import Wire
-from .kfun import _final, _full_norm, _div_low, _unstack
+from .kfun import _unstack
 from .reiteration import _sweep
 from .report import EquivalenceReport
 
@@ -93,6 +94,8 @@ class LinfQBeta(AppSpace, kind="linfq"):
     beta: float
 
     def validate(self):
+        if not self.q >= 1:
+            raise ValueError(f"q must be in [1, inf], got {self.q}")
         if math.isinf(self.q):
             if self.beta > 0:
                 raise ValueError("needs beta <= 0 when q = inf")
@@ -128,6 +131,8 @@ class AType(AppSpace, kind="atype"):
     E: RiSpace
 
     def validate(self):
+        if not self.p >= 1:
+            raise ValueError("A-type space needs p >= 1")
         if not self.alpha < 1:
             raise ValueError("A-type space needs alpha < 1")
         # l^(alpha-1) must lie in E~ near 0
@@ -146,6 +151,10 @@ class BType(AppSpace, kind="btype"):
     p: float
     alpha: float
     E: RiSpace
+
+    def validate(self):
+        if not self.p >= 1:
+            raise ValueError("B-type space needs p >= 1")
 
 
 def app_from_obj(o: dict) -> AppSpace:
@@ -193,18 +202,18 @@ def _norm_app(space: AppSpace, fstar: GridFunction) -> np.ndarray:
             inner = np.log(pref) / space.p
         lw = (space.alpha / _pp(space.p) - 1.0) * np.log1p(np.abs(x)) + inner
         return np.where(np.isfinite(pref).all(axis=-1),
-                        _full_norm(lw, 1.0, grid), math.inf)
+                        checked_norm(lw, 1.0, grid), math.inf)
 
     if isinstance(space, UltraLp):
         try:
             lw = x / space.p + sv_log_on_grid(space.b, grid) + lf
         except SvDivergenceError:
             return np.full(f.shape[:-1], math.inf)
-        return _full_norm(lw, space.E.q, grid)
+        return checked_norm(lw, space.E.q, grid)
 
     if isinstance(space, LinfQBeta):
         lw = space.beta * np.log1p(np.abs(x)) + lf
-        return _full_norm(lw, space.q, grid)
+        return checked_norm(lw, space.q, grid)
 
     if isinstance(space, GGamma):
         w2 = np.exp(space.w2pow * x + sv_log_on_grid(space.w2sv, grid))
@@ -222,14 +231,14 @@ def _norm_app(space: AppSpace, fstar: GridFunction) -> np.ndarray:
         li = x / space.p + _fss_log(fstar)
         inner = log_norm_upper(li, 1.0, grid.dx)
         lw = (space.alpha - 1.0) * np.log1p(np.abs(x)) + inner
-        return np.where(_div_low(li, 1.0, grid), math.inf,
-                        _full_norm(lw, space.E.q, grid))
+        return np.where(edge_diverges(li, 1.0, grid, "low"), math.inf,
+                        checked_norm(lw, space.E.q, grid))
 
     if isinstance(space, BType):
         lss = _fss_log(fstar)
         g = x / space.p + (space.alpha - 1.0) * np.log1p(np.abs(x)) + lss
         sup = np.maximum.accumulate(g, axis=-1)
-        return _full_norm(sup, space.E.q, grid)
+        return checked_norm(sup, space.E.q, grid)
 
     raise TypeError(f"unknown concrete space {type(space).__name__}")
 

@@ -65,34 +65,26 @@ def _hold_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
-def _parse_sizes(grid: str, n: str | None = None) -> tuple:
-    """Grid sizes from --grid (log2 exponents) or --n (raw sizes)."""
-    text = n or grid
+def _parse_log2n(grid: str) -> tuple:
+    """log2 grid sizes from --grid, a comma list of k in [8, 20]."""
     try:
-        sizes = tuple(int(s) for s in text.split(","))
+        log2n = tuple(int(s) for s in grid.split(","))
     except ValueError:
-        raise ValueError(f"bad grid size list {text!r}") from None
-    if not n:
-        if not all(8 <= k <= 20 for k in sizes):
-            raise ValueError(f"log2 grid sizes must be in [8, 20], "
-                             f"got {text!r}")
-        sizes = tuple(1 << k for k in sizes)
-    for size in sizes:
-        if size & (size - 1) or not (1 << 8) <= size <= (1 << 20):
-            raise ValueError(f"grid size {size} not a power of two in "
-                             "[2^8, 2^20]")
-    return sizes
+        raise ValueError(f"bad grid size list {grid!r}") from None
+    if not all(8 <= k <= 20 for k in log2n):
+        raise ValueError(f"log2 grid sizes must be in [8, 20], got {grid!r}")
+    return log2n
 
 
 def cmd_norm(args) -> int:
     try:
-        sizes = _parse_sizes(args.grid)
-        if len(sizes) != 1:
+        log2n = _parse_log2n(args.grid)
+        if len(log2n) != 1:
             raise ValueError(f"norm takes one grid size, got {args.grid!r}")
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    n, = sizes
+    n = 1 << log2n[0]
     try:
         with open(args.space) as fh:
             obj = json.load(fh)
@@ -176,7 +168,9 @@ def _finish(report, args, stem) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        sizes = _parse_sizes(args.grid, args.n)
+        log2n = _parse_log2n(args.grid)
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         if args.corpus:
             specs = corpus_mod.resolve_corpus(args.corpus)
             if not specs:
@@ -188,7 +182,6 @@ def cmd_verify(args) -> int:
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    log2n = tuple(int(math.log2(n)) for n in sizes)
     corpus = args.corpus
 
     if args.target == "holmstedt":
@@ -216,8 +209,10 @@ def cmd_verify(args) -> int:
               file=sys.stderr)
         return 1
     codes = []
-    if args.jobs > 1 and len(picked) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool forks all its workers at the first submit: no idle ones
+    workers = min(args.jobs, len(picked))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_run_identity,
                                     [(nm, log2n, corpus) for nm in picked]))
     else:
@@ -272,8 +267,6 @@ def main(argv=None) -> int:
                     help="outer theta for reiteration")
     pv.add_argument("--grid", default="9,10",
                     help="comma list of log2 grid sizes")
-    pv.add_argument("--n", default=None,
-                    help="comma list of raw grid sizes (overrides --grid)")
     pv.add_argument("--corpus", default=None,
                     help="'standard', inline 'spec;spec', or file path")
     pv.add_argument("--out", default=None, help="report output directory")

@@ -14,7 +14,11 @@ Two kinds of integral live here:
   after a shift by the max of their row (log_norm_between) or of their
   chunk of _CHUNK cells (the prefix scans, whose chunk totals are
   carried in log space), so nothing overflows; a row that cannot be
-  shifted safely goes through np.logaddexp term by term.
+  shifted safely goes through np.logaddexp term by term.  Whether such
+  an integral diverges past a truncated end of the grid is decided by
+  one function, edge_diverges, and the norm it checks is one function,
+  checked_norm; the other modules call these two rather than test the
+  grid's ends themselves.
 * plain Lebesgue integrals of nonnegative samples (used for the
   K-functional of the couple (L1, Linf) and a few inner norms in the
   concrete function spaces).  Those use a piecewise power-law model
@@ -312,13 +316,15 @@ def _lsq_line(u: np.ndarray, h: np.ndarray):
     return slope, np.einsum("...i,...i->...", r, r)
 
 
-def _edge_diverges(lw: np.ndarray, q: float, dx: float,
-                   x_edge: float, side: str) -> np.ndarray:
-    """Does int e^{q lw} dx (sup e^lw for q = inf) diverge past one edge?
+def edge_diverges(lw: np.ndarray, q: float, grid: Grid,
+                  side: str) -> np.ndarray:
+    """Does int e^{q lw} dx (sup e^lw for q = inf) diverge past one end?
 
-    lw holds one log integrand or a stack of them, (rows x m); its
-    first node (side='low') or last node ('high') stands in for 0 or
-    infinity and sits at x = x_edge.  One answer per row.
+    The one edge-divergence test.  lw holds one log integrand or a stack
+    of them, (rows x m), whose first node (side='low') or last node
+    ('high') is that end of grid; one answer per row, all False when the
+    end is a true edge of the domain rather than a stand-in for 0 or
+    infinity.
 
     The integrand is fit over a log(2)-wide strip at that edge by two
     local models, each by a closed-form least-squares line: e^{p x} (a
@@ -332,12 +338,17 @@ def _edge_diverges(lw: np.ndarray, q: float, dx: float,
     continuation past it diverges.
     """
     lw = np.asarray(lw, dtype=float)
+    dx = grid.dx
     k = max(2, int(math.ceil(math.log(2.0) / dx)))
-    if lw.shape[-1] - 1 <= k:
+    low = side == "low"
+    if not (grid.truncated_low if low else grid.truncated_high) \
+            or lw.shape[-1] - 1 <= k:
         return np.zeros(lw.shape[:-1], bool)
-    if side == "low":
+    if low:
+        x_edge = grid.x[0]
         h, x_far = lw[..., :k + 1], x_edge + k * dx
     else:
+        x_edge = grid.x[-1]
         h, x_far = lw[..., ::-1][..., :k + 1], x_edge - k * dx
     finite = np.isfinite(h).all(axis=-1)
     nan = np.isnan(h).any(axis=-1)
@@ -359,28 +370,38 @@ def _edge_diverges(lw: np.ndarray, q: float, dx: float,
     return nan | (~finite & (h[..., 0] != NEG_INF)) | (finite & div)
 
 
-def edge_divergent(lw: np.ndarray, q: float, dx: float,
-                   i0: int, i1: int, grid: Grid) -> bool:
-    """Divergence test at the truncated edges of the node range [i0, i1].
+def _final(logval) -> np.ndarray:
+    """exp of log norms: 0 for -inf, inf from 700 on.
 
-    Runs the edge test of _edge_diverges at each end of [i0, i1] that
-    is a truncated end of the grid.
+    math.exp value by value, not np.exp on the array: reports print
+    repr(float), and the two differ in the last bit for some arguments.
     """
-    if i1 <= i0:
-        return False
-    seg = lw[i0:i1 + 1]
-    if grid.truncated_low and i0 == 0 and _edge_diverges(
-            seg, q, dx, grid.x[i0], "low"):
-        return True
-    return bool(grid.truncated_high and i1 == grid.n - 1
-                and _edge_diverges(seg, q, dx, grid.x[i1], "high"))
+    v = np.asarray(logval, dtype=float)
+    out = [0.0 if lv == NEG_INF else math.exp(lv) if lv < 700 else math.inf
+           for lv in v.ravel().tolist()]
+    return np.reshape(out, v.shape)
 
 
-def _interval_to_nodes(grid: Grid, interval) -> tuple[int, int]:
-    lo, hi = interval
-    i0 = 0 if lo <= 0 else grid.index_of(lo)
-    i1 = grid.n - 1 if math.isinf(hi) else grid.index_of(hi)
-    return i0, i1
+def checked_norm(lw: np.ndarray, q: float, grid: Grid, i0: int = 0,
+                 i1: int | None = None, check: bool = True):
+    """|| e^lw ||_{L~q} over the node range [i0, i1] (default: all nodes).
+
+    The one checked truncated norm: log_norm_between, then _final, then
+    math.inf wherever check is on, an end of [i0, i1] is an end of the
+    grid, and edge_diverges fires there on lw[..., i0:i1 + 1].  An empty
+    range gives 0.  A float for one integrand, an array with one value
+    per row for a stack.
+    """
+    lw = np.asarray(lw, dtype=float)
+    i1 = grid.n - 1 if i1 is None else i1
+    val = _final(log_norm_between(lw, q, grid.dx, i0, i1))
+    if check and i1 > i0:
+        seg = lw[..., i0:i1 + 1]
+        if i0 == 0:
+            val = np.where(edge_diverges(seg, q, grid, "low"), math.inf, val)
+        if i1 == grid.n - 1:
+            val = np.where(edge_diverges(seg, q, grid, "high"), math.inf, val)
+    return float(val) if val.ndim == 0 else val
 
 
 def tilde_norm(g: GridFunction, E: RiSpace,
@@ -389,15 +410,12 @@ def tilde_norm(g: GridFunction, E: RiSpace,
 
     Interval ends snap to the nearest grid nodes (0 and inf mean the
     grid edges).  Returns math.inf when the divergence heuristic fires
-    at a truncated edge.
+    at a truncated edge (checked_norm).
     """
-    lw = g.log_values()
-    i0, i1 = _interval_to_nodes(g.grid, interval)
-    if check and edge_divergent(lw, E.q, g.grid.dx, i0, i1, g.grid):
-        return math.inf
-    v = log_norm_between(lw, E.q, g.grid.dx, i0, i1)
-    val = math.exp(v) if v < 700 else math.inf
-    return val
+    lo, hi = interval
+    i0 = 0 if lo <= 0 else g.grid.index_of(lo)
+    i1 = g.grid.n - 1 if math.isinf(hi) else g.grid.index_of(hi)
+    return checked_norm(g.log_values(), E.q, g.grid, i0, i1, check)
 
 
 def nested_tilde_norms(g: GridFunction, E: RiSpace, side: str) -> GridFunction:

@@ -22,12 +22,16 @@ the verification harnesses use it.
 
 The cuts are built and normed together: their profiles form a
 (cuts x n) array, taken in row blocks of at most _BLOCK_ELEMS elements,
-and norm_in_space works along the last axis of such a stack, with the
-edge-divergence test a closed-form least-squares fit per row
-(grid._edge_diverges).  Every row gives bit for bit what the same
-profile gives on its own.  Most cuts never attain the minimum, so they
-are normed in rounds, each refining only the gaps between normed cuts
-that the envelope of the pairs so far cannot rule out.
+and norm_in_space works along the last axis of such a stack.  Every
+truncated integral it takes goes through the one edge test,
+grid.edge_diverges (a closed-form least-squares fit per row), and the
+outer norm of each descriptor is the one checked norm,
+grid.checked_norm; the levels of a theta, L/R or LL/RR descriptor
+(spaces.levels) run through one loop from the inner level out.  Every
+row gives bit for bit what the same profile gives on its own.  Most
+cuts never attain the minimum, so they are normed in rounds, each
+refining only the gaps between normed cuts that the envelope of the
+pairs so far cannot rule out.
 
 norm_in_space evaluates a spaces.Over descriptor, a space over a
 derived couple, through such an oracle built from the f* the profile
@@ -44,12 +48,13 @@ import math
 
 import numpy as np
 
-from .grid import (Grid, GridFunction, lebesgue_prefix, log_norm_between,
-                   log_norm_lower, log_norm_upper, _edge_diverges, _running)
+from .grid import (Grid, GridFunction, lebesgue_prefix, log_norm_lower,
+                   log_norm_upper, checked_norm, edge_diverges, _final,
+                   _running)
 from .sv import sv_log_on_grid, SvDivergenceError
-from .spaces import (SpaceDescriptor, EndpointX0, EndpointX1, ThetaSpace,
-                     LSpace, RSpace, LLSpace, RRSpace, Intersection,
-                     AppMember, Over, contains)
+from .spaces import (SpaceDescriptor, EndpointX0, EndpointX1, LSpace,
+                     LLSpace, Intersection, AppMember, Over, contains,
+                     levels)
 
 NEG_INF = -np.inf
 
@@ -124,40 +129,6 @@ def kprofile_reverse(K: KProfile) -> KProfile:
 # (rows x n) and return numpy values with one entry per row; the public
 # entry points turn the single-profile answer back into a float.
 
-def _div_low(lw, q, grid) -> np.ndarray:
-    """Per row: does the integrand diverge past the low end of the grid?"""
-    if not grid.truncated_low:
-        return np.zeros(np.shape(lw)[:-1], bool)
-    return _edge_diverges(lw, q, grid.dx, grid.x[0], "low")
-
-
-def _div_high(lw, q, grid) -> np.ndarray:
-    """Per row: does the integrand diverge past the high end of the grid?"""
-    if not grid.truncated_high:
-        return np.zeros(np.shape(lw)[:-1], bool)
-    return _edge_diverges(lw, q, grid.dx, grid.x[-1], "high")
-
-
-def _final(logval) -> np.ndarray:
-    """exp of log norms: 0 for -inf, inf from 700 on.
-
-    math.exp value by value, not np.exp on the array: reports print
-    repr(float), and the two differ in the last bit for some arguments.
-    """
-    v = np.asarray(logval, dtype=float)
-    out = [0.0 if lv == NEG_INF else math.exp(lv) if lv < 700 else math.inf
-           for lv in v.ravel().tolist()]
-    return np.reshape(out, v.shape)
-
-
-def _full_norm(lw, q, grid, check=True) -> np.ndarray:
-    val = _final(log_norm_between(lw, q, grid.dx, 0, grid.n - 1))
-    if check:
-        val = np.where(_div_low(lw, q, grid) | _div_high(lw, q, grid),
-                       math.inf, val)
-    return val
-
-
 def _unstack(val):
     """A float for a single profile, the per-row array for a stack."""
     return float(val) if np.ndim(val) == 0 else val
@@ -178,44 +149,35 @@ def norm_in_space(K: KProfile, d: SpaceDescriptor, check: bool = True):
 def _norms(K: KProfile, d: SpaceDescriptor, check: bool) -> np.ndarray:
     grid = K.grid
     x = grid.x
-    dx = grid.dx
     logK = K.logk
     div = np.zeros(logK.shape[:-1], bool)   # rows found divergent
 
-    def edge(lw, q, low):
+    def edge(lw, q, side):
         nonlocal div
         if check:
-            div = div | (_div_low if low else _div_high)(lw, q, grid)
+            div = div | edge_diverges(lw, q, grid, side)
 
     try:
         if isinstance(d, EndpointX0):
             # || f ||_{L1} = K(inf); divergent if K has not saturated
-            edge(logK, math.inf, low=False)
+            edge(logK, math.inf, "high")
             val = _final(np.max(logK, axis=-1))
         elif isinstance(d, EndpointX1):
             # || f ||_{Linf} = lim K(t)/t as t -> 0
             lw = logK - x
-            edge(lw, math.inf, low=True)
+            edge(lw, math.inf, "low")
             val = _final(np.max(lw, axis=-1))
-        elif isinstance(d, ThetaSpace):
-            lw = -d.theta * x + sv_log_on_grid(d.b, grid) + logK
-            val = _full_norm(lw, d.E.q, grid, check)
-        elif isinstance(d, (LSpace, RSpace)):
-            low = isinstance(d, LSpace)
-            nested = log_norm_lower if low else log_norm_upper
-            li = -d.theta * x + sv_log_on_grid(d.a, grid) + logK
-            edge(li, d.F.q, low)
-            lw = sv_log_on_grid(d.b, grid) + nested(li, d.F.q, dx)
-            val = _full_norm(lw, d.E.q, grid, check)
-        elif isinstance(d, (LLSpace, RRSpace)):
-            low = isinstance(d, LLSpace)
-            nested = log_norm_lower if low else log_norm_upper
-            li = -d.theta * x + sv_log_on_grid(d.a, grid) + logK
-            edge(li, d.G.q, low)
-            mid = sv_log_on_grid(d.b, grid) + nested(li, d.G.q, dx)
-            edge(mid, d.F.q, low)
-            lw = sv_log_on_grid(d.c, grid) + nested(mid, d.F.q, dx)
-            val = _full_norm(lw, d.E.q, grid, check)
+        elif lv := levels(d):
+            # theta, L/R, LL/RR: from the inner level out, each level
+            # weights the prefix (L, LL) or suffix (R, RR) norms of the
+            # level inside it
+            side = "low" if isinstance(d, (LSpace, LLSpace)) else "high"
+            nested = log_norm_lower if side == "low" else log_norm_upper
+            lw = -d.theta * x + sv_log_on_grid(lv[0][0], grid) + logK
+            for (_, F), (w, _) in zip(lv, lv[1:]):
+                edge(lw, F.q, side)
+                lw = sv_log_on_grid(w, grid) + nested(lw, F.q, grid.dx)
+            val = checked_norm(lw, lv[-1][1].q, grid, check=check)
         elif isinstance(d, Intersection):
             return np.maximum.reduce([_norms(K, m, check) for m in d.members])
         elif isinstance(d, (AppMember, Over)):

@@ -30,9 +30,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grid import (Grid, RiSpace, full_grid, unit_grid, edge_divergent,
-                   log_norm_lower, log_norm_upper, log_norm_between,
-                   _edge_diverges)
+from .grid import (Grid, RiSpace, full_grid, unit_grid, checked_norm,
+                   edge_diverges, log_norm_lower, log_norm_upper)
 from .sv import SvExpr, sv_log_on_grid, inverse_arg, SvDivergenceError
 from .wire import Wire, to_json
 
@@ -181,6 +180,16 @@ def contains(d: SpaceDescriptor, kinds) -> bool:
     return isinstance(d, kinds) or any(contains(m, kinds) for m in parts(d))
 
 
+def levels(d: SpaceDescriptor) -> tuple:
+    """(weight, space) of each level of a theta, L/R or LL/RR descriptor,
+    from the inner level out; () for the other kinds."""
+    if isinstance(d, (LLSpace, RRSpace)):
+        return ((d.a, d.G), (d.b, d.F), (d.c, d.E))
+    if isinstance(d, (LSpace, RSpace)):
+        return ((d.a, d.F), (d.b, d.E))
+    return ((d.b, d.E),) if isinstance(d, ThetaSpace) else ()
+
+
 # ---------------------------------------------------------------------
 # couple reversal
 # ---------------------------------------------------------------------
@@ -237,16 +246,7 @@ class AdmissibilityReport:
         return all(c.ok for c in self.conditions)
 
 
-def _norm_piece(lw, q, dx, i0, i1, grid):
-    """Norm over node range, inf when divergent at a truncated grid edge."""
-    if edge_divergent(lw, q, dx, i0, i1, grid):
-        return math.inf
-    v = log_norm_between(lw, q, dx, i0, i1)
-    return math.exp(v) if v < 700 else math.inf
-
-
-def _nested_cond(la, lb, qF, qE, dx, grid, low, from_one, outer_range,
-                 i_one):
+def _nested_cond(la, lb, qF, qE, grid, low, from_one, outer_range, i_one):
     """Conditions of shape || b(t) || a ||_{F~(I(t))} ||_{E~(J)}.
 
     I(t) is (0,t) if low, else (t,inf); from_one starts it at 1 instead:
@@ -256,15 +256,12 @@ def _nested_cond(la, lb, qF, qE, dx, grid, low, from_one, outer_range,
     if from_one:
         part = slice(i_one, None) if low else slice(None, i_one + 1)
         inner = np.full(len(la), -np.inf)
-        inner[part] = norm(la[part], qF, dx)
+        inner[part] = norm(la[part], qF, grid.dx)
     else:
-        inner = norm(la, qF, dx)
-        truncated = grid.truncated_low if low else grid.truncated_high
-        if truncated and _edge_diverges(la, qF, dx, grid.x[0 if low else -1],
-                                        "low" if low else "high"):
+        inner = norm(la, qF, grid.dx)
+        if edge_diverges(la, qF, grid, "low" if low else "high"):
             return math.inf
-    lo, hi = outer_range
-    return _norm_piece(lb + inner, qE, dx, lo, hi, grid)
+    return checked_norm(lb + inner, qE, grid, *outer_range)
 
 
 def check_admissible(d: SpaceDescriptor, grid: Grid | None = None) -> AdmissibilityReport:
@@ -289,7 +286,6 @@ def check_admissible(d: SpaceDescriptor, grid: Grid | None = None) -> Admissibil
     unit = d.setting == UNIT
     if grid is None:
         grid = unit_grid(4097) if unit else full_grid(4097)
-    dx = grid.dx
     n = grid.n
     i_one = grid.index_of(1.0)
     conds: list[Condition] = []
@@ -300,7 +296,7 @@ def check_admissible(d: SpaceDescriptor, grid: Grid | None = None) -> Admissibil
             lw = sv_log_on_grid(expr, grid)
         except SvDivergenceError:
             return math.inf
-        return _norm_piece(lw, q, dx, lo, hi, grid)
+        return checked_norm(lw, q, grid, lo, hi)
 
     if isinstance(d, ThetaSpace):
         if d.theta == 0.0 and not unit:
@@ -343,7 +339,7 @@ def check_admissible(d: SpaceDescriptor, grid: Grid | None = None) -> Admissibil
         if d.theta == theta_far:
             conds.append(Condition(
                 f"||b(t)||a||_{{F~{in_far}}}||_{{E~{far}}}",
-                _nested_cond(la, lb, F_in.q, d.E.q, dx, grid, low,
+                _nested_cond(la, lb, F_in.q, d.E.q, grid, low,
                              True, nodes[far], i_one)))
             conds.append(Condition(f"||ab||_{{E~{far}}}",
                                    norm_of(d.a * b_out, d.E.q,
@@ -351,7 +347,7 @@ def check_admissible(d: SpaceDescriptor, grid: Grid | None = None) -> Admissibil
     if d.theta == 1.0 - theta_far and not (unit and near == "(1,inf)"):
         conds.append(Condition(
             f"||b(t)||a||_{{F~{in_near}}}||_{{E~{near}}}",
-            _nested_cond(la, lb, F_in.q, d.E.q, dx, grid, low,
+            _nested_cond(la, lb, F_in.q, d.E.q, grid, low,
                          False, nodes[near], i_one)))
     return AdmissibilityReport(conds, notes)
 

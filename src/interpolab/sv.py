@@ -24,8 +24,8 @@ import math
 
 import numpy as np
 
-from .grid import (Grid, RiSpace, log_norm_lower, log_norm_upper,
-                   _edge_diverges)
+from .grid import (Grid, RiSpace, edge_diverges, log_norm_lower,
+                   log_norm_upper)
 from .wire import Wire, to_json
 
 
@@ -187,9 +187,7 @@ def _tail_table(expr: NormTail, grid: Grid) -> np.ndarray:
     lb = sv_log_on_grid(expr.b, grid)
     low = expr.side == "lower"
     # only the edge the norm runs towards: 0 for the lower, inf the upper
-    if (grid.truncated_low if low else grid.truncated_high) and \
-            _edge_diverges(lb, expr.E.q, grid.dx, grid.x[0 if low else -1],
-                           "low" if low else "high"):
+    if edge_diverges(lb, expr.E.q, grid, "low" if low else "high"):
         raise SvDivergenceError(
             f"{expr.side} tail norm of {expr.b!r} in L_{expr.E.q} "
             f"diverges at {'0' if low else 'inf'}")

@@ -14,14 +14,14 @@ import pytest
 from interpolab import corpus
 from interpolab.grid import (GridFunction, Grid, RiSpace, L1, L2, LINF,
                              full_grid, unit_grid, lebesgue_prefix, rearrange,
-                             edge_divergent, _edge_diverges,
-                             _EDGE_PTOL, _EDGE_STOL)
+                             checked_norm, edge_diverges, log_norm_between,
+                             _final, _EDGE_PTOL, _EDGE_STOL)
 from interpolab.sv import EllPow, ONE, NormTail
 from interpolab.spaces import (EndpointX0, EndpointX1, ThetaSpace, LSpace,
                                RSpace, LLSpace, RRSpace, Intersection,
                                AppMember, FULL, UNIT)
 from interpolab.kfun import (KProfile, k_peetre, norm_in_space,
-                             TruncationOracle, repair_k, _final)
+                             TruncationOracle, repair_k)
 from interpolab.applications import (GrandLp, SmallLp, UltraLp, LinfQBeta,
                                      GGamma, AType, BType, norm_app,
                                      get_scenario)
@@ -114,36 +114,59 @@ def test_edge_kernel_matches_polyfit_rule(grid):
     stack = _strip_rows(grid.x, rng)
     dx = grid.dx
     k = max(2, int(math.ceil(math.log(2.0) / dx)))
+    # the same nodes with both ends truncated, so that every edge of the
+    # three grids runs the kernel
+    cut = Grid(grid.x[0], grid.x[-1], grid.n)
+    assert np.array_equal(cut.x, grid.x) and cut.dx == dx
     checked = 0
     for q in (1.0, 2.0, 4.0, math.inf):
         for side in ("low", "high"):
             x_edge = grid.x[0] if side == "low" else grid.x[-1]
             x_far = x_edge + k * dx if side == "low" else x_edge - k * dx
-            got = _edge_diverges(stack, q, dx, x_edge, side)
+            got = edge_diverges(stack, q, cut, side)
             assert got.shape == (len(stack),)
             for row, g in zip(stack, got):
                 h = row[:k + 1] if side == "low" else row[::-1][:k + 1]
                 assert bool(g) == polyfit_rule(h, x_edge, x_far, q), \
                     (q, side, h)
-                assert _edge_diverges(row, q, dx, x_edge, side) == g
+                assert edge_diverges(row, q, cut, side) == g
                 checked += 1
     assert checked == 8 * len(stack)
 
 
-def test_edge_divergent_is_a_bool_wrapper():
+def test_checked_norm_on_sub_ranges():
     g = full_grid(1024)
     ell = np.log1p(np.abs(g.x))
-    for lw in (-2.0 * ell, -0.5 * ell, 0.5 * g.x, np.zeros(g.n)):
-        for i0, i1 in ((0, g.n - 1), (0, g.n // 2), (g.n // 2, g.n - 1),
-                       (5, 5), (0, 3)):
-            out = edge_divergent(lw, 1.0, g.dx, i0, i1, g)
-            assert type(out) is bool
-            seg = lw[i0:i1 + 1]
-            expect = (i0 == 0 and bool(_edge_diverges(
-                seg, 1.0, g.dx, g.x[i0], "low"))) or \
-                (i1 == g.n - 1 and bool(_edge_diverges(
-                    seg, 1.0, g.dx, g.x[i1], "high")))
-            assert out == expect
+    stack = np.stack([-2.0 * ell, -0.5 * ell, 0.5 * g.x, np.zeros(g.n)])
+    for i0, i1 in ((0, g.n - 1), (0, g.n // 2), (g.n // 2, g.n - 1),
+                   (5, 5), (0, 3)):
+        seg = stack[:, i0:i1 + 1]
+        div = np.zeros(len(stack), bool)
+        if i1 > i0 and i0 == 0:
+            div |= edge_diverges(seg, 1.0, g, "low")
+        if i1 > i0 and i1 == g.n - 1:
+            div |= edge_diverges(seg, 1.0, g, "high")
+        want = np.where(div, math.inf, _final(
+            log_norm_between(stack, 1.0, g.dx, i0, i1)))
+        got = checked_norm(stack, 1.0, g, i0, i1)
+        assert np.array_equal(bits(got), bits(want)), (i0, i1)
+        for lw, w in zip(stack, want):
+            out = checked_norm(lw, 1.0, g, i0, i1)
+            assert type(out) is float and bits([out]) == bits([w])
+        unchecked = checked_norm(stack, 1.0, g, i0, i1, check=False)
+        assert np.array_equal(bits(unchecked), bits(_final(
+            log_norm_between(stack, 1.0, g.dx, i0, i1))))
+    # over the whole line l^-2 converges, l^-1/2, t^1/2 (at infinity) and
+    # 1 diverge; a range that stops short of both ends is never tested
+    assert np.isinf(checked_norm(stack, 1.0, g)).tolist() == \
+        [False, True, True, True]
+    assert np.isfinite(checked_norm(stack, 1.0, g, 1, g.n - 2)).all()
+    # t = 1 ends the unit grid: never tested, all False in the row shape
+    u = unit_grid(1024)
+    rows = np.stack([2.0 * u.x, np.zeros(u.n), np.full(u.n, np.nan)])
+    for q in (1.0, math.inf):
+        out = edge_diverges(rows.reshape(3, 1, u.n), q, u, "high")
+        assert out.shape == (3, 1) and not out.any()
 
 
 # -- (b) stacked norms ---------------------------------------------------

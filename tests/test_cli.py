@@ -74,9 +74,58 @@ def test_norm_bad_function_spec(tmp_path, capsys):
 
 def test_verify_bad_grid_size(capsys):
     code = main(["verify", "identity", "--name", "ultra-as-theta",
-                 "--n", "1000"])
+                 "--grid", "21"])
     assert code == 1
-    assert "power of two" in capsys.readouterr().err
+    assert "must be in [8, 20]" in capsys.readouterr().err
+
+
+class _FakePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs
+    the calls in this process."""
+    started: list = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(it) for it in items]
+
+
+@pytest.mark.parametrize("name,jobs,workers", [
+    ("all", "64", "all"), ("all", "3", [3]), ("all", "1", []),
+    ("ultra-as-theta", "8", [])])
+def test_verify_identity_jobs_start_at_most_one_worker_per_scenario(
+        capsys, monkeypatch, name, jobs, workers):
+    from interpolab.report import EquivalenceReport
+    monkeypatch.setattr(_FakePool, "started", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(cli, "_run_identity",
+                        lambda payload: EquivalenceReport(payload[0]))
+    n = len(cli.app_mod.scenario_names()) if name == "all" else 1
+    main(["verify", "identity", "--name", name, "--jobs", jobs])
+    out = capsys.readouterr().out
+    assert _FakePool.started == ([n] if workers == "all" else workers)
+    assert len(out.strip().splitlines()) == n
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_jobs_below_1_exits_1(capsys, monkeypatch, jobs):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_sweep)
+    monkeypatch.setattr(cli, "_run_identity", no_sweep)
+    code = main(["verify", "identity", "--name", "all", "--jobs", jobs])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: --jobs must be at least 1")
 
 
 def test_verify_identity_writes_deterministic_csv(tmp_path, capsys):
@@ -159,6 +208,30 @@ def test_norm_bad_descriptor_exits_1(tmp_path, capsys, obj):
     code = _norm_of_literal(tmp_path, obj)
     assert code == 1
     assert "bad descriptor field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("space,msg", [
+    ({"kind": "linfq", "q": 0, "beta": -1}, "q must be in [1, inf], got 0.0"),
+    ({"kind": "linfq", "q": 0.5, "beta": -3},
+     "q must be in [1, inf], got 0.5"),
+    ({"kind": "atype", "p": 0.5, "alpha": 0, "E": {"q": 2}},
+     "A-type space needs p >= 1"),
+    ({"kind": "atype", "p": 0, "alpha": 0, "E": {"q": 2}},
+     "A-type space needs p >= 1"),
+    ({"kind": "btype", "p": 0, "alpha": 0, "E": {"q": 2}},
+     "B-type space needs p >= 1"),
+    ({"kind": "btype", "p": -1, "alpha": 0, "E": {"q": 2}},
+     "B-type space needs p >= 1"),
+], ids=["linfq-q0", "linfq-q-half", "atype-p-half", "atype-p0",
+        "btype-p0", "btype-p-neg"])
+def test_norm_bad_concrete_space_parameters(tmp_path, capsys, space, msg):
+    # q = 0 ended in a ZeroDivisionError traceback; the others passed
+    # validation and printed a number, or numpy warnings and "divergent"
+    code = _norm_of_literal(tmp_path, {"kind": "app", "space": space})
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    assert captured.out == f"admissibility: FAILED ({msg})\n"
 
 
 def _over_descriptors():

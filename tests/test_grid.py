@@ -9,7 +9,8 @@ from interpolab.grid import (Grid, GridFunction, L1, L2, LINF, RiSpace,
                              full_grid, unit_grid, tilde_norm,
                              nested_tilde_norms, lebesgue_prefix,
                              lebesgue_suffix, rearrange, double_star,
-                             edge_divergent, log_norm_lower, log_norm_upper,
+                             checked_norm, edge_diverges, log_norm_lower,
+                             log_norm_upper,
                              log_norm_between, _logaddexp_scan,
                              _shifted_scan, _CHUNK, _GUARD)
 
@@ -263,7 +264,7 @@ def test_wide_chunk_takes_reference_path():
 # -- edge divergence ---------------------------------------------------
 
 def _low_edge(g, lw, q):
-    return edge_divergent(lw, q, g.dx, 0, g.n - 1, g)
+    return bool(edge_diverges(lw, q, g, "low"))
 
 
 def test_edge_divergence_low_integrals():
@@ -294,8 +295,10 @@ def test_edge_divergence_high_edge():
     # check the high edge in isolation by starting the interval mid-grid
     lw_dec = -2.0 * g.x
     lw_flat = np.zeros(g.n)
-    assert not edge_divergent(lw_dec, 1.0, g.dx, mid, g.n - 1, g)
-    assert edge_divergent(lw_flat, 1.0, g.dx, mid, g.n - 1, g)
+    assert not edge_diverges(lw_dec[mid:], 1.0, g, "high")
+    assert edge_diverges(lw_flat[mid:], 1.0, g, "high")
+    assert math.isfinite(checked_norm(lw_dec, 1.0, g, mid))
+    assert checked_norm(lw_flat, 1.0, g, mid) == math.inf
 
 
 def test_edge_divergence_respects_true_edges():
@@ -303,7 +306,8 @@ def test_edge_divergence_respects_true_edges():
     g = unit_grid(1024)
     assert not g.truncated_high
     lw_grow = 2.0 * g.x        # grows toward t = 1, harmless
-    assert not edge_divergent(lw_grow, 1.0, g.dx, 0, g.n - 1, g)
+    assert not edge_diverges(lw_grow, 1.0, g, "high")
+    assert math.isfinite(checked_norm(lw_grow, 1.0, g))
 
 
 def test_tilde_norm_divergence_returns_inf():

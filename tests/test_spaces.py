@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from interpolab.grid import (L1, L2, LINF, full_grid, unit_grid,
-                             log_norm_lower, log_norm_upper, _edge_diverges)
+                             checked_norm, edge_diverges, log_norm_lower,
+                             log_norm_upper)
 from interpolab.sv import (EllPow, BrokenEll, ExpLogPow, InverseArg, ONE,
                            Power, sv_log_on_grid)
 from interpolab.spaces import (EndpointX0, EndpointX1, ThetaSpace, LSpace,
                                RSpace, LLSpace, RRSpace, Intersection,
                                FULL, UNIT, couple_reverse, check_admissible,
-                               space_to_json, space_from_json, _norm_piece)
+                               space_to_json, space_from_json)
 from interpolab.kfun import k_peetre, norm_in_space, kprofile_reverse
 from interpolab import corpus
 from interpolab.holmstedt import DEFAULT_CASES
@@ -145,8 +146,7 @@ def _nested_ref(la, lb, qF, qE, dx, grid, inner_side, inner_from_one,
             inner[i_one:] = log_norm_lower(la[i_one:], qF, dx)
         else:
             inner = log_norm_lower(la, qF, dx)
-            if grid.truncated_low and _edge_diverges(la, qF, dx,
-                                                     grid.x[0], "low"):
+            if edge_diverges(la, qF, grid, "low"):
                 return math.inf
     else:
         if inner_from_one:
@@ -154,11 +154,10 @@ def _nested_ref(la, lb, qF, qE, dx, grid, inner_side, inner_from_one,
             inner[:i_one + 1] = log_norm_upper(la[:i_one + 1], qF, dx)
         else:
             inner = log_norm_upper(la, qF, dx)
-            if grid.truncated_high and _edge_diverges(la, qF, dx,
-                                                      grid.x[n - 1], "high"):
+            if edge_diverges(la, qF, grid, "high"):
                 return math.inf
     lo, hi = outer_range
-    return _norm_piece(lb + inner, qE, dx, lo, hi, grid)
+    return checked_norm(lb + inner, qE, grid, lo, hi)
 
 
 def _admissible_ref(d, grid):
@@ -168,7 +167,7 @@ def _admissible_ref(d, grid):
     conds, notes = [], []
 
     def norm_of(expr, q, lo, hi):
-        return _norm_piece(sv_log_on_grid(expr, grid), q, dx, lo, hi, grid)
+        return checked_norm(sv_log_on_grid(expr, grid), q, grid, lo, hi)
 
     nested = isinstance(d, (LLSpace, RRSpace))
     b_out = d.c if nested else d.b
