@@ -14,7 +14,7 @@ def show(rep):
     win = max(rep.window(n) for n in rep.sizes())
     print(f"  {rep.case:24s} window={win:8.3f} "
           f"stability={rep.stability():.4f} "
-          f"rows={len(rep.rows)} excluded={len(rep.excluded)}")
+          f"rows={rep.n_rows} excluded={len(rep.excluded)}")
 
 
 def main():

@@ -2,7 +2,10 @@
 
 Exit codes: 0 success / verification within thresholds, 1 input error,
 2 inadmissible or trivial space, 3 verification window or stability
-exceeded.
+exceeded.  A usage error (an unknown or missing option, a bad choice)
+exits with argparse's code 2 and its usage message; options must be
+spelled out in full, since a prefix such as --win is not taken for
+--window-max.
 """
 
 from __future__ import annotations
@@ -161,7 +164,7 @@ def _finish(report, args, stem) -> int:
     if args.out:
         report.write(args.out, stem)
     print(f"{report.case}: window={win:.4g} stability={stab:.4g} "
-          f"rows={len(report.rows)} excluded={len(report.excluded)}")
+          f"rows={report.n_rows} excluded={len(report.excluded)}")
     ok = win <= args.window_max and stab <= args.stability_max
     return 0 if ok else 3
 
@@ -244,11 +247,12 @@ def _run_identity(payload):
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
-        prog="interpolab",
+        prog="interpolab", allow_abbrev=False,
         description="K-functional norms and verification reports")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    pn = sub.add_parser("norm", help="evaluate a descriptor norm")
+    pn = sub.add_parser("norm", allow_abbrev=False,
+                        help="evaluate a descriptor norm")
     pn.add_argument("--space", required=True, help="descriptor JSON path")
     pn.add_argument("--fn", required=True, help="function spec "
                     "(chi:a | pow:r | powlog:r,m | log:m | csv:PATH)")
@@ -257,7 +261,8 @@ def main(argv=None) -> int:
     pn.add_argument("--tmax", type=float)
     pn.set_defaults(fn_=cmd_norm)
 
-    pv = sub.add_parser("verify", help="run a verification scenario")
+    pv = sub.add_parser("verify", allow_abbrev=False,
+                        help="run a verification scenario")
     pv.add_argument("target", choices=("holmstedt", "reiteration",
                                        "identity"))
     pv.add_argument("--case", default="R_interior",

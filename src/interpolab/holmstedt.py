@@ -37,7 +37,7 @@ from .sv import (SvExpr, ONE, EllPow, Power, Product, NormTail,
                  inverse_arg, sv_log_on_grid, SvDivergenceError)
 from .spaces import (ThetaSpace, LSpace, RSpace, EndpointX0, FULL,
                      couple_reverse)
-from .kfun import KProfile, TruncationOracle, k_peetre, _cut_cap
+from .kfun import KProfile, TruncationOracle, _cut_cap
 from .report import EquivalenceReport
 from . import corpus as corpus_mod
 
@@ -183,8 +183,10 @@ def verify_holmstedt(case: HolmstedtCase, corpus=None, log2n=(9, 10),
     """Measure LHS/RHS over a corpus and a sweep of split points u.
 
     LHS is K(rho(u), f; Y0, Y1) from a truncation oracle over the member
-    couple; RHS is the explicit split expression.  One report row per
-    (prototype, grid size, u).
+    couple; RHS is the explicit split expression over the oracle's
+    K(., f; X0, X1) profile.  One report row per (prototype, grid size,
+    u) with both sides finite and positive, added in one block per
+    (prototype, grid size).
     """
     y0, y1 = case.members()
     rep = EquivalenceReport(case.kind)
@@ -204,19 +206,16 @@ def verify_holmstedt(case: HolmstedtCase, corpus=None, log2n=(9, 10),
                 rep.exclude(spec, str(e))
                 continue
             try:
-                lrho, lrhs = holmstedt_rhs(case, k_peetre(fstar))
+                lrho, lrhs = holmstedt_rhs(case, orc.kprofile)
             except SvDivergenceError as e:
                 rep.exclude(spec, str(e))
                 continue
             live = idx[np.isfinite(lrho[idx]) & np.isfinite(lrhs[idx])]
-            lhs_all = np.exp(orc.k_at_log(lrho[live]))
-            rhs_all = np.exp(lrhs[live])
-            added = 0
-            for i, lhs, rhs in zip(live, lhs_all.tolist(), rhs_all.tolist()):
-                if not (math.isfinite(lhs) and lhs > 0 and rhs > 0):
-                    continue
-                rep.add(spec, n, float(grid.t[i]), lhs, rhs)
-                added += 1
-            if not added:
+            lhs = np.exp(orc.k_at_log(lrho[live]))
+            rhs = np.exp(lrhs[live])
+            ok = np.isfinite(lhs) & (lhs > 0) & (rhs > 0)
+            if not ok.any():
                 rep.exclude(spec, f"no admissible split points at n={n}")
+                continue
+            rep.add_rows(spec, n, grid.t[live[ok]], lhs[ok], rhs[ok])
     return rep

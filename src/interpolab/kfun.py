@@ -228,7 +228,12 @@ class TruncationOracle:
     finite is dropped when A_i + t B_k, below every cut inside, is not
     below the lower envelope of the finite pairs so far at any of its
     vertices, so k_at, k_at_log, profile and trivial_gap keep the bits
-    of all the cuts.  Couples with app or over members norm every cut.
+    of all the cuts.  Couples with app or over members norm every cut;
+    they are also the only ones that read the pieces g_c and h_c as
+    functions, so only for them are those (rows x n) arrays built.
+
+    kprofile is K(., f; X0, X1), the profile the trivial splittings are
+    normed from: bit for bit what k_peetre(fstar) gives.
     """
 
     def __init__(self, fstar: GridFunction, Y0: SpaceDescriptor,
@@ -255,7 +260,7 @@ class TruncationOracle:
         j = np.searchsorted(-f, -cuts, side="left")
         cuts, j = cuts[j > 0], j[j > 0]
         # rows 0 and 1: the trivial decompositions f + 0 and 0 + f
-        kp = KProfile(grid, logS, f)
+        self.kprofile = kp = KProfile(grid, logS, f)
         A = np.r_[norm_in_space(kp, Y0), 0.0, np.zeros(len(cuts))]
         B = np.r_[0.0, norm_in_space(kp, Y1), np.zeros(len(cuts))]
         normed = np.arange(len(A)) < 2
@@ -263,8 +268,10 @@ class TruncationOracle:
         rows = max(2, _BLOCK_ELEMS // grid.n)
         todo = 2 + np.unique(np.linspace(0, len(cuts) - 1,
                                          min(rows, len(cuts))).astype(int))
-        if any(contains(y, (AppMember, Over)) for y in (Y0, Y1)):
-            # their norms as sampled need not be monotone along the cuts
+        # app and over members are the only ones that read the f* rows;
+        # their norms as sampled need not be monotone along the cuts
+        concrete = any(contains(y, (AppMember, Over)) for y in (Y0, Y1))
+        if concrete:
             todo = np.arange(2, len(A))
         while len(todo):
             for s in range(0, len(todo), rows):
@@ -273,11 +280,12 @@ class TruncationOracle:
                 kg = np.where(nodes < jc, S - c * t, S[jc - 1] - c * t[jc - 1])
                 kg = repair_k(grid, np.clip(kg, 0.0, None))
                 kh = np.clip(S - kg, 0.0, None)
+                fg = fh = None
+                if concrete:
+                    fg, fh = np.maximum(f - c, 0.0), np.minimum(f, c)
                 with np.errstate(divide="ignore"):
-                    A[r] = norm_in_space(KProfile(
-                        grid, np.log(kg), np.maximum(f - c, 0.0)), Y0)
-                    B[r] = norm_in_space(KProfile(
-                        grid, np.log(kh), np.minimum(f, c)), Y1)
+                    A[r] = norm_in_space(KProfile(grid, np.log(kg), fg), Y0)
+                    B[r] = norm_in_space(KProfile(grid, np.log(kh), fh), Y1)
                 normed[r] = True
             todo = _next_cuts(A, B, normed)
         ok = normed & np.isfinite(A) & np.isfinite(B)

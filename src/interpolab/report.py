@@ -8,14 +8,26 @@ the report aggregates them into an equivalence window
 over the rows at grid size n, and a refinement stability figure, the
 relative change of the window between the two largest grid sizes.
 Serialization is deterministic: repeated runs give byte-identical files.
+
+Rows are stored by column, in blocks of one function and grid size: a
+harness adds a whole sweep of split points as one block with add_rows
+(add makes a block of one row), and to_csv writes each block from its
+columns under one "case,function_id,n," prefix.  The finite
+positive ratios at each grid size are kept up to date as rows come in,
+so windows never rescan the rows.  The ratio of a row is inf where
+rhs == 0, else lhs/rhs; numpy and Python divide floats alike (IEEE), so
+a row has the same bits whichever way it was added.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
 import json
 import math
 import os
+
+import numpy as np
 
 
 def _quote(s: str) -> str:
@@ -25,15 +37,7 @@ def _quote(s: str) -> str:
     return s
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-@dataclass
+@dataclass(frozen=True)
 class Row:
     case: str
     function_id: str
@@ -49,45 +53,73 @@ class Row:
         return self.lhs / self.rhs
 
 
-@dataclass
 class EquivalenceReport:
-    case: str
-    rows: list = field(default_factory=list)
-    excluded: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
-    _by_n: dict | None = field(default=None, init=False, repr=False,
-                               compare=False)
+    """Rows of one verification case, their windows and their files.
+
+    lhs, rhs and u are floats (u may be None: no sample point).  Each
+    block is (function_id, n, us, lhs, rhs, ratio) with one list per
+    column; us is None for rows without a sample point.
+    """
+
+    def __init__(self, case: str):
+        self.case = case
+        self.excluded: list = []
+        self.notes: list = []
+        self._blocks: list = []
+        self._ratios: dict = {}     # n -> finite positive ratios, row order
 
     def add(self, function_id, n, u, lhs, rhs):
-        self.rows.append(Row(self.case, function_id, n, u, lhs, rhs))
-        self._by_n = None
+        """One row, as a block of its own."""
+        ratio = math.inf if rhs == 0.0 else lhs / rhs
+        self._blocks.append((function_id, n, None if u is None else [u],
+                             [lhs], [rhs], [ratio]))
+        g = self._ratios.setdefault(n, [])
+        if math.isfinite(ratio) and ratio > 0:
+            g.append(ratio)
+
+    def add_rows(self, function_id, n, u, lhs, rhs):
+        """Rows (u[i], lhs[i], rhs[i]) for one function and grid size,
+        from float arrays (u may be None); an empty add adds nothing."""
+        lhs = np.asarray(lhs, dtype=float)
+        rhs = np.asarray(rhs, dtype=float)
+        if not len(lhs):
+            return
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ratio = np.where(rhs == 0.0, math.inf, lhs / rhs)
+        us = None if u is None else np.asarray(u, dtype=float).tolist()
+        self._blocks.append((function_id, n, us, lhs.tolist(), rhs.tolist(),
+                             ratio.tolist()))
+        self._ratios.setdefault(n, []).extend(
+            ratio[np.isfinite(ratio) & (ratio > 0)].tolist())
+
+    @property
+    def n_rows(self) -> int:
+        return sum(len(b[3]) for b in self._blocks)
+
+    @property
+    def rows(self) -> tuple:
+        """Every row as a Row, in the order added.  Built on each read,
+        for tests and demos: no harness or writer reads it."""
+        return tuple(
+            Row(self.case, fid, n, u, lhs, rhs)
+            for fid, n, us, lhss, rhss, _ in self._blocks
+            for u, lhs, rhs in zip(repeat(None) if us is None else us,
+                                   lhss, rhss))
 
     def exclude(self, function_id, reason):
         self.excluded.append((function_id, reason))
 
-    def _groups(self) -> dict:
-        """Finite positive ratios by grid size, every size a key; one
-        scan of the rows, repeated only after an add."""
-        if self._by_n is None:
-            self._by_n = {}
-            for r in self.rows:
-                g = self._by_n.setdefault(r.n, [])
-                if math.isfinite(r.ratio) and r.ratio > 0:
-                    g.append(r.ratio)
-        return self._by_n
-
     def sizes(self) -> list:
-        return sorted(self._groups())
+        return sorted(self._ratios)
 
     def ratios(self, n=None) -> list:
         """Finite positive ratios at grid size n (all sizes for None)."""
-        groups = self._groups()
         if n is not None:
-            return list(groups.get(n, ()))
-        return [x for g in groups.values() for x in g]
+            return list(self._ratios.get(n, ()))
+        return [x for g in self._ratios.values() for x in g]
 
     def window(self, n=None) -> float:
-        ratios = self.ratios(n)
+        ratios = self._ratios.get(n, ()) if n is not None else self.ratios()
         if not ratios:
             return math.inf
         return max(ratios) / min(ratios)
@@ -107,13 +139,16 @@ class EquivalenceReport:
     def to_csv(self, path: str) -> None:
         """Rows as csv.writer's minimal quoting writes them: only a text
         field holding a comma, a quote or a line break, such as the id
-        powlog:2,-1, is quoted; numbers never need it.  Joined by hand
-        and written at once: csv.writer takes about half again as long."""
+        powlog:2,-1, is quoted; numbers never need it.  Each block is
+        its quoted prefix joined to the repr of its columns, and the
+        file is written at once."""
         lines = ["case,function_id,n,u,lhs,rhs,ratio"]
-        for r in self.rows:
-            lines.append(",".join([
-                _quote(r.case), _quote(r.function_id), str(r.n), _fmt(r.u),
-                _fmt(r.lhs), _fmt(r.rhs), _fmt(r.ratio)]))
+        case = _quote(self.case)
+        for fid, n, us, lhs, rhs, ratio in self._blocks:
+            head = f"{case},{_quote(fid)},{n},"
+            u = repeat("") if us is None else map(repr, us)
+            lines += map(",".join, zip(map(head.__add__, u), map(repr, lhs),
+                                       map(repr, rhs), map(repr, ratio)))
         with open(path, "w", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -125,7 +160,7 @@ class EquivalenceReport:
             "windows": {str(n): self.window(n) for n in ns},
             "window": self.window(ns[-1]) if ns else math.inf,
             "stability": self.stability(),
-            "rows": len(self.rows),
+            "rows": self.n_rows,
             "excluded": [list(e) for e in self.excluded],
             "notes": list(self.notes),
         }

@@ -149,6 +149,18 @@ def test_verify_identity_unknown_name(capsys):
     assert "unknown id" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "identity", "--n", "1024"],      # was taken as --name
+    ["verify", "holmstedt", "--grid", "9", "--corpus", "chi:0.1",
+     "--win", "2"],                             # was taken as --window-max
+])
+def test_option_prefixes_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_verify_holmstedt_inline_corpus(capsys):
     code = main(["verify", "holmstedt", "--case", "R_x0",
                  "--grid", "9", "--corpus", "chi:0.1;pow:2"])

@@ -13,7 +13,7 @@ from interpolab.spaces import (EndpointX0, EndpointX1, ThetaSpace, LSpace,
 from interpolab.holmstedt import (HolmstedtCase, CASES, R_CASES, L_CASES,
                                   DEFAULT_CASES, holmstedt_rhs,
                                   verify_holmstedt)
-from interpolab.kfun import k_peetre
+from interpolab.kfun import TruncationOracle, k_peetre, _cut_cap
 from interpolab import corpus
 
 
@@ -89,6 +89,59 @@ def test_report_determinism():
     r2 = verify_holmstedt(DEFAULT_CASES["L_interior"], **kw)
     assert [(a.function_id, a.n, a.u, a.lhs, a.rhs) for a in r1.rows] == \
            [(a.function_id, a.n, a.u, a.lhs, a.rhs) for a in r2.rows]
+
+
+def _verify_rows_ref(case, specs, k, u_stride=8, interior=0.05):
+    """The sweep as first written: one row at a time, with K(., f; X0,
+    X1) recomputed by k_peetre.  ((id, n, u, lhs, rhs) rows, excluded)."""
+    y0, y1 = case.members()
+    rows, excluded = [], []
+    n = 1 << k
+    grid = full_grid(n)
+    sel = grid.interior(interior)
+    idx = np.arange(sel.start, sel.stop)[::u_stride]
+    for spec in specs:
+        fstar = corpus.sample(spec, grid)
+        try:
+            orc = TruncationOracle(fstar, y0, y1, max_cuts=_cut_cap(grid))
+        except ValueError as e:
+            excluded.append((spec, str(e)))
+            continue
+        lrho, lrhs = holmstedt_rhs(case, k_peetre(fstar))
+        live = idx[np.isfinite(lrho[idx]) & np.isfinite(lrhs[idx])]
+        lhs_all = np.exp(orc.k_at_log(lrho[live]))
+        rhs_all = np.exp(lrhs[live])
+        added = 0
+        for i, lhs, rhs in zip(live, lhs_all.tolist(), rhs_all.tolist()):
+            if not (math.isfinite(lhs) and lhs > 0 and rhs > 0):
+                continue
+            rows.append((spec, n, float(grid.t[i]), lhs, rhs))
+            added += 1
+        if not added:
+            excluded.append((spec, f"no admissible split points at n={n}"))
+    return rows, excluded
+
+
+@pytest.mark.parametrize("kind", ["R_interior", "L_x1"])
+def test_bulk_rows_match_the_row_loop(kind):
+    case = DEFAULT_CASES[kind]
+    rep = verify_holmstedt(case, corpus=corpus.STANDARD, log2n=(9,))
+    rows, excluded = _verify_rows_ref(case, corpus.STANDARD, 9)
+    assert repr([(r.function_id, r.n, r.u, r.lhs, r.rhs)
+                 for r in rep.rows]) == repr(rows)
+    assert rep.excluded == excluded
+    assert rep.n_rows == len(rows) > 0
+
+
+def test_oracle_carries_the_k_peetre_profile():
+    g = full_grid(512)
+    y0, y1 = DEFAULT_CASES["R_interior"].members()
+    for spec in corpus.STANDARD:
+        fstar = corpus.sample(spec, g)
+        orc = TruncationOracle(fstar, y0, y1, max_cuts=_cut_cap(g))
+        want = k_peetre(fstar)
+        assert orc.kprofile.logk.tobytes() == want.logk.tobytes()
+        assert orc.kprofile.fstar.tobytes() == want.fstar.tobytes()
 
 
 # -- the folded split formula against the separate R and L tables ------
