@@ -20,21 +20,19 @@ import math
 
 import numpy as np
 
-from .grid import (GridFunction, RiSpace, unit_grid, checked_norm,
-                   edge_diverges, lebesgue_prefix, lebesgue_suffix,
-                   log_norm_upper, _final)
+from .grid import (GridFunction, RiSpace, L1, L2, LINF, unit_grid,
+                   checked_norm, edge_diverges, lebesgue_prefix,
+                   lebesgue_suffix, log_norm_upper, _final)
 from .sv import (SvExpr, EllPow, NormTail, Power, Product, ONE,
                  sv_log_on_grid, compose_rho, SvDivergenceError)
 from .spaces import (SpaceDescriptor, ThetaSpace, LSpace, RSpace,
-                     RRSpace, Intersection, EndpointX0, EndpointX1,
+                     RRSpace, Intersection, EndpointX1,
                      AppMember, Over, UNIT)
 from .wire import Wire
 from .kfun import _unstack
-from .reiteration import _sweep
+from .holmstedt import HolmstedtCase
+from .reiteration import ReiterationCase, reiterate, _sweep
 from .report import EquivalenceReport
-
-L1 = RiSpace(1.0)
-LINF = RiSpace(math.inf)
 
 
 def _pp(p: float) -> float:
@@ -155,10 +153,6 @@ class BType(AppSpace, kind="btype"):
     def validate(self):
         if not self.p >= 1:
             raise ValueError("B-type space needs p >= 1")
-
-
-def app_from_obj(o: dict) -> AppSpace:
-    return AppSpace.from_obj(o)
 
 
 # ---------------------------------------------------------------------
@@ -287,6 +281,36 @@ class Scenario:
 
 
 @functools.cache
+def _grand_cases() -> dict:
+    """The reiteration case behind each (X, grand) identity scenario.
+
+    grand(4, 1) is grand_descriptor's R-space, so (X, grand) is an
+    R_interior, R_theta0_zero or R_x0 case over (0, 1) for X = L2, LlogL
+    or L1.  A concrete rhs (small, ultra) is the identity being checked,
+    so it stays written out; the tests sweep reiterate(case) against it.
+    The other scenarios stay hand-written: their L-type couples (small
+    with ultra or Linf, GGamma with ultra) would be L cases, and reversal
+    maps (0, 1) onto (1, inf); (small, grand) is an (L, R) couple, which
+    neither reiteration theorem covers; linfq, A- and B-type members
+    have no descriptor.
+    """
+    g = grand_descriptor(4.0, 1.0)
+
+    def with_grand(kind, theta0, b0, E0):
+        return HolmstedtCase(kind, theta0, g.theta, b0, E0, g.b, g.E, g.a,
+                             g.F, UNIT)
+
+    l2, R = with_grand("R_interior", 0.5, ONE, L2), ReiterationCase
+    return {"small-dual-limit": R(l2, 0.0, EllPow(-0.5), L1),
+            "grand-vs-ultra-interior": R(l2, 0.5, ONE, L2),
+            "grand-vs-ultra-theta0": R(l2, 0.0, EllPow(-0.5), L2),
+            "grand-vs-ultra-theta1": R(l2, 1.0, EllPow(-1.0), LINF),
+            "llogl-grand": R(with_grand("R_theta0_zero", 0.0, ONE, L1),
+                             0.5, ONE, L2),
+            "l1-grand": R(with_grand("R_x0", 0.0, ONE, LINF), 0.5, ONE, L2)}
+
+
+@functools.cache
 def _scenarios() -> dict:
     reg = {}
 
@@ -311,46 +335,28 @@ def _scenarios() -> dict:
     put(Scenario("ggamma-as-L", smooth, lhs=AppMember(gg),
                  rhs=ggamma_descriptor(gg)))
 
-    # -- (L_p0, grand) family ------------------------------------------
+    # -- (X, grand) family: reiteration cases, see _grand_cases --------
     p0, p1, alpha, beta = 2.0, 4.0, 1.0, 1.0
-    lp0 = ultra_descriptor(p0, ONE, RiSpace(p0))      # L_{p0}
     grand = AppMember(GrandLp(p1, beta))
-    gamma_g = 1.0 / p0 - 1.0 / p1
-    rho_g = EllPow(beta / p1)                          # b0 = 1
-    put(Scenario("small-dual-limit", smooth,
-                 lhs=Over((lp0, grand),
-                          ThetaSpace(0.0, EllPow(alpha / _pp(p0) - 1.0),
-                                     L1, UNIT)),
-                 rhs=AppMember(SmallLp(p0, alpha))))
-    # interior: (L_{p0,b0,E0}, grand)_{1/2,1,L2} = ultra(8/3, l^{-1/8}, L2)
     th = 0.5
     p_mid = 1.0 / ((1 - th) / p0 + th / p1)
-    put(Scenario("grand-vs-ultra-interior", smooth,
-                 lhs=Over((ThetaSpace(1.0 - 1.0 / p0, ONE, RiSpace(2.0),
-                                      UNIT), grand),
-                          ThetaSpace(th, ONE, RiSpace(2.0), UNIT)),
-                 rhs=AppMember(UltraLp(p_mid,
-                                       EllPow(-beta * th / p1), RiSpace(2.0)))))
-    b_t0 = EllPow(-0.5)
-    put(Scenario("grand-vs-ultra-theta0", smooth,
-                 lhs=Over((lp0, grand),
-                          ThetaSpace(0.0, b_t0, RiSpace(2.0), UNIT)),
-                 rhs=LSpace(1.0 - 1.0 / p0,
-                            compose_rho(b_t0, gamma_g, rho_g),
-                            RiSpace(2.0), ONE, RiSpace(p0), UNIT)))
-    b_t1 = EllPow(-1.0)
-    brho_t1 = compose_rho(b_t1, gamma_g, rho_g)
-    put(Scenario("grand-vs-ultra-theta1", smooth,
-                 lhs=Over((lp0, grand), ThetaSpace(1.0, b_t1, LINF, UNIT)),
-                 rhs=Intersection((
-                     RSpace(1.0 - 1.0 / p1,
-                            Product(EllPow(-beta / p1), brho_t1), LINF,
-                            ONE, RiSpace(p1), UNIT),
-                     RRSpace(1.0 - 1.0 / p1, brho_t1, LINF,
-                             EllPow(-beta / p1), LINF, ONE, RiSpace(p1),
-                             UNIT)))))
+    pa = 1.0 / (1 - th + th / p1)
 
-    # -- (small, grand) family ------------------------------------------
+    def put_grand(name, concrete=None):
+        case = _grand_cases()[name]
+        put(Scenario(name, smooth,
+                     Over((case.inner.members()[0], grand),
+                          case.outer_space()),
+                     AppMember(concrete) if concrete else reiterate(case)))
+
+    put_grand("small-dual-limit", SmallLp(p0, alpha))
+    # interior: (L_{p0}, grand)_{1/2,1,L2} = ultra(8/3, l^{-1/8}, L2)
+    put_grand("grand-vs-ultra-interior",
+              UltraLp(p_mid, EllPow(-beta * th / p1), RiSpace(2.0)))
+    put_grand("grand-vs-ultra-theta0")
+    put_grand("grand-vs-ultra-theta1")
+
+    # -- (small, grand) family: an (L, R) couple, derived by hand -------
     small = AppMember(SmallLp(p0, alpha))
     r = 2.0
     A = alpha * (1 - th) / _pp(p0) - beta * th / p1
@@ -368,12 +374,14 @@ def _scenarios() -> dict:
                  rhs=Intersection((
                      LSpace(1.0 - 1.0 / p0, EllPow(alpha / _pp(p0)),
                             RiSpace(r), ONE, RiSpace(p0), UNIT),
-                     Over((lp0, grand),
+                     Over((ultra_descriptor(p0, ONE, RiSpace(p0)), grand),
                           LSpace(0.0, ONE, RiSpace(r),
                                  EllPow(alpha / _pp(p0) - 1.0), L1,
                                  UNIT))))))
-    rho_sg = EllPow(alpha / _pp(p0) + beta / p1)
-    brho_sg = compose_rho(b_t1, gamma_g, rho_sg)
+    # rho(u) = u^(1/p0 - 1/p1) l^(alpha/p0' + beta/p1)
+    b_t1 = EllPow(-1.0)
+    brho_sg = compose_rho(b_t1, 1.0 / p0 - 1.0 / p1,
+                          EllPow(alpha / _pp(p0) + beta / p1))
     put(Scenario("small-grand-theta1", ("chi:1", "chi:0.01", "pow:4",
                                         "log:1"),
                  lhs=Over((small, grand), ThetaSpace(1.0, b_t1, LINF, UNIT)),
@@ -385,19 +393,10 @@ def _scenarios() -> dict:
                              EllPow(-beta / p1), LINF, ONE, RiSpace(p1),
                              UNIT)))))
 
-    # -- (LlogL, grand) and (L1, grand) ---------------------------------
-    llogl = ThetaSpace(0.0, ONE, L1, UNIT)
-    pa = 1.0 / (1 - th + th / p1)
-    put(Scenario("llogl-grand", smooth,
-                 lhs=Over((llogl, grand),
-                          ThetaSpace(th, ONE, RiSpace(2.0), UNIT)),
-                 rhs=AppMember(UltraLp(pa, EllPow(1 - th - beta * th / p1),
-                                       RiSpace(2.0)))))
-    put(Scenario("l1-grand", smooth,
-                 lhs=Over((EndpointX0(UNIT), grand),
-                          ThetaSpace(th, ONE, RiSpace(2.0), UNIT)),
-                 rhs=AppMember(UltraLp(pa, EllPow(-beta * th / p1),
-                                       RiSpace(2.0)))))
+    # -- (LlogL, grand) and (L1, grand): reiteration cases ---------------
+    put_grand("llogl-grand",
+              UltraLp(pa, EllPow(1 - th - beta * th / p1), RiSpace(2.0)))
+    put_grand("l1-grand", UltraLp(pa, EllPow(-beta * th / p1), RiSpace(2.0)))
 
     # -- (small, *) family ----------------------------------------------
     put(Scenario("small-ultra", ("chi:1", "chi:0.1", "chi:0.01", "log:1"),

@@ -102,10 +102,6 @@ class Grid:
             raise ValueError("need 0 < t_min < t_max < inf")
         return cls(math.log(t_min), math.log(t_max), n, **kw)
 
-    @classmethod
-    def from_log(cls, x_min: float, x_max: float, n: int, **kw) -> "Grid":
-        return cls(x_min, x_max, n, **kw)
-
     # -- conveniences --------------------------------------------------
 
     @property
@@ -132,15 +128,6 @@ class Grid:
         """Index slice with frac of the nodes dropped at each end."""
         k = int(self.n * frac)
         return slice(k, self.n - k)
-
-    def to_json(self) -> dict:
-        out = {"t_min": math.exp(self.x[0]) if self.x[0] > -700 else 0.0,
-               "t_max": math.exp(self.x[-1]) if self.x[-1] < 700 else math.inf,
-               "n": self.n}
-        if self.x[0] <= -700 or self.x[-1] >= 700:
-            out["log_t_min"] = self.x[0]
-            out["log_t_max"] = self.x[-1]
-        return out
 
 
 def full_grid(n: int, t_min: float = 1e-8, t_max: float = 1e8) -> Grid:

@@ -17,6 +17,9 @@ Each L case is the R case of the reversed couple (X1, X0), since
 K(t, f; X1, X0) = t K(1/t, f; X0, X1): theta goes to 1 - theta, every
 slowly varying parameter to its value at 1/t, and the members swap
 (HolmstedtCase._reversed).  Only the R cases are written out.
+A case's members are descriptors in its setting: FULL, or UNIT for
+couples over (0, 1).  An L case needs FULL, as reversal maps (0, 1)
+onto (1, inf).  verify_holmstedt runs on the full line.
 
 In every case K(rho(u), f; Y0, Y1) is comparable, uniformly in u and f,
 to an explicit expression in K(., f; X0, X1) split at u.  verify_holmstedt
@@ -35,7 +38,7 @@ from .grid import (RiSpace, L2, LINF, full_grid, log_norm_lower,
                    log_norm_upper)
 from .sv import (SvExpr, ONE, EllPow, Power, Product, NormTail,
                  inverse_arg, sv_log_on_grid, SvDivergenceError)
-from .spaces import (ThetaSpace, LSpace, RSpace, EndpointX0, FULL,
+from .spaces import (ThetaSpace, LSpace, RSpace, EndpointX0, FULL, UNIT,
                      couple_reverse)
 from .kfun import KProfile, TruncationOracle, _cut_cap
 from .report import EquivalenceReport
@@ -57,11 +60,15 @@ class HolmstedtCase:
     E1: RiSpace = RiSpace(math.inf)
     a: SvExpr = ONE
     F: RiSpace = RiSpace(math.inf)
+    setting: str = FULL
 
     def __post_init__(self):
         if self.kind not in CASES:
             raise ValueError(f"unknown case {self.kind!r}")
         if self.kind in L_CASES:
+            if self.setting == UNIT:
+                raise ValueError(f"{self.kind} needs the full line: couple "
+                                 "reversal maps (0, 1) onto (1, inf)")
             try:
                 self._reversed()
             except ValueError as e:
@@ -91,10 +98,11 @@ class HolmstedtCase:
         if self.kind in L_CASES:
             y0, y1 = self._reversed().members()
             return couple_reverse(y1), couple_reverse(y0)
-        y1 = RSpace(self.theta1, self.b1, self.E1, self.a, self.F, FULL)
+        s = self.setting
+        y1 = RSpace(self.theta1, self.b1, self.E1, self.a, self.F, s)
         if self.kind == "R_x0":
-            return EndpointX0(FULL), y1
-        return ThetaSpace(self.theta0, self.b0, self.E0, FULL), y1
+            return EndpointX0(s), y1
+        return ThetaSpace(self.theta0, self.b0, self.E0, s), y1
 
     def rho_params(self):
         """(gamma, sv) with rho(u) = u^gamma * sv(u)."""

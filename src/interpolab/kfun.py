@@ -37,8 +37,10 @@ norm_in_space evaluates a spaces.Over descriptor, a space over a
 derived couple, through such an oracle built from the f* the profile
 carries.  That oracle, and the ones the verification harnesses build,
 take at most _cut_cap(grid) cuts: 128 on the full line, 192 on (0, 1).
-The windows do not depend on the cap (they agree to 4 digits from 32
-cuts up to all of them), while the cost grows with the cut count.
+The cap moves answers: uncapped, the R_x0 Holmstedt window is 1.0565 /
+1.0519 at n = 2^9 / 2^10 against 1.0615 / 1.0591, and log K drops by up
+to 6.3e-2 (R_x0, powlog:2,1, n = 2^13); the cost grows with the cut
+count.  See open item 4 of ROADMAP.md.
 """
 
 from __future__ import annotations

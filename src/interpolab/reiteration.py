@@ -8,6 +8,7 @@ written out: an L case is the R case of the reversed couple
 (HolmstedtCase._reversed), and since K(t; Y0, Y1) = t K(1/t; Y1, Y0)
 its outer space (theta, b, E) is (1 - theta, b(1/.), E) there; the
 reduced descriptor is then reversed back (spaces.couple_reverse).
+Both sides are in the inner case's setting.
 
 verify_reiteration measures both sides on a corpus: the outer space
 over the member couple (a spaces.Over, through a truncation oracle)
@@ -19,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 
-from .grid import RiSpace, full_grid
+from .grid import RiSpace, full_grid, unit_grid
 from .sv import SvExpr, ONE, Power, Product, NormTail, compose_rho, inverse_arg
 from .spaces import (SpaceDescriptor, ThetaSpace, LSpace, RSpace, RRSpace,
-                     Intersection, Over, FULL, couple_reverse)
+                     Intersection, Over, UNIT, couple_reverse)
 from .holmstedt import HolmstedtCase, L_CASES
 from .kfun import k_peetre, norm_in_space
 from .report import EquivalenceReport
@@ -40,11 +41,16 @@ class ReiterationCase:
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError("outer theta must lie in [0, 1]")
 
+    def outer_space(self) -> ThetaSpace:
+        """(theta, b, E), the space applied to K(., f; Y0, Y1)."""
+        return ThetaSpace(self.theta, self.b, self.E, self.inner.setting)
+
 
 def reiterate(case: ReiterationCase) -> SpaceDescriptor:
     """Descriptor over the endpoint couple equivalent to the outer space."""
     c = case.inner
     th = case.theta
+    s = c.setting
     if c.kind in L_CASES:
         rev = ReiterationCase(c._reversed(), 1.0 - th, inverse_arg(case.b),
                               case.E)
@@ -55,25 +61,25 @@ def reiterate(case: ReiterationCase) -> SpaceDescriptor:
     a_b1 = Product(c.a, b1_low)
     if th == 1.0:
         return Intersection((
-            RSpace(c.theta1, Product(b1_low, brho), case.E, c.a, c.F, FULL),
-            RRSpace(c.theta1, brho, case.E, c.b1, c.E1, c.a, c.F, FULL)))
+            RSpace(c.theta1, Product(b1_low, brho), case.E, c.a, c.F, s),
+            RRSpace(c.theta1, brho, case.E, c.b1, c.E1, c.a, c.F, s)))
     if c.kind == "R_interior":
         if th == 0.0:
-            return LSpace(c.theta0, brho, case.E, c.b0, c.E0, FULL)
+            return LSpace(c.theta0, brho, case.E, c.b0, c.E0, s)
         tmix = (1 - th) * c.theta0 + th * c.theta1
         bmix = Product(Power(c.b0, 1 - th), Power(a_b1, th))
-        return ThetaSpace(tmix, Product(bmix, brho), case.E, FULL)
+        return ThetaSpace(tmix, Product(bmix, brho), case.E, s)
     if c.kind == "R_theta0_zero":
         b0_up = NormTail(c.b0, c.E0, "upper")
         if th == 0.0:
             return Intersection((
-                ThetaSpace(0.0, Product(b0_up, brho), case.E, FULL),
-                LSpace(0.0, brho, case.E, c.b0, c.E0, FULL)))
+                ThetaSpace(0.0, Product(b0_up, brho), case.E, s),
+                LSpace(0.0, brho, case.E, c.b0, c.E0, s)))
         bmix = Product(Power(b0_up, 1 - th), Power(a_b1, th))
-        return ThetaSpace(th * c.theta1, Product(bmix, brho), case.E, FULL)
+        return ThetaSpace(th * c.theta1, Product(bmix, brho), case.E, s)
     # R_x0
     return ThetaSpace(th * c.theta1, Product(Power(a_b1, th), brho),
-                      case.E, FULL)
+                      case.E, s)
 
 
 def _sweep(rep: EquivalenceReport, corpus, make_grid, log2n,
@@ -109,8 +115,8 @@ def verify_reiteration(case: ReiterationCase, corpus=None, log2n=(9, 10)
 
     One row per (prototype, grid size), no split point.
     """
-    outer = Over(case.inner.members(),
-                 ThetaSpace(case.theta, case.b, case.E, FULL))
+    outer = Over(case.inner.members(), case.outer_space())
     rep = EquivalenceReport(f"{case.inner.kind}:theta={case.theta:g}")
-    return _sweep(rep, corpus or corpus_mod.STANDARD, full_grid, log2n,
+    grid = unit_grid if case.inner.setting == UNIT else full_grid
+    return _sweep(rep, corpus or corpus_mod.STANDARD, grid, log2n,
                   outer, reiterate(case), ("outer", "reduced"))

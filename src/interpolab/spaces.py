@@ -356,10 +356,6 @@ def check_admissible(d: SpaceDescriptor, grid: Grid | None = None) -> Admissibil
 # JSON wire format
 # ---------------------------------------------------------------------
 
-def space_to_obj(d: SpaceDescriptor) -> dict:
-    return d.to_obj()
-
-
 def space_from_obj(o: dict) -> SpaceDescriptor:
     return SpaceDescriptor.from_obj(o)
 

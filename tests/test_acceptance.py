@@ -87,7 +87,7 @@ def test_criterion_02_oracle_tightness(capsys):
 def test_criterion_03_log_weight_tail_identities(capsys):
     # || l^-2 ||_{L1~(0,u)} = 1 / l(u), with l(t) = 1 + |log t|
     n = 1 << 20
-    g1 = Grid.from_log(-6e4, 0.0, n, truncated_high=False)
+    g1 = Grid(-6e4, 0.0, n, truncated_high=False)
     ell = 1.0 - g1.x
     pref = nested_tilde_norms(GridFunction(g1, ell ** -2.0), L1, "lower")
     mask = (g1.x >= math.log(1e-6)) & (g1.x <= math.log(0.5))
@@ -96,7 +96,7 @@ def test_criterion_03_log_weight_tail_identities(capsys):
     assert err <= 1e-3, err
 
     # sweep of closed-form tail norms, windows within 1.2
-    g2 = Grid.from_log(-6e4, math.log(0.5), n)
+    g2 = Grid(-6e4, math.log(0.5), n)
     ell2 = 1.0 - g2.x
     mask2 = (g2.x >= math.log(1e-6)) & (g2.x <= math.log(0.5))
     wins = {}

@@ -13,7 +13,7 @@ import interpolab
 from interpolab import cli
 from interpolab.cli import main
 from interpolab.grid import RiSpace
-from interpolab.spaces import FULL, UNIT, LSpace, ThetaSpace, space_to_obj
+from interpolab.spaces import FULL, UNIT, LSpace, ThetaSpace
 from interpolab.sv import ONE, EllPow
 
 L1 = RiSpace(1.0)
@@ -21,7 +21,7 @@ L2 = RiSpace(2.0)
 
 
 def _write_space(path, desc):
-    path.write_text(json.dumps(space_to_obj(desc)))
+    path.write_text(json.dumps(desc.to_obj()))
     return str(path)
 
 

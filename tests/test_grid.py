@@ -19,7 +19,7 @@ from util import rel_err
 
 def test_grid_constructors_agree():
     g1 = Grid.from_bounds(1e-4, 1e4, 257)
-    g2 = Grid.from_log(math.log(1e-4), math.log(1e4), 257)
+    g2 = Grid(math.log(1e-4), math.log(1e4), 257)
     assert np.allclose(g1.x, g2.x)
     assert g1.dx == g2.dx
     assert np.allclose(g1.t, np.exp(g1.x))
@@ -37,7 +37,7 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         Grid.from_bounds(-1.0, 1.0, 64)
     with pytest.raises(ValueError):
-        Grid.from_log(0.0, 1.0, 1)
+        Grid(0.0, 1.0, 1)
 
 
 def test_tilde_norm_pure_power():

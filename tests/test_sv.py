@@ -75,7 +75,7 @@ def test_const_validation():
 
 def test_norm_tail_analytic_identity():
     # || l^-2 ||_{L~1(0,u)} = l^-1(u) - l^-1(t_min edge)
-    g = Grid.from_log(-6e4, 0.0, 1 << 18, truncated_high=False)
+    g = Grid(-6e4, 0.0, 1 << 18, truncated_high=False)
     tail = NormTail(EllPow(-2.0), L1, "lower")
     vals = np.exp(sv_log_on_grid(tail, g))
     mask = (g.x >= math.log(1e-6)) & (g.x <= math.log(0.5))

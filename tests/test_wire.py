@@ -8,8 +8,7 @@ import pytest
 from interpolab import wire
 from interpolab.applications import (GrandLp, SmallLp, UltraLp, LinfQBeta,
                                      GGamma, AType, BType, AppSpace,
-                                     app_from_obj, get_scenario,
-                                     scenario_names)
+                                     get_scenario, scenario_names)
 from interpolab.grid import RiSpace
 from interpolab.holmstedt import DEFAULT_CASES
 from interpolab.reiteration import ReiterationCase, reiterate
@@ -17,7 +16,7 @@ from interpolab.spaces import (EndpointX0, EndpointX1, ThetaSpace, LSpace,
                                RSpace, LLSpace, RRSpace, Intersection,
                                AppMember, Over, SpaceDescriptor, UNIT,
                                space_from_json, space_from_obj,
-                               space_to_json, space_to_obj)
+                               space_to_json)
 from interpolab.sv import (SvExpr, Const, EllPow, BrokenEll, IteratedEll,
                            ExpLogPow, Product, Power, InverseArg, NormTail,
                            ComposeWithRho, ONE, sv_from_json, sv_to_json)
@@ -129,12 +128,12 @@ def test_public_wrappers_match_codec():
             assert sv_from_json(text) == obj
         elif isinstance(obj, SpaceDescriptor):
             assert space_to_json(obj) == text
-            assert space_to_obj(obj) == json.loads(text)
+            assert obj.to_obj() == json.loads(text)
             assert space_from_obj(json.loads(text)) == obj
             assert space_from_json(text) == obj
         elif isinstance(obj, AppSpace):
             assert obj.to_obj() == json.loads(text)
-            assert app_from_obj(json.loads(text)) == obj
+            assert AppSpace.from_obj(json.loads(text)) == obj
 
 
 def _concrete_subclasses(base):
