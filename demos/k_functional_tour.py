@@ -8,7 +8,7 @@ a truncation oracle brackets the exact value from above.
 import numpy as np
 
 from interpolab import (GridFunction, full_grid, unit_grid, k_peetre,
-                        k_oracle, EndpointX0, EndpointX1)
+                        TruncationOracle, EndpointX0, EndpointX1)
 from interpolab import corpus
 
 
@@ -28,7 +28,7 @@ def main():
     for spec in ("chi:0.1", "pow:2", "powlog:2,1", "log:2"):
         f = corpus.sample(spec, g)
         exact = np.exp(k_peetre(f).logk[sl])
-        est = k_oracle(f, EndpointX0(), EndpointX1(), t_list=g.t[sl])
+        est = TruncationOracle(f, EndpointX0(), EndpointX1()).k_at(g.t[sl])
         print(f"  {spec:12s} {np.max(est / exact):.4f}")
 
 

@@ -9,13 +9,12 @@ grand, small, ultrasymmetric and related concrete function spaces.
 from .grid import Grid, GridFunction, RiSpace, full_grid, unit_grid
 from .sv import (SvExpr, Const, EllPow, BrokenEll, IteratedEll, ExpLogPow,
                  Product, Power, InverseArg, NormTail, ComposeWithRho, ONE,
-                 sv_eval, sv_verify, sv_to_json, sv_from_json)
+                 sv_eval, sv_verify)
 from .spaces import (EndpointX0, EndpointX1, ThetaSpace, LSpace, RSpace,
                      LLSpace, RRSpace, Intersection, AppMember, Over, FULL,
-                     UNIT, couple_reverse, check_admissible, space_to_json,
-                     space_from_json)
-from .kfun import (KProfile, k_peetre, k_oracle, kprofile_reverse,
-                   norm_in_space, TruncationOracle)
+                     UNIT, couple_reverse, check_admissible)
+from .kfun import (KProfile, k_peetre, kprofile_reverse, norm_in_space,
+                   TruncationOracle)
 from .holmstedt import HolmstedtCase, CASES, holmstedt_rhs, verify_holmstedt
 from .reiteration import ReiterationCase, reiterate, verify_reiteration
 from .applications import (GrandLp, SmallLp, UltraLp, LinfQBeta, GGamma,

@@ -29,15 +29,6 @@ from . import corpus as corpus_mod
 from . import holmstedt as holmstedt_mod
 from . import applications as app_mod
 
-REITERATION_ALIASES = {
-    "ThmR_interior": "R_interior",
-    "ThmR_theta0_zero": "R_theta0_zero",
-    "ThmR_x0": "R_x0",
-    "ThmL_interior": "L_interior",
-    "ThmL_theta1_one": "L_theta1_one",
-    "ThmL_x1": "L_x1",
-}
-
 # glibc mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
@@ -113,11 +104,8 @@ def cmd_norm(args) -> int:
         if contains(desc, AppMember) and not (unit and tmax >= 1.0):
             raise ValueError("concrete spaces live on (0,1): app members "
                              "need the unit setting and --tmax 1")
-        if unit:
-            grid = Grid.from_bounds(tmin, tmax, n, truncated_low=True,
-                                    truncated_high=tmax < 1.0)
-        else:
-            grid = Grid.from_bounds(tmin, tmax, n)
+        grid = Grid.from_bounds(tmin, tmax, n,
+                                truncated_high=not unit or tmax < 1.0)
     except ValueError as e:
         print(f"error: bad grid: {e}", file=sys.stderr)
         return 1
@@ -226,10 +214,10 @@ def cmd_verify(args) -> int:
 
 
 def _reiteration_case(name: str, theta: float) -> ReiterationCase:
-    kind = REITERATION_ALIASES.get(name, name)
+    kind = name.removeprefix("Thm")
     if kind not in DEFAULT_CASES:
-        raise ValueError("unknown case; available: "
-                         + ", ".join(sorted(REITERATION_ALIASES)))
+        raise ValueError("unknown case; available: " + ", ".join(CASES)
+                         + ", each with an optional Thm prefix")
     if theta in (0.0, 1.0):
         # with b = 1, E = Linf the endpoint branches reduce to the
         # same expression on both sides; use a nontrivial weight
@@ -266,7 +254,8 @@ def main(argv=None) -> int:
     pv.add_argument("target", choices=("holmstedt", "reiteration",
                                        "identity"))
     pv.add_argument("--case", default="R_interior",
-                    help="holmstedt/reiteration case id")
+                    help="holmstedt/reiteration case id (reiteration "
+                    "also takes it with a Thm prefix)")
     pv.add_argument("--name", default="all", help="identity scenario id")
     pv.add_argument("--theta", type=float, default=0.5,
                     help="outer theta for reiteration")

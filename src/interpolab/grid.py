@@ -71,15 +71,16 @@ LINF = RiSpace(math.inf)
 class Grid:
     """Uniform grid in x = log t on [x_min, x_max] with n nodes.
 
-    ``truncated_low``/``truncated_high`` record whether the ends stand in
-    for 0 / infinity (and therefore need divergence checks) or are true
-    domain edges, as t_max = 1 is for spaces over (0, 1).
+    The low end always stands in for t = 0 and needs divergence checks;
+    ``truncated_high`` records whether the high end stands in for
+    infinity too or is a true domain edge, as t_max = 1 is for spaces
+    over (0, 1).
     """
 
-    __slots__ = ("x", "dx", "n", "truncated_low", "truncated_high", "_t")
+    __slots__ = ("x", "dx", "n", "truncated_high", "_t")
 
     def __init__(self, x_min: float, x_max: float, n: int,
-                 truncated_low: bool = True, truncated_high: bool = True):
+                 truncated_high: bool = True):
         if n < 2:
             raise ValueError("need at least 2 nodes")
         if not x_max > x_min:
@@ -90,17 +91,17 @@ class Grid:
         self.x = x
         self.dx = step
         self.n = n
-        self.truncated_low = truncated_low
         self.truncated_high = truncated_high
         self._t = None
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_bounds(cls, t_min: float, t_max: float, n: int, **kw) -> "Grid":
+    def from_bounds(cls, t_min: float, t_max: float, n: int,
+                    truncated_high: bool = True) -> "Grid":
         if not 0 < t_min < t_max < math.inf:
             raise ValueError("need 0 < t_min < t_max < inf")
-        return cls(math.log(t_min), math.log(t_max), n, **kw)
+        return cls(math.log(t_min), math.log(t_max), n, truncated_high)
 
     # -- conveniences --------------------------------------------------
 
@@ -113,16 +114,12 @@ class Grid:
 
     @property
     def key(self):
-        return (self.x[0], self.x[-1], self.n,
-                self.truncated_low, self.truncated_high)
-
-    def index_of_log(self, xv: float) -> int:
-        """Nearest node to x = xv, clamped into range."""
-        i = int(round((xv - self.x[0]) / self.dx))
-        return min(max(i, 0), self.n - 1)
+        return (self.x[0], self.x[-1], self.n, self.truncated_high)
 
     def index_of(self, t: float) -> int:
-        return self.index_of_log(math.log(t))
+        """Nearest node to t, clamped into range."""
+        i = int(round((math.log(t) - self.x[0]) / self.dx))
+        return min(max(i, 0), self.n - 1)
 
     def interior(self, frac: float = 0.05) -> slice:
         """Index slice with frac of the nodes dropped at each end."""
@@ -130,9 +127,9 @@ class Grid:
         return slice(k, self.n - k)
 
 
-def full_grid(n: int, t_min: float = 1e-8, t_max: float = 1e8) -> Grid:
-    """Default truncation of (0, inf)."""
-    return Grid.from_bounds(t_min, t_max, n)
+def full_grid(n: int) -> Grid:
+    """Default truncation of (0, inf): t from 1e-8 to 1e8."""
+    return Grid.from_bounds(1e-8, 1e8, n)
 
 
 def unit_grid(n: int, t_min: float = 1e-8) -> Grid:
@@ -328,8 +325,7 @@ def edge_diverges(lw: np.ndarray, q: float, grid: Grid,
     dx = grid.dx
     k = max(2, int(math.ceil(math.log(2.0) / dx)))
     low = side == "low"
-    if not (grid.truncated_low if low else grid.truncated_high) \
-            or lw.shape[-1] - 1 <= k:
+    if not (low or grid.truncated_high) or lw.shape[-1] - 1 <= k:
         return np.zeros(lw.shape[:-1], bool)
     if low:
         x_edge = grid.x[0]

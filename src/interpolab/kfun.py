@@ -7,9 +7,9 @@ repair_k then enforces K nondecreasing and K(t)/t nonincreasing; each
 of its two running scans costs one vector compare when the samples are
 already in order, as they almost always are, and runs only otherwise.
 
-For a derived couple (Y0, Y1) no closed form exists, so k_oracle takes an
-infimum over an explicit family of decompositions f = g_c + h_c built by
-truncating f* at height c:
+For a derived couple (Y0, Y1) no closed form exists, so TruncationOracle
+takes an infimum over an explicit family of decompositions f = g_c + h_c
+built by truncating f* at height c:
 
     g_c = (f* - c)_+,        h_c = min(f*, c),
 
@@ -58,8 +58,6 @@ from .spaces import (SpaceDescriptor, EndpointX0, EndpointX1, LSpace,
                      LLSpace, Intersection, AppMember, Over, contains,
                      levels)
 
-NEG_INF = -np.inf
-
 # elements (cut rows x grid nodes) of one block of cut profiles; bounds
 # the oracle's working memory whatever the grid size and cut count
 _BLOCK_ELEMS = 1 << 16
@@ -101,13 +99,18 @@ def repair_k(grid: Grid, k: np.ndarray) -> np.ndarray:
         return np.minimum(k, slope, out=slope)
 
 
-def k_peetre(fstar: GridFunction) -> KProfile:
-    """K(t, f; L1, Linf) = int_0^t f*(s) ds at the grid nodes."""
+def _k_linear(fstar: GridFunction) -> np.ndarray:
+    """K(t, f; L1, Linf) = int_0^t f*(s) ds at the grid nodes, repaired."""
     k = lebesgue_prefix(fstar.values, fstar.grid)
     if not np.all(np.isfinite(k)):
         raise ValueError("f* is not locally integrable near 0 "
                          "(not in L1 + Linf)")
-    k = repair_k(fstar.grid, k)
+    return repair_k(fstar.grid, k)
+
+
+def k_peetre(fstar: GridFunction) -> KProfile:
+    """K(t, f; L1, Linf) = int_0^t f*(s) ds at the grid nodes."""
+    k = _k_linear(fstar)
     with np.errstate(divide="ignore"):
         return KProfile(fstar.grid, np.log(k), fstar.values)
 
@@ -136,7 +139,7 @@ def _unstack(val):
     return float(val) if np.ndim(val) == 0 else val
 
 
-def norm_in_space(K: KProfile, d: SpaceDescriptor, check: bool = True):
+def norm_in_space(K: KProfile, d: SpaceDescriptor):
     """|| f || in the space described by d, from the profile K(t, f).
 
     Returns math.inf when a defining integral diverges at a truncated
@@ -145,29 +148,23 @@ def norm_in_space(K: KProfile, d: SpaceDescriptor, check: bool = True):
     result is then an array with one norm per row, each equal to what
     that row gives alone.
     """
-    return _unstack(_norms(K, d, check))
+    return _unstack(_norms(K, d))
 
 
-def _norms(K: KProfile, d: SpaceDescriptor, check: bool) -> np.ndarray:
+def _norms(K: KProfile, d: SpaceDescriptor) -> np.ndarray:
     grid = K.grid
     x = grid.x
     logK = K.logk
     div = np.zeros(logK.shape[:-1], bool)   # rows found divergent
-
-    def edge(lw, q, side):
-        nonlocal div
-        if check:
-            div = div | edge_diverges(lw, q, grid, side)
-
     try:
         if isinstance(d, EndpointX0):
             # || f ||_{L1} = K(inf); divergent if K has not saturated
-            edge(logK, math.inf, "high")
+            div |= edge_diverges(logK, math.inf, grid, "high")
             val = _final(np.max(logK, axis=-1))
         elif isinstance(d, EndpointX1):
             # || f ||_{Linf} = lim K(t)/t as t -> 0
             lw = logK - x
-            edge(lw, math.inf, "low")
+            div |= edge_diverges(lw, math.inf, grid, "low")
             val = _final(np.max(lw, axis=-1))
         elif lv := levels(d):
             # theta, L/R, LL/RR: from the inner level out, each level
@@ -177,18 +174,18 @@ def _norms(K: KProfile, d: SpaceDescriptor, check: bool) -> np.ndarray:
             nested = log_norm_lower if side == "low" else log_norm_upper
             lw = -d.theta * x + sv_log_on_grid(lv[0][0], grid) + logK
             for (_, F), (w, _) in zip(lv, lv[1:]):
-                edge(lw, F.q, side)
+                div |= edge_diverges(lw, F.q, grid, side)
                 lw = sv_log_on_grid(w, grid) + nested(lw, F.q, grid.dx)
-            val = checked_norm(lw, lv[-1][1].q, grid, check=check)
+            val = checked_norm(lw, lv[-1][1].q, grid)
         elif isinstance(d, Intersection):
-            return np.maximum.reduce([_norms(K, m, check) for m in d.members])
+            return np.maximum.reduce([_norms(K, m) for m in d.members])
         elif isinstance(d, (AppMember, Over)):
             if K.fstar is None:
                 raise ValueError("a concrete space or derived couple needs "
                                  "f*, but the profile carries none")
             if isinstance(d, Over):
                 rows = np.reshape(K.fstar, (-1, grid.n))
-                return np.reshape([_over(grid, f, d, check) for f in rows],
+                return np.reshape([_over(grid, f, d) for f in rows],
                                   np.shape(K.fstar)[:-1])
             from .applications import norm_app
             return np.asarray(norm_app(d.space, GridFunction(grid, K.fstar)))
@@ -199,7 +196,7 @@ def _norms(K: KProfile, d: SpaceDescriptor, check: bool) -> np.ndarray:
     return np.where(div, math.inf, val)
 
 
-def _over(grid: Grid, f: np.ndarray, d: Over, check: bool) -> float:
+def _over(grid: Grid, f: np.ndarray, d: Over) -> float:
     """d.desc over the couple d.couple, for the f* sampled as f."""
     if grid.truncated_high and contains(d, AppMember):
         raise ValueError("concrete spaces live on (0,1): use a unit grid")
@@ -208,7 +205,7 @@ def _over(grid: Grid, f: np.ndarray, d: Over, check: bool) -> float:
                                max_cuts=_cut_cap(grid))
     except ValueError:      # f lies outside Y0 + Y1
         return math.inf
-    return float(_norms(orc.profile(), d.desc, check))
+    return float(_norms(orc.profile(), d.desc))
 
 
 # ---------------------------------------------------------------------
@@ -242,10 +239,7 @@ class TruncationOracle:
                  Y1: SpaceDescriptor, max_cuts: int | None = None):
         grid = fstar.grid
         f = fstar.values
-        S = lebesgue_prefix(f, grid)
-        if not np.all(np.isfinite(S)):
-            raise ValueError("f* is not locally integrable near 0")
-        S = repair_k(grid, S)
+        S = _k_linear(fstar)
         t = grid.t
         with np.errstate(divide="ignore"):
             logS = np.log(S)
@@ -351,12 +345,3 @@ def _next_cuts(A, B, normed) -> np.ndarray:
         keep[~keep] = ~np.all(A[i[~keep], None] + tv * B[k[~keep], None]
                               >= env, axis=1)
     return (i[keep] + k[keep]) // 2
-
-
-def k_oracle(fstar: GridFunction, Y0: SpaceDescriptor, Y1: SpaceDescriptor,
-             t_list=None, max_cuts: int | None = None) -> np.ndarray:
-    """K(t, f; Y0, Y1) estimates at t_list (grid nodes by default)."""
-    orc = TruncationOracle(fstar, Y0, Y1, max_cuts=max_cuts)
-    if t_list is None:
-        t_list = fstar.grid.t
-    return orc.k_at(t_list)

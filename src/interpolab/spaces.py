@@ -24,7 +24,6 @@ Each descriptor has a JSON form through its wire tag (see wire.py).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import json
 import math
 from typing import TYPE_CHECKING
 
@@ -33,7 +32,7 @@ import numpy as np
 from .grid import (Grid, RiSpace, full_grid, unit_grid, checked_norm,
                    edge_diverges, log_norm_lower, log_norm_upper)
 from .sv import SvExpr, sv_log_on_grid, inverse_arg, SvDivergenceError
-from .wire import Wire, to_json
+from .wire import Wire
 
 if TYPE_CHECKING:
     from .applications import AppSpace
@@ -358,11 +357,3 @@ def check_admissible(d: SpaceDescriptor, grid: Grid | None = None) -> Admissibil
 
 def space_from_obj(o: dict) -> SpaceDescriptor:
     return SpaceDescriptor.from_obj(o)
-
-
-def space_to_json(d: SpaceDescriptor) -> str:
-    return to_json(d)
-
-
-def space_from_json(s: str) -> SpaceDescriptor:
-    return space_from_obj(json.loads(s))

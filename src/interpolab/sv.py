@@ -19,14 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import functools
-import json
 import math
 
 import numpy as np
 
 from .grid import (Grid, RiSpace, edge_diverges, log_norm_lower,
                    log_norm_upper)
-from .wire import Wire, to_json
+from .wire import Wire
 
 
 class SvDivergenceError(ValueError):
@@ -176,14 +175,11 @@ def compose_rho(b: SvExpr, gamma: float, sv: SvExpr) -> SvExpr:
 # evaluation
 # ---------------------------------------------------------------------
 
-_TAIL_TABLES: dict = {}
-
-
 def _tail_table(expr: NormTail, grid: Grid) -> np.ndarray:
-    key = (expr, grid.key)
-    tab = _TAIL_TABLES.get(key)
-    if tab is not None:
-        return tab
+    """log of the running tail norm at the grid nodes, uncached.
+
+    sv_log_on_grid keeps the result.
+    """
     lb = sv_log_on_grid(expr.b, grid)
     low = expr.side == "lower"
     # only the edge the norm runs towards: 0 for the lower, inf the upper
@@ -192,8 +188,7 @@ def _tail_table(expr: NormTail, grid: Grid) -> np.ndarray:
             f"{expr.side} tail norm of {expr.b!r} in L_{expr.E.q} "
             f"diverges at {'0' if low else 'inf'}")
     norm = log_norm_lower if low else log_norm_upper
-    tab = _TAIL_TABLES[key] = norm(lb, expr.E.q, grid.dx)
-    return tab
+    return norm(lb, expr.E.q, grid.dx)
 
 
 def sv_log_eval(expr: SvExpr, x: np.ndarray, grid: Grid | None = None) -> np.ndarray:
@@ -229,8 +224,7 @@ def sv_log_eval(expr: SvExpr, x: np.ndarray, grid: Grid | None = None) -> np.nda
     if isinstance(expr, NormTail):
         if grid is None:
             raise ValueError("NormTail evaluation needs a grid context")
-        tab = _tail_table(expr, grid)
-        return np.interp(x, grid.x, tab)
+        return np.interp(x, grid.x, sv_log_on_grid(expr, grid))
     raise TypeError(f"unknown SvExpr node {expr!r}")
 
 
@@ -238,11 +232,16 @@ _GRID_EVALS: dict = {}
 
 
 def sv_log_on_grid(expr: SvExpr, grid: Grid) -> np.ndarray:
-    """sv_log_eval at the grid's own nodes, memoized per (expr, grid)."""
+    """sv_log_eval at the grid's own nodes, memoized per (expr, grid).
+
+    The one weight memo: a NormTail's value here is its tail table,
+    which sv_log_eval interpolates off the nodes.
+    """
     key = (expr, grid.key)
     out = _GRID_EVALS.get(key)
     if out is None:
-        out = sv_log_eval(expr, grid.x, grid)
+        out = _tail_table(expr, grid) if isinstance(expr, NormTail) \
+            else sv_log_eval(expr, grid.x, grid)
         out.setflags(write=False)
         _GRID_EVALS[key] = out
     return out
@@ -310,15 +309,3 @@ def sv_local_scale_bound(expr: SvExpr, eps: float,
     hi = float(np.exp(np.max(ratio - env)))
     lo = float(np.exp(np.min(ratio + env)))
     return lo, hi
-
-
-# ---------------------------------------------------------------------
-# JSON wire format
-# ---------------------------------------------------------------------
-
-def sv_to_json(e: SvExpr) -> str:
-    return to_json(e)
-
-
-def sv_from_json(s: str) -> SvExpr:
-    return SvExpr.from_obj(json.loads(s))

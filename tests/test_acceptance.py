@@ -25,8 +25,8 @@ from interpolab.grid import (Grid, GridFunction, RiSpace, L1, L2, LINF,
                              nested_tilde_norms,
                              lebesgue_prefix, lebesgue_suffix)
 from interpolab.sv import EllPow, BrokenEll, ONE, sv_log_on_grid
-from interpolab.kfun import (k_peetre, k_oracle, kprofile_reverse,
-                             norm_in_space)
+from interpolab.kfun import (k_peetre, kprofile_reverse, norm_in_space,
+                             TruncationOracle)
 from interpolab.spaces import (EndpointX0, EndpointX1, ThetaSpace, LSpace,
                                RSpace, couple_reverse)
 from interpolab.holmstedt import DEFAULT_CASES, verify_holmstedt
@@ -75,7 +75,7 @@ def test_criterion_02_oracle_tightness(capsys):
     for spec in ("chi:0.1", "pow:2", "powlog:2,1", "log:2"):
         f = corpus.sample(spec, g)
         exact = np.exp(k_peetre(f).logk[sl])
-        est = k_oracle(f, EndpointX0(), EndpointX1(), t_list=g.t[sl])
+        est = TruncationOracle(f, EndpointX0(), EndpointX1()).k_at(g.t[sl])
         ratio = est / exact
         assert np.all(ratio > 1.0 - 1e-9), (spec, ratio.min())
         assert np.all(ratio <= 1.05), (spec, ratio.max())

@@ -369,10 +369,10 @@ def test_oracle_norms_only_cuts_that_can_attain_k(monkeypatch):
     f = corpus.sample("pow:2", g)
     normed = []
 
-    def counting(K, d, check=True):
+    def counting(K, d):
         if d is y0 and np.ndim(K.logk) == 2:
             normed.append(len(K.logk))
-        return norm_in_space(K, d, check)
+        return norm_in_space(K, d)
 
     monkeypatch.setattr("interpolab.kfun.norm_in_space", counting)
     orc = TruncationOracle(f, y0, y1, max_cuts=128)

@@ -184,6 +184,28 @@ def test_verify_reiteration_alias(capsys):
     assert out.startswith("R_interior:")
 
 
+def test_verify_reiteration_unknown_case_lists_plain_names(capsys):
+    code = main(["verify", "reiteration", "--case", "bogus"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "available: R_interior, R_theta0_zero, R_x0, L_interior, " \
+        "L_theta1_one, L_x1," in err
+    assert "Thm prefix" in err
+
+
+def test_verify_reiteration_thm_prefix_writes_the_same_reports(tmp_path):
+    files = {}
+    for name in ("L_x1", "ThmL_x1"):
+        out = tmp_path / name
+        code = main(["verify", "reiteration", "--case", name, "--theta",
+                     "0.5", "--grid", "9", "--corpus", "chi:0.1;pow:2",
+                     "--out", str(out)])
+        assert code == 0
+        files[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(files["L_x1"]) == 2
+    assert files["L_x1"] == files["ThmL_x1"]
+
+
 def test_verify_threshold_exceeded(capsys):
     code = main(["verify", "identity", "--name", "ultra-as-theta",
                  "--grid", "9", "--window-max", "1.0001"])
@@ -368,7 +390,7 @@ def test_over_of_app_members_on_a_short_grid_is_an_error():
     from interpolab import corpus
     from interpolab.grid import Grid
     from interpolab.kfun import k_peetre, norm_in_space
-    g = Grid.from_bounds(1e-8, 0.5, 512, truncated_low=True)
+    g = Grid.from_bounds(1e-8, 0.5, 512)
     with pytest.raises(ValueError, match="use a unit grid"):
         norm_in_space(k_peetre(corpus.sample("chi:0.5", g)),
                       _app_descriptors()["over"])

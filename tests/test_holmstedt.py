@@ -91,15 +91,15 @@ def test_report_determinism():
            [(a.function_id, a.n, a.u, a.lhs, a.rhs) for a in r2.rows]
 
 
-def _verify_rows_ref(case, specs, k, u_stride=8, interior=0.05):
+def _verify_rows_ref(case, specs, k):
     """The sweep as first written: one row at a time, with K(., f; X0,
     X1) recomputed by k_peetre.  ((id, n, u, lhs, rhs) rows, excluded)."""
     y0, y1 = case.members()
     rows, excluded = [], []
     n = 1 << k
     grid = full_grid(n)
-    sel = grid.interior(interior)
-    idx = np.arange(sel.start, sel.stop)[::u_stride]
+    sel = grid.interior(0.05)
+    idx = np.arange(sel.start, sel.stop)[::8]
     for spec in specs:
         fstar = corpus.sample(spec, grid)
         try:

@@ -10,7 +10,7 @@ from interpolab.grid import (GridFunction, L2, LINF, full_grid, unit_grid)
 from interpolab.sv import EllPow, ONE
 from interpolab.spaces import (EndpointX0, EndpointX1, ThetaSpace, RSpace,
                                Intersection, Over, FULL)
-from interpolab.kfun import (KProfile, k_peetre, k_oracle, kprofile_reverse,
+from interpolab.kfun import (KProfile, k_peetre, kprofile_reverse,
                              norm_in_space, TruncationOracle)
 from interpolab import corpus
 
@@ -62,7 +62,7 @@ def test_oracle_tightness_endpoint_couple():
     for spec in ("chi:0.1", "pow:2", "powlog:4,-1", "log:2"):
         f = corpus.sample(spec, g)
         K = np.exp(k_peetre(f).logk)
-        est = k_oracle(f, EndpointX0(), EndpointX1())
+        est = TruncationOracle(f, EndpointX0(), EndpointX1()).k_at(g.t)
         ratio = est[sl] / K[sl]
         assert np.min(ratio) > 1.0 - 1e-9, spec
         assert np.max(ratio) <= 1.05, spec

@@ -1,5 +1,6 @@
 """Descriptor admissibility, couple reversal and serialization."""
 
+import json
 import math
 
 import numpy as np
@@ -12,8 +13,9 @@ from interpolab.sv import (EllPow, BrokenEll, ExpLogPow, InverseArg, ONE,
                            Power, sv_log_on_grid)
 from interpolab.spaces import (EndpointX0, EndpointX1, ThetaSpace, LSpace,
                                RSpace, LLSpace, RRSpace, Intersection,
-                               FULL, UNIT, couple_reverse, check_admissible,
-                               space_to_json, space_from_json)
+                               FULL, UNIT, SpaceDescriptor, couple_reverse,
+                               check_admissible)
+from interpolab.wire import to_json
 from interpolab.kfun import k_peetre, norm_in_space, kprofile_reverse
 from interpolab import corpus
 from interpolab.holmstedt import DEFAULT_CASES
@@ -120,12 +122,12 @@ _DESCS = (EndpointX0(), EndpointX1(),
 
 def test_space_json_round_trip():
     for d in _DESCS:
-        assert space_from_json(space_to_json(d)) == d
+        assert SpaceDescriptor.from_obj(json.loads(to_json(d))) == d
 
 
 def test_space_json_rejects_garbage():
     with pytest.raises((KeyError, ValueError)):
-        space_from_json('{"kind": "pentagon"}')
+        SpaceDescriptor.from_obj(json.loads('{"kind": "pentagon"}'))
 
 
 def test_theta_range_validation():

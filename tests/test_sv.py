@@ -1,5 +1,6 @@
 """Slowly varying weights: evaluation, tail norms, contracts, JSON."""
 
+import json
 import math
 
 import numpy as np
@@ -7,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from interpolab.grid import Grid, L1, L2, LINF, full_grid, unit_grid
-from interpolab.sv import (Const, EllPow, BrokenEll, IteratedEll, ExpLogPow,
-                           Product, Power, InverseArg, NormTail,
+from interpolab.sv import (SvExpr, Const, EllPow, BrokenEll, IteratedEll,
+                           ExpLogPow, Product, Power, InverseArg, NormTail,
                            ComposeWithRho, ONE, SvDivergenceError,
                            inverse_arg, sv_eval, sv_log_on_grid, sv_verify,
-                           sv_local_scale_bound, sv_to_json, sv_from_json)
+                           sv_local_scale_bound)
+from interpolab.wire import to_json
 
 from util import rel_err, interior_ratio_window
 
@@ -177,7 +179,7 @@ _EXAMPLES = (ONE, Const(2.5), EllPow(-1.5), BrokenEll(1.0, -1.0),
 
 def test_json_round_trip():
     for e in _EXAMPLES:
-        assert sv_from_json(sv_to_json(e)) == e
+        assert SvExpr.from_obj(json.loads(to_json(e))) == e
 
 
 @settings(max_examples=25, deadline=None)
@@ -194,4 +196,4 @@ def test_product_power_closure(a1, a2, r):
 @given(st.floats(-3.0, 3.0))
 def test_json_round_trip_random_ellpow(alpha):
     e = Product(EllPow(alpha), BrokenEll(alpha, -alpha))
-    assert sv_from_json(sv_to_json(e)) == e
+    assert SvExpr.from_obj(json.loads(to_json(e))) == e

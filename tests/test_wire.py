@@ -15,11 +15,10 @@ from interpolab.reiteration import ReiterationCase, reiterate
 from interpolab.spaces import (EndpointX0, EndpointX1, ThetaSpace, LSpace,
                                RSpace, LLSpace, RRSpace, Intersection,
                                AppMember, Over, SpaceDescriptor, UNIT,
-                               space_from_json, space_from_obj,
-                               space_to_json)
+                               space_from_obj)
 from interpolab.sv import (SvExpr, Const, EllPow, BrokenEll, IteratedEll,
                            ExpLogPow, Product, Power, InverseArg, NormTail,
-                           ComposeWithRho, ONE, sv_from_json, sv_to_json)
+                           ComposeWithRho, ONE)
 
 INF = math.inf
 
@@ -123,14 +122,9 @@ def test_literals_cover_every_tag():
 
 def test_public_wrappers_match_codec():
     for obj, text in LITERALS:
-        if isinstance(obj, SvExpr):
-            assert sv_to_json(obj) == text
-            assert sv_from_json(text) == obj
-        elif isinstance(obj, SpaceDescriptor):
-            assert space_to_json(obj) == text
+        if isinstance(obj, SpaceDescriptor):
             assert obj.to_obj() == json.loads(text)
             assert space_from_obj(json.loads(text)) == obj
-            assert space_from_json(text) == obj
         elif isinstance(obj, AppSpace):
             assert obj.to_obj() == json.loads(text)
             assert AppSpace.from_obj(json.loads(text)) == obj
@@ -203,9 +197,11 @@ def test_product_reads_any_number_of_args():
 
 
 def test_infinite_parameter_written_as_inf():
-    assert sv_to_json(EllPow(INF)) == '{"alpha": "inf", "kind": "ell"}'
-    assert sv_from_json('{"alpha": "inf", "kind": "ell"}') == EllPow(INF)
-    assert sv_from_json('{"alpha": Infinity, "kind": "ell"}') == EllPow(INF)
+    assert wire.to_json(EllPow(INF)) == '{"alpha": "inf", "kind": "ell"}'
+    assert SvExpr.from_obj(json.loads('{"alpha": "inf", "kind": "ell"}')) \
+        == EllPow(INF)
+    assert SvExpr.from_obj(json.loads('{"alpha": Infinity, "kind": "ell"}')) \
+        == EllPow(INF)
 
 
 def test_numbers_are_coerced():
