@@ -3,9 +3,9 @@
 Exit codes: 0 success / verification within thresholds, 1 input error,
 2 inadmissible or trivial space, 3 verification window or stability
 exceeded.  A usage error (an unknown or missing option, a bad choice)
-exits with argparse's code 2 and its usage message; options must be
-spelled out in full, since a prefix such as --win is not taken for
---window-max.
+is an input error: it exits 1 with argparse's usage message, so exit 2
+is always a verdict.  Options must be spelled out in full, since a
+prefix such as --win is not taken for --window-max.
 """
 
 from __future__ import annotations
@@ -168,18 +168,21 @@ def cmd_verify(args) -> int:
                 raise ValueError(f"corpus {args.corpus!r} holds no spec")
             for spec in specs:
                 corpus_mod.parse_fn(spec)
+        if args.target == "holmstedt" and args.case not in DEFAULT_CASES:
+            raise ValueError("unknown case; available: " + ", ".join(CASES))
         if args.target == "reiteration":
             case = _reiteration_case(args.case, args.theta)
+        if args.target == "identity":
+            names = app_mod.scenario_names()
+            if args.name not in (*names, "all"):
+                raise ValueError("unknown id; available: "
+                                 + ", ".join(names))
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     corpus = args.corpus
 
     if args.target == "holmstedt":
-        if args.case not in DEFAULT_CASES:
-            print("error: unknown case; available: "
-                  + ", ".join(CASES), file=sys.stderr)
-            return 1
         rep = holmstedt_mod.verify_holmstedt(
             DEFAULT_CASES[args.case], corpus=corpus, log2n=log2n)
         return _finish(rep, args, f"holmstedt_{args.case}")
@@ -190,15 +193,7 @@ def cmd_verify(args) -> int:
                        f"reiteration_{case.inner.kind}_theta{args.theta:g}")
 
     # identity scenarios
-    names = app_mod.scenario_names()
-    if args.name == "all":
-        picked = names
-    elif args.name in names:
-        picked = (args.name,)
-    else:
-        print("error: unknown id; available: " + ", ".join(names),
-              file=sys.stderr)
-        return 1
+    picked = names if args.name == "all" else (args.name,)
     codes = []
     # the pool forks all its workers at the first submit: no idle ones
     workers = min(args.jobs, len(picked))
@@ -233,8 +228,17 @@ def _run_identity(payload):
     return app_mod.verify_identity(name, log2n=log2n, corpus=cor)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors exit 1, the input-error code; its
+    subparsers are built from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="interpolab", allow_abbrev=False,
         description="K-functional norms and verification reports")
     sub = ap.add_subparsers(dest="command", required=True)

@@ -26,12 +26,13 @@ and norm_in_space works along the last axis of such a stack.  Every
 truncated integral it takes goes through the one edge test,
 grid.edge_diverges (a closed-form least-squares fit per row), and the
 outer norm of each descriptor is the one checked norm,
-grid.checked_norm; the levels of a theta, L/R or LL/RR descriptor
-(spaces.levels) run through one loop from the inner level out.  Every
-row gives bit for bit what the same profile gives on its own.  Most
-cuts never attain the minimum, so they are normed in rounds, each
-refining only the gaps between normed cuts that the envelope of the
-pairs so far cannot rule out.
+grid.checked_norm; the levels of an x0/x1, theta, L/R or LL/RR
+descriptor (spaces.levels: X0 and X1 are the theta = 0 and theta = 1
+spaces with b = 1, E = Linf) run through one loop from the inner level
+out.  Every row gives bit for bit what the same profile gives on its
+own.  Most cuts never attain the minimum, so they are normed in rounds,
+each refining only the gaps between normed cuts that the envelope of
+the pairs so far cannot rule out.
 
 norm_in_space evaluates a spaces.Over descriptor, a space over a
 derived couple, through such an oracle built from the f* the profile
@@ -51,12 +52,10 @@ import math
 import numpy as np
 
 from .grid import (Grid, GridFunction, lebesgue_prefix, log_norm_lower,
-                   log_norm_upper, checked_norm, edge_diverges, _final,
-                   _running)
+                   log_norm_upper, checked_norm, edge_diverges, _running)
 from .sv import sv_log_on_grid, SvDivergenceError
-from .spaces import (SpaceDescriptor, EndpointX0, EndpointX1, LSpace,
-                     LLSpace, Intersection, AppMember, Over, contains,
-                     levels)
+from .spaces import (SpaceDescriptor, LSpace, LLSpace, Intersection,
+                     AppMember, Over, contains, levels)
 
 # elements (cut rows x grid nodes) of one block of cut profiles; bounds
 # the oracle's working memory whatever the grid size and cut count
@@ -157,19 +156,11 @@ def _norms(K: KProfile, d: SpaceDescriptor) -> np.ndarray:
     logK = K.logk
     div = np.zeros(logK.shape[:-1], bool)   # rows found divergent
     try:
-        if isinstance(d, EndpointX0):
-            # || f ||_{L1} = K(inf); divergent if K has not saturated
-            div |= edge_diverges(logK, math.inf, grid, "high")
-            val = _final(np.max(logK, axis=-1))
-        elif isinstance(d, EndpointX1):
-            # || f ||_{Linf} = lim K(t)/t as t -> 0
-            lw = logK - x
-            div |= edge_diverges(lw, math.inf, grid, "low")
-            val = _final(np.max(lw, axis=-1))
-        elif lv := levels(d):
-            # theta, L/R, LL/RR: from the inner level out, each level
-            # weights the prefix (L, LL) or suffix (R, RR) norms of the
-            # level inside it
+        if lv := levels(d):
+            # x0/x1, theta, L/R, LL/RR: from the inner level out, each
+            # level weights the prefix (L, LL) or suffix (R, RR) norms of
+            # the level inside it.  X0 = sup K and X1 = sup K(t)/t are
+            # the theta spaces with b = 1, E = Linf.
             side = "low" if isinstance(d, (LSpace, LLSpace)) else "high"
             nested = log_norm_lower if side == "low" else log_norm_upper
             lw = -d.theta * x + sv_log_on_grid(lv[0][0], grid) + logK

@@ -2,7 +2,7 @@
 
 A descriptor says how to turn the profile t -> K(t, f) into a norm:
 
-* x0 / x1          the endpoint norms themselves
+* x0 / x1          the endpoint norms: theta = 0 / 1, b = 1, E = Linf
 * theta            || t^-theta b(t) K(t,f) ||_{E~}
 * L / R            an inner prefix/suffix norm in F~ weighted by
                    s^-theta a(s), then an outer E~ norm against b
@@ -14,24 +14,25 @@ A descriptor says how to turn the profile t -> K(t, f) into a norm:
                    couple (Y0, Y1) instead of the endpoint couple
 
 Settings: "full" norms run over the whole truncated line (0, inf),
-"unit" over (0, 1) with t = 1 a genuine edge.  Admissibility follows the
-parameter tables that make the space nontrivial; conditions involving
-(1, inf) are dropped in the unit setting.
+"unit" over (0, 1) with t = 1 a genuine edge; the members of an
+intersection or over share one.  theta lies in [0, 1].  Admissibility
+follows the parameter tables that make the space nontrivial; conditions
+involving (1, inf) are dropped in the unit setting.
 
 Each descriptor has a JSON form through its wire tag (see wire.py).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 import math
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grid import (Grid, RiSpace, full_grid, unit_grid, checked_norm,
+from .grid import (Grid, RiSpace, LINF, full_grid, unit_grid, checked_norm,
                    edge_diverges, log_norm_lower, log_norm_upper)
-from .sv import SvExpr, sv_log_on_grid, inverse_arg, SvDivergenceError
+from .sv import ONE, SvExpr, sv_log_on_grid, inverse_arg, SvDivergenceError
 from .wire import Wire
 
 if TYPE_CHECKING:
@@ -42,19 +43,29 @@ UNIT = "unit"
 
 
 class SpaceDescriptor(Wire):
-    """Base class for the descriptor variants."""
+    """Base class for the descriptor variants; checks setting and theta
+    (intersection, over and app check their own)."""
 
     setting: str
+
+    def __post_init__(self):
+        if self.setting not in (FULL, UNIT):
+            raise ValueError(f"setting must be {FULL!r} or {UNIT!r}, "
+                             f"got {self.setting!r}")
+        if not 0.0 <= self.theta <= 1.0:
+            raise ValueError("theta must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
 class EndpointX0(SpaceDescriptor, kind="x0"):
     setting: str = FULL
+    theta = 0.0     # not a field: X0 is normed as a theta space (levels)
 
 
 @dataclass(frozen=True)
 class EndpointX1(SpaceDescriptor, kind="x1"):
     setting: str = FULL
+    theta = 1.0
 
 
 @dataclass(frozen=True)
@@ -63,10 +74,6 @@ class ThetaSpace(SpaceDescriptor, kind="theta"):
     b: SvExpr
     E: RiSpace
     setting: str = FULL
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -78,10 +85,6 @@ class LSpace(SpaceDescriptor, kind="L"):
     F: RiSpace
     setting: str = FULL
 
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
-
 
 @dataclass(frozen=True)
 class RSpace(SpaceDescriptor, kind="R"):
@@ -91,10 +94,6 @@ class RSpace(SpaceDescriptor, kind="R"):
     a: SvExpr
     F: RiSpace
     setting: str = FULL
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -130,6 +129,8 @@ class Intersection(SpaceDescriptor, kind="intersection"):
     def __post_init__(self):
         if not self.members:
             raise ValueError("an intersection needs at least one member")
+        if len({m.setting for m in self.members}) > 1:
+            raise ValueError("intersection members must share one setting")
 
     @property
     def setting(self):
@@ -152,8 +153,8 @@ class AppMember(SpaceDescriptor, kind="app"):
 class Over(SpaceDescriptor, kind="over"):
     """desc applied to K(., f; Y0, Y1) for the couple (Y0, Y1).
 
-    Y0 and Y1 are descriptors over the endpoint couple; kfun takes
-    their K-functional from a truncation oracle on f*.
+    Y0 and Y1 are descriptors over the endpoint couple in desc's setting;
+    kfun takes their K-functional from a truncation oracle on f*.
     """
     couple: tuple[SpaceDescriptor, ...]
     desc: SpaceDescriptor
@@ -161,6 +162,8 @@ class Over(SpaceDescriptor, kind="over"):
     def __post_init__(self):
         if len(self.couple) != 2:
             raise ValueError("a couple has exactly two members")
+        if any(y.setting != self.desc.setting for y in self.couple):
+            raise ValueError("a couple must be in its descriptor's setting")
 
     @property
     def setting(self):
@@ -180,12 +183,15 @@ def contains(d: SpaceDescriptor, kinds) -> bool:
 
 
 def levels(d: SpaceDescriptor) -> tuple:
-    """(weight, space) of each level of a theta, L/R or LL/RR descriptor,
-    from the inner level out; () for the other kinds."""
+    """(weight, space) of each level of an x0/x1, theta, L/R or LL/RR
+    descriptor, from the inner level out; () for the other kinds.  X0
+    and X1 are the theta spaces with b = 1 and E = Linf."""
     if isinstance(d, (LLSpace, RRSpace)):
         return ((d.a, d.G), (d.b, d.F), (d.c, d.E))
     if isinstance(d, (LSpace, RSpace)):
         return ((d.a, d.F), (d.b, d.E))
+    if isinstance(d, (EndpointX0, EndpointX1)):
+        return ((ONE, LINF),)
     return ((d.b, d.E),) if isinstance(d, ThetaSpace) else ()
 
 
@@ -193,32 +199,32 @@ def levels(d: SpaceDescriptor) -> tuple:
 # couple reversal
 # ---------------------------------------------------------------------
 
+_MIRROR = {EndpointX0: EndpointX1, ThetaSpace: ThetaSpace, LSpace: RSpace,
+           LLSpace: RRSpace, Intersection: Intersection}
+_MIRROR.update({v: k for k, v in _MIRROR.items()})
+
+
 def couple_reverse(d: SpaceDescriptor) -> SpaceDescriptor:
     """Descriptor of the same space built from the reversed couple.
 
     Uses K(t, f; X1, X0) = t K(1/t, f; X0, X1): theta goes to 1 - theta,
-    every slowly varying parameter is precomposed with t -> 1/t, and the
-    L/R (LL/RR) orientations swap.  Only meaningful on the full line.
+    every slowly varying parameter is precomposed with t -> 1/t, members
+    are reversed in turn, and the class goes to its mirror (X0 <-> X1,
+    L <-> R, LL <-> RR).  Only meaningful on the full line.
     """
     if d.setting != FULL:
         raise ValueError("couple reversal needs the full-line setting")
-    if isinstance(d, EndpointX0):
-        return EndpointX1()
-    if isinstance(d, EndpointX1):
-        return EndpointX0()
-    if isinstance(d, ThetaSpace):
-        return ThetaSpace(1.0 - d.theta, inverse_arg(d.b), d.E)
-    if isinstance(d, (LSpace, RSpace)):
-        mirror = RSpace if isinstance(d, LSpace) else LSpace
-        return mirror(1.0 - d.theta, inverse_arg(d.b), d.E,
-                      inverse_arg(d.a), d.F)
-    if isinstance(d, (LLSpace, RRSpace)):
-        mirror = RRSpace if isinstance(d, LLSpace) else LLSpace
-        return mirror(1.0 - d.theta, inverse_arg(d.c), d.E,
-                      inverse_arg(d.b), d.F, inverse_arg(d.a), d.G)
-    if isinstance(d, Intersection):
-        return Intersection(tuple(couple_reverse(m) for m in d.members))
-    raise ValueError(f"cannot reverse {type(d).__name__}")
+    if type(d) not in _MIRROR:
+        raise ValueError(f"cannot reverse {type(d).__name__}")
+
+    def rev(name, v):
+        if name == "theta":
+            return 1.0 - v
+        if isinstance(v, SvExpr):
+            return inverse_arg(v)
+        return tuple(map(couple_reverse, v)) if isinstance(v, tuple) else v
+    return _MIRROR[type(d)](**{f.name: rev(f.name, getattr(d, f.name))
+                               for f in fields(d)})
 
 
 # ---------------------------------------------------------------------
@@ -237,8 +243,10 @@ class Condition:
 
 @dataclass
 class AdmissibilityReport:
+    """Conditions in order.  R-space conditions are implemented exactly
+    as the printed theta=1 table reads; LL/RR ones are the L/R table's
+    applied to the outer level."""
     conditions: list
-    notes: list = field(default_factory=list)
 
     @property
     def admissible(self) -> bool:
@@ -270,9 +278,8 @@ def check_admissible(d: SpaceDescriptor, grid: Grid | None = None) -> Admissibil
     holds when the integral is finite under the edge-stability rule.
     """
     if parts(d):
-        reps = [check_admissible(m, grid) for m in parts(d)]
-        return AdmissibilityReport([c for r in reps for c in r.conditions],
-                                   [n for r in reps for n in r.notes])
+        return AdmissibilityReport([c for m in parts(d) for c in
+                                    check_admissible(m, grid).conditions])
     if isinstance(d, (EndpointX0, EndpointX1)):
         return AdmissibilityReport([])
     if isinstance(d, AppMember):
@@ -288,7 +295,6 @@ def check_admissible(d: SpaceDescriptor, grid: Grid | None = None) -> Admissibil
     n = grid.n
     i_one = grid.index_of(1.0)
     conds: list[Condition] = []
-    notes: list[str] = []
 
     def norm_of(expr, q, lo, hi):
         try:
@@ -304,51 +310,43 @@ def check_admissible(d: SpaceDescriptor, grid: Grid | None = None) -> Admissibil
         if d.theta == 1.0:
             conds.append(Condition("||b||_{E~(0,1)}",
                                    norm_of(d.b, d.E.q, 0, i_one)))
-        return AdmissibilityReport(conds, notes)
+        return AdmissibilityReport(conds)
 
-    if not isinstance(d, (LSpace, RSpace, LLSpace, RRSpace)):
+    lv = levels(d)
+    if len(lv) < 2:
         raise TypeError(f"unknown descriptor {type(d).__name__}")
     # R is L with the inner norm reversed: (0,1) <-> (1,inf) and
     # theta = 0 <-> theta = 1.  "far" is where ||b||_E must always be
-    # finite: (1,inf) for L, (0,1) for R.
+    # finite: (1,inf) for L, (0,1) for R.  (a, F) is the inner level,
+    # (b, E) the outer one.
+    (a, F), *_, (b, E) = lv
     low = isinstance(d, (LSpace, LLSpace))
-    nested = isinstance(d, (LLSpace, RRSpace))
-    b_out = d.c if nested else d.b
-    F_in = d.G if nested else d.F
-    side = "L" if low else "R"
-    if not low:
-        notes.append("R-space conditions implemented exactly as the printed "
-                     "theta=1 table reads")
-    if nested:
-        notes.append(f"{side * 2} conditions taken from the {side} table "
-                     "applied to the outer level")
     try:
-        la = sv_log_on_grid(d.a, grid)
-        lb = sv_log_on_grid(b_out, grid)
+        la = sv_log_on_grid(a, grid)
+        lb = sv_log_on_grid(b, grid)
     except SvDivergenceError:
         return AdmissibilityReport([Condition("parameter tail norm",
-                                              math.inf)], notes)
+                                              math.inf)])
     nodes = {"(0,1)": (0, i_one), "(1,inf)": (i_one, n - 1)}
     far, near = ("(1,inf)", "(0,1)") if low else ("(0,1)", "(1,inf)")
     in_far, in_near = ("(1,t)", "(0,t)") if low else ("(t,1)", "(t,inf)")
     theta_far = 0.0 if low else 1.0
     if not (unit and far == "(1,inf)"):
         conds.append(Condition(f"||b||_{{E~{far}}}",
-                               norm_of(b_out, d.E.q, *nodes[far])))
+                               norm_of(b, E.q, *nodes[far])))
         if d.theta == theta_far:
             conds.append(Condition(
                 f"||b(t)||a||_{{F~{in_far}}}||_{{E~{far}}}",
-                _nested_cond(la, lb, F_in.q, d.E.q, grid, low,
+                _nested_cond(la, lb, F.q, E.q, grid, low,
                              True, nodes[far], i_one)))
             conds.append(Condition(f"||ab||_{{E~{far}}}",
-                                   norm_of(d.a * b_out, d.E.q,
-                                           *nodes[far])))
+                                   norm_of(a * b, E.q, *nodes[far])))
     if d.theta == 1.0 - theta_far and not (unit and near == "(1,inf)"):
         conds.append(Condition(
             f"||b(t)||a||_{{F~{in_near}}}||_{{E~{near}}}",
-            _nested_cond(la, lb, F_in.q, d.E.q, grid, low,
+            _nested_cond(la, lb, F.q, E.q, grid, low,
                          False, nodes[near], i_one)))
-    return AdmissibilityReport(conds, notes)
+    return AdmissibilityReport(conds)
 
 
 # ---------------------------------------------------------------------

@@ -157,8 +157,31 @@ def test_verify_identity_unknown_name(capsys):
 def test_option_prefixes_are_usage_errors(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
-    assert exc.value.code == 2
+    assert exc.value.code == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,msg", [
+    (["norm", "--fn", "chi:0.5"],
+     "the following arguments are required: --space"),
+    (["verify", "identity", "--n", "1024"], "unrecognized arguments: --n"),
+    (["verify", "nowhere"], "invalid choice: 'nowhere'"),
+], ids=["norm-without-space", "verify-n", "bad-target"])
+def test_usage_errors_exit_1_with_the_usage(capsys, argv, msg):
+    # exit 2 is left to the verdicts (inadmissible space, divergent norm)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 1
+    assert err.startswith("usage: interpolab ")
+    assert msg in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: interpolab")
 
 
 def test_verify_holmstedt_inline_corpus(capsys):
@@ -232,12 +255,27 @@ def test_norm_app_without_setting_is_unit(tmp_path, capsys):
     assert math.isfinite(float(lines[-1]))
 
 
+_W, _E = {"kind": "const", "c": 1.0}, {"q": 2}
+
+
+def _ll(theta):
+    return {"kind": "LL", "theta": theta, "c": _W, "E": _E, "b": _W,
+            "F": _E, "a": _W, "G": _E}
+
+
 @pytest.mark.parametrize("obj", [
     {"kind": "app", "setting": "full", "space": GRAND},
     {"kind": "intersection", "members": []},
     {"kind": "theta", "theta": 0.5, "E": {"q": 2},
      "b": {"kind": "product", "args": []}},
-], ids=["app-full", "empty-intersection", "empty-product"])
+    _ll(-0.5),
+    _ll(2),
+    {"kind": "theta", "theta": 0.5, "b": _W, "E": _E, "setting": "unti"},
+    {"kind": "intersection", "members": [
+        {"kind": "theta", "theta": 0.5, "b": _W, "E": _E, "setting": s}
+        for s in ("full", "unit")]},
+], ids=["app-full", "empty-intersection", "empty-product", "LL-theta-neg",
+        "LL-theta-2", "setting-typo", "mixed-settings"])
 def test_norm_bad_descriptor_exits_1(tmp_path, capsys, obj):
     code = _norm_of_literal(tmp_path, obj)
     assert code == 1

@@ -6,13 +6,15 @@ import time
 import numpy as np
 import pytest
 
-from interpolab.grid import (GridFunction, L2, LINF, full_grid, unit_grid)
+from interpolab.grid import (GridFunction, L2, LINF, full_grid, unit_grid,
+                             edge_diverges, _final)
 from interpolab.sv import EllPow, ONE
 from interpolab.spaces import (EndpointX0, EndpointX1, ThetaSpace, RSpace,
-                               Intersection, Over, FULL)
+                               Intersection, Over, FULL, UNIT)
 from interpolab.kfun import (KProfile, k_peetre, kprofile_reverse,
                              norm_in_space, TruncationOracle)
-from interpolab import corpus
+from interpolab.holmstedt import DEFAULT_CASES
+from interpolab import corpus, kfun
 
 from util import rel_err
 
@@ -158,3 +160,53 @@ def test_over_norms_a_stack_row_by_row():
     assert all(math.isfinite(v) and v > 0 for v in alone)
     nested = Over((d, EndpointX1()), ThetaSpace(0.5, ONE, L2))
     assert math.isfinite(norm_in_space(k_peetre(fs[0]), nested))
+
+
+def _endpoint_ref(K, d):
+    """The endpoint norms as sup K (X0) and sup K(t)/t (X1), with the
+    edge test at the end where the sup is approached."""
+    g = K.grid
+    if isinstance(d, EndpointX0):
+        lw, side = K.logk, "high"
+    else:
+        lw, side = K.logk - g.x, "low"
+    return np.where(edge_diverges(lw, math.inf, g, side), math.inf,
+                    _final(np.max(lw, axis=-1)))
+
+
+def _same_bits(got, ref):
+    return np.asarray(got, float).tobytes() == np.asarray(ref).tobytes()
+
+
+@pytest.mark.parametrize("log2n", [9, 10])
+@pytest.mark.parametrize("setting", [FULL, UNIT])
+def test_endpoint_norms_are_the_sups_of_k(setting, log2n):
+    g = (full_grid if setting == FULL else unit_grid)(1 << log2n)
+    for spec in corpus.STANDARD:
+        K = k_peetre(corpus.sample(spec, g))
+        for d in (EndpointX0(setting), EndpointX1(setting)):
+            assert _same_bits(norm_in_space(K, d), _endpoint_ref(K, d)), \
+                (spec, d)
+
+
+@pytest.mark.parametrize("case", ["R_x0", "L_x1"])
+def test_endpoint_norms_of_the_oracle_cuts_are_the_sups_of_k(
+        monkeypatch, case):
+    # R_x0 has Y0 = X0 and L_x1 has Y1 = X1: the oracle norms its
+    # stacks of cut profiles in them
+    seen = []
+
+    def spy(K, d):
+        out = norm_in_space(K, d)
+        if isinstance(d, (EndpointX0, EndpointX1)):
+            seen.append((K, d, out))
+        return out
+
+    monkeypatch.setattr(kfun, "norm_in_space", spy)
+    g = full_grid(512)
+    for spec in ("chi:0.1", "pow:4", "powlog:4,-1", "log:2"):
+        TruncationOracle(corpus.sample(spec, g),
+                         *DEFAULT_CASES[case].members(), max_cuts=64)
+    assert any(np.ndim(out) == 1 for _, _, out in seen)
+    for K, d, out in seen:
+        assert _same_bits(out, _endpoint_ref(K, d)), d

@@ -1,5 +1,6 @@
 """Descriptor admissibility, couple reversal and serialization."""
 
+import dataclasses
 import json
 import math
 
@@ -13,12 +14,14 @@ from interpolab.sv import (EllPow, BrokenEll, ExpLogPow, InverseArg, ONE,
                            Power, sv_log_on_grid)
 from interpolab.spaces import (EndpointX0, EndpointX1, ThetaSpace, LSpace,
                                RSpace, LLSpace, RRSpace, Intersection,
+                               AppMember, Over,
                                FULL, UNIT, SpaceDescriptor, couple_reverse,
                                check_admissible)
 from interpolab.wire import to_json
 from interpolab.kfun import k_peetre, norm_in_space, kprofile_reverse
 from interpolab import corpus
 from interpolab.holmstedt import DEFAULT_CASES
+from interpolab.applications import GrandLp
 
 
 # -- admissibility -----------------------------------------------------
@@ -135,6 +138,44 @@ def test_theta_range_validation():
         ThetaSpace(1.5, ONE, L2)
     with pytest.raises(ValueError):
         LSpace(-0.25, ONE, L2, ONE, L2, FULL)
+    for cls in (LLSpace, RRSpace):
+        for theta in (-0.5, 2.0):
+            with pytest.raises(ValueError):
+                cls(theta, ONE, L2, ONE, L2, ONE, L2, FULL)
+
+
+@pytest.mark.parametrize("d", [d for d in _DESCS
+                               if not isinstance(d, Intersection)]
+                         + [AppMember(GrandLp(2.0, 1.0))],
+                         ids=lambda d: d.to_obj()["kind"])
+def test_unknown_setting_is_rejected(d):
+    with pytest.raises(ValueError):
+        dataclasses.replace(d, setting="unti")
+
+
+def test_composite_descriptors_have_one_setting():
+    full, unit = ThetaSpace(0.5, ONE, L2, FULL), ThetaSpace(0.5, ONE, L2, UNIT)
+    for members in ((full, unit), (unit, full), (full, EndpointX1(UNIT))):
+        with pytest.raises(ValueError):
+            Intersection(members)
+    with pytest.raises(ValueError):
+        Over((EndpointX0(), EndpointX1()), unit)
+    with pytest.raises(ValueError):
+        Over((EndpointX0(UNIT), EndpointX1()), unit)
+    assert Over((EndpointX0(UNIT), EndpointX1(UNIT)), unit).setting == UNIT
+
+
+_MIRROR = {EndpointX0: EndpointX1, ThetaSpace: ThetaSpace, LSpace: RSpace,
+           LLSpace: RRSpace, Intersection: Intersection}
+
+
+@pytest.mark.parametrize("d", [d for d in _DESCS if d.setting == FULL],
+                         ids=lambda d: d.to_obj()["kind"])
+def test_reverse_is_an_involution_onto_the_mirror_class(d):
+    r = couple_reverse(d)
+    mirror = {**_MIRROR, **{v: k for k, v in _MIRROR.items()}}
+    assert type(r) is mirror[type(d)]
+    assert couple_reverse(r) == d
 
 
 # -- the folded L/R admissibility against the mirrored tables ----------
@@ -163,10 +204,10 @@ def _nested_ref(la, lb, qF, qE, dx, grid, inner_side, inner_from_one,
 
 
 def _admissible_ref(d, grid):
-    """(name, value) pairs and notes as the separate L and R tables give."""
+    """(name, value) pairs as the separate L and R tables give."""
     unit = d.setting == UNIT
     dx, n, i_one = grid.dx, grid.n, grid.index_of(1.0)
-    conds, notes = [], []
+    conds = []
 
     def norm_of(expr, q, lo, hi):
         return checked_norm(sv_log_on_grid(expr, grid), q, grid, lo, hi)
@@ -178,9 +219,6 @@ def _admissible_ref(d, grid):
     lb = sv_log_on_grid(b_out, grid)
     E = d.E
     if isinstance(d, (LSpace, LLSpace)):
-        if nested:
-            notes.append("LL conditions taken from the L table applied to "
-                         "the outer level")
         if not unit:
             conds.append(("||b||_{E~(1,inf)}",
                           norm_of(b_out, E.q, i_one, n - 1)))
@@ -194,12 +232,7 @@ def _admissible_ref(d, grid):
             conds.append(("||b(t)||a||_{F~(0,t)}||_{E~(0,1)}",
                           _nested_ref(la, lb, F_in.q, E.q, dx, grid,
                                       "lower", False, (0, i_one), i_one)))
-        return conds, notes
-    notes.append("R-space conditions implemented exactly as the printed "
-                 "theta=1 table reads")
-    if nested:
-        notes.append("RR conditions taken from the R table applied to "
-                     "the outer level")
+        return conds
     conds.append(("||b||_{E~(0,1)}", norm_of(b_out, E.q, 0, i_one)))
     if d.theta == 0.0 and not unit:
         conds.append(("||b(t)||a||_{F~(t,inf)}||_{E~(1,inf)}",
@@ -211,7 +244,7 @@ def _admissible_ref(d, grid):
                                   "upper", True, (0, i_one), i_one)))
         conds.append(("||ab||_{E~(0,1)}",
                       norm_of(d.a * b_out, E.q, 0, i_one)))
-    return conds, notes
+    return conds
 
 
 # (b, E, a, F): convergent and divergent tails at each end
@@ -232,6 +265,5 @@ def test_folded_admissibility_matches_side_tables(setting, theta):
                   LLSpace(theta, b, E, a, F, a, F, setting),
                   RRSpace(theta, b, E, a, F, a, F, setting)):
             rep = check_admissible(d, grid)
-            conds, notes = _admissible_ref(d, grid)
+            conds = _admissible_ref(d, grid)
             assert [(c.name, c.value) for c in rep.conditions] == conds, d
-            assert rep.notes == notes
