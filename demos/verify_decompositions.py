@@ -6,8 +6,11 @@ window is the max/min spread of lhs/rhs ratios, and stability is the
 relative change of the window under grid doubling.
 """
 
+from interpolab.grid import LINF
 from interpolab.holmstedt import DEFAULT_CASES, verify_holmstedt
-from interpolab.reiteration import ReiterationCase, verify_reiteration
+from interpolab.reiteration import verify_reiteration
+from interpolab.spaces import Over, ThetaSpace
+from interpolab.sv import ONE
 
 
 def show(rep):
@@ -24,9 +27,11 @@ def main():
 
     print("\nreiteration (interior thetas):")
     for kind in ("R_interior", "L_interior"):
+        c = DEFAULT_CASES[kind]
         for theta in (0.25, 0.5, 0.75):
-            case = ReiterationCase(DEFAULT_CASES[kind], theta)
-            show(verify_reiteration(case, log2n=(9, 10)))
+            # the outer space (theta, 1, Linf) over the couple (Y0, Y1)
+            d = Over((c.y0, c.y1), ThetaSpace(theta, ONE, LINF))
+            show(verify_reiteration(d, log2n=(9, 10)))
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from .spaces import (EndpointX0, EndpointX1, ThetaSpace, LSpace, RSpace,
 from .kfun import (KProfile, k_peetre, kprofile_reverse, norm_in_space,
                    TruncationOracle)
 from .holmstedt import HolmstedtCase, CASES, holmstedt_rhs, verify_holmstedt
-from .reiteration import ReiterationCase, reiterate, verify_reiteration
+from .reiteration import reiterate, verify_reiteration
 from .applications import (GrandLp, SmallLp, UltraLp, LinfQBeta, GGamma,
                            AType, BType, norm_app, scenario_names,
                            get_scenario, verify_identity)

@@ -26,12 +26,11 @@ from .grid import (GridFunction, RiSpace, L1, L2, LINF, unit_grid,
 from .sv import (SvExpr, EllPow, NormTail, Power, Product, ONE,
                  sv_log_on_grid, compose_rho, SvDivergenceError)
 from .spaces import (SpaceDescriptor, ThetaSpace, LSpace, RSpace,
-                     RRSpace, Intersection, EndpointX1,
+                     RRSpace, Intersection, EndpointX0, EndpointX1,
                      AppMember, Over, UNIT)
 from .wire import Wire
 from .kfun import _unstack
-from .holmstedt import HolmstedtCase
-from .reiteration import ReiterationCase, reiterate, _sweep
+from .reiteration import reiterate, _sweep
 from .report import EquivalenceReport
 
 
@@ -282,32 +281,30 @@ class Scenario:
 
 @functools.cache
 def _grand_cases() -> dict:
-    """The reiteration case behind each (X, grand) identity scenario.
+    """The reiteration behind each (X, grand) identity scenario.
 
     grand(4, 1) is grand_descriptor's R-space, so (X, grand) is an
-    R_interior, R_theta0_zero or R_x0 case over (0, 1) for X = L2, LlogL
-    or L1.  A concrete rhs (small, ultra) is the identity being checked,
-    so it stays written out; the tests sweep reiterate(case) against it.
-    The other scenarios stay hand-written: their L-type couples (small
-    with ultra or Linf, GGamma with ultra) would be L cases, and reversal
-    maps (0, 1) onto (1, inf); (small, grand) is an (L, R) couple, which
-    neither reiteration theorem covers; linfq, A- and B-type members
-    have no descriptor.
+    R_interior, R_theta0_zero or R_x0 couple over (0, 1) for X = L2,
+    LlogL or L1.  A concrete rhs (small, ultra) is the identity being
+    checked, so it stays written out; the tests sweep reiterate(d)
+    against it.  The other scenarios stay hand-written: their L-type
+    couples (small with ultra or Linf, GGamma with ultra) would be L
+    cases, and reversal maps (0, 1) onto (1, inf); (small, grand) is an
+    (L, R) couple, which neither reiteration theorem covers; linfq, A-
+    and B-type members have no descriptor.
     """
-    g = grand_descriptor(4.0, 1.0)
+    g, l2 = grand_descriptor(4.0, 1.0), ThetaSpace(0.5, ONE, L2, UNIT)
 
-    def with_grand(kind, theta0, b0, E0):
-        return HolmstedtCase(kind, theta0, g.theta, b0, E0, g.b, g.E, g.a,
-                             g.F, UNIT)
+    def over(x, theta, b, E):
+        return Over((x, g), ThetaSpace(theta, b, E, UNIT))
 
-    l2, R = with_grand("R_interior", 0.5, ONE, L2), ReiterationCase
-    return {"small-dual-limit": R(l2, 0.0, EllPow(-0.5), L1),
-            "grand-vs-ultra-interior": R(l2, 0.5, ONE, L2),
-            "grand-vs-ultra-theta0": R(l2, 0.0, EllPow(-0.5), L2),
-            "grand-vs-ultra-theta1": R(l2, 1.0, EllPow(-1.0), LINF),
-            "llogl-grand": R(with_grand("R_theta0_zero", 0.0, ONE, L1),
-                             0.5, ONE, L2),
-            "l1-grand": R(with_grand("R_x0", 0.0, ONE, LINF), 0.5, ONE, L2)}
+    return {"small-dual-limit": over(l2, 0.0, EllPow(-0.5), L1),
+            "grand-vs-ultra-interior": over(l2, 0.5, ONE, L2),
+            "grand-vs-ultra-theta0": over(l2, 0.0, EllPow(-0.5), L2),
+            "grand-vs-ultra-theta1": over(l2, 1.0, EllPow(-1.0), LINF),
+            "llogl-grand": over(ThetaSpace(0.0, ONE, L1, UNIT), 0.5, ONE,
+                                L2),
+            "l1-grand": over(EndpointX0(UNIT), 0.5, ONE, L2)}
 
 
 @functools.cache
@@ -343,11 +340,9 @@ def _scenarios() -> dict:
     pa = 1.0 / (1 - th + th / p1)
 
     def put_grand(name, concrete=None):
-        case = _grand_cases()[name]
-        put(Scenario(name, smooth,
-                     Over((case.inner.members()[0], grand),
-                          case.outer_space()),
-                     AppMember(concrete) if concrete else reiterate(case)))
+        d = _grand_cases()[name]
+        put(Scenario(name, smooth, Over((d.couple[0], grand), d.desc),
+                     AppMember(concrete) if concrete else reiterate(d)))
 
     put_grand("small-dual-limit", SmallLp(p0, alpha))
     # interior: (L_{p0}, grand)_{1/2,1,L2} = ultra(8/3, l^{-1/8}, L2)

@@ -18,13 +18,13 @@ import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .grid import Grid, L2
-from .sv import EllPow
-from .spaces import (UNIT, AppMember, check_admissible, contains,
-                     space_from_obj)
+from .grid import Grid, L2, LINF
+from .sv import ONE, EllPow
+from .spaces import (UNIT, AppMember, Over, ThetaSpace, check_admissible,
+                     contains, space_from_obj)
 from .kfun import k_peetre, norm_in_space
 from .holmstedt import CASES, DEFAULT_CASES
-from .reiteration import ReiterationCase, verify_reiteration
+from .reiteration import verify_reiteration
 from . import corpus as corpus_mod
 from . import holmstedt as holmstedt_mod
 from . import applications as app_mod
@@ -90,7 +90,7 @@ def cmd_norm(args) -> int:
         return 1
     try:
         desc = space_from_obj(obj)
-    except (KeyError, ValueError, TypeError) as e:
+    except (KeyError, ValueError, TypeError, OverflowError) as e:
         print(f"error: bad descriptor field: {e}", file=sys.stderr)
         return 1
 
@@ -189,8 +189,8 @@ def cmd_verify(args) -> int:
 
     if args.target == "reiteration":
         rep = verify_reiteration(case, corpus=corpus, log2n=log2n)
-        return _finish(rep, args,
-                       f"reiteration_{case.inner.kind}_theta{args.theta:g}")
+        kind = args.case.removeprefix("Thm")
+        return _finish(rep, args, f"reiteration_{kind}_theta{args.theta:g}")
 
     # identity scenarios
     picked = names if args.name == "all" else (args.name,)
@@ -208,17 +208,16 @@ def cmd_verify(args) -> int:
     return max(codes) if codes else 0
 
 
-def _reiteration_case(name: str, theta: float) -> ReiterationCase:
+def _reiteration_case(name: str, theta: float) -> Over:
     kind = name.removeprefix("Thm")
     if kind not in DEFAULT_CASES:
         raise ValueError("unknown case; available: " + ", ".join(CASES)
                          + ", each with an optional Thm prefix")
-    if theta in (0.0, 1.0):
-        # with b = 1, E = Linf the endpoint branches reduce to the
-        # same expression on both sides; use a nontrivial weight
-        return ReiterationCase(DEFAULT_CASES[kind], theta,
-                               b=EllPow(-1.0), E=L2)
-    return ReiterationCase(DEFAULT_CASES[kind], theta)
+    c = DEFAULT_CASES[kind]
+    # with b = 1, E = Linf the endpoint branches reduce to the same
+    # expression on both sides; use a nontrivial weight
+    b, E = (EllPow(-1.0), L2) if theta in (0.0, 1.0) else (ONE, LINF)
+    return Over((c.y0, c.y1), ThetaSpace(theta, b, E, c.setting))
 
 
 def _run_identity(payload):

@@ -1,7 +1,9 @@
 """Two-sided K-functional estimates between a couple and its limiting
 interpolation spaces.
 
-Six cases are covered.  Three have an R-space as the second member:
+A case is a couple (Y0, Y1) of descriptors over the endpoint couple
+(X0, X1), in one of six configurations.  Three have an R-space as the
+second member:
 
   R_interior      Y0 = (theta0, b0, E0) with 0 < theta0 < theta1 < 1
   R_theta0_zero   Y0 = (0, b0, E0),          theta1 in (0, 1]
@@ -13,13 +15,13 @@ and three have an L-space as the first member:
   L_theta1_one    Y1 = (1, b1, E1),          theta0 in [0, 1)
   L_x1            Y1 = X1 itself,            theta0 in [0, 1)
 
-Each L case is the R case of the reversed couple (X1, X0), since
-K(t, f; X1, X0) = t K(1/t, f; X0, X1): theta goes to 1 - theta, every
-slowly varying parameter to its value at 1/t, and the members swap
-(HolmstedtCase._reversed).  Only the R cases are written out.
-A case's members are descriptors in its setting: FULL, or UNIT for
-couples over (0, 1).  An L case needs FULL, as reversal maps (0, 1)
-onto (1, inf).  verify_holmstedt runs on the full line.
+HolmstedtCase reads the configuration off the members' classes and
+thetas.  Each L case is the R case of the reversed couple, since
+K(t, f; X1, X0) = t K(1/t, f; X0, X1): the members swap and each is
+mapped by spaces.couple_reverse.  Only the R cases are written out.
+The members share one setting: FULL, or UNIT for couples over (0, 1);
+an L case needs FULL, as reversal maps (0, 1) onto (1, inf).
+verify_holmstedt runs on the full line.
 
 In every case K(rho(u), f; Y0, Y1) is comparable, uniformly in u and f,
 to an explicit expression in K(., f; X0, X1) split at u.  verify_holmstedt
@@ -29,17 +31,15 @@ spread over a range of u.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (RiSpace, L2, LINF, full_grid, log_norm_lower,
-                   log_norm_upper)
-from .sv import (SvExpr, ONE, EllPow, Power, Product, NormTail,
-                 inverse_arg, sv_log_on_grid, SvDivergenceError)
-from .spaces import (ThetaSpace, LSpace, RSpace, EndpointX0, FULL, UNIT,
-                     couple_reverse)
+from .grid import L2, LINF, full_grid, log_norm_lower, log_norm_upper
+from .sv import (ONE, EllPow, Power, Product, NormTail, inverse_arg,
+                 sv_log_on_grid, SvDivergenceError)
+from .spaces import (SpaceDescriptor, ThetaSpace, LSpace, RSpace,
+                     EndpointX0, EndpointX1, FULL, couple_reverse)
 from .kfun import KProfile, TruncationOracle, _cut_cap
 from .report import EquivalenceReport
 from . import corpus as corpus_mod
@@ -51,58 +51,43 @@ CASES = R_CASES + L_CASES
 
 @dataclass(frozen=True)
 class HolmstedtCase:
-    kind: str
-    theta0: float = 0.0
-    theta1: float = 1.0
-    b0: SvExpr = ONE
-    E0: RiSpace = RiSpace(math.inf)
-    b1: SvExpr = ONE
-    E1: RiSpace = RiSpace(math.inf)
-    a: SvExpr = ONE
-    F: RiSpace = RiSpace(math.inf)
-    setting: str = FULL
+    """The couple (Y0, Y1) whose K-functional is being estimated; kind
+    names its configuration, and a couple in none is a ValueError."""
+    y0: SpaceDescriptor
+    y1: SpaceDescriptor
+    kind: str = field(init=False)
 
     def __post_init__(self):
-        if self.kind not in CASES:
-            raise ValueError(f"unknown case {self.kind!r}")
-        if self.kind in L_CASES:
-            if self.setting == UNIT:
-                raise ValueError(f"{self.kind} needs the full line: couple "
-                                 "reversal maps (0, 1) onto (1, inf)")
-            try:
-                self._reversed()
-            except ValueError as e:
-                raise ValueError(
-                    f"{self.kind} is the reversed couple's "
-                    f"{R_CASES[L_CASES.index(self.kind)]} with theta0 -> "
-                    f"1 - theta1, theta1 -> 1 - theta0, and {e}") from None
-            return
-        t0, t1 = self.theta0, self.theta1
-        if self.kind == "R_interior" and not 0 < t0 < t1 < 1:
-            raise ValueError("R_interior needs 0 < theta0 < theta1 < 1")
-        if self.kind == "R_theta0_zero" and not (t0 == 0 and 0 < t1 <= 1):
-            raise ValueError("R_theta0_zero needs theta0 = 0, theta1 in (0,1]")
-        if self.kind == "R_x0" and not 0 < t1 <= 1:
-            raise ValueError("R_x0 needs theta1 in (0,1]")
+        y0, y1 = self.y0, self.y1
+        if y0.setting != y1.setting:
+            raise ValueError("a case's members must share one setting")
+        low = isinstance(y0, LSpace)
+        r0, r1 = map(couple_reverse, (y1, y0)) if low else (y0, y1)
+        if not (isinstance(r1, RSpace)
+                and isinstance(r0, (EndpointX0, ThetaSpace))):
+            raise ValueError(f"({type(y0).__name__}, {type(y1).__name__}) "
+                             "is in none of the six configurations")
+        t0, t1 = r0.theta, r1.theta
+        if t0 == 0:
+            kind = "R_x0" if isinstance(r0, EndpointX0) else "R_theta0_zero"
+            need, ok = "theta1 in (0,1]", t1 > 0
+        else:
+            kind, need, ok = ("R_interior", "0 < theta0 < theta1 < 1",
+                              t0 < t1 < 1)
+        name = L_CASES[R_CASES.index(kind)] if low else kind
+        if not ok:
+            via = (f"{name} is the reversed couple's {kind} with theta0 -> "
+                   "1 - theta1, theta1 -> 1 - theta0, and ") if low else ""
+            raise ValueError(f"{via}{kind} needs {need}")
+        object.__setattr__(self, "kind", name)
+
+    @property
+    def setting(self) -> str:
+        return self.y0.setting
 
     def _reversed(self) -> HolmstedtCase:
         """The R case over the reversed couple (X1, X0) that an L case is."""
-        return HolmstedtCase(R_CASES[L_CASES.index(self.kind)],
-                             1.0 - self.theta1, 1.0 - self.theta0,
-                             inverse_arg(self.b1), self.E1,
-                             inverse_arg(self.b0), self.E0,
-                             inverse_arg(self.a), self.F)
-
-    def members(self):
-        """The couple (Y0, Y1) whose K-functional is being estimated."""
-        if self.kind in L_CASES:
-            y0, y1 = self._reversed().members()
-            return couple_reverse(y1), couple_reverse(y0)
-        s = self.setting
-        y1 = RSpace(self.theta1, self.b1, self.E1, self.a, self.F, s)
-        if self.kind == "R_x0":
-            return EndpointX0(s), y1
-        return ThetaSpace(self.theta0, self.b0, self.E0, s), y1
+        return HolmstedtCase(couple_reverse(self.y1), couple_reverse(self.y0))
 
     def rho_params(self):
         """(gamma, sv) with rho(u) = u^gamma * sv(u)."""
@@ -110,37 +95,31 @@ class HolmstedtCase:
             # rho(u) = 1 / rho'(1/u) for the rho' of the reversed case
             gamma, sv = self._reversed().rho_params()
             return gamma, Power(inverse_arg(sv), -1.0)
-        sv = Product(Power(self.a, -1.0),
-                     Power(NormTail(self.b1, self.E1, "lower"), -1.0))
+        y0, y1 = self.y0, self.y1
+        sv = Product(Power(y1.a, -1.0),
+                     Power(NormTail(y1.b, y1.E, "lower"), -1.0))
         if self.kind == "R_interior":
-            return self.theta1 - self.theta0, Product(self.b0, sv)
+            return y1.theta - y0.theta, Product(y0.b, sv)
         if self.kind == "R_theta0_zero":
-            return self.theta1, Product(NormTail(self.b0, self.E0, "upper"),
-                                        sv)
-        return self.theta1, sv
+            return y1.theta, Product(NormTail(y0.b, y0.E, "upper"), sv)
+        return y1.theta, sv
 
 
-# parameter choices used by `verify holmstedt` and `verify reiteration`;
-# the thetas sit strictly inside the admissible ranges and each SV/Lq
+# the couples used by `verify holmstedt` and `verify reiteration`; the
+# thetas sit strictly inside the admissible ranges and each SV/Lq
 # pairing keeps every tail norm finite.
-DEFAULT_CASES = {
-    "R_interior": HolmstedtCase("R_interior", 0.25, 0.5,
-                                b0=EllPow(0.5), E0=L2,
-                                b1=EllPow(-0.5), E1=LINF, a=ONE, F=L2),
-    "R_theta0_zero": HolmstedtCase("R_theta0_zero", 0.0, 0.5,
-                                   b0=EllPow(-0.5), E0=LINF,
-                                   b1=ONE, E1=LINF, a=ONE, F=L2),
-    "R_x0": HolmstedtCase("R_x0", 0.0, 0.5, b1=ONE, E1=LINF,
-                          a=ONE, F=LINF),
-    "L_interior": HolmstedtCase("L_interior", 0.25, 0.5,
-                                b0=EllPow(-0.5), E0=LINF,
-                                b1=EllPow(0.5), E1=L2, a=ONE, F=L2),
-    "L_theta1_one": HolmstedtCase("L_theta1_one", 0.25, 1.0,
-                                  b0=EllPow(-0.5), E0=LINF,
-                                  b1=EllPow(-0.5), E1=LINF, a=ONE, F=L2),
-    "L_x1": HolmstedtCase("L_x1", 0.5, 1.0, b0=EllPow(-0.5), E0=LINF,
-                          a=ONE, F=L2),
-}
+DEFAULT_CASES = {c.kind: c for c in (
+    HolmstedtCase(ThetaSpace(0.25, EllPow(0.5), L2),
+                  RSpace(0.5, EllPow(-0.5), LINF, ONE, L2)),
+    HolmstedtCase(ThetaSpace(0.0, EllPow(-0.5), LINF),
+                  RSpace(0.5, ONE, LINF, ONE, L2)),
+    HolmstedtCase(EndpointX0(), RSpace(0.5, ONE, LINF, ONE, LINF)),
+    HolmstedtCase(LSpace(0.25, EllPow(-0.5), LINF, ONE, L2),
+                  ThetaSpace(0.5, EllPow(0.5), L2)),
+    HolmstedtCase(LSpace(0.25, EllPow(-0.5), LINF, ONE, L2),
+                  ThetaSpace(1.0, EllPow(-0.5), LINF)),
+    HolmstedtCase(LSpace(0.5, EllPow(-0.5), LINF, ONE, L2), EndpointX1()),
+)}
 
 
 def holmstedt_rhs(case: HolmstedtCase, K: KProfile):
@@ -166,7 +145,7 @@ def holmstedt_rhs(case: HolmstedtCase, K: KProfile):
     gamma, sv = case.rho_params()
     lrho = gamma * x + sv_log_on_grid(sv, grid)
 
-    y0, y1 = case.members()
+    y0, y1 = case.y0, case.y1
     low = isinstance(y0, LSpace)
     mixed, end = (y0, y1) if low else (y1, y0)
     pre, suf = (log_norm_lower, log_norm_upper) if low else \
@@ -196,7 +175,9 @@ def verify_holmstedt(case: HolmstedtCase, corpus=None, log2n=(9, 10)
     per (prototype, grid size, u) with both sides finite and positive,
     added in one block per (prototype, grid size).
     """
-    y0, y1 = case.members()
+    if case.setting != FULL:
+        raise ValueError("verify_holmstedt runs on the full line")
+    y0, y1 = case.y0, case.y1
     rep = EquivalenceReport(case.kind)
     specs = corpus_mod.resolve_corpus(corpus) if corpus else \
         corpus_mod.STANDARD

@@ -1,27 +1,25 @@
 """Reduction of a second interpolation step to a single descriptor.
 
-Given a couple (Y0, Y1) in one of the six configurations of
-holmstedt.CASES and an outer space (theta, b, E) applied to
-K(., f; Y0, Y1), reiterate() returns a descriptor over the original
-endpoint K-functional whose norm is equivalent.  Only the R cases are
-written out: an L case is the R case of the reversed couple
-(HolmstedtCase._reversed), and since K(t; Y0, Y1) = t K(1/t; Y1, Y0)
-its outer space (theta, b, E) is (1 - theta, b(1/.), E) there; the
-reduced descriptor is then reversed back (spaces.couple_reverse).
-Both sides are in the inner case's setting.
+A reiteration is an Over((Y0, Y1), (theta, b, E)): the outer theta
+space over a couple in one of the six configurations of
+holmstedt.CASES.  reiterate() returns a descriptor over the endpoint
+K-functional whose norm is equivalent.  Only the R cases are written
+out: an L case is the R case of the reversed couple, and since
+K(t; Y0, Y1) = t K(1/t; Y1, Y0) its outer space reverses too, to
+(1 - theta, b(1/.), E); the reduced descriptor is then reversed back
+(spaces.couple_reverse).  Both sides are in the couple's setting.
 
-verify_reiteration measures both sides on a corpus: the outer space
-over the member couple (a spaces.Over, through a truncation oracle)
-against the reduced descriptor.  verify_identity shares its row loop.
+verify_reiteration measures both sides on a corpus: the Over (through
+a truncation oracle) against the reduced descriptor.  verify_identity
+shares its row loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import math
 
-from .grid import RiSpace, full_grid, unit_grid
-from .sv import SvExpr, ONE, Power, Product, NormTail, compose_rho, inverse_arg
+from .grid import full_grid, unit_grid
+from .sv import Power, Product, NormTail, compose_rho
 from .spaces import (SpaceDescriptor, ThetaSpace, LSpace, RSpace, RRSpace,
                      Intersection, Over, UNIT, couple_reverse)
 from .holmstedt import HolmstedtCase, L_CASES
@@ -30,56 +28,43 @@ from .report import EquivalenceReport
 from . import corpus as corpus_mod
 
 
-@dataclass(frozen=True)
-class ReiterationCase:
-    inner: HolmstedtCase
-    theta: float
-    b: SvExpr = ONE
-    E: RiSpace = RiSpace(math.inf)
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("outer theta must lie in [0, 1]")
-
-    def outer_space(self) -> ThetaSpace:
-        """(theta, b, E), the space applied to K(., f; Y0, Y1)."""
-        return ThetaSpace(self.theta, self.b, self.E, self.inner.setting)
-
-
-def reiterate(case: ReiterationCase) -> SpaceDescriptor:
-    """Descriptor over the endpoint couple equivalent to the outer space."""
-    c = case.inner
-    th = case.theta
-    s = c.setting
+def reiterate(d: Over) -> SpaceDescriptor:
+    """Descriptor over the endpoint couple equivalent to d, an outer
+    theta space over a case's couple."""
+    c = HolmstedtCase(*d.couple)
+    out = d.desc
+    if not isinstance(out, ThetaSpace):
+        raise ValueError("reiterate needs an outer theta space")
     if c.kind in L_CASES:
-        rev = ReiterationCase(c._reversed(), 1.0 - th, inverse_arg(case.b),
-                              case.E)
-        return couple_reverse(reiterate(rev))
+        rev = c._reversed()
+        return couple_reverse(reiterate(
+            Over((rev.y0, rev.y1), couple_reverse(out))))
+    y0, y1 = c.y0, c.y1
+    th, E, s = out.theta, out.E, c.setting
     gamma, rho_sv = c.rho_params()
-    brho = compose_rho(case.b, gamma, rho_sv)
-    b1_low = NormTail(c.b1, c.E1, "lower")
-    a_b1 = Product(c.a, b1_low)
+    brho = compose_rho(out.b, gamma, rho_sv)
+    b1_low = NormTail(y1.b, y1.E, "lower")
+    a_b1 = Product(y1.a, b1_low)
     if th == 1.0:
         return Intersection((
-            RSpace(c.theta1, Product(b1_low, brho), case.E, c.a, c.F, s),
-            RRSpace(c.theta1, brho, case.E, c.b1, c.E1, c.a, c.F, s)))
+            RSpace(y1.theta, Product(b1_low, brho), E, y1.a, y1.F, s),
+            RRSpace(y1.theta, brho, E, y1.b, y1.E, y1.a, y1.F, s)))
     if c.kind == "R_interior":
         if th == 0.0:
-            return LSpace(c.theta0, brho, case.E, c.b0, c.E0, s)
-        tmix = (1 - th) * c.theta0 + th * c.theta1
-        bmix = Product(Power(c.b0, 1 - th), Power(a_b1, th))
-        return ThetaSpace(tmix, Product(bmix, brho), case.E, s)
+            return LSpace(y0.theta, brho, E, y0.b, y0.E, s)
+        tmix = (1 - th) * y0.theta + th * y1.theta
+        bmix = Product(Power(y0.b, 1 - th), Power(a_b1, th))
+        return ThetaSpace(tmix, Product(bmix, brho), E, s)
     if c.kind == "R_theta0_zero":
-        b0_up = NormTail(c.b0, c.E0, "upper")
+        b0_up = NormTail(y0.b, y0.E, "upper")
         if th == 0.0:
             return Intersection((
-                ThetaSpace(0.0, Product(b0_up, brho), case.E, s),
-                LSpace(0.0, brho, case.E, c.b0, c.E0, s)))
+                ThetaSpace(0.0, Product(b0_up, brho), E, s),
+                LSpace(0.0, brho, E, y0.b, y0.E, s)))
         bmix = Product(Power(b0_up, 1 - th), Power(a_b1, th))
-        return ThetaSpace(th * c.theta1, Product(bmix, brho), case.E, s)
+        return ThetaSpace(th * y1.theta, Product(bmix, brho), E, s)
     # R_x0
-    return ThetaSpace(th * c.theta1, Product(Power(a_b1, th), brho),
-                      case.E, s)
+    return ThetaSpace(th * y1.theta, Product(Power(a_b1, th), brho), E, s)
 
 
 def _sweep(rep: EquivalenceReport, corpus, make_grid, log2n,
@@ -109,14 +94,14 @@ def _sweep(rep: EquivalenceReport, corpus, make_grid, log2n,
     return rep
 
 
-def verify_reiteration(case: ReiterationCase, corpus=None, log2n=(9, 10)
+def verify_reiteration(d: Over, corpus=None, log2n=(9, 10)
                        ) -> EquivalenceReport:
-    """Compare the outer norm over (Y0, Y1) with the reduced descriptor.
+    """Compare the outer norm d over (Y0, Y1) with the reduced descriptor.
 
     One row per (prototype, grid size), no split point.
     """
-    outer = Over(case.inner.members(), case.outer_space())
-    rep = EquivalenceReport(f"{case.inner.kind}:theta={case.theta:g}")
-    grid = unit_grid if case.inner.setting == UNIT else full_grid
+    kind = HolmstedtCase(*d.couple).kind
+    rep = EquivalenceReport(f"{kind}:theta={d.desc.theta:g}")
+    grid = unit_grid if d.setting == UNIT else full_grid
     return _sweep(rep, corpus or corpus_mod.STANDARD, grid, log2n,
-                  outer, reiterate(case), ("outer", "reduced"))
+                  d, reiterate(d), ("outer", "reduced"))

@@ -13,11 +13,12 @@ dispatching on the tag among its subclasses, or, if it is a dataclass,
 a value written without a tag (``RiSpace`` as ``{"q": ...}``).
 
 Reading follows each field's annotation: ``float``, ``int`` and ``str``
-values are coerced, nested objects are read against their annotated
-class (a tag from another family is a ``ValueError``), tuples element
-by element; a missing field takes its dataclass default, and a missing
-required one fails in the constructor.  ``+inf`` is written as the
-string ``"inf"``, which ``float`` reads back.
+values are coerced (``2.0`` reads as the ``int`` 2; a NaN ``float`` or a
+non-integral ``int`` is a ``ValueError``), nested objects are read
+against their annotated class (a tag from another family is a
+``ValueError``), tuples element by element; a missing field takes its
+dataclass default, and a missing required one fails in the constructor.
+``+inf`` is written as the string ``"inf"``, which ``float`` reads back.
 """
 
 from __future__ import annotations
@@ -86,9 +87,21 @@ def _encode(v):
     return v
 
 
+def _float(v) -> float:
+    if math.isnan(x := float(v)):
+        raise ValueError(f"{v!r} is not a number")
+    return x
+
+
+def _int(v) -> int:
+    if not (x := float(v)).is_integer():
+        raise ValueError(f"{v!r} is not an integer")
+    return int(x)
+
+
 def _reader(tp):
     if tp in (float, int, str):
-        return tp
+        return {float: _float, int: _int, str: str}[tp]
     if isinstance(tp, type) and issubclass(tp, Wire):
         return tp.from_obj
     if typing.get_origin(tp) is tuple:

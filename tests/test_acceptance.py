@@ -28,9 +28,9 @@ from interpolab.sv import EllPow, BrokenEll, ONE, sv_log_on_grid
 from interpolab.kfun import (k_peetre, kprofile_reverse, norm_in_space,
                              TruncationOracle)
 from interpolab.spaces import (EndpointX0, EndpointX1, ThetaSpace, LSpace,
-                               RSpace, couple_reverse)
+                               RSpace, Over, couple_reverse)
 from interpolab.holmstedt import DEFAULT_CASES, verify_holmstedt
-from interpolab.reiteration import ReiterationCase, verify_reiteration
+from interpolab.reiteration import verify_reiteration
 from interpolab.applications import verify_identity
 from interpolab.cli import main
 from interpolab import corpus
@@ -170,17 +170,17 @@ def test_criterion_05_split_point_formulas(capsys):
 def test_criterion_06_reiteration(capsys):
     runs = []
     for kind in ("R_interior", "L_interior"):
+        c = DEFAULT_CASES[kind]
         for theta in (0.25, 0.5, 0.75):
-            runs.append(ReiterationCase(DEFAULT_CASES[kind], theta))
-    for kind in ("R_interior", "L_interior"):
+            runs.append(Over((c.y0, c.y1), ThetaSpace(theta, ONE, LINF)))
         for theta in (0.0, 1.0):
-            runs.append(ReiterationCase(DEFAULT_CASES[kind], theta,
-                                        b=EllPow(-1.0), E=L2))
+            runs.append(Over((c.y0, c.y1), ThetaSpace(theta, EllPow(-1.0),
+                                                      L2)))
     worst = 1.0
     for case in runs:
         rep = verify_reiteration(case, log2n=(9, 10))
         win = max(rep.window(n) for n in rep.sizes())
-        assert win <= 100.0, (case.inner.kind, case.theta, win)
+        assert win <= 100.0, (rep.case, win)
         assert rep.stability() <= 0.10
         worst = max(worst, win)
     _report(capsys, f"criterion 6: PASS reiteration over {len(runs)} "

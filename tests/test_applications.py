@@ -9,7 +9,7 @@ from interpolab.grid import (Grid, GridFunction, L1, L2, LINF, RiSpace,
                              full_grid, unit_grid)
 from interpolab.sv import EllPow, ONE
 from interpolab.kfun import k_peetre, norm_in_space
-from interpolab.spaces import EndpointX0, ThetaSpace, UNIT
+from interpolab.spaces import EndpointX0, LSpace, ThetaSpace, UNIT
 from interpolab.holmstedt import HolmstedtCase
 from interpolab.reiteration import reiterate, verify_reiteration, _sweep
 from interpolab.report import EquivalenceReport
@@ -187,14 +187,16 @@ def test_grand_cases_name_their_couples():
     first = {"R_interior": ultra_descriptor(2.0, ONE, L2),
              "R_theta0_zero": ThetaSpace(0.0, ONE, L1, UNIT),
              "R_x0": EndpointX0(UNIT)}
-    assert {c.inner.kind for c in cases.values()} == set(first)
-    for name, case in cases.items():
-        assert case.inner.setting == UNIT
-        assert case.inner.members() == (first[case.inner.kind], grand), name
+    kinds = {name: HolmstedtCase(*d.couple).kind
+             for name, d in cases.items()}
+    assert set(kinds.values()) == set(first)
+    for name, d in cases.items():
+        assert d.setting == UNIT
+        assert d.couple == (first[kinds[name]], grand), name
         sc = get_scenario(name)
-        assert sc.lhs.couple[0] == first[case.inner.kind]
+        assert sc.lhs.couple[0] == first[kinds[name]]
         assert sc.lhs.couple[1].space == GrandLp(4.0, 1.0)
-        assert sc.lhs.desc == case.outer_space()
+        assert sc.lhs.desc == d.desc
 
 
 def test_descriptor_right_sides_are_reiterated():
@@ -244,8 +246,8 @@ def test_reiterated_log_exponent_matches_concrete_right_side(name):
 
 def test_l_case_rejects_unit_setting():
     with pytest.raises(ValueError, match="reversal"):
-        HolmstedtCase("L_interior", 0.25, 0.5, b0=EllPow(-0.5), E0=LINF,
-                      b1=EllPow(0.5), E1=L2, setting=UNIT)
+        HolmstedtCase(LSpace(0.25, EllPow(-0.5), LINF, ONE, L2, UNIT),
+                      ThetaSpace(0.5, EllPow(0.5), L2, UNIT))
 
 
 @pytest.mark.parametrize("name", sorted(_grand_cases()))

@@ -340,7 +340,8 @@ def same_as_per_cut(fstar, Y0, Y1, max_cuts):
 @pytest.mark.parametrize("kind", sorted(DEFAULT_CASES))
 def test_oracle_matches_per_cut_loop(kind):
     g = full_grid(512)
-    y0, y1 = DEFAULT_CASES[kind].members()
+    c = DEFAULT_CASES[kind]
+    y0, y1 = c.y0, c.y1
     built = [same_as_per_cut(corpus.sample(spec, g), y0, y1, 128)
              for spec in corpus.STANDARD]
     assert max(built) > 100     # some prototype hits the cut cap
@@ -356,7 +357,8 @@ def test_oracle_matches_per_cut_loop_on_app_members():
 def test_oracle_blocks_span_large_grids():
     # at n = 2^14 a block holds 4 cut rows: many blocks, same answer
     g = full_grid(1 << 14)
-    y0, y1 = DEFAULT_CASES["R_interior"].members()
+    c = DEFAULT_CASES["R_interior"]
+    y0, y1 = c.y0, c.y1
     f = corpus.sample("pow:2", g)
     assert same_as_per_cut(f, y0, y1, 9) > 4
 
@@ -365,7 +367,8 @@ def test_oracle_norms_only_cuts_that_can_attain_k(monkeypatch):
     # no cut of pow:2 beats the trivial splittings of the R_interior
     # couple at any node: rounds of midpoints stop after a few cuts
     g = full_grid(1 << 12)
-    y0, y1 = DEFAULT_CASES["R_interior"].members()
+    c = DEFAULT_CASES["R_interior"]
+    y0, y1 = c.y0, c.y1
     f = corpus.sample("pow:2", g)
     normed = []
 

@@ -274,8 +274,17 @@ def _ll(theta):
     {"kind": "intersection", "members": [
         {"kind": "theta", "theta": 0.5, "b": _W, "E": _E, "setting": s}
         for s in ("full", "unit")]},
+    {"kind": "theta", "theta": 0.5, "b": {"kind": "ell", "alpha": "nan"},
+     "E": _E},
+    {"kind": "app", "space": {"kind": "ultra", "p": 2, "E": _E, "b": {
+        "kind": "power", "base": {"kind": "ell", "alpha": 1}, "r": "nan"}}},
+    {"kind": "theta", "theta": 0.5, "E": _E,
+     "b": {"kind": "iterated_ell", "depth": 2.7, "alpha": 1}},
+    {"kind": "theta", "theta": 0.5, "E": _E,
+     "b": {"kind": "iterated_ell", "depth": 10 ** 400, "alpha": 1}},
 ], ids=["app-full", "empty-intersection", "empty-product", "LL-theta-neg",
-        "LL-theta-2", "setting-typo", "mixed-settings"])
+        "LL-theta-2", "setting-typo", "mixed-settings", "nan-alpha",
+        "nan-power-in-ultra", "fractional-depth", "huge-depth"])
 def test_norm_bad_descriptor_exits_1(tmp_path, capsys, obj):
     code = _norm_of_literal(tmp_path, obj)
     assert code == 1
@@ -311,9 +320,9 @@ def _over_descriptors():
     from interpolab.holmstedt import DEFAULT_CASES
     from interpolab.spaces import Over
     rhs = get_scenario("small-grand-theta0").rhs
+    c = DEFAULT_CASES["L_interior"]
     return {"unit": rhs.members[1],
-            "full": Over(DEFAULT_CASES["L_interior"].members(),
-                         ThetaSpace(0.5, EllPow(-1.0), L2))}
+            "full": Over((c.y0, c.y1), ThetaSpace(0.5, EllPow(-1.0), L2))}
 
 
 @pytest.mark.parametrize("fn", ["chi:0.5", "pow:2"])

@@ -1,6 +1,7 @@
 """Split-point estimates for K over derived couples."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from interpolab.grid import (L1, L2, LINF, full_grid, log_norm_lower,
                              log_norm_upper)
 from interpolab.sv import EllPow, BrokenEll, ONE, sv_log_on_grid
 from interpolab.spaces import (EndpointX0, EndpointX1, ThetaSpace, LSpace,
-                               RSpace)
+                               RSpace, UNIT, couple_reverse)
 from interpolab.holmstedt import (HolmstedtCase, CASES, R_CASES, L_CASES,
                                   DEFAULT_CASES, holmstedt_rhs,
                                   verify_holmstedt)
 from interpolab.kfun import TruncationOracle, k_peetre, _cut_cap
+from interpolab.applications import (grand_descriptor, small_descriptor,
+                                     _grand_cases)
 from interpolab import corpus
 
 
@@ -25,13 +28,13 @@ def test_case_registry():
 
 def test_members_shapes():
     c = DEFAULT_CASES["R_interior"]
-    y0, y1 = c.members()
+    y0, y1 = c.y0, c.y1
     assert isinstance(y0, ThetaSpace) and isinstance(y1, RSpace)
     c = DEFAULT_CASES["R_x0"]
-    y0, y1 = c.members()
+    y0, y1 = c.y0, c.y1
     assert isinstance(y0, EndpointX0)
     c = DEFAULT_CASES["L_x1"]
-    y0, y1 = c.members()
+    y0, y1 = c.y0, c.y1
     assert isinstance(y0, LSpace) and isinstance(y1, EndpointX1)
 
 
@@ -46,11 +49,66 @@ def test_rho_exponents():
 
 def test_case_validation():
     with pytest.raises(ValueError):
-        HolmstedtCase("R_interior", theta0=0.5, theta1=0.25,
-                      b0=ONE, E0=L2, b1=ONE, E1=LINF, a=ONE, F=L2)
+        HolmstedtCase(ThetaSpace(0.5, ONE, L2),
+                      RSpace(0.25, ONE, LINF, ONE, L2))
+    # a couple in no configuration: a theta space, then an L-space
     with pytest.raises(ValueError):
-        HolmstedtCase("R_sideways", theta0=0.25, theta1=0.5,
-                      b0=ONE, E0=L2, b1=ONE, E1=LINF, a=ONE, F=L2)
+        HolmstedtCase(ThetaSpace(0.25, ONE, L2),
+                      LSpace(0.5, ONE, LINF, ONE, L2))
+
+
+# -- the configuration is read off the couple ----------------------------
+
+_MIRROR = dict(zip(L_CASES, R_CASES))
+
+
+@pytest.mark.parametrize("kind", CASES)
+def test_default_couples_classify_as_their_key(kind):
+    c = DEFAULT_CASES[kind]
+    assert HolmstedtCase(c.y0, c.y1).kind == kind
+
+
+@pytest.mark.parametrize("kind", L_CASES)
+def test_reversed_l_couple_is_the_mirror_r_case(kind):
+    c = DEFAULT_CASES[kind]
+    rev = HolmstedtCase(couple_reverse(c.y1), couple_reverse(c.y0))
+    assert rev.kind == _MIRROR[kind]
+    assert c._reversed() == rev
+
+
+@pytest.mark.parametrize("couple", [
+    (small_descriptor(2.0, 1.0), grand_descriptor(4.0, 1.0)),
+    (ThetaSpace(0.25, ONE, L2), ThetaSpace(0.5, ONE, L2)),
+    (RSpace(0.25, ONE, L2, ONE, L2), ThetaSpace(0.5, ONE, L2)),
+    (EndpointX0(), EndpointX1()),
+    (ThetaSpace(0.25, ONE, L2, UNIT), RSpace(0.5, ONE, LINF, ONE, L2)),
+    (ThetaSpace(0.5, ONE, L2), RSpace(0.5, ONE, LINF, ONE, L2)),
+    (ThetaSpace(0.75, ONE, L2), RSpace(0.5, ONE, LINF, ONE, L2)),
+], ids=["L-R", "theta-theta", "R-theta", "X0-X1", "mixed-settings",
+        "interior-equal-thetas", "interior-decreasing-thetas"])
+def test_couples_in_no_configuration_are_refused(couple):
+    with pytest.raises(ValueError):
+        HolmstedtCase(*couple)
+
+
+def test_l_case_error_names_the_l_case():
+    with pytest.raises(ValueError, match="L_interior .* R_interior"):
+        HolmstedtCase(LSpace(0.5, ONE, LINF, ONE, L2),
+                      ThetaSpace(0.25, ONE, L2))
+
+
+@pytest.mark.parametrize("kind", L_CASES)
+def test_l_case_in_the_unit_setting_is_refused_by_reversal(kind):
+    c = DEFAULT_CASES[kind]
+    with pytest.raises(ValueError, match="reversal"):
+        HolmstedtCase(replace(c.y0, setting=UNIT), replace(c.y1, setting=UNIT))
+
+
+def test_verify_holmstedt_refuses_the_unit_setting():
+    d = _grand_cases()["grand-vs-ultra-interior"]
+    with pytest.raises(ValueError, match="full line"):
+        verify_holmstedt(HolmstedtCase(*d.couple),
+                         corpus=("chi:0.1", "pow:4"), log2n=(9,))
 
 
 def test_rhs_tables_are_finite_inside():
@@ -94,7 +152,7 @@ def test_report_determinism():
 def _verify_rows_ref(case, specs, k):
     """The sweep as first written: one row at a time, with K(., f; X0,
     X1) recomputed by k_peetre.  ((id, n, u, lhs, rhs) rows, excluded)."""
-    y0, y1 = case.members()
+    y0, y1 = case.y0, case.y1
     rows, excluded = [], []
     n = 1 << k
     grid = full_grid(n)
@@ -135,7 +193,8 @@ def test_bulk_rows_match_the_row_loop(kind):
 
 def test_oracle_carries_the_k_peetre_profile():
     g = full_grid(512)
-    y0, y1 = DEFAULT_CASES["R_interior"].members()
+    c = DEFAULT_CASES["R_interior"]
+    y0, y1 = c.y0, c.y1
     for spec in corpus.STANDARD:
         fstar = corpus.sample(spec, g)
         orc = TruncationOracle(fstar, y0, y1, max_cuts=_cut_cap(g))
@@ -157,47 +216,49 @@ def _rhs_ref(case, K):
     grid, x, dx, logk = K.grid, K.grid.x, K.grid.dx, K.logk
     gamma, sv = case.rho_params()
     lrho = gamma * x + sv_log_on_grid(sv, grid)
-    la = sv_log_on_grid(case.a, grid)
+    y0, y1 = case.y0, case.y1
     k = case.kind
     if k in R_CASES:
-        lb1 = sv_log_on_grid(case.b1, grid)
-        b1_low = log_norm_lower(lb1, case.E1.q, dx)
-        aK_up = log_norm_upper(-case.theta1 * x + la + logk, case.F.q, dx)
-        q1 = log_norm_upper(lb1 + aK_up, case.E1.q, dx)
+        la = sv_log_on_grid(y1.a, grid)
+        lb1 = sv_log_on_grid(y1.b, grid)
+        b1_low = log_norm_lower(lb1, y1.E.q, dx)
+        aK_up = log_norm_upper(-y1.theta * x + la + logk, y1.F.q, dx)
+        q1 = log_norm_upper(lb1 + aK_up, y1.E.q, dx)
         if k == "R_interior":
-            lb0 = sv_log_on_grid(case.b0, grid)
-            p0 = log_norm_lower(-case.theta0 * x + lb0 + logk, case.E0.q, dx)
+            lb0 = sv_log_on_grid(y0.b, grid)
+            p0 = log_norm_lower(-y0.theta * x + lb0 + logk, y0.E.q, dx)
         elif k == "R_theta0_zero":
-            lb0 = sv_log_on_grid(case.b0, grid)
-            p0 = log_norm_lower(lb0 + logk, case.E0.q, dx)
+            lb0 = sv_log_on_grid(y0.b, grid)
+            p0 = log_norm_lower(lb0 + logk, y0.E.q, dx)
         else:
             p0 = np.full_like(x, -np.inf)
         return lrho, _logsum(p0, lrho + _logsum(b1_low + aK_up, q1))
-    lb0 = sv_log_on_grid(case.b0, grid)
-    b0_up = log_norm_upper(lb0, case.E0.q, dx)
-    aK_low = log_norm_lower(-case.theta0 * x + la + logk, case.F.q, dx)
-    t1 = log_norm_lower(lb0 + aK_low, case.E0.q, dx)
+    la = sv_log_on_grid(y0.a, grid)
+    lb0 = sv_log_on_grid(y0.b, grid)
+    b0_up = log_norm_upper(lb0, y0.E.q, dx)
+    aK_low = log_norm_lower(-y0.theta * x + la + logk, y0.F.q, dx)
+    t1 = log_norm_lower(lb0 + aK_low, y0.E.q, dx)
     if k == "L_interior":
-        lb1 = sv_log_on_grid(case.b1, grid)
-        t3 = lrho + log_norm_upper(-case.theta1 * x + lb1 + logk,
-                                   case.E1.q, dx)
+        lb1 = sv_log_on_grid(y1.b, grid)
+        t3 = lrho + log_norm_upper(-y1.theta * x + lb1 + logk,
+                                   y1.E.q, dx)
     elif k == "L_theta1_one":
-        lb1 = sv_log_on_grid(case.b1, grid)
-        t3 = lrho + log_norm_upper(-x + lb1 + logk, case.E1.q, dx)
+        lb1 = sv_log_on_grid(y1.b, grid)
+        t3 = lrho + log_norm_upper(-x + lb1 + logk, y1.E.q, dx)
     else:
         t3 = np.full_like(x, -np.inf)
     return lrho, _logsum(t1, b0_up + aK_low, t3)
 
 
 _EDGE_CASES = [
-    HolmstedtCase("R_interior", 0.1, 0.9, b0=EllPow(-1.0), E0=L1,
-                  b1=EllPow(-2.0), E1=L2, a=EllPow(0.5), F=L1),
-    HolmstedtCase("R_theta0_zero", 0.0, 1.0, b0=EllPow(-2.0), E0=L1,
-                  b1=ONE, E1=LINF, a=BrokenEll(1.0, -1.0), F=L2),
-    HolmstedtCase("L_theta1_one", 0.0, 1.0, b0=EllPow(-2.0), E0=L1,
-                  b1=EllPow(-1.0), E1=LINF, a=BrokenEll(1.0, -1.0), F=L2),
-    HolmstedtCase("L_x1", 0.0, 1.0, b0=EllPow(-1.0), E0=L2,
-                  a=EllPow(-1.0), F=L2),
+    HolmstedtCase(ThetaSpace(0.1, EllPow(-1.0), L1),
+                  RSpace(0.9, EllPow(-2.0), L2, EllPow(0.5), L1)),
+    HolmstedtCase(ThetaSpace(0.0, EllPow(-2.0), L1),
+                  RSpace(1.0, ONE, LINF, BrokenEll(1.0, -1.0), L2)),
+    HolmstedtCase(LSpace(0.0, EllPow(-2.0), L1, BrokenEll(1.0, -1.0), L2),
+                  ThetaSpace(1.0, EllPow(-1.0), LINF)),
+    HolmstedtCase(LSpace(0.0, EllPow(-1.0), L2, EllPow(-1.0), L2),
+                  EndpointX1()),
 ]
 
 

@@ -204,9 +204,9 @@ def test_endpoint_norms_of_the_oracle_cuts_are_the_sups_of_k(
 
     monkeypatch.setattr(kfun, "norm_in_space", spy)
     g = full_grid(512)
+    c = DEFAULT_CASES[case]
     for spec in ("chi:0.1", "pow:4", "powlog:4,-1", "log:2"):
-        TruncationOracle(corpus.sample(spec, g),
-                         *DEFAULT_CASES[case].members(), max_cuts=64)
+        TruncationOracle(corpus.sample(spec, g), c.y0, c.y1, max_cuts=64)
     assert any(np.ndim(out) == 1 for _, _, out in seen)
     for K, d, out in seen:
         assert _same_bits(out, _endpoint_ref(K, d)), d

@@ -9,22 +9,26 @@ from interpolab.kfun import k_peetre, norm_in_space
 from interpolab.sv import (EllPow, BrokenEll, ONE, ComposeWithRho, NormTail,
                            Power, Product, compose_rho, sv_log_on_grid)
 from interpolab.spaces import (ThetaSpace, LSpace, RSpace, LLSpace, RRSpace,
-                               Intersection, EndpointX1)
-from interpolab.reiteration import (ReiterationCase, reiterate,
-                                    verify_reiteration)
+                               Intersection, EndpointX1, Over)
+from interpolab.reiteration import reiterate, verify_reiteration
 from interpolab.holmstedt import DEFAULT_CASES, HolmstedtCase
+
+
+def _over(c, theta, b=ONE, E=LINF):
+    """The outer space (theta, b, E) over the couple of case c."""
+    return Over((c.y0, c.y1), ThetaSpace(theta, b, E, c.setting))
 
 
 def test_interior_theta_mixes_linearly():
     # R_interior has theta0=1/4, theta1=1/2: theta=1/2 -> 3/8
-    case = ReiterationCase(DEFAULT_CASES["R_interior"], 0.5)
+    case = _over(DEFAULT_CASES["R_interior"], 0.5)
     d = reiterate(case)
     assert isinstance(d, ThetaSpace)
     assert d.theta == pytest.approx(0.375)
 
 
 def test_interior_theta_l_side():
-    case = ReiterationCase(DEFAULT_CASES["L_interior"], 0.5)
+    case = _over(DEFAULT_CASES["L_interior"], 0.5)
     d = reiterate(case)
     assert isinstance(d, ThetaSpace)
     assert d.theta == pytest.approx(0.375)
@@ -32,46 +36,54 @@ def test_interior_theta_l_side():
 
 def test_endpoint_branches_structure():
     # theta = 0 on the R side collapses to a single L-space
-    d0 = reiterate(ReiterationCase(DEFAULT_CASES["R_interior"], 0.0))
+    d0 = reiterate(_over(DEFAULT_CASES["R_interior"], 0.0))
     assert isinstance(d0, LSpace) and d0.theta == pytest.approx(0.25)
     # theta = 1 on the R side needs the R/RR intersection
-    d1 = reiterate(ReiterationCase(DEFAULT_CASES["R_interior"], 1.0))
+    d1 = reiterate(_over(DEFAULT_CASES["R_interior"], 1.0))
     assert isinstance(d1, Intersection)
     kinds = {type(m) for m in d1.members}
     assert kinds == {RSpace, RRSpace}
     # mirrored on the L side
-    e0 = reiterate(ReiterationCase(DEFAULT_CASES["L_interior"], 0.0))
+    e0 = reiterate(_over(DEFAULT_CASES["L_interior"], 0.0))
     assert isinstance(e0, Intersection)
     assert {type(m) for m in e0.members} == {LSpace, LLSpace}
-    e1 = reiterate(ReiterationCase(DEFAULT_CASES["L_interior"], 1.0))
+    e1 = reiterate(_over(DEFAULT_CASES["L_interior"], 1.0))
     assert isinstance(e1, RSpace) and e1.theta == pytest.approx(0.5)
 
 
 def test_x_case_branches():
-    d = reiterate(ReiterationCase(DEFAULT_CASES["R_x0"], 0.5))
+    d = reiterate(_over(DEFAULT_CASES["R_x0"], 0.5))
     assert isinstance(d, ThetaSpace)
     assert d.theta == pytest.approx(0.25)     # theta * theta1
-    e = reiterate(ReiterationCase(DEFAULT_CASES["L_x1"], 0.5))
+    e = reiterate(_over(DEFAULT_CASES["L_x1"], 0.5))
     assert isinstance(e, ThetaSpace)
     assert e.theta == pytest.approx(0.75)     # (1-theta) theta0 + theta
 
 
 def test_composed_weight_shortcut():
     # a constant outer weight never wraps in ComposeWithRho
-    d = reiterate(ReiterationCase(DEFAULT_CASES["R_interior"], 0.5))
+    d = reiterate(_over(DEFAULT_CASES["R_interior"], 0.5))
     assert not isinstance(d.b, ComposeWithRho)
-    d2 = reiterate(ReiterationCase(DEFAULT_CASES["R_interior"], 0.5,
-                                   b=EllPow(-1.0), E=L2))
+    d2 = reiterate(_over(DEFAULT_CASES["R_interior"], 0.5,
+                         b=EllPow(-1.0), E=L2))
     assert "ComposeWithRho" in repr(d2.b)
 
 
 def test_theta_validation():
     with pytest.raises(ValueError):
-        ReiterationCase(DEFAULT_CASES["R_interior"], 1.5)
+        _over(DEFAULT_CASES["R_interior"], 1.5)
+
+
+def test_reiterate_needs_a_case_and_an_outer_theta_space():
+    c = DEFAULT_CASES["R_interior"]
+    with pytest.raises(ValueError, match="theta space"):
+        reiterate(Over((c.y0, c.y1), c.y1))
+    with pytest.raises(ValueError, match="configurations"):
+        reiterate(Over((c.y1, c.y0), ThetaSpace(0.5, ONE, LINF)))
 
 
 def test_verify_interior_window():
-    case = ReiterationCase(DEFAULT_CASES["R_interior"], 0.5)
+    case = _over(DEFAULT_CASES["R_interior"], 0.5)
     rep = verify_reiteration(case, corpus=("chi:0.1", "log:2"), log2n=(9, 10))
     win = max(rep.window(n) for n in rep.sizes())
     assert win <= 100.0
@@ -81,8 +93,7 @@ def test_verify_interior_window():
 def test_verify_endpoint_window():
     # theta = 0 with a nontrivial outer weight (b = 1, E = Linf would make
     # both sides the same expression)
-    case = ReiterationCase(DEFAULT_CASES["L_interior"], 0.0,
-                           b=EllPow(-1.0), E=L2)
+    case = _over(DEFAULT_CASES["L_interior"], 0.0, b=EllPow(-1.0), E=L2)
     rep = verify_reiteration(case, corpus=("chi:0.1", "chi:1"), log2n=(9,))
     win = max(rep.window(n) for n in rep.sizes())
     assert win <= 100.0
@@ -94,57 +105,58 @@ def test_verify_endpoint_window():
 # fractions, so 1 - (1 - theta) may differ from theta in the last bit,
 # and broken weights that are not symmetric under t -> 1/t.
 _L_CASES = [DEFAULT_CASES[k] for k in ("L_interior", "L_theta1_one", "L_x1")]
-_L_CASES.append(HolmstedtCase("L_interior", 0.1, 0.3,
-                              b0=BrokenEll(-0.5, -1.0), E0=LINF,
-                              b1=EllPow(0.5), E1=L2,
-                              a=BrokenEll(0.25, -0.25), F=L2))
+_L_CASES.append(HolmstedtCase(
+    LSpace(0.1, BrokenEll(-0.5, -1.0), LINF, BrokenEll(0.25, -0.25), L2),
+    ThetaSpace(0.3, EllPow(0.5), L2)))
 
 
 def _direct_members(c):
-    y0 = LSpace(c.theta0, c.b0, c.E0, c.a, c.F)
+    y0 = LSpace(c.y0.theta, c.y0.b, c.y0.E, c.y0.a, c.y0.F)
     if c.kind == "L_x1":
         return y0, EndpointX1()
-    return y0, ThetaSpace(c.theta1, c.b1, c.E1)
+    return y0, ThetaSpace(c.y1.theta, c.y1.b, c.y1.E)
 
 
 def _direct_rho(c):
-    up0 = NormTail(c.b0, c.E0, "upper")
+    y0, y1 = c.y0, c.y1
+    up0 = NormTail(y0.b, y0.E, "upper")
     if c.kind == "L_interior":
-        return c.theta1 - c.theta0, Product(c.a, Product(
-            up0, Power(c.b1, -1.0)))
+        return y1.theta - y0.theta, Product(y0.a, Product(
+            up0, Power(y1.b, -1.0)))
     if c.kind == "L_theta1_one":
-        return 1.0 - c.theta0, Product(c.a, Product(
-            up0, Power(NormTail(c.b1, c.E1, "lower"), -1.0)))
-    return 1.0 - c.theta0, Product(c.a, up0)
+        return 1.0 - y0.theta, Product(y0.a, Product(
+            up0, Power(NormTail(y1.b, y1.E, "lower"), -1.0)))
+    return 1.0 - y0.theta, Product(y0.a, up0)
 
 
-def _direct_reiterate(case):
-    c, th = case.inner, case.theta
+def _direct_reiterate(c, d):
+    y0, y1, out = c.y0, c.y1, d.desc
+    th = out.theta
     gamma, rho_sv = _direct_rho(c)
-    brho = compose_rho(case.b, gamma, rho_sv)
-    b0_up = NormTail(c.b0, c.E0, "upper")
-    a_b0 = Product(c.a, b0_up)
+    brho = compose_rho(out.b, gamma, rho_sv)
+    b0_up = NormTail(y0.b, y0.E, "upper")
+    a_b0 = Product(y0.a, b0_up)
     if th == 0.0:
         return Intersection((
-            LSpace(c.theta0, Product(b0_up, brho), case.E, c.a, c.F),
-            LLSpace(c.theta0, brho, case.E, c.b0, c.E0, c.a, c.F)))
+            LSpace(y0.theta, Product(b0_up, brho), out.E, y0.a, y0.F),
+            LLSpace(y0.theta, brho, out.E, y0.b, y0.E, y0.a, y0.F)))
     if c.kind == "L_interior":
         if th == 1.0:
-            return RSpace(c.theta1, brho, case.E, c.b1, c.E1)
-        tmix = (1 - th) * c.theta0 + th * c.theta1
-        bmix = Product(Power(a_b0, 1 - th), Power(c.b1, th))
-        return ThetaSpace(tmix, Product(bmix, brho), case.E)
+            return RSpace(y1.theta, brho, out.E, y1.b, y1.E)
+        tmix = (1 - th) * y0.theta + th * y1.theta
+        bmix = Product(Power(a_b0, 1 - th), Power(y1.b, th))
+        return ThetaSpace(tmix, Product(bmix, brho), out.E)
     if c.kind == "L_theta1_one":
-        b1_low = NormTail(c.b1, c.E1, "lower")
+        b1_low = NormTail(y1.b, y1.E, "lower")
         if th == 1.0:
             return Intersection((
-                ThetaSpace(1.0, Product(b1_low, brho), case.E),
-                RSpace(1.0, brho, case.E, c.b1, c.E1)))
-        tmix = (1 - th) * c.theta0 + th
+                ThetaSpace(1.0, Product(b1_low, brho), out.E),
+                RSpace(1.0, brho, out.E, y1.b, y1.E)))
+        tmix = (1 - th) * y0.theta + th
         bmix = Product(Power(a_b0, 1 - th), Power(b1_low, th))
-        return ThetaSpace(tmix, Product(bmix, brho), case.E)
-    tmix = (1 - th) * c.theta0 + th
-    return ThetaSpace(tmix, Product(Power(a_b0, 1 - th), brho), case.E)
+        return ThetaSpace(tmix, Product(bmix, brho), out.E)
+    tmix = (1 - th) * y0.theta + th
+    return ThetaSpace(tmix, Product(Power(a_b0, 1 - th), brho), out.E)
 
 
 def _assert_same(a, b):
@@ -161,10 +173,10 @@ def standard_k():
     return k_peetre(GridFunction(g, np.stack(rows)))
 
 
-@pytest.mark.parametrize("c", _L_CASES, ids=lambda c: f"{c.kind}-{c.theta0}")
+@pytest.mark.parametrize("c", _L_CASES, ids=lambda c: f"{c.kind}-{c.y0.theta}")
 def test_l_case_matches_direct_formulas(c, standard_k):
     K = standard_k
-    for y, y_direct in zip(c.members(), _direct_members(c)):
+    for y, y_direct in zip((c.y0, c.y1), _direct_members(c)):
         assert type(y) is type(y_direct)
         _assert_same(norm_in_space(K, y), norm_in_space(K, y_direct))
     (gamma, sv), (gamma_d, sv_d) = c.rho_params(), _direct_rho(c)
@@ -174,8 +186,8 @@ def test_l_case_matches_direct_formulas(c, standard_k):
     finite = 0
     for theta in (0.0, 0.25, 0.5, 0.75, 1.0):
         for b, E in ((ONE, LINF), (EllPow(-1.0), L2)):
-            case = ReiterationCase(c, theta, b, E)
-            d, d_direct = reiterate(case), _direct_reiterate(case)
+            case = _over(c, theta, b, E)
+            d, d_direct = reiterate(case), _direct_reiterate(c, case)
             assert type(d) is type(d_direct)
             v = norm_in_space(K, d)
             _assert_same(v, norm_in_space(K, d_direct))

@@ -52,7 +52,7 @@ def test_admissibility_report_structure():
 
 def test_default_case_members_admissible():
     for case in DEFAULT_CASES.values():
-        for member in case.members():
+        for member in (case.y0, case.y1):
             rep = check_admissible(member)
             assert rep.admissible, (member, [c for c in rep.conditions
                                              if not c.ok])

@@ -11,7 +11,7 @@ from interpolab.applications import (GrandLp, SmallLp, UltraLp, LinfQBeta,
                                      get_scenario, scenario_names)
 from interpolab.grid import RiSpace
 from interpolab.holmstedt import DEFAULT_CASES
-from interpolab.reiteration import ReiterationCase, reiterate
+from interpolab.reiteration import reiterate
 from interpolab.spaces import (EndpointX0, EndpointX1, ThetaSpace, LSpace,
                                RSpace, LLSpace, RRSpace, Intersection,
                                AppMember, Over, SpaceDescriptor, UNIT,
@@ -165,12 +165,12 @@ def _built_objects():
         objs.extend(_descriptors(sc.lhs))
         objs.extend(_descriptors(sc.rhs))
     for case in DEFAULT_CASES.values():
-        objs.extend(case.members())
+        objs.extend((case.y0, case.y1))
         objs.append(case.rho_params()[1])
         for theta in (0.0, 0.5, 1.0):
             for b, E in ((ONE, RiSpace(INF)), (EllPow(-1.0), RiSpace(2.0))):
-                objs.extend(_descriptors(
-                    reiterate(ReiterationCase(case, theta, b, E))))
+                objs.extend(_descriptors(reiterate(Over(
+                    (case.y0, case.y1), ThetaSpace(theta, b, E)))))
     return objs
 
 
@@ -210,6 +210,18 @@ def test_numbers_are_coerced():
                               "alpha": 1}})
     assert d == ThetaSpace(0.5, IteratedEll(2, 1.0), RiSpace(2.0))
     assert isinstance(d.theta, float) and isinstance(d.b.depth, int)
+
+
+@pytest.mark.parametrize("obj", [
+    {"kind": "ell", "alpha": "nan"},
+    {"kind": "ell", "alpha": math.nan},
+    {"kind": "power", "base": {"kind": "ell", "alpha": 1}, "r": "nan"},
+    {"kind": "iterated_ell", "depth": 2.7, "alpha": 1},
+    {"kind": "iterated_ell", "depth": "inf", "alpha": 1},
+])
+def test_nan_and_fractional_integers_are_refused(obj):
+    with pytest.raises(ValueError):
+        SvExpr.from_obj(obj)
 
 
 def test_missing_setting_takes_class_default():
