@@ -30,8 +30,8 @@ from .spaces import (SpaceDescriptor, ThetaSpace, LSpace, RSpace,
                      AppMember, Over, UNIT)
 from .wire import Wire
 from .kfun import _unstack
-from .reiteration import reiterate, _sweep
-from .report import EquivalenceReport
+from .reiteration import reiterate, _pair
+from .report import EquivalenceReport, _sweep
 
 
 def _pp(p: float) -> float:
@@ -53,10 +53,11 @@ class GrandLp(AppSpace, kind="grand"):
     alpha: float
 
     def validate(self):
-        if not self.p > 1:
-            raise ValueError("grand space needs p > 1")
-        if not self.alpha > 0:
-            raise ValueError("grand space needs alpha > 0")
+        # SmallLp's checks too: each message names the space's kind
+        for ok, need in ((self.p > 1, "p > 1"), (self.p < math.inf, "p < inf"),
+                         (self.alpha > 0, "alpha > 0")):
+            if not ok:
+                raise ValueError(f"{self._kind} space needs {need}")
 
 
 @dataclass(frozen=True)
@@ -65,11 +66,7 @@ class SmallLp(AppSpace, kind="small"):
     p: float
     alpha: float
 
-    def validate(self):
-        if not self.p > 1:
-            raise ValueError("small space needs p > 1")
-        if not self.alpha > 0:
-            raise ValueError("small space needs alpha > 0")
+    validate = GrandLp.validate
 
 
 @dataclass(frozen=True)
@@ -118,6 +115,8 @@ class GGamma(AppSpace, kind="ggamma"):
     def validate(self):
         if not (self.p >= 1 and 1 <= self.q and not math.isinf(self.q)):
             raise ValueError("GGamma needs 1 <= p, q < inf")
+        if math.isinf(self.p):
+            raise ValueError("GGamma needs p < inf")
 
 
 @dataclass(frozen=True)
@@ -474,9 +473,9 @@ def verify_identity(name: str, log2n=(9, 10), corpus=None
                     ) -> EquivalenceReport:
     """Compare the two sides of one identity over the corpus.
 
-    One row per (prototype, grid size); the report window is the spread
+    One row per (grid size, prototype); the report window is the spread
     of lhs/rhs ratios, i.e. the numerical equivalence constant squared.
     """
     sc = get_scenario(name)
-    return _sweep(EquivalenceReport(name), corpus or sc.corpus, unit_grid,
-                  log2n, sc.lhs, sc.rhs, ("lhs", "rhs"))
+    return _sweep(name, corpus or sc.corpus, unit_grid, log2n,
+                  _pair(sc.lhs, sc.rhs, ("lhs", "rhs")))

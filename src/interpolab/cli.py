@@ -223,8 +223,7 @@ def _reiteration_case(name: str, theta: float) -> Over:
 def _run_identity(payload):
     _hold_heap()
     name, log2n, corpus = payload
-    cor = corpus_mod.resolve_corpus(corpus) if corpus else None
-    return app_mod.verify_identity(name, log2n=log2n, corpus=cor)
+    return app_mod.verify_identity(name, log2n=log2n, corpus=corpus)
 
 
 class _Parser(argparse.ArgumentParser):

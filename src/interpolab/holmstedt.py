@@ -41,8 +41,7 @@ from .sv import (ONE, EllPow, Power, Product, NormTail, inverse_arg,
 from .spaces import (SpaceDescriptor, ThetaSpace, LSpace, RSpace,
                      EndpointX0, EndpointX1, FULL, couple_reverse)
 from .kfun import KProfile, TruncationOracle, _cut_cap
-from .report import EquivalenceReport
-from . import corpus as corpus_mod
+from .report import EquivalenceReport, _sweep
 
 R_CASES = ("R_interior", "R_theta0_zero", "R_x0")
 L_CASES = ("L_interior", "L_theta1_one", "L_x1")
@@ -171,40 +170,32 @@ def verify_holmstedt(case: HolmstedtCase, corpus=None, log2n=(9, 10)
     LHS is K(rho(u), f; Y0, Y1) from a truncation oracle over the member
     couple; RHS is the explicit split expression over the oracle's
     K(., f; X0, X1) profile.  The split points are every 8th node of the
-    grid interior (5% of the nodes dropped at each end).  One report row
-    per (prototype, grid size, u) with both sides finite and positive,
-    added in one block per (prototype, grid size).
+    grid interior (5% of the nodes dropped at each end).  report._sweep
+    adds one block per (grid size, prototype): the rows at u with both
+    sides finite and positive.  A prototype whose oracle or rho weight
+    fails, or with no such u, is excluded with the reason.
     """
     if case.setting != FULL:
         raise ValueError("verify_holmstedt runs on the full line")
-    y0, y1 = case.y0, case.y1
-    rep = EquivalenceReport(case.kind)
-    specs = corpus_mod.resolve_corpus(corpus) if corpus else \
-        corpus_mod.STANDARD
-    for kk in log2n:
-        n = 1 << kk
-        grid = full_grid(n)
-        sel = grid.interior()
-        idx = np.arange(sel.start, sel.stop)[::8]
-        for spec in specs:
-            fstar = corpus_mod.sample(spec, grid)
-            try:
-                orc = TruncationOracle(fstar, y0, y1,
-                                       max_cuts=_cut_cap(grid))
-            except ValueError as e:
-                rep.exclude(spec, str(e))
-                continue
-            try:
-                lrho, lrhs = holmstedt_rhs(case, orc.kprofile)
-            except SvDivergenceError as e:
-                rep.exclude(spec, str(e))
-                continue
-            live = idx[np.isfinite(lrho[idx]) & np.isfinite(lrhs[idx])]
-            lhs = np.exp(orc.k_at_log(lrho[live]))
-            rhs = np.exp(lrhs[live])
-            ok = np.isfinite(lhs) & (lhs > 0) & (rhs > 0)
-            if not ok.any():
-                rep.exclude(spec, f"no admissible split points at n={n}")
-                continue
-            rep.add_rows(spec, n, grid.t[live[ok]], lhs[ok], rhs[ok])
-    return rep
+
+    def rows(fstar):
+        grid = fstar.grid
+        idx = np.arange(grid.n)[grid.interior()][::8]
+        try:
+            orc = TruncationOracle(fstar, case.y0, case.y1,
+                                   max_cuts=_cut_cap(grid))
+        except ValueError as e:
+            return str(e)
+        try:
+            lrho, lrhs = holmstedt_rhs(case, orc.kprofile)
+        except SvDivergenceError as e:
+            return str(e)
+        live = idx[np.isfinite(lrho[idx]) & np.isfinite(lrhs[idx])]
+        lhs = np.exp(orc.k_at_log(lrho[live]))
+        rhs = np.exp(lrhs[live])
+        ok = np.isfinite(lhs) & (lhs > 0) & (rhs > 0)
+        if not ok.any():
+            return f"no admissible split points at n={grid.n}"
+        return grid.t[live[ok]], lhs[ok], rhs[ok]
+
+    return _sweep(case.kind, corpus, full_grid, log2n, rows)

@@ -10,8 +10,9 @@ K(t; Y0, Y1) = t K(1/t; Y1, Y0) its outer space reverses too, to
 (spaces.couple_reverse).  Both sides are in the couple's setting.
 
 verify_reiteration measures both sides on a corpus: the Over (through
-a truncation oracle) against the reduced descriptor.  verify_identity
-shares its row loop.
+a truncation oracle) against the reduced descriptor.  It and
+applications.verify_identity build their rows with one _pair and
+sweep them with report._sweep.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from .spaces import (SpaceDescriptor, ThetaSpace, LSpace, RSpace, RRSpace,
                      Intersection, Over, UNIT, couple_reverse)
 from .holmstedt import HolmstedtCase, L_CASES
 from .kfun import k_peetre, norm_in_space
-from .report import EquivalenceReport
-from . import corpus as corpus_mod
+from .report import EquivalenceReport, _sweep
 
 
 def reiterate(d: Over) -> SpaceDescriptor:
@@ -67,41 +67,31 @@ def reiterate(d: Over) -> SpaceDescriptor:
     return ThetaSpace(th * y1.theta, Product(Power(a_b1, th), brho), E, s)
 
 
-def _sweep(rep: EquivalenceReport, corpus, make_grid, log2n,
-           lhs: SpaceDescriptor, rhs: SpaceDescriptor, sides: tuple
-           ) -> EquivalenceReport:
-    """One row per (grid size, prototype): the norms of f in lhs and rhs.
-
-    Both come from K(., f; X0, X1) on make_grid(n).  A prototype is
-    excluded when its rhs norm is not finite and positive, or its lhs
-    norm is not finite; sides names the two in the reason.
-    """
-    for k in log2n:
-        grid = make_grid(1 << k)
-        n = grid.n
-        for spec in corpus_mod.resolve_corpus(corpus):
-            K = k_peetre(corpus_mod.sample(spec, grid))
-            r = norm_in_space(K, rhs)
-            if not (math.isfinite(r) and r > 0):
-                rep.exclude(spec, f"{sides[1]} norm not finite/positive "
-                            f"at n={n}")
-                continue
-            v = norm_in_space(K, lhs)
-            if not math.isfinite(v):
-                rep.exclude(spec, f"{sides[0]} norm not finite at n={n}")
-                continue
-            rep.add(spec, n, None, v, r)
-    return rep
+def _pair(lhs: SpaceDescriptor, rhs: SpaceDescriptor, sides: tuple):
+    """rows for report._sweep: one row per f*, the norms of f in lhs
+    and rhs, both from K(., f; X0, X1).  f is excluded when its rhs
+    norm is not finite and positive, or its lhs norm is not finite;
+    sides names the two in the reason."""
+    def rows(fstar):
+        K = k_peetre(fstar)
+        n = fstar.grid.n
+        r = norm_in_space(K, rhs)
+        if not (math.isfinite(r) and r > 0):
+            return f"{sides[1]} norm not finite/positive at n={n}"
+        v = norm_in_space(K, lhs)
+        if not math.isfinite(v):
+            return f"{sides[0]} norm not finite at n={n}"
+        return None, [v], [r]
+    return rows
 
 
 def verify_reiteration(d: Over, corpus=None, log2n=(9, 10)
                        ) -> EquivalenceReport:
     """Compare the outer norm d over (Y0, Y1) with the reduced descriptor.
 
-    One row per (prototype, grid size), no split point.
+    One row per (grid size, prototype), no split point.
     """
     kind = HolmstedtCase(*d.couple).kind
-    rep = EquivalenceReport(f"{kind}:theta={d.desc.theta:g}")
     grid = unit_grid if d.setting == UNIT else full_grid
-    return _sweep(rep, corpus or corpus_mod.STANDARD, grid, log2n,
-                  d, reiterate(d), ("outer", "reduced"))
+    return _sweep(f"{kind}:theta={d.desc.theta:g}", corpus, grid, log2n,
+                  _pair(d, reiterate(d), ("outer", "reduced")))

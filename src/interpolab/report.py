@@ -9,14 +9,15 @@ over the rows at grid size n, and a refinement stability figure, the
 relative change of the window between the two largest grid sizes.
 Serialization is deterministic: repeated runs give byte-identical files.
 
-Rows are stored by column, in blocks of one function and grid size: a
-harness adds a whole sweep of split points as one block with add_rows
-(add makes a block of one row), and to_csv writes each block from its
-columns under one "case,function_id,n," prefix.  The finite
-positive ratios at each grid size are kept up to date as rows come in,
-so windows never rescan the rows.  The ratio of a row is inf where
-rhs == 0, else lhs/rhs; numpy and Python divide floats alike (IEEE), so
-a row has the same bits whichever way it was added.
+Every harness builds its report with _sweep, one loop over grid sizes
+and then corpus prototypes; a harness only says what the rows of one
+sampled f* are.  Rows are stored by column, in blocks of one function
+and grid size (a split-point sweep, or a single row), and to_csv
+writes each block from its columns under one "case,function_id,n,"
+prefix.  The finite positive ratios at each grid size are kept up to
+date as rows come in, so windows never rescan the rows.  The ratio of
+a row is inf where rhs == 0, else lhs/rhs; numpy and Python divide
+floats alike (IEEE), so it has the bits of Row.ratio.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ import math
 import os
 
 import numpy as np
+
+from . import corpus as corpus_mod
 
 
 def _quote(s: str) -> str:
@@ -67,15 +70,6 @@ class EquivalenceReport:
         self.notes: list = []
         self._blocks: list = []
         self._ratios: dict = {}     # n -> finite positive ratios, row order
-
-    def add(self, function_id, n, u, lhs, rhs):
-        """One row, as a block of its own."""
-        ratio = math.inf if rhs == 0.0 else lhs / rhs
-        self._blocks.append((function_id, n, None if u is None else [u],
-                             [lhs], [rhs], [ratio]))
-        g = self._ratios.setdefault(n, [])
-        if math.isfinite(ratio) and ratio > 0:
-            g.append(ratio)
 
     def add_rows(self, function_id, n, u, lhs, rhs):
         """Rows (u[i], lhs[i], rhs[i]) for one function and grid size,
@@ -178,3 +172,23 @@ class EquivalenceReport:
         self.to_csv(csv_path)
         self.to_json(json_path)
         return csv_path, json_path
+
+
+def _sweep(case, corpus, make_grid, log2n, rows) -> EquivalenceReport:
+    """The report of case over the grids make_grid(2^k), k in log2n, and
+    on each the prototypes of corpus (None: the standard one), read
+    once.  rows(fstar) gets f* sampled on the grid and returns a
+    (u, lhs, rhs) block for add_rows (u may be None), or a str: the
+    reason to exclude the prototype.
+    """
+    rep = EquivalenceReport(case)
+    specs = corpus_mod.resolve_corpus(corpus or corpus_mod.STANDARD)
+    for k in log2n:
+        grid = make_grid(1 << k)
+        for spec in specs:
+            got = rows(corpus_mod.sample(spec, grid))
+            if isinstance(got, str):
+                rep.exclude(spec, got)
+            else:
+                rep.add_rows(spec, grid.n, *got)
+    return rep

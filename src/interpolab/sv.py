@@ -66,13 +66,15 @@ class BrokenEll(SvExpr, kind="broken_ell"):
 
 @dataclass(frozen=True)
 class IteratedEll(SvExpr, kind="iterated_ell"):
-    """(l o l o ... o l)^alpha with `depth` compositions (depth >= 2)."""
+    """(l o l o ... o l)^alpha with `depth` compositions, 2 <= depth <= 64."""
     depth: int
     alpha: float
 
     def __post_init__(self):
         if self.depth < 2:
             raise ValueError("use EllPow for depth 1")
+        if self.depth > 64:
+            raise ValueError("iterated_ell depth must be at most 64")
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ from interpolab.sv import EllPow, ONE
 from interpolab.kfun import k_peetre, norm_in_space
 from interpolab.spaces import EndpointX0, LSpace, ThetaSpace, UNIT
 from interpolab.holmstedt import HolmstedtCase
-from interpolab.reiteration import reiterate, verify_reiteration, _sweep
-from interpolab.report import EquivalenceReport
+from interpolab.reiteration import reiterate, verify_reiteration, _pair
+from interpolab.report import _sweep
 from interpolab.applications import (AppSpace, GrandLp, SmallLp, UltraLp,
                                      LinfQBeta, GGamma, AType, BType,
                                      norm_app, scenario_names, get_scenario,
@@ -213,9 +213,9 @@ def test_reiterated_matches_concrete_right_side(name):
     # wrong exponent, but every unit grid starts at t = 1e-8, so doubling
     # one log exponent moves these windows by less than a factor 2
     sc = get_scenario(name)
-    rep = _sweep(EquivalenceReport(name), sc.corpus, unit_grid, (9, 10),
-                 reiterate(_grand_cases()[name]), sc.rhs,
-                 ("reiterated", "concrete"))
+    rep = _sweep(name, sc.corpus, unit_grid, (9, 10),
+                 _pair(reiterate(_grand_cases()[name]), sc.rhs,
+                       ("reiterated", "concrete")))
     assert not rep.excluded
     assert rep.n_rows == 2 * len(sc.corpus)
     assert max(rep.window(n) for n in rep.sizes()) <= 100.0

@@ -282,9 +282,12 @@ def _ll(theta):
      "b": {"kind": "iterated_ell", "depth": 2.7, "alpha": 1}},
     {"kind": "theta", "theta": 0.5, "E": _E,
      "b": {"kind": "iterated_ell", "depth": 10 ** 400, "alpha": 1}},
+    {"kind": "theta", "theta": 0.5, "E": _E,
+     "b": {"kind": "iterated_ell", "depth": 10 ** 9, "alpha": 1}},
 ], ids=["app-full", "empty-intersection", "empty-product", "LL-theta-neg",
         "LL-theta-2", "setting-typo", "mixed-settings", "nan-alpha",
-        "nan-power-in-ultra", "fractional-depth", "huge-depth"])
+        "nan-power-in-ultra", "fractional-depth", "huge-depth",
+        "billion-depth"])
 def test_norm_bad_descriptor_exits_1(tmp_path, capsys, obj):
     code = _norm_of_literal(tmp_path, obj)
     assert code == 1
@@ -303,11 +306,18 @@ def test_norm_bad_descriptor_exits_1(tmp_path, capsys, obj):
      "B-type space needs p >= 1"),
     ({"kind": "btype", "p": -1, "alpha": 0, "E": {"q": 2}},
      "B-type space needs p >= 1"),
+    ({"kind": "grand", "p": "inf", "alpha": 1}, "grand space needs p < inf"),
+    ({"kind": "small", "p": "inf", "alpha": 1}, "small space needs p < inf"),
+    ({"kind": "ggamma", "p": "inf", "q": 2, "w1pow": -1,
+      "w1sv": {"kind": "ell", "alpha": -3}, "w2pow": 0,
+      "w2sv": {"kind": "const", "c": 1}}, "GGamma needs p < inf"),
 ], ids=["linfq-q0", "linfq-q-half", "atype-p-half", "atype-p0",
-        "btype-p0", "btype-p-neg"])
+        "btype-p0", "btype-p-neg", "grand-p-inf", "small-p-inf",
+        "ggamma-p-inf"])
 def test_norm_bad_concrete_space_parameters(tmp_path, capsys, space, msg):
     # q = 0 ended in a ZeroDivisionError traceback; the others passed
     # validation and printed a number, or numpy warnings and "divergent"
+    # (ggamma with p = inf printed the same number for every chi:a)
     code = _norm_of_literal(tmp_path, {"kind": "app", "space": space})
     captured = capsys.readouterr()
     assert code == 2

@@ -1,6 +1,7 @@
-"""EquivalenceReport: windows from ratios grouped by grid size, and the
-CSV rows it writes."""
+"""EquivalenceReport: windows from ratios grouped by grid size, the
+CSV rows it writes, and the grid x prototype sweep that fills it."""
 
+import builtins
 import csv
 import io
 import json
@@ -10,18 +11,20 @@ import os
 import numpy as np
 import pytest
 
-from interpolab.report import EquivalenceReport
+from interpolab import corpus
+from interpolab.grid import unit_grid
+from interpolab.report import EquivalenceReport, _sweep
 
 
 def test_windows_follow_every_add(tmp_path):
     rep = EquivalenceReport("c")
-    rep.add("f", 512, 0.5, 2.0, 1.0)
-    rep.add("f", 512, 0.7, 1.0, 1.0)
+    rep.add_rows("f", 512, [0.5], [2.0], [1.0])
+    rep.add_rows("f", 512, [0.7], [1.0], [1.0])
     assert rep.window(512) == 2.0
     # rows added after a window was read still count
-    rep.add("g", 512, 0.5, 4.0, 1.0)
-    rep.add("g", 1024, 0.5, 1.0, 0.0)     # ratio inf: left out
-    rep.add("g", 1024, 0.5, 0.0, 1.0)     # ratio 0: left out
+    rep.add_rows("g", 512, [0.5], [4.0], [1.0])
+    rep.add_rows("g", 1024, [0.5], [1.0], [0.0])     # ratio inf: left out
+    rep.add_rows("g", 1024, [0.5], [0.0], [1.0])     # ratio 0: left out
     assert rep.sizes() == [512, 1024]
     assert rep.window(512) == 4.0
     assert rep.window(1024) == math.inf
@@ -36,10 +39,10 @@ def test_windows_follow_every_add(tmp_path):
 
 def test_csv_round_trip_quotes_ids_with_commas(tmp_path):
     rep = EquivalenceReport("c")
-    rep.add("powlog:2,-1", 512, 0.5, 2.0, 1.0)
-    rep.add("chi:0.1", 1024, None, 1.5, 3.0)
-    rep.add('csv:a "b".csv', 1024, 1e-300, 0.1, 0.3)
-    rep.add("csv:two\nlines,.csv", 1024, 2.0, 0.0, 0.0)
+    rep.add_rows("powlog:2,-1", 512, [0.5], [2.0], [1.0])
+    rep.add_rows("chi:0.1", 1024, None, [1.5], [3.0])
+    rep.add_rows('csv:a "b".csv', 1024, [1e-300], [0.1], [0.3])
+    rep.add_rows("csv:two\nlines,.csv", 1024, [2.0], [0.0], [0.0])
     rep.to_csv(tmp_path / "c.csv")
     text = (tmp_path / "c.csv").read_text()
     assert text.splitlines()[:2] == ["case,function_id,n,u,lhs,rhs,ratio",
@@ -65,8 +68,8 @@ def test_report_compare_reads_bare_and_quoted_ids(tmp_path, monkeypatch):
         os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
     import report_compare
     rep = EquivalenceReport("c")
-    rep.add("powlog:2,-1", 512, 0.5, 2.0, 1.0)
-    rep.add("chi:0.1", 512, None, 1.5, 3.0)
+    rep.add_rows("powlog:2,-1", 512, [0.5], [2.0], [1.0])
+    rep.add_rows("chi:0.1", 512, None, [1.5], [3.0])
     rep.to_csv(tmp_path / "quoted.csv")
     # the same rows as written before ids were quoted
     (tmp_path / "bare.csv").write_text(
@@ -211,12 +214,12 @@ def _fill(rng, rep, ref, steps):
         m = int(rng.choice((0, 1, 2, 7, 40)))
         lhs, rhs = _values(rng, m), _values(rng, m)
         u = None if rng.random() < 0.3 else rng.random(m) * 10.0
-        if m and rng.random() < 0.4:        # row by row through add
+        if m and rng.random() < 0.4:        # row by row, one-row blocks
             for i in range(m):
-                args = (fid, n, None if u is None else float(u[i]),
+                rep.add_rows(fid, n, None if u is None else u[i:i + 1],
+                             lhs[i:i + 1], rhs[i:i + 1])
+                ref.add(fid, n, None if u is None else float(u[i]),
                         float(lhs[i]), float(rhs[i]))
-                rep.add(*args)
-                ref.add(*args)
         else:
             rep.add_rows(fid, n, u, lhs, rhs)
             for i in range(m):
@@ -257,7 +260,7 @@ def test_bulk_adds_cover_the_edge_rows(tmp_path):
     rep.add_rows("pow:2", 1024, [], [], [])    # empty: no rows, no size
     assert rep.window(512) == math.inf and rep.sizes() == [512]
     rep.add_rows("pow:2", 512, [0.25, 0.5], [1.0, 3.0], [1.0, 1.0])
-    rep.add("pow:2", 512, 0.75, 2.0, 1.0)
+    rep.add_rows("pow:2", 512, [0.75], [2.0], [1.0])
     for r in rows:
         ref.add("powlog:2,-1", 512, *r)
     for r in ((0.25, 1.0, 1.0), (0.5, 3.0, 1.0), (0.75, 2.0, 1.0)):
@@ -271,3 +274,68 @@ def test_bulk_adds_cover_the_edge_rows(tmp_path):
     assert text.splitlines()[1:4] == ['c,"powlog:2,-1",512,,0.0,0.0,inf',
                                       'c,"powlog:2,-1",512,,2.0,0.0,inf',
                                       'c,"powlog:2,-1",512,,2.0,-0.0,inf']
+
+
+# -- _sweep: the one grid x prototype loop of the harnesses ---------------
+
+def _spec_of(fstar, specs):
+    """The spec in specs whose sample on fstar's grid is fstar."""
+    return next(s for s in specs if np.array_equal(
+        corpus.sample(s, fstar.grid).values, fstar.values))
+
+
+def test_sweep_adds_blocks_size_major_in_corpus_order():
+    specs = ("chi:1", "chi:0.5", "pow:2")
+    calls = []
+
+    def rows(fstar):
+        n, spec = fstar.grid.n, _spec_of(fstar, specs)
+        calls.append((n, spec))
+        if spec == "chi:0.5":
+            return f"left out at n={n}, on purpose"
+        u = None if spec == "chi:1" else [0.25, 0.5]
+        return u, [float(n), 2.0], [1.0, 0.0]
+
+    rep = _sweep("c", specs, unit_grid, (9, 10), rows)
+    assert rep.case == "c"
+    assert calls == [(n, s) for n in (512, 1024) for s in specs]
+    assert [(r.function_id, r.n, r.u, r.lhs, r.rhs) for r in rep.rows] == [
+        ("chi:1", 512, None, 512.0, 1.0), ("chi:1", 512, None, 2.0, 0.0),
+        ("pow:2", 512, 0.25, 512.0, 1.0), ("pow:2", 512, 0.5, 2.0, 0.0),
+        ("chi:1", 1024, None, 1024.0, 1.0), ("chi:1", 1024, None, 2.0, 0.0),
+        ("pow:2", 1024, 0.25, 1024.0, 1.0), ("pow:2", 1024, 0.5, 2.0, 0.0)]
+    assert rep.excluded == [("chi:0.5", "left out at n=512, on purpose"),
+                            ("chi:0.5", "left out at n=1024, on purpose")]
+    assert rep.window(512) == 1.0 and rep.sizes() == [512, 1024]
+
+
+def test_sweep_without_a_corpus_runs_the_standard_one():
+    seen = []
+
+    def rows(fstar):
+        seen.append(_spec_of(fstar, corpus.STANDARD))
+        return "x"
+
+    rep = _sweep("c", None, unit_grid, (9,), rows)
+    assert tuple(seen) == corpus.STANDARD
+    assert rep.excluded == [(s, "x") for s in corpus.STANDARD]
+    assert rep.n_rows == 0 and rep.sizes() == []
+
+
+def test_sweep_reads_a_corpus_file_once(tmp_path, monkeypatch):
+    path = tmp_path / "corpus.txt"
+    path.write_text("# two prototypes\nchi:0.5\npow:2\n")
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if os.fspath(file) == str(path):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    rep = _sweep("c", str(path), unit_grid, (9, 10, 11),
+                 lambda f: (None, [1.0], [1.0]))
+    assert len(opened) == 1
+    assert [(r.function_id, r.n) for r in rep.rows] == [
+        (s, n) for n in (512, 1024, 2048) for s in ("chi:0.5", "pow:2")]

@@ -41,6 +41,16 @@ def test_iterated_ell_values():
         IteratedEll(1, 1.0)
 
 
+def test_iterated_ell_depth_is_capped():
+    # each composition is one pass over the grid and the iterate tends to
+    # 1, so a depth of 10^9 bought nothing but a hang
+    assert sv_eval(IteratedEll(64, 1.0), 1e-300) > 1.0
+    with pytest.raises(ValueError, match="at most 64"):
+        IteratedEll(65, 1.0)
+    with pytest.raises(ValueError, match="at most 64"):
+        IteratedEll(10 ** 9, 1.0)
+
+
 def test_explogpow_values():
     b = ExpLogPow(0.5)
     assert rel_err(sv_eval(b, math.exp(4.0)), math.exp(2.0)) < 1e-12

@@ -7,6 +7,9 @@ Runs, in-process through ``interpolab.cli.main``:
   theta in {0, 0.5, 1}, so every branch of ``reiterate`` on both sides;
 * ``verify identity`` for every registered scenario;
 * ``verify holmstedt`` for R_interior and L_interior at ``--grid 13,14``;
+* ``verify holmstedt`` for R_x0 on ``chi:1e-9`` and ``pow:2``, which
+  excludes ``chi:1e-9`` at both grid sizes: no split point of it is
+  admissible;
 * ``norm`` on a fixed set of descriptor files, written here as literal
   JSON: every wire kind, and the L/R/LL/RR spaces at theta 0, 1/2 and 1
   in both settings;
@@ -59,6 +62,8 @@ def runs():
     for case in FINE:
         yield "grid13_14", ["verify", "holmstedt", "--case", case,
                             "--grid", "13,14"]
+    yield "excluded", ["verify", "holmstedt", "--case", "R_x0",
+                       "--corpus", "chi:1e-9;pow:2"]
 
 
 def _ell(alpha):
