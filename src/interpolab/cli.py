@@ -5,7 +5,9 @@ Exit codes: 0 success / verification within thresholds, 1 input error,
 exceeded.  A usage error (an unknown or missing option, a bad choice)
 is an input error: it exits 1 with argparse's usage message, so exit 2
 is always a verdict.  Options must be spelled out in full, since a
-prefix such as --win is not taken for --window-max.
+prefix such as --win is not taken for --window-max.  The parser is
+built on the first call to main, not at import, and serves every later
+call in the process.
 """
 
 from __future__ import annotations
@@ -235,7 +237,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> _Parser:
+    """The command line parser, built on the first call to main and
+    kept for the rest of the process."""
     ap = _Parser(
         prog="interpolab", allow_abbrev=False,
         description="K-functional norms and verification reports")
@@ -249,7 +254,6 @@ def main(argv=None) -> int:
     pn.add_argument("--grid", default="12", help="log2 of grid size")
     pn.add_argument("--tmin", type=float)
     pn.add_argument("--tmax", type=float)
-    pn.set_defaults(fn_=cmd_norm)
 
     pv = sub.add_parser("verify", allow_abbrev=False,
                         help="run a verification scenario")
@@ -269,11 +273,13 @@ def main(argv=None) -> int:
     pv.add_argument("--jobs", type=int, default=1)
     pv.add_argument("--window-max", type=float, default=100.0)
     pv.add_argument("--stability-max", type=float, default=0.10)
-    pv.set_defaults(fn_=cmd_verify)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     _hold_heap()
-    return args.fn_(args)
+    return (cmd_norm if args.command == "norm" else cmd_verify)(args)
 
 
 if __name__ == "__main__":

@@ -87,8 +87,10 @@ def parse_fn(spec: str):
     return spec, fn
 
 
-def sample(spec: str, grid: Grid) -> GridFunction:
-    _, fn = parse_fn(spec)
+def sample(spec, grid: Grid) -> GridFunction:
+    """f* on the grid nodes; spec is a grammar string or a function
+    parse_fn made, so a sweep over several grids parses it once."""
+    fn = parse_fn(spec)[1] if isinstance(spec, str) else spec
     # rearrangement repair: nonincreasing envelope from the right,
     # skipped when the samples are already nonincreasing
     vals = _running(np.maximum, fn(grid.x)[::-1])[::-1]

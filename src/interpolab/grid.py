@@ -18,7 +18,9 @@ Two kinds of integral live here:
   an integral diverges past a truncated end of the grid is decided by
   one function, edge_diverges, and the norm it checks is one function,
   checked_norm; the other modules call these two rather than test the
-  grid's ends themselves.
+  grid's ends themselves.  The least-squares design of an edge strip
+  depends only on the grid end, so it is built once per end and kept
+  in a small memo of read-only arrays.
 * plain Lebesgue integrals of nonnegative samples (used for the
   K-functional of the couple (L1, Linf) and a few inner norms in the
   concrete function spaces).  Those use a piecewise power-law model
@@ -32,6 +34,7 @@ Two kinds of integral live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -287,17 +290,26 @@ _EDGE_PTOL = 1e-6      # |slope| below this counts as flat in x
 _EDGE_STOL = 0.02      # sup-norm log-power growth threshold
 
 
-def _lsq_line(u: np.ndarray, h: np.ndarray):
-    """Least-squares line through (u, h) for every row of h.
+@functools.lru_cache(maxsize=64)
+def _strip_design(x_edge: float, x_far: float, k: int):
+    """The least-squares design of the edge strip of k + 1 nodes from
+    x_edge to x_far, which depends on the grid alone.
 
-    Returns (slope, residual sum of squares), each with one value per
-    row; centred sums keep the fit as accurate as a QR/SVD solve.
+    Returns (ua, saa, ub, sbb): the centred abscissae of the e^{p x}
+    model, x, and of the |x|^sigma model, log|x|, each with its sum of
+    squares; ub and sbb are None where the strip reaches |x| < 2.  The
+    arrays are read-only: every edge test of the grid shares them.
     """
-    uc = u - u.mean()
-    hc = h - h.mean(axis=-1, keepdims=True)
-    slope = hc @ uc / (uc @ uc)
-    r = hc - slope[..., None] * uc
-    return slope, np.einsum("...i,...i->...", r, r)
+    xs = np.linspace(x_edge, x_far, k + 1)
+    ua = xs - xs.mean()
+    ub = sbb = None
+    if min(abs(x_edge), abs(x_far)) >= 2.0:
+        u = np.log(np.abs(xs))
+        ub = u - u.mean()
+        ub.flags.writeable = False
+        sbb = ub @ ub
+    ua.flags.writeable = False
+    return ua, ua @ ua, ub, sbb
 
 
 def edge_diverges(lw: np.ndarray, q: float, grid: Grid,
@@ -313,13 +325,15 @@ def edge_diverges(lw: np.ndarray, q: float, grid: Grid,
     The integrand is fit over a log(2)-wide strip at that edge by two
     local models, each by a closed-form least-squares line: e^{p x} (a
     power of t) and |x|^sigma (a power of |log t|, only where the strip
-    keeps |x| >= 2).  The better fit is extrapolated past the edge: a
-    power tail diverges unless it decays by more than _EDGE_PTOL, a
-    |log t|^sigma tail iff q sigma >= -1 (sigma > _EDGE_STOL for the
-    sup).  A NaN in the strip counts as divergent, an edge value of
-    -inf (nothing at the edge) as convergent, and any other -inf in the
-    strip as divergent: all mass then sits at the edge, and a flat
-    continuation past it diverges.
+    keeps |x| >= 2).  The strip's abscissae, centred, and their sums of
+    squares depend on the grid end alone and come from a small memo
+    (_strip_design); the rows are centred once and serve both fits.
+    The better fit is extrapolated past the edge: a power tail diverges
+    unless it decays by more than _EDGE_PTOL, a |log t|^sigma tail iff
+    q sigma >= -1 (sigma > _EDGE_STOL for the sup).  A NaN in the strip
+    counts as divergent, an edge value of -inf (nothing at the edge) as
+    convergent, and any other -inf in the strip as divergent: all mass
+    then sits at the edge, and a flat continuation past it diverges.
     """
     lw = np.asarray(lw, dtype=float)
     dx = grid.dx
@@ -336,10 +350,17 @@ def edge_diverges(lw: np.ndarray, q: float, grid: Grid,
     finite = np.isfinite(h).all(axis=-1)
     nan = np.isnan(h).any(axis=-1)
     hf = np.where(finite[..., None], h, 0.0)
-    xs = np.linspace(x_edge, x_far, k + 1)
-    p, res_a = _lsq_line(xs, hf)
-    if min(abs(x_edge), abs(x_far)) >= 2.0:
-        sigma, res_b = _lsq_line(np.log(np.abs(xs)), hf)
+    ua, saa, ub, sbb = _strip_design(float(x_edge), float(x_far), k)
+    # centred once for both fits; add.reduce / (k + 1) has the bits of
+    # mean(), and each fit keeps the operation order of a centred line
+    hc = hf - np.add.reduce(hf, axis=-1, keepdims=True) / (k + 1)
+    p = hc @ ua / saa
+    r = hc - p[..., None] * ua
+    res_a = np.einsum("...i,...i->...", r, r)
+    if ub is not None:
+        sigma = hc @ ub / sbb
+        r = hc - sigma[..., None] * ub
+        res_b = np.einsum("...i,...i->...", r, r)
     else:
         sigma, res_b = np.zeros_like(p), np.full_like(p, math.inf)
     slope = p if x_edge > x_far else -p     # growth towards the edge
@@ -534,8 +555,3 @@ def rearrange(values: np.ndarray, weights: np.ndarray,
     out = np.where(idx < len(v), v[np.minimum(idx, len(v) - 1)], 0.0)
     return GridFunction(grid, out)
 
-
-def double_star(fstar: GridFunction) -> GridFunction:
-    """f**(t) = (1/t) int_0^t f*(s) ds."""
-    pref = lebesgue_prefix(fstar.values, fstar.grid)
-    return GridFunction(fstar.grid, pref / fstar.grid.t)

@@ -176,17 +176,18 @@ class EquivalenceReport:
 
 def _sweep(case, corpus, make_grid, log2n, rows) -> EquivalenceReport:
     """The report of case over the grids make_grid(2^k), k in log2n, and
-    on each the prototypes of corpus (None: the standard one), read
-    once.  rows(fstar) gets f* sampled on the grid and returns a
+    on each the prototypes of corpus (None: the standard one), read and
+    parsed once.  rows(fstar) gets f* sampled on the grid and returns a
     (u, lhs, rhs) block for add_rows (u may be None), or a str: the
     reason to exclude the prototype.
     """
     rep = EquivalenceReport(case)
     specs = corpus_mod.resolve_corpus(corpus or corpus_mod.STANDARD)
+    fns = [corpus_mod.parse_fn(spec)[1] for spec in specs]
     for k in log2n:
         grid = make_grid(1 << k)
-        for spec in specs:
-            got = rows(corpus_mod.sample(spec, grid))
+        for spec, fn in zip(specs, fns):
+            got = rows(corpus_mod.sample(fn, grid))
             if isinstance(got, str):
                 rep.exclude(spec, got)
             else:

@@ -291,23 +291,3 @@ def sv_verify(expr: SvExpr, eps: float = 0.25, grid: Grid | None = None,
     c_dn = float(np.exp(np.max(w_dn - np.minimum.accumulate(w_dn))))
     return SvCheckReport(eps, c_up, c_dn, passed=(c_up <= tol and c_dn <= tol))
 
-
-def sv_local_scale_bound(expr: SvExpr, eps: float,
-                         grid: Grid | None = None) -> tuple[float, float]:
-    """Numeric bracket (c_eps, C_eps) for the slow-variation scale bound
-
-        c_eps min(s^eps, s^-eps) b(t) <= b(s t) <= C_eps max(s^eps, s^-eps) b(t).
-
-    Estimated by scanning b(st)/b(t) over a coarse product grid.
-    """
-    if grid is None:
-        grid = Grid.from_bounds(1e-6, 1e6, 193)
-    xs = grid.x[:: max(1, grid.n // 64)]
-    lb = sv_log_eval(expr, xs, grid)
-    # ratios log b(s t) - log b(t) over all node pairs
-    shift = sv_log_eval(expr, xs[:, None] + xs[None, :], grid)
-    ratio = shift - lb[None, :]
-    env = eps * np.abs(xs)[:, None]
-    hi = float(np.exp(np.max(ratio - env)))
-    lo = float(np.exp(np.min(ratio + env)))
-    return lo, hi

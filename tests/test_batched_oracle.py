@@ -2,7 +2,8 @@
 
 Every stacked path is checked against a one-at-a-time reference kept
 here: the least-squares edge test against the np.polyfit rule it
-replaced, stacked norms against the same norms row by row, and the
+replaced and against its form before the strip design was memoized,
+stacked norms against the same norms row by row, and the
 oracle's pairs and K against the per-cut loop.
 """
 
@@ -15,7 +16,7 @@ from interpolab import corpus
 from interpolab.grid import (GridFunction, Grid, RiSpace, L1, L2, LINF,
                              full_grid, unit_grid, lebesgue_prefix, rearrange,
                              checked_norm, edge_diverges, log_norm_between,
-                             _final, _EDGE_PTOL, _EDGE_STOL)
+                             _final, _strip_design, _EDGE_PTOL, _EDGE_STOL)
 from interpolab.sv import EllPow, ONE, NormTail
 from interpolab.spaces import (EndpointX0, EndpointX1, ThetaSpace, LSpace,
                                RSpace, LLSpace, RRSpace, Intersection,
@@ -167,6 +168,116 @@ def test_checked_norm_on_sub_ranges():
     for q in (1.0, math.inf):
         out = edge_diverges(rows.reshape(3, 1, u.n), q, u, "high")
         assert out.shape == (3, 1) and not out.any()
+
+
+def _lsq_line_ref(u, h):
+    """The least-squares line as first written: each call centres both
+    its abscissae and its rows."""
+    uc = u - u.mean()
+    hc = h - h.mean(axis=-1, keepdims=True)
+    slope = hc @ uc / (uc @ uc)
+    r = hc - slope[..., None] * uc
+    return slope, np.einsum("...i,...i->...", r, r)
+
+
+def edge_diverges_ref(lw, q, grid, side):
+    """The edge test before its strip design was memoized."""
+    lw = np.asarray(lw, dtype=float)
+    dx = grid.dx
+    k = max(2, int(math.ceil(math.log(2.0) / dx)))
+    low = side == "low"
+    if not (low or grid.truncated_high) or lw.shape[-1] - 1 <= k:
+        return np.zeros(lw.shape[:-1], bool)
+    if low:
+        x_edge = grid.x[0]
+        h, x_far = lw[..., :k + 1], x_edge + k * dx
+    else:
+        x_edge = grid.x[-1]
+        h, x_far = lw[..., ::-1][..., :k + 1], x_edge - k * dx
+    finite = np.isfinite(h).all(axis=-1)
+    nan = np.isnan(h).any(axis=-1)
+    hf = np.where(finite[..., None], h, 0.0)
+    xs = np.linspace(x_edge, x_far, k + 1)
+    p, res_a = _lsq_line_ref(xs, hf)
+    if min(abs(x_edge), abs(x_far)) >= 2.0:
+        sigma, res_b = _lsq_line_ref(np.log(np.abs(xs)), hf)
+    else:
+        sigma, res_b = np.zeros_like(p), np.full_like(p, math.inf)
+    slope = p if x_edge > x_far else -p
+    if math.isinf(q):
+        div = np.where(res_b <= res_a, sigma > _EDGE_STOL,
+                       slope > _EDGE_PTOL)
+    else:
+        div = np.where(res_b <= res_a, q * sigma >= -1.0,
+                       slope >= -_EDGE_PTOL)
+    return nan | (~finite & (h[..., 0] != -np.inf)) | (finite & div)
+
+
+# strips whose nodes keep |x| >= 2 (both models fit), and strips that
+# reach |x| < 2 at one end or at both (the power model alone)
+EDGE_GRIDS = {"full512": full_grid(512), "unit1024": unit_grid(1024),
+              "straddle": Grid(-2.3, 2.4, 300),
+              "near0": Grid(-1.0, 1.0, 257),
+              "unit-short": unit_grid(300, t_min=0.05)}
+
+
+@pytest.mark.parametrize("name", EDGE_GRIDS)
+def test_memoized_edge_test_matches_the_unmemoized_one(name):
+    grid = EDGE_GRIDS[name]
+    rng = np.random.default_rng(20261019)
+    stack = _strip_rows(grid.x, rng)
+    k = max(2, int(math.ceil(math.log(2.0) / grid.dx)))
+    cube = stack[:len(stack) // 2 * 2].reshape(2, -1, grid.n)
+    for q in (1.0, 2.0, 3.5, math.inf):
+        for side in ("low", "high"):
+            want = edge_diverges_ref(stack, q, grid, side)
+            got = edge_diverges(stack, q, grid, side)
+            assert got.dtype == bool and np.array_equal(got, want)
+            for row, w in zip(stack, want):
+                assert edge_diverges(row, q, grid, side) == w
+            assert np.array_equal(edge_diverges(cube, q, grid, side),
+                                  edge_diverges_ref(cube, q, grid, side))
+            if side == "high" and not grid.truncated_high:
+                assert not got.any()
+            # segments no longer than the strip are never tested
+            for m in (k, k + 1, k + 2):
+                seg = stack[:, :m] if side == "low" else stack[:, -m:]
+                assert np.array_equal(edge_diverges(seg, q, grid, side),
+                                      edge_diverges_ref(seg, q, grid, side))
+        # checked_norm on [0, i1], i1 < n - 1: the low end alone is tested
+        for i1 in (k + 1, grid.n // 2, grid.n - 2):
+            seg = stack[:, :i1 + 1]
+            div = edge_diverges_ref(seg, q, grid, "low")
+            with np.errstate(invalid="ignore"):
+                want = np.where(div, math.inf, _final(
+                    log_norm_between(stack, q, grid.dx, 0, i1)))
+                got = checked_norm(stack, q, grid, 0, i1)
+            assert np.array_equal(bits(got), bits(want)), (q, i1)
+
+
+def test_strip_design_is_memoized_and_read_only():
+    g = full_grid(512)
+    lw = -2.0 * np.log1p(np.abs(g.x))
+    edge_diverges(lw, 1.0, g, "low")
+    before = _strip_design.cache_info()
+    edge_diverges(lw, 2.0, g, "low")
+    edge_diverges(lw[None], 1.0, g, "low")
+    after = _strip_design.cache_info()
+    assert after.hits == before.hits + 2
+    assert after.currsize == before.currsize
+    k = max(2, int(math.ceil(math.log(2.0) / g.dx)))
+    for x_edge, x_far in ((g.x[0], g.x[0] + k * g.dx),
+                          (-1.0, -1.0 + k * g.dx)):
+        ua, saa, ub, sbb = _strip_design(float(x_edge), float(x_far), k)
+        assert ua.shape == (k + 1,)
+        for a in (ua, ub):
+            if a is None:
+                continue
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+    # the strip at x = -1 reaches |x| < 2: no |log t|^sigma model there
+    assert ub is None and sbb is None
 
 
 # -- (b) stacked norms ---------------------------------------------------

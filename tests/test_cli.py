@@ -1,5 +1,6 @@
 """Command line entry point: exit codes, printed lines, report files."""
 
+import builtins
 import json
 import math
 import os
@@ -547,3 +548,69 @@ def test_second_norm_reuses_the_heap(tmp_path):
     half = len(out) // 2
     assert out[:half] == out[half:]
     assert int(faults) < 300
+
+
+def _run_op(argv, capsys):
+    """Exit code, stdout and stderr of one main call."""
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys, request):
+    spath = _write_space(tmp_path / "theta.json", ThetaSpace(0.5, ONE, L2))
+    usage = ["verify", "holmstedt", "--win", "2"]
+    ops = [usage,
+           ["norm", "--space", spath, "--fn", "chi:0.5", "--grid", "9"],
+           ["verify", "holmstedt", "--case", "R_x0", "--grid", "9",
+            "--corpus", "chi:0.1;pow:2"],
+           usage]
+    request.addfinalizer(cli._parser.cache_clear)
+    alone = []
+    for argv in ops:
+        cli._parser.cache_clear()
+        alone.append(_run_op(argv, capsys))
+    cli._parser.cache_clear()
+    together = [_run_op(argv, capsys) for argv in ops]
+    assert together == alone
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+    code, out, err = together[0]
+    assert code == 1 and out == "" and err.startswith("usage: interpolab ")
+    assert "unrecognized arguments: --win 2" in err
+    assert [c for c, _, _ in together] == [1, 0, 0, 1]
+    assert together[2][1].startswith("R_x0:")
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = os.path.dirname(os.path.dirname(interpolab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import interpolab.cli as c; "
+         "print(c._parser.cache_info().currsize)"],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.stdout.split() == ["0"]
+
+
+def test_verify_parses_a_csv_prototype_once_per_sweep(tmp_path, capsys,
+                                                      monkeypatch):
+    path = tmp_path / "steps.csv"
+    path.write_text("t,value\n0.001,4\n0.01,2\n0.5,1\n")
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if os.fspath(file) == str(path):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    code = main(["verify", "holmstedt", "--case", "R_x0",
+                 "--corpus", f"csv:{path}", "--grid", "9,10,11"])
+    assert code == 0
+    assert "rows=" in capsys.readouterr().out
+    # once for the input check, once for the sweep over three grids
+    assert len(opened) == 2

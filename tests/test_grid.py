@@ -8,7 +8,7 @@ import pytest
 from interpolab.grid import (Grid, GridFunction, L1, L2, LINF, RiSpace,
                              full_grid, unit_grid, tilde_norm,
                              nested_tilde_norms, lebesgue_prefix,
-                             lebesgue_suffix, rearrange, double_star,
+                             lebesgue_suffix, rearrange,
                              checked_norm, edge_diverges, log_norm_lower,
                              log_norm_upper,
                              log_norm_between, _logaddexp_scan,
@@ -111,20 +111,6 @@ def test_rearrange_step_function():
         assert fs.values[i] == expected(float(g.t[i]))
     with pytest.raises(ValueError):
         rearrange([-1.0], [1.0], g)
-
-
-def test_double_star_of_indicator():
-    # f* = chi_(0,a): f**(t) = min(1, a/t)
-    g = unit_grid(2048)
-    a = 0.01
-    fs = GridFunction(g, (g.t <= a).astype(float))
-    dd = double_star(fs)
-    # the sampled indicator extends to the last node at or below a
-    a_eff = float(g.t[np.flatnonzero(fs.values > 0)[-1]])
-    expect = np.minimum(1.0, a_eff / g.t)
-    # the jump cell carries half a cell of extra mass: O(dx) accuracy
-    keep = np.abs(g.x - math.log(a_eff)) > 3 * g.dx
-    assert np.max(np.abs(dd.values[keep] / expect[keep] - 1.0)) < 1e-2
 
 
 # -- shift-and-sum quadrature kernels --------------------------------

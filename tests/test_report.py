@@ -339,3 +339,30 @@ def test_sweep_reads_a_corpus_file_once(tmp_path, monkeypatch):
     assert len(opened) == 1
     assert [(r.function_id, r.n) for r in rep.rows] == [
         (s, n) for n in (512, 1024, 2048) for s in ("chi:0.5", "pow:2")]
+
+
+def test_sweep_parses_a_csv_prototype_once(tmp_path, monkeypatch):
+    path = tmp_path / "steps.csv"
+    path.write_text("t,value\n0.01,3\n0.5,1\n")
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if os.fspath(file) == str(path):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    spec = f"csv:{path}"
+    seen = []
+
+    def rows(fstar):
+        seen.append(fstar.values)
+        return None, [1.0], [1.0]
+
+    _sweep("c", (spec, "chi:0.5"), unit_grid, (9, 10, 11), rows)
+    assert len(opened) == 1
+    # f* sampled from the parsed function is f* sampled from the spec
+    want = [corpus.sample(spec, unit_grid(1 << k)).values
+            for k in (9, 10, 11)]
+    assert all(np.array_equal(a, b) for a, b in zip(seen[::2], want))

@@ -11,8 +11,7 @@ from interpolab.grid import Grid, L1, L2, LINF, full_grid, unit_grid
 from interpolab.sv import (SvExpr, Const, EllPow, BrokenEll, IteratedEll,
                            ExpLogPow, Product, Power, InverseArg, NormTail,
                            ComposeWithRho, ONE, SvDivergenceError,
-                           inverse_arg, sv_eval, sv_log_on_grid, sv_verify,
-                           sv_local_scale_bound)
+                           inverse_arg, sv_eval, sv_log_on_grid, sv_verify)
 from interpolab.wire import to_json
 
 from util import rel_err, interior_ratio_window
@@ -156,13 +155,6 @@ def test_sv_verify_rejects_powers():
     # proxy: b(t) = exp(|log t|^0.9) has scale constants that blow up
     rep = sv_verify(ExpLogPow(0.9), eps=0.01)
     assert not rep.passed
-
-
-def test_local_scale_bound_brackets_one():
-    lo, hi = sv_local_scale_bound(EllPow(1.0), eps=0.25)
-    assert lo <= 1.0 + 1e-12
-    assert hi >= 1.0 - 1e-12
-    assert math.isfinite(hi) and lo > 0
 
 
 def test_compose_with_rho_evaluates():
