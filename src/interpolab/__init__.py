@@ -12,7 +12,7 @@ from .sv import (SvExpr, Const, EllPow, BrokenEll, IteratedEll, ExpLogPow,
                  sv_eval, sv_verify)
 from .spaces import (EndpointX0, EndpointX1, ThetaSpace, LSpace, RSpace,
                      LLSpace, RRSpace, Intersection, AppMember, Over, FULL,
-                     UNIT, couple_reverse, check_admissible)
+                     UNIT, CO_UNIT, couple_reverse, check_admissible)
 from .kfun import (KProfile, k_peetre, kprofile_reverse, norm_in_space,
                    TruncationOracle)
 from .holmstedt import HolmstedtCase, CASES, holmstedt_rhs, verify_holmstedt

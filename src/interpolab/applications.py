@@ -175,7 +175,7 @@ def norm_app(space: AppSpace, fstar: GridFunction):
 
 def _norm_app(space: AppSpace, fstar: GridFunction) -> np.ndarray:
     grid = fstar.grid
-    if grid.truncated_high:
+    if grid.truncated("high"):
         raise ValueError("concrete spaces live on (0,1): use a unit grid")
     x = grid.x
     f = fstar.values
@@ -278,32 +278,38 @@ class Scenario:
     rhs: SpaceDescriptor
 
 
-@functools.cache
-def _grand_cases() -> dict:
-    """The reiteration behind each (X, grand) identity scenario.
+_GG = GGamma(2.0, 2.0, -1.0, EllPow(-3.0), 0.0, ONE)
 
-    grand(4, 1) is grand_descriptor's R-space, so (X, grand) is an
-    R_interior, R_theta0_zero or R_x0 couple over (0, 1) for X = L2,
-    LlogL or L1.  A concrete rhs (small, ultra) is the identity being
-    checked, so it stays written out; the tests sweep reiterate(d)
-    against it.  The other scenarios stay hand-written: their L-type
-    couples (small with ultra or Linf, GGamma with ultra) would be L
-    cases, and reversal maps (0, 1) onto (1, inf); (small, grand) is an
-    (L, R) couple, which neither reiteration theorem covers; linfq, A-
-    and B-type members have no descriptor.
+
+@functools.cache
+def _reiterations() -> dict:
+    """The reiteration behind each identity scenario the theorems cover.
+
+    grand(4, 1) is an R-space, so (X, grand) is an R_interior,
+    R_theta0_zero or R_x0 couple over (0, 1) for X = L2, LlogL or L1;
+    small(2, 1) and GGamma are L-spaces, so (small, ultra) and (GGamma,
+    ultra) are L_interior couples and (small, Linf) an L_x1 one.  A
+    concrete rhs is the identity being checked, so it stays written
+    out; the tests sweep reiterate(d) against it.  Hand-written remain:
+    (small, grand), an (L, R) couple neither theorem covers, and
+    small-linfq and the A/B-type ones, whose members have no descriptor.
     """
     g, l2 = grand_descriptor(4.0, 1.0), ThetaSpace(0.5, ONE, L2, UNIT)
+    small = small_descriptor(2.0, 1.0)
+    ultra = ultra_descriptor(4.0, ONE, RiSpace(4.0))
 
-    def over(x, theta, b, E):
-        return Over((x, g), ThetaSpace(theta, b, E, UNIT))
+    def over(y0, y1, theta=0.5, b=ONE, E=L2):
+        return Over((y0, y1), ThetaSpace(theta, b, E, UNIT))
 
-    return {"small-dual-limit": over(l2, 0.0, EllPow(-0.5), L1),
-            "grand-vs-ultra-interior": over(l2, 0.5, ONE, L2),
-            "grand-vs-ultra-theta0": over(l2, 0.0, EllPow(-0.5), L2),
-            "grand-vs-ultra-theta1": over(l2, 1.0, EllPow(-1.0), LINF),
-            "llogl-grand": over(ThetaSpace(0.0, ONE, L1, UNIT), 0.5, ONE,
-                                L2),
-            "l1-grand": over(EndpointX0(UNIT), 0.5, ONE, L2)}
+    return {"small-dual-limit": over(l2, g, 0.0, EllPow(-0.5), L1),
+            "grand-vs-ultra-interior": over(l2, g),
+            "grand-vs-ultra-theta0": over(l2, g, 0.0, EllPow(-0.5)),
+            "grand-vs-ultra-theta1": over(l2, g, 1.0, EllPow(-1.0), LINF),
+            "llogl-grand": over(ThetaSpace(0.0, ONE, L1, UNIT), g),
+            "l1-grand": over(EndpointX0(UNIT), g),
+            "small-ultra": over(small, ultra),
+            "small-linf": over(small, EndpointX1(UNIT)),
+            "ggamma-ultra": over(ggamma_descriptor(_GG), ultra)}
 
 
 @functools.cache
@@ -327,31 +333,34 @@ def _scenarios() -> dict:
     put(Scenario("small-as-L", smooth,
                  lhs=AppMember(SmallLp(2.0, 1.0)),
                  rhs=small_descriptor(2.0, 1.0)))
-    gg = GGamma(2.0, 2.0, -1.0, EllPow(-3.0), 0.0, ONE)
-    put(Scenario("ggamma-as-L", smooth, lhs=AppMember(gg),
-                 rhs=ggamma_descriptor(gg)))
+    put(Scenario("ggamma-as-L", smooth, lhs=AppMember(_GG),
+                 rhs=ggamma_descriptor(_GG)))
 
-    # -- (X, grand) family: reiteration cases, see _grand_cases --------
+    # -- (X, grand) family: reiteration cases, see _reiterations -------
     p0, p1, alpha, beta = 2.0, 4.0, 1.0, 1.0
     grand = AppMember(GrandLp(p1, beta))
+    small = AppMember(SmallLp(p0, alpha))
     th = 0.5
     p_mid = 1.0 / ((1 - th) / p0 + th / p1)
     pa = 1.0 / (1 - th + th / p1)
+    apps = {grand_descriptor(p1, beta): grand,
+            small_descriptor(p0, alpha): small,
+            ggamma_descriptor(_GG): AppMember(_GG)}
 
-    def put_grand(name, concrete=None):
-        d = _grand_cases()[name]
-        put(Scenario(name, smooth, Over((d.couple[0], grand), d.desc),
+    def put_reiterated(name, concrete=None, corpus=smooth):
+        d = _reiterations()[name]
+        put(Scenario(name, corpus,
+                     Over(tuple(apps.get(y, y) for y in d.couple), d.desc),
                      AppMember(concrete) if concrete else reiterate(d)))
 
-    put_grand("small-dual-limit", SmallLp(p0, alpha))
+    put_reiterated("small-dual-limit", SmallLp(p0, alpha))
     # interior: (L_{p0}, grand)_{1/2,1,L2} = ultra(8/3, l^{-1/8}, L2)
-    put_grand("grand-vs-ultra-interior",
-              UltraLp(p_mid, EllPow(-beta * th / p1), RiSpace(2.0)))
-    put_grand("grand-vs-ultra-theta0")
-    put_grand("grand-vs-ultra-theta1")
+    put_reiterated("grand-vs-ultra-interior",
+                   UltraLp(p_mid, EllPow(-beta * th / p1), RiSpace(2.0)))
+    put_reiterated("grand-vs-ultra-theta0")
+    put_reiterated("grand-vs-ultra-theta1")
 
     # -- (small, grand) family: an (L, R) couple, derived by hand -------
-    small = AppMember(SmallLp(p0, alpha))
     r = 2.0
     A = alpha * (1 - th) / _pp(p0) - beta * th / p1
     put(Scenario("small-grand-interior", ("chi:1", "chi:0.01", "pow:4",
@@ -388,16 +397,16 @@ def _scenarios() -> dict:
                              UNIT)))))
 
     # -- (LlogL, grand) and (L1, grand): reiteration cases ---------------
-    put_grand("llogl-grand",
-              UltraLp(pa, EllPow(1 - th - beta * th / p1), RiSpace(2.0)))
-    put_grand("l1-grand", UltraLp(pa, EllPow(-beta * th / p1), RiSpace(2.0)))
+    put_reiterated("llogl-grand",
+                   UltraLp(pa, EllPow(1 - th - beta * th / p1), RiSpace(2.0)))
+    put_reiterated("l1-grand",
+                   UltraLp(pa, EllPow(-beta * th / p1), RiSpace(2.0)))
 
-    # -- (small, *) family ----------------------------------------------
-    put(Scenario("small-ultra", ("chi:1", "chi:0.1", "chi:0.01", "log:1"),
-                 lhs=Over((small, ultra_descriptor(p1, ONE, RiSpace(p1))),
-                          ThetaSpace(th, ONE, RiSpace(2.0), UNIT)),
-                 rhs=AppMember(UltraLp(p_mid, EllPow(alpha * (1 - th) / _pp(p0)),
-                                       RiSpace(2.0)))))
+    # -- (small, *) family: ultra and linf via _reiterations -------------
+    put_reiterated("small-ultra",
+                   UltraLp(p_mid, EllPow(alpha * (1 - th) / _pp(p0)),
+                           RiSpace(2.0)),
+                   ("chi:1", "chi:0.1", "chi:0.01", "log:1"))
     q1, beta_lz = 2.0, -1.0
     p_lz = p0 / (1 - th)
     # bounded prototypes only: the cut family resolves them exactly,
@@ -411,20 +420,15 @@ def _scenarios() -> dict:
                      EllPow((1 - th) * alpha / _pp(p0)
                             + th * (beta_lz + 1.0 / q1)),
                      RiSpace(2.0)))))
-    put(Scenario("small-linf", chis,
-                 lhs=Over((small, EndpointX1(UNIT)),
-                          ThetaSpace(th, ONE, RiSpace(2.0), UNIT)),
-                 rhs=AppMember(UltraLp(p_lz, EllPow(alpha * (1 - th) / _pp(p0)),
-                                       RiSpace(2.0)))))
+    put_reiterated("small-linf",
+                   UltraLp(p_lz, EllPow(alpha * (1 - th) / _pp(p0)),
+                           RiSpace(2.0)), chis)
 
-    # -- generalized Gamma ------------------------------------------------
+    # -- generalized Gamma: a reiteration case, see _reiterations --------
     tailw1 = NormTail(Power(EllPow(-3.0), 0.5), RiSpace(2.0), "upper")
-    put(Scenario("ggamma-ultra", ("chi:1", "chi:0.1", "chi:0.01", "log:1"),
-                 lhs=Over((AppMember(gg),
-                           ultra_descriptor(p1, ONE, RiSpace(p1))),
-                          ThetaSpace(th, ONE, RiSpace(2.0), UNIT)),
-                 rhs=AppMember(UltraLp(
-                     p_mid, Power(tailw1, 1 - th), RiSpace(2.0)))))
+    put_reiterated("ggamma-ultra",
+                   UltraLp(p_mid, Power(tailw1, 1 - th), RiSpace(2.0)),
+                   ("chi:1", "chi:0.1", "chi:0.01", "log:1"))
 
     # -- A and B-type ------------------------------------------------------
     at = AType(4.0, 0.0, RiSpace(2.0))

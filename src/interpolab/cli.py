@@ -22,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .grid import Grid, L2, LINF
 from .sv import ONE, EllPow
-from .spaces import (UNIT, AppMember, Over, ThetaSpace, check_admissible,
+from .spaces import (AppMember, Over, ThetaSpace, check_admissible,
                      contains, space_from_obj)
 from .kfun import k_peetre, norm_in_space
 from .holmstedt import CASES, DEFAULT_CASES
@@ -96,18 +96,11 @@ def cmd_norm(args) -> int:
         print(f"error: bad descriptor field: {e}", file=sys.stderr)
         return 1
 
-    unit = desc.setting == UNIT
-    tmin = 1e-8 if args.tmin is None else args.tmin
-    tmax = (1.0 if unit else 1e8) if args.tmax is None else args.tmax
     try:
-        if unit and tmax > 1.0:
-            raise ValueError(f"the unit setting lives on (0,1): --tmax "
-                             f"{tmax:g} is above 1")
-        if contains(desc, AppMember) and not (unit and tmax >= 1.0):
+        grid = Grid.from_bounds(args.tmin, args.tmax, n, desc.setting)
+        if contains(desc, AppMember) and grid.truncated("high"):
             raise ValueError("concrete spaces live on (0,1): app members "
                              "need the unit setting and --tmax 1")
-        grid = Grid.from_bounds(tmin, tmax, n,
-                                truncated_high=not unit or tmax < 1.0)
     except ValueError as e:
         print(f"error: bad grid: {e}", file=sys.stderr)
         return 1

@@ -5,7 +5,8 @@ rather than t keeps the arithmetic finite across the enormous dynamic
 ranges that show up in weighted norms (t^{-theta*q} spans dozens of
 decades on the default full-line grid), and lets a grid reach far below
 the float64 underflow threshold when a slowly converging log-integral
-needs it.
+needs it.  A grid lies in the t-interval of its Setting, and t -> 1/t
+maps it onto its reflection in the reversed setting (Grid.reflected).
 
 Two kinds of integral live here:
 
@@ -34,6 +35,7 @@ Two kinds of integral live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+import enum
 import functools
 import math
 
@@ -71,42 +73,88 @@ L2 = RiSpace(2.0)
 LINF = RiSpace(math.inf)
 
 
+class Setting(str, enum.Enum):
+    """The t-interval a space lives on: FULL = (0, inf), UNIT = (0, 1) and
+    its image under t -> 1/t, CO_UNIT = (1, inf).  UNIT == "unit"."""
+
+    FULL = "full"
+    UNIT = "unit"
+    CO_UNIT = "co_unit"
+
+    __str__ = str.__str__
+
+    def reversed(self) -> Setting:
+        """The image of this interval under t -> 1/t."""
+        return {UNIT: CO_UNIT, CO_UNIT: UNIT}.get(self, self)
+
+
+FULL, UNIT, CO_UNIT = Setting
+
+
 class Grid:
-    """Uniform grid in x = log t on [x_min, x_max] with n nodes.
+    """Uniform grid in x = log t on [x_min, x_max] with n nodes, in its
+    setting's interval.  An end stands in for t = 0 or inf, and needs
+    divergence checks, exactly when it stops short of that interval."""
 
-    The low end always stands in for t = 0 and needs divergence checks;
-    ``truncated_high`` records whether the high end stands in for
-    infinity too or is a true domain edge, as t_max = 1 is for spaces
-    over (0, 1).
-    """
-
-    __slots__ = ("x", "dx", "n", "truncated_high", "_t")
+    __slots__ = ("x", "dx", "n", "setting", "key", "_truncated", "_t",
+                 "_reflected")
 
     def __init__(self, x_min: float, x_max: float, n: int,
-                 truncated_high: bool = True):
+                 setting: Setting = FULL):
         if n < 2:
             raise ValueError("need at least 2 nodes")
         if not x_max > x_min:
             raise ValueError("empty grid range")
+        self.setting = setting = Setting(setting)
+        lo = 0.0 if setting is CO_UNIT else -math.inf     # in log t
+        hi = 0.0 if setting is UNIT else math.inf
+        if not (lo <= x_min and x_max <= hi):
+            raise ValueError(f"the {setting} setting has log t in [{lo:g}, "
+                             f"{hi:g}], not [{x_min:.6g}, {x_max:.6g}]")
         step = (x_max - x_min) / (n - 1)
         x = x_min + step * np.arange(n)
         x[-1] = x_max
         self.x = x
         self.dx = step
         self.n = n
-        self.truncated_high = truncated_high
-        self._t = None
+        self.key = (x[0], x[-1], n, self.setting)
+        self._truncated = (bool(x_min > lo), bool(x_max < hi))
+        self._t = self._reflected = None
 
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_bounds(cls, t_min: float, t_max: float, n: int,
-                    truncated_high: bool = True) -> "Grid":
+    def from_bounds(cls, t_min: float | None, t_max: float | None, n: int,
+                    setting: Setting = FULL) -> "Grid":
+        """The grid from t_min to t_max; None stands for 1e-8 and 1e8, cut
+        to the interval.  A co_unit grid is only made by reflection."""
+        if Setting(setting) is CO_UNIT:
+            raise ValueError("a co_unit grid is only made by reflection")
+        t_min = 1e-8 if t_min is None else t_min
+        t_max = (1.0 if setting == UNIT else 1e8) if t_max is None else t_max
         if not 0 < t_min < t_max < math.inf:
             raise ValueError("need 0 < t_min < t_max < inf")
-        return cls(math.log(t_min), math.log(t_max), n, truncated_high)
+        return cls(math.log(t_min), math.log(t_max), n, setting)
+
+    def reflected(self) -> "Grid":
+        """The grid of t -> 1/t in the reversed setting, nodes exactly -x
+        reversed; a full grid symmetric about t = 1 is its own."""
+        x, r = self.x, self._reflected
+        if r is None:
+            r = self
+            if self.setting is not FULL or abs(x[0] + x[-1]) > 1e-9:
+                r = Grid(-x[-1], -x[0], self.n, self.setting.reversed())
+                r.x, r._reflected = -x[::-1], self
+                # a bounds-built grid may share its ends, not its nodes
+                r.key += ("reflected",)
+            self._reflected = r
+        return r
 
     # -- conveniences --------------------------------------------------
+
+    def truncated(self, side: str) -> bool:
+        """Does the end on side ('low' or 'high') stand in for 0 or inf?"""
+        return self._truncated[side == "high"]
 
     @property
     def t(self) -> np.ndarray:
@@ -114,10 +162,6 @@ class Grid:
             with np.errstate(over="ignore", under="ignore"):
                 self._t = np.exp(self.x)
         return self._t
-
-    @property
-    def key(self):
-        return (self.x[0], self.x[-1], self.n, self.truncated_high)
 
     def index_of(self, t: float) -> int:
         """Nearest node to t, clamped into range."""
@@ -132,12 +176,12 @@ class Grid:
 
 def full_grid(n: int) -> Grid:
     """Default truncation of (0, inf): t from 1e-8 to 1e8."""
-    return Grid.from_bounds(1e-8, 1e8, n)
+    return Grid.from_bounds(None, None, n)
 
 
-def unit_grid(n: int, t_min: float = 1e-8) -> Grid:
-    """Default truncation of (0, 1); t = 1 is a real edge."""
-    return Grid.from_bounds(t_min, 1.0, n, truncated_high=False)
+def unit_grid(n: int, t_min: float | None = None) -> Grid:
+    """Default truncation of (0, 1), from t_min (1e-8) to the edge 1."""
+    return Grid.from_bounds(t_min, None, n, UNIT)
 
 
 @dataclass
@@ -319,8 +363,7 @@ def edge_diverges(lw: np.ndarray, q: float, grid: Grid,
     The one edge-divergence test.  lw holds one log integrand or a stack
     of them, (rows x m), whose first node (side='low') or last node
     ('high') is that end of grid; one answer per row, all False when the
-    end is a true edge of the domain rather than a stand-in for 0 or
-    infinity.
+    end is a true edge of the setting's interval (Grid.truncated).
 
     The integrand is fit over a log(2)-wide strip at that edge by two
     local models, each by a closed-form least-squares line: e^{p x} (a
@@ -339,7 +382,7 @@ def edge_diverges(lw: np.ndarray, q: float, grid: Grid,
     dx = grid.dx
     k = max(2, int(math.ceil(math.log(2.0) / dx)))
     low = side == "low"
-    if not (low or grid.truncated_high) or lw.shape[-1] - 1 <= k:
+    if not grid.truncated(side) or lw.shape[-1] - 1 <= k:
         return np.zeros(lw.shape[:-1], bool)
     if low:
         x_edge = grid.x[0]
@@ -387,19 +430,19 @@ def _final(logval) -> np.ndarray:
 
 
 def checked_norm(lw: np.ndarray, q: float, grid: Grid, i0: int = 0,
-                 i1: int | None = None, check: bool = True):
+                 i1: int | None = None):
     """|| e^lw ||_{L~q} over the node range [i0, i1] (default: all nodes).
 
     The one checked truncated norm: log_norm_between, then _final, then
-    math.inf wherever check is on, an end of [i0, i1] is an end of the
-    grid, and edge_diverges fires there on lw[..., i0:i1 + 1].  An empty
+    math.inf wherever an end of [i0, i1] is an end of the grid and
+    edge_diverges fires there on lw[..., i0:i1 + 1].  An empty
     range gives 0.  A float for one integrand, an array with one value
     per row for a stack.
     """
     lw = np.asarray(lw, dtype=float)
     i1 = grid.n - 1 if i1 is None else i1
     val = _final(log_norm_between(lw, q, grid.dx, i0, i1))
-    if check and i1 > i0:
+    if i1 > i0:
         seg = lw[..., i0:i1 + 1]
         if i0 == 0:
             val = np.where(edge_diverges(seg, q, grid, "low"), math.inf, val)
@@ -409,7 +452,7 @@ def checked_norm(lw: np.ndarray, q: float, grid: Grid, i0: int = 0,
 
 
 def tilde_norm(g: GridFunction, E: RiSpace,
-               interval=(0.0, math.inf), check: bool = True) -> float:
+               interval=(0.0, math.inf)) -> float:
     """|| g ||_{E~(interval)}, the L_q norm of g against dt/t.
 
     Interval ends snap to the nearest grid nodes (0 and inf mean the
@@ -419,7 +462,7 @@ def tilde_norm(g: GridFunction, E: RiSpace,
     lo, hi = interval
     i0 = 0 if lo <= 0 else g.grid.index_of(lo)
     i1 = g.grid.n - 1 if math.isinf(hi) else g.grid.index_of(hi)
-    return checked_norm(g.log_values(), E.q, g.grid, i0, i1, check)
+    return checked_norm(g.log_values(), E.q, g.grid, i0, i1)
 
 
 def nested_tilde_norms(g: GridFunction, E: RiSpace, side: str) -> GridFunction:
@@ -542,6 +585,9 @@ def rearrange(values: np.ndarray, weights: np.ndarray,
     (values, weights) describe a nonnegative simple function taking
     value[k] on a set of measure weight[k]; the result samples its
     rearrangement f*(t) at the grid nodes (right-continuous step).
+    Only tests call it; it stays for the Lorentz parameters L^{p,r} of
+    ROADMAP item 7, whose norm needs the rearrangement with respect to
+    dt/t: this one, with weights that are dt/t measures.
     """
     values = np.asarray(values, float)
     weights = np.asarray(weights, float)

@@ -19,9 +19,9 @@ HolmstedtCase reads the configuration off the members' classes and
 thetas.  Each L case is the R case of the reversed couple, since
 K(t, f; X1, X0) = t K(1/t, f; X0, X1): the members swap and each is
 mapped by spaces.couple_reverse.  Only the R cases are written out.
-The members share one setting: FULL, or UNIT for couples over (0, 1);
-an L case needs FULL, as reversal maps (0, 1) onto (1, inf).
-verify_holmstedt runs on the full line.
+The members share one setting: FULL, or UNIT for couples over (0, 1),
+whose L cases read their configuration off the reversed couple in
+CO_UNIT, (1, inf).  verify_holmstedt runs on the full line.
 
 In every case K(rho(u), f; Y0, Y1) is comparable, uniformly in u and f,
 to an explicit expression in K(., f; X0, X1) split at u.  verify_holmstedt

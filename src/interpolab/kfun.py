@@ -37,11 +37,11 @@ the pairs so far cannot rule out.
 norm_in_space evaluates a spaces.Over descriptor, a space over a
 derived couple, through such an oracle built from the f* the profile
 carries.  That oracle, and the ones the verification harnesses build,
-take at most _cut_cap(grid) cuts: 128 on the full line, 192 on (0, 1).
+take at most _cut_cap(grid) cuts: 128, or 192 where t = 1 ends the grid.
 The cap moves answers: uncapped, the R_x0 Holmstedt window is 1.0565 /
 1.0519 at n = 2^9 / 2^10 against 1.0615 / 1.0591, and log K drops by up
 to 6.3e-2 (R_x0, powlog:2,1, n = 2^13); the cost grows with the cut
-count.  See open item 4 of ROADMAP.md.
+count.  See open item 5 of ROADMAP.md.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ _BLOCK_ELEMS = 1 << 16
 
 def _cut_cap(grid: Grid) -> int:
     """Cut cap of the oracles on grid (see the module docstring)."""
-    return 128 if grid.truncated_high else 192
+    return 128 if grid.truncated("high") else 192
 
 
 @dataclass
@@ -115,14 +115,9 @@ def k_peetre(fstar: GridFunction) -> KProfile:
 
 
 def kprofile_reverse(K: KProfile) -> KProfile:
-    """Profile of the reversed couple: K(t; X1, X0) = t K(1/t; X0, X1).
-
-    Needs a grid that is symmetric under t -> 1/t.
-    """
-    g = K.grid
-    if abs(g.x[0] + g.x[-1]) > 1e-9:
-        raise ValueError("grid must be symmetric about t = 1")
-    return KProfile(g, g.x + K.logk[::-1], None)
+    """K(t; X1, X0) = t K(1/t; X0, X1), on the reflected grid."""
+    g = K.grid.reflected()
+    return KProfile(g, g.x + K.logk[..., ::-1], None)
 
 
 # ---------------------------------------------------------------------
@@ -189,7 +184,7 @@ def _norms(K: KProfile, d: SpaceDescriptor) -> np.ndarray:
 
 def _over(grid: Grid, f: np.ndarray, d: Over) -> float:
     """d.desc over the couple d.couple, for the f* sampled as f."""
-    if grid.truncated_high and contains(d, AppMember):
+    if grid.truncated("high") and contains(d, AppMember):
         raise ValueError("concrete spaces live on (0,1): use a unit grid")
     try:
         orc = TruncationOracle(GridFunction(grid, f), *d.couple,

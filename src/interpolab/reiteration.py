@@ -7,7 +7,8 @@ K-functional whose norm is equivalent.  Only the R cases are written
 out: an L case is the R case of the reversed couple, and since
 K(t; Y0, Y1) = t K(1/t; Y1, Y0) its outer space reverses too, to
 (1 - theta, b(1/.), E); the reduced descriptor is then reversed back
-(spaces.couple_reverse).  Both sides are in the couple's setting.
+(spaces.couple_reverse).  Both sides are in the couple's setting; a
+unit L case reduces through an R case over (1, inf), never normed.
 
 verify_reiteration measures both sides on a corpus: the Over (through
 a truncation oracle) against the reduced descriptor.  It and
@@ -17,12 +18,13 @@ sweep them with report._sweep.
 
 from __future__ import annotations
 
+import functools
 import math
 
-from .grid import full_grid, unit_grid
+from .grid import Grid
 from .sv import Power, Product, NormTail, compose_rho
 from .spaces import (SpaceDescriptor, ThetaSpace, LSpace, RSpace, RRSpace,
-                     Intersection, Over, UNIT, couple_reverse)
+                     Intersection, Over, couple_reverse)
 from .holmstedt import HolmstedtCase, L_CASES
 from .kfun import k_peetre, norm_in_space
 from .report import EquivalenceReport, _sweep
@@ -89,9 +91,10 @@ def verify_reiteration(d: Over, corpus=None, log2n=(9, 10)
                        ) -> EquivalenceReport:
     """Compare the outer norm d over (Y0, Y1) with the reduced descriptor.
 
-    One row per (grid size, prototype), no split point.
+    One row per (grid size, prototype), no split point, in d's setting.
     """
     kind = HolmstedtCase(*d.couple).kind
-    grid = unit_grid if d.setting == UNIT else full_grid
+    grid = functools.partial(Grid.from_bounds, None, None,
+                             setting=d.setting)
     return _sweep(f"{kind}:theta={d.desc.theta:g}", corpus, grid, log2n,
                   _pair(d, reiterate(d), ("outer", "reduced")))

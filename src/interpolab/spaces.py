@@ -13,11 +13,12 @@ A descriptor says how to turn the profile t -> K(t, f) into a norm:
 * over             a descriptor applied to K(., f; Y0, Y1) of a derived
                    couple (Y0, Y1) instead of the endpoint couple
 
-Settings: "full" norms run over the whole truncated line (0, inf),
-"unit" over (0, 1) with t = 1 a genuine edge; the members of an
-intersection or over share one.  theta lies in [0, 1].  Admissibility
-follows the parameter tables that make the space nontrivial; conditions
-involving (1, inf) are dropped in the unit setting.
+A setting is the t-interval a space lives on (grid.Setting): FULL
+(0, inf), UNIT (0, 1) or CO_UNIT (1, inf), where reversal takes UNIT;
+the members of an intersection or over share one.  theta lies in
+[0, 1].  Admissibility follows the parameter tables that make the space
+nontrivial; conditions involving (1, inf) are dropped in the unit
+setting.
 
 Each descriptor has a JSON form through its wire tag (see wire.py).
 """
@@ -30,41 +31,36 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grid import (Grid, RiSpace, LINF, full_grid, unit_grid, checked_norm,
-                   edge_diverges, log_norm_lower, log_norm_upper)
+from .grid import (Grid, RiSpace, LINF, Setting, FULL, UNIT, CO_UNIT,
+                   checked_norm, edge_diverges, log_norm_lower,
+                   log_norm_upper)
 from .sv import ONE, SvExpr, sv_log_on_grid, inverse_arg, SvDivergenceError
 from .wire import Wire
 
 if TYPE_CHECKING:
     from .applications import AppSpace
 
-FULL = "full"
-UNIT = "unit"
-
-
 class SpaceDescriptor(Wire):
-    """Base class for the descriptor variants; checks setting and theta
-    (intersection, over and app check their own)."""
+    """Base class for the descriptor variants; coerces the setting and
+    checks theta (intersection, over and app check their own)."""
 
-    setting: str
+    setting: Setting
 
     def __post_init__(self):
-        if self.setting not in (FULL, UNIT):
-            raise ValueError(f"setting must be {FULL!r} or {UNIT!r}, "
-                             f"got {self.setting!r}")
+        object.__setattr__(self, "setting", Setting(self.setting))
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
 class EndpointX0(SpaceDescriptor, kind="x0"):
-    setting: str = FULL
+    setting: Setting = FULL
     theta = 0.0     # not a field: X0 is normed as a theta space (levels)
 
 
 @dataclass(frozen=True)
 class EndpointX1(SpaceDescriptor, kind="x1"):
-    setting: str = FULL
+    setting: Setting = FULL
     theta = 1.0
 
 
@@ -73,7 +69,7 @@ class ThetaSpace(SpaceDescriptor, kind="theta"):
     theta: float
     b: SvExpr
     E: RiSpace
-    setting: str = FULL
+    setting: Setting = FULL
 
 
 @dataclass(frozen=True)
@@ -83,7 +79,7 @@ class LSpace(SpaceDescriptor, kind="L"):
     E: RiSpace
     a: SvExpr
     F: RiSpace
-    setting: str = FULL
+    setting: Setting = FULL
 
 
 @dataclass(frozen=True)
@@ -93,7 +89,7 @@ class RSpace(SpaceDescriptor, kind="R"):
     E: RiSpace
     a: SvExpr
     F: RiSpace
-    setting: str = FULL
+    setting: Setting = FULL
 
 
 @dataclass(frozen=True)
@@ -106,7 +102,7 @@ class LLSpace(SpaceDescriptor, kind="LL"):
     F: RiSpace
     a: SvExpr
     G: RiSpace
-    setting: str = FULL
+    setting: Setting = FULL
 
 
 @dataclass(frozen=True)
@@ -119,7 +115,7 @@ class RRSpace(SpaceDescriptor, kind="RR"):
     F: RiSpace
     a: SvExpr
     G: RiSpace
-    setting: str = FULL
+    setting: Setting = FULL
 
 
 @dataclass(frozen=True)
@@ -141,12 +137,13 @@ class Intersection(SpaceDescriptor, kind="intersection"):
 class AppMember(SpaceDescriptor, kind="app"):
     """Wraps a concrete function space (applications.AppSpace)."""
     space: AppSpace
-    setting: str = UNIT
+    setting: Setting = UNIT
 
     def __post_init__(self):
         if self.setting != UNIT:
             raise ValueError("concrete spaces live on (0,1): setting must "
-                             f"be {UNIT!r}")
+                             f"be '{UNIT}'")
+        object.__setattr__(self, "setting", UNIT)
 
 
 @dataclass(frozen=True)
@@ -208,18 +205,18 @@ def couple_reverse(d: SpaceDescriptor) -> SpaceDescriptor:
     """Descriptor of the same space built from the reversed couple.
 
     Uses K(t, f; X1, X0) = t K(1/t, f; X0, X1): theta goes to 1 - theta,
-    every slowly varying parameter is precomposed with t -> 1/t, members
-    are reversed in turn, and the class goes to its mirror (X0 <-> X1,
-    L <-> R, LL <-> RR).  Only meaningful on the full line.
+    every slowly varying parameter is precomposed with t -> 1/t, so is
+    the setting (UNIT <-> CO_UNIT), members are reversed in turn, and the
+    class goes to its mirror (X0 <-> X1, L <-> R, LL <-> RR).
     """
-    if d.setting != FULL:
-        raise ValueError("couple reversal needs the full-line setting")
     if type(d) not in _MIRROR:
         raise ValueError(f"cannot reverse {type(d).__name__}")
 
     def rev(name, v):
         if name == "theta":
             return 1.0 - v
+        if name == "setting":
+            return v.reversed()
         if isinstance(v, SvExpr):
             return inverse_arg(v)
         return tuple(map(couple_reverse, v)) if isinstance(v, tuple) else v
@@ -290,8 +287,7 @@ def check_admissible(d: SpaceDescriptor, grid: Grid | None = None) -> Admissibil
             return AdmissibilityReport([Condition(str(e), math.inf)])
 
     unit = d.setting == UNIT
-    if grid is None:
-        grid = unit_grid(4097) if unit else full_grid(4097)
+    grid = grid or Grid.from_bounds(None, None, 4097, d.setting)
     n = grid.n
     i_one = grid.index_of(1.0)
     conds: list[Condition] = []

@@ -9,6 +9,7 @@ for gamma > 0, and the running tail norms
     B0(t) = || b ||_{E~(0,t)},      Binf(t) = || b ||_{E~(t, +edge)},
 
 which are again slowly varying and keep appearing as derived parameters.
+Under t -> b(1/t) a tail norm is tabulated on the reflected grid.
 
 Everything evaluates as a function of x = log t, so expressions stay
 finite on grids whose t range leaves float64.  Every node has a JSON
@@ -219,7 +220,7 @@ def sv_log_eval(expr: SvExpr, x: np.ndarray, grid: Grid | None = None) -> np.nda
     if isinstance(expr, Power):
         return expr.r * sv_log_eval(expr.base, x, grid)
     if isinstance(expr, InverseArg):
-        return sv_log_eval(expr.inner, -x, grid)
+        return sv_log_eval(expr.inner, -x, grid and grid.reflected())
     if isinstance(expr, ComposeWithRho):
         logv = expr.gamma * x + sv_log_eval(expr.inner, x, grid)
         return sv_log_eval(expr.outer, logv, grid)

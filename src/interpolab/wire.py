@@ -14,8 +14,8 @@ a value written without a tag (``RiSpace`` as ``{"q": ...}``).
 
 Reading follows each field's annotation: ``float``, ``int`` and ``str``
 values are coerced (``2.0`` reads as the ``int`` 2; a NaN ``float`` or a
-non-integral ``int`` is a ``ValueError``), nested objects are read
-against their annotated class (a tag from another family is a
+non-integral ``int`` is a ``ValueError``), a str enum by its value, nested
+objects against their annotated class (a tag from another family is a
 ``ValueError``), tuples element by element; a missing field takes its
 dataclass default, and a missing required one fails in the constructor.
 ``+inf`` is written as the string ``"inf"``, which ``float`` reads back.
@@ -100,8 +100,10 @@ def _int(v) -> int:
 
 
 def _reader(tp):
-    if tp in (float, int, str):
-        return {float: _float, int: _int, str: str}[tp]
+    if tp in (float, int):
+        return {float: _float, int: _int}[tp]
+    if isinstance(tp, type) and issubclass(tp, str):
+        return tp       # str, or an enum of strings such as Setting
     if isinstance(tp, type) and issubclass(tp, Wire):
         return tp.from_obj
     if typing.get_origin(tp) is tuple:

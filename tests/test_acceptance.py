@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from interpolab.grid import (Grid, GridFunction, RiSpace, L1, L2, LINF,
+from interpolab.grid import (Grid, GridFunction, RiSpace, L1, L2, LINF, UNIT,
                              full_grid, unit_grid, tilde_norm,
                              nested_tilde_norms,
                              lebesgue_prefix, lebesgue_suffix)
@@ -87,7 +87,7 @@ def test_criterion_02_oracle_tightness(capsys):
 def test_criterion_03_log_weight_tail_identities(capsys):
     # || l^-2 ||_{L1~(0,u)} = 1 / l(u), with l(t) = 1 + |log t|
     n = 1 << 20
-    g1 = Grid(-6e4, 0.0, n, truncated_high=False)
+    g1 = Grid(-6e4, 0.0, n, UNIT)
     ell = 1.0 - g1.x
     pref = nested_tilde_norms(GridFunction(g1, ell ** -2.0), L1, "lower")
     mask = (g1.x >= math.log(1e-6)) & (g1.x <= math.log(0.5))

@@ -9,7 +9,8 @@ from interpolab.grid import (Grid, GridFunction, L1, L2, LINF, RiSpace,
                              full_grid, unit_grid)
 from interpolab.sv import EllPow, ONE
 from interpolab.kfun import k_peetre, norm_in_space
-from interpolab.spaces import EndpointX0, LSpace, ThetaSpace, UNIT
+from interpolab.spaces import (EndpointX0, EndpointX1, LSpace, RSpace,
+                               ThetaSpace, AppMember, Over, UNIT, CO_UNIT)
 from interpolab.holmstedt import HolmstedtCase
 from interpolab.reiteration import reiterate, verify_reiteration, _pair
 from interpolab.report import _sweep
@@ -17,7 +18,8 @@ from interpolab.applications import (AppSpace, GrandLp, SmallLp, UltraLp,
                                      LinfQBeta, GGamma, AType, BType,
                                      norm_app, scenario_names, get_scenario,
                                      verify_identity, grand_descriptor,
-                                     ultra_descriptor, _grand_cases)
+                                     small_descriptor, ultra_descriptor,
+                                     ggamma_descriptor, _reiterations)
 from interpolab import corpus
 
 from util import rel_err
@@ -179,18 +181,25 @@ def test_verify_identity_reports_exclusions():
     assert ids | rows >= {"chi:0.1", "pow:2"}
 
 
-# -- (X, grand) scenarios as reiteration cases ---------------------------
+# -- identity scenarios as reiteration cases ----------------------------
+
+_GRAND = ("small-dual-limit", "grand-vs-ultra-interior",
+          "grand-vs-ultra-theta0", "grand-vs-ultra-theta1", "llogl-grand",
+          "l1-grand")
+_GG = GGamma(2.0, 2.0, -1.0, EllPow(-3.0), 0.0, ONE)
+
 
 def test_grand_cases_name_their_couples():
-    cases = _grand_cases()
+    cases = _reiterations()
     grand = grand_descriptor(4.0, 1.0)
     first = {"R_interior": ultra_descriptor(2.0, ONE, L2),
              "R_theta0_zero": ThetaSpace(0.0, ONE, L1, UNIT),
              "R_x0": EndpointX0(UNIT)}
-    kinds = {name: HolmstedtCase(*d.couple).kind
-             for name, d in cases.items()}
+    kinds = {name: HolmstedtCase(*cases[name].couple).kind
+             for name in _GRAND}
     assert set(kinds.values()) == set(first)
-    for name, d in cases.items():
+    for name in _GRAND:
+        d = cases[name]
         assert d.setting == UNIT
         assert d.couple == (first[kinds[name]], grand), name
         sc = get_scenario(name)
@@ -199,22 +208,42 @@ def test_grand_cases_name_their_couples():
         assert sc.lhs.desc == d.desc
 
 
+def test_l_type_cases_name_their_couples():
+    # (small, ultra), (small, Linf) and (GGamma, ultra) are unit-setting
+    # L couples; each scenario's lhs norms its concrete member from f*
+    cases = _reiterations()
+    small, ultra = small_descriptor(2.0, 1.0), ultra_descriptor(4.0, ONE,
+                                                                RiSpace(4.0))
+    want = {"small-ultra": ((small, ultra), "L_interior", SmallLp(2.0, 1.0)),
+            "small-linf": ((small, EndpointX1(UNIT)), "L_x1",
+                           SmallLp(2.0, 1.0)),
+            "ggamma-ultra": ((ggamma_descriptor(_GG), ultra), "L_interior",
+                             _GG)}
+    assert set(cases) == {*_GRAND, *want}
+    for name, (couple, kind, app) in want.items():
+        d = cases[name]
+        assert d.couple == couple and d.setting == UNIT
+        assert d.desc == ThetaSpace(0.5, ONE, L2, UNIT)
+        assert HolmstedtCase(*couple).kind == kind
+        lhs = get_scenario(name).lhs
+        assert lhs.couple == (AppMember(app), couple[1])
+        assert lhs.desc == d.desc
+
+
 def test_descriptor_right_sides_are_reiterated():
-    cases = _grand_cases()
+    cases = _reiterations()
     for name in ("grand-vs-ultra-theta0", "grand-vs-ultra-theta1"):
         assert get_scenario(name).rhs == reiterate(cases[name])
 
 
-@pytest.mark.parametrize("name", ["small-dual-limit",
-                                  "grand-vs-ultra-interior", "llogl-grand",
-                                  "l1-grand"])
+@pytest.mark.parametrize("name", sorted(_reiterations()))
 def test_reiterated_matches_concrete_right_side(name):
     # the CLI's default bounds: they catch a divergent side or a grossly
     # wrong exponent, but every unit grid starts at t = 1e-8, so doubling
     # one log exponent moves these windows by less than a factor 2
     sc = get_scenario(name)
     rep = _sweep(name, sc.corpus, unit_grid, (9, 10),
-                 _pair(reiterate(_grand_cases()[name]), sc.rhs,
+                 _pair(reiterate(_reiterations()[name]), sc.rhs,
                        ("reiterated", "concrete")))
     assert not rep.excluded
     assert rep.n_rows == 2 * len(sc.corpus)
@@ -225,38 +254,48 @@ def test_reiterated_matches_concrete_right_side(name):
 # small-dual-limit and llogl-grand are left out: their ratios settle
 # slowly (the local slope falls from +0.21 / +0.16 at a = 1e-2 to +0.015
 # / +0.004 at a = 1e-150), so this family fits +0.11 / +0.06 to correct
-# exponents
-@pytest.mark.parametrize("name", ["grand-vs-ultra-interior", "l1-grand"])
+# exponents.  small-ultra and small-linf are left out for the same
+# reason (fits +0.083 / +0.075): their reduced weight (2(sqrt(l) - 1))^(1/2)
+# approaches sqrt(2) l^(1/4) only like (1 - l^(-1/2))^(1/2)
+@pytest.mark.parametrize("name", ["grand-vs-ultra-interior", "l1-grand",
+                                  "ggamma-ultra"])
 def test_reiterated_log_exponent_matches_concrete_right_side(name):
     # a wrong log exponent in reiterate(case) makes the ratio of the two
     # norms of chi_(0,a) a power of l(a) = 1 + |log a|; a unit grid from
     # t = 1e-30 lets a run down to 1e-25, and the fitted power must stay
-    # near 0 (correct code: about -0.006 and -0.009).  The outer b is 1,
-    # so rho drops out and its exponents are not seen here
+    # near 0 (correct code: about -0.006, -0.009 and +0.0007).  The outer
+    # b is 1, so rho drops out and its exponents are not seen here
     g = unit_grid(4096, t_min=1e-30)
     j = np.arange(2, 26)
     K = k_peetre(GridFunction(g, np.stack(
         [corpus.sample(f"chi:1e-{k}", g).values for k in j])))
-    reduced = norm_in_space(K, reiterate(_grand_cases()[name]))
+    reduced = norm_in_space(K, reiterate(_reiterations()[name]))
     concrete = norm_in_space(K, get_scenario(name).rhs)
     slope = np.polyfit(np.log1p(j * math.log(10.0)),
                        np.log(reduced / concrete), 1)[0]
     assert abs(slope) <= 0.03, slope
 
 
-def test_l_case_rejects_unit_setting():
-    with pytest.raises(ValueError, match="reversal"):
-        HolmstedtCase(LSpace(0.25, EllPow(-0.5), LINF, ONE, L2, UNIT),
+def test_l_case_in_the_unit_setting_reverses_to_co_unit():
+    # reversal maps (0, 1) onto (1, inf): the unit L couple is the R case
+    # of the reversed couple there, and reduces to a unit descriptor
+    c = HolmstedtCase(LSpace(0.25, EllPow(-0.5), LINF, ONE, L2, UNIT),
                       ThetaSpace(0.5, EllPow(0.5), L2, UNIT))
+    assert c.kind == "L_interior"
+    rev = c._reversed()
+    assert rev.kind == "R_interior" and rev.setting == CO_UNIT
+    assert isinstance(rev.y1, RSpace)
+    d = reiterate(Over((c.y0, c.y1), ThetaSpace(0.5, ONE, L2, UNIT)))
+    assert d.setting == UNIT
 
 
-@pytest.mark.parametrize("name", sorted(_grand_cases()))
+@pytest.mark.parametrize("name", sorted(_reiterations()))
 def test_reiteration_holds_in_the_unit_setting(name):
     # the outer space over the descriptor couple (X, grand) against
     # reiterate(case), both on unit grids.  powlog:4,1 is excluded for
     # now: its outer norm reads inf, although the reduced side is finite
     # (ROADMAP.md, "Identity sides that disagree are excluded")
-    rep = verify_reiteration(_grand_cases()[name],
+    rep = verify_reiteration(_reiterations()[name],
                              corpus=get_scenario(name).corpus)
     assert rep.n_rows > 0
     assert max(rep.window(n) for n in rep.sizes()) <= 100.0

@@ -14,7 +14,8 @@ import interpolab
 from interpolab import cli
 from interpolab.cli import main
 from interpolab.grid import RiSpace
-from interpolab.spaces import FULL, UNIT, LSpace, ThetaSpace
+from interpolab.spaces import (FULL, UNIT, LSpace, ThetaSpace,
+                               couple_reverse)
 from interpolab.sv import ONE, EllPow
 
 L1 = RiSpace(1.0)
@@ -394,20 +395,27 @@ def test_norm_bad_bounds_exit_1(tmp_path, capsys, setting, bound):
     assert captured.err.startswith("error: bad grid:")
 
 
+def _nothing_is_sampled_or_normed(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a function was sampled or normed")
+
+    for name in ("interpolab.corpus.sample", "interpolab.cli.norm_in_space",
+                 "interpolab.applications.norm_app"):
+        monkeypatch.setattr(name, never)
+
+
 @pytest.mark.parametrize("tmax", ["1.5", "10", "1000"])
 def test_norm_unit_setting_rejects_tmax_above_1(tmp_path, capsys,
                                                 monkeypatch, tmax):
-    # the unit setting ends at t = 1: a longer grid would integrate past it
+    # the unit setting ends at t = 1: a longer grid would integrate past
+    # it, and the grid refuses bounds outside its setting's interval
     spath = _write_space(tmp_path / "theta.json",
                          ThetaSpace(0.5, ONE, L1, UNIT))
     assert main(["norm", "--space", spath, "--fn", "chi:0.5",
                  "--grid", "9", "--tmax", "1"]) == 0
     capsys.readouterr()
 
-    def no_grid(*args, **kwargs):
-        raise AssertionError("a grid was built")
-
-    monkeypatch.setattr("interpolab.cli.Grid.from_bounds", no_grid)
+    _nothing_is_sampled_or_normed(monkeypatch)
     code = main(["norm", "--space", spath, "--fn", "chi:0.5",
                  "--grid", "9", "--tmax", tmax])
     captured = capsys.readouterr()
@@ -429,10 +437,7 @@ def _app_descriptors():
 def test_norm_app_members_need_tmax_1(tmp_path, capsys, monkeypatch, kind):
     # concrete spaces live on (0, 1); a shorter grid used to end in a
     # traceback (app) or pass for a divergent norm (over)
-    def no_grid(*args, **kwargs):
-        raise AssertionError("a grid was built")
-
-    monkeypatch.setattr("interpolab.cli.Grid.from_bounds", no_grid)
+    _nothing_is_sampled_or_normed(monkeypatch)
     spath = _write_space(tmp_path / "app.json", _app_descriptors()[kind])
     code = main(["norm", "--space", spath, "--fn", "chi:0.5",
                  "--grid", "9", "--tmax", "0.5"])
@@ -440,6 +445,21 @@ def test_norm_app_members_need_tmax_1(tmp_path, capsys, monkeypatch, kind):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: bad grid: concrete spaces")
+
+
+def test_norm_refuses_the_co_unit_setting(tmp_path, capsys, monkeypatch):
+    # a co_unit descriptor reads (it is what reversal makes of a unit
+    # one), but a co_unit grid is only ever a reflection: nothing to norm
+    rev = couple_reverse(ThetaSpace(0.25, ONE, L2, UNIT))
+    spath = _write_space(tmp_path / "co_unit.json", rev)
+    with open(spath) as fh:
+        assert json.load(fh)["setting"] == "co_unit"
+    _nothing_is_sampled_or_normed(monkeypatch)
+    code = main(["norm", "--space", spath, "--fn", "chi:0.5", "--grid", "9"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_over_of_app_members_on_a_short_grid_is_an_error():

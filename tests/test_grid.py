@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from interpolab.grid import (Grid, GridFunction, L1, L2, LINF, RiSpace,
+                             FULL, UNIT, CO_UNIT, Setting,
                              full_grid, unit_grid, tilde_norm,
                              nested_tilde_norms, lebesgue_prefix,
                              lebesgue_suffix, rearrange,
                              checked_norm, edge_diverges, log_norm_lower,
                              log_norm_upper,
                              log_norm_between, _logaddexp_scan,
-                             _shifted_scan, _CHUNK, _GUARD)
+                             _shifted_scan, _final, _CHUNK, _GUARD)
 
 from util import rel_err
 
@@ -38,6 +39,89 @@ def test_grid_validation():
         Grid.from_bounds(-1.0, 1.0, 64)
     with pytest.raises(ValueError):
         Grid(0.0, 1.0, 1)
+
+
+# (setting, t_min, t_max) -> (low end truncated, high end truncated);
+# None is the default bound, and unit 1e-8..0.5 is the CLI's
+# `--tmax 0.5`, which stops short of t = 1
+_TRUNCATED = [(FULL, None, None, (True, True)),
+              (FULL, 1e-30, 0.5, (True, True)),
+              (FULL, 2.0, 1e8, (True, True)),
+              (UNIT, None, None, (True, False)),
+              (UNIT, 1e-30, 1.0, (True, False)),
+              (UNIT, None, 0.5, (True, True)),
+              (UNIT, 1e-3, 0.999, (True, True))]
+
+
+@pytest.mark.parametrize("setting,t_min,t_max,ends", _TRUNCATED)
+def test_an_end_is_truncated_when_it_stops_short_of_the_interval(
+        setting, t_min, t_max, ends):
+    g = Grid.from_bounds(t_min, t_max, 256, setting)
+    assert g.setting is setting
+    assert (g.truncated("low"), g.truncated("high")) == ends
+    # the reflection is truncated at the mirrored ends
+    r = g.reflected()
+    assert (r.truncated("low"), r.truncated("high")) == ends[::-1]
+
+
+def test_default_bounds_are_cut_to_the_interval():
+    assert full_grid(64).x[[0, -1]].tolist() == [math.log(1e-8),
+                                                  math.log(1e8)]
+    u = unit_grid(64)
+    assert u.x[[0, -1]].tolist() == [math.log(1e-8), 0.0]
+    assert np.array_equal(u.x, Grid.from_bounds(1e-8, 1.0, 64, "unit").x)
+
+
+@pytest.mark.parametrize("setting,t_min,t_max", [
+    (UNIT, None, 1.5), (UNIT, 2.0, None), (UNIT, 1e-8, 1e8),
+    (CO_UNIT, None, None), (CO_UNIT, 2.0, 1e8), (FULL, None, math.inf)])
+def test_bounds_outside_the_interval_are_refused(setting, t_min, t_max):
+    # a co_unit grid is only ever the reflection of a unit grid
+    with pytest.raises(ValueError):
+        Grid.from_bounds(t_min, t_max, 64, setting)
+
+
+def test_grid_refuses_nodes_outside_its_interval():
+    with pytest.raises(ValueError, match="unit setting"):
+        Grid(-2.0, 0.5, 64, UNIT)
+    with pytest.raises(ValueError, match="co_unit setting"):
+        Grid(-0.5, 2.0, 64, CO_UNIT)
+    with pytest.raises(ValueError):
+        Grid(-2.0, 0.0, 64, "half")
+    assert Grid(0.0, 2.0, 64, CO_UNIT).truncated("low") is False
+
+
+def test_setting_is_its_string_value():
+    assert UNIT == "unit" and CO_UNIT == "co_unit" and FULL == "full"
+    assert f"{CO_UNIT}" == str(CO_UNIT) == "co_unit"
+    assert {"unit": 1}[UNIT] == 1
+    assert [s.reversed() for s in Setting] == [FULL, CO_UNIT, UNIT]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: unit_grid(300), lambda: Grid.from_bounds(1e-30, 1e8, 4096),
+    lambda: Grid.from_bounds(1e-3, 0.5, 100, UNIT)],
+    ids=["unit", "full-asymmetric", "unit-short"])
+def test_reflection_negates_and_reverses_the_nodes(make):
+    g = make()
+    r = g.reflected()
+    assert r is not g and r.setting is g.setting.reversed()
+    assert np.array_equal(r.x, -g.x[::-1]) and r.dx == g.dx and r.n == g.n
+    assert r.reflected() is g and g.reflected() is r
+    # a bounds-built grid never shares a memo key with a reflection
+    assert r.key != g.key
+    assert r.key != Grid.from_bounds(math.exp(r.x[0]), math.exp(r.x[-1]),
+                                     r.n, FULL).key
+
+
+def test_symmetric_full_grid_is_its_own_reflection():
+    g = full_grid(512)
+    assert g.reflected() is g
+    # within 1e-9 of symmetric, as kprofile_reverse once demanded
+    near = Grid(-3.0, 3.0 + 1e-10, 64)
+    assert near.reflected() is near
+    off = Grid(-3.0, 3.0 + 1e-8, 64)
+    assert off.reflected() is not off and off.reflected().setting is FULL
 
 
 def test_tilde_norm_pure_power():
@@ -71,8 +155,9 @@ def test_nested_matches_pointwise():
     for i in (50, 250, 480):
         u = float(g.t[i])
         assert rel_err(low.values[i], tilde_norm(fn, L2, (0.0, u))) < 1e-12
-        assert rel_err(up.values[i],
-                       tilde_norm(fn, L2, (u, math.inf), check=False)) < 1e-12
+        unchecked = _final(log_norm_between(fn.log_values(), 2.0, g.dx, i,
+                                            g.n - 1))
+        assert rel_err(up.values[i], unchecked) < 1e-12
     with pytest.raises(ValueError):
         nested_tilde_norms(fn, L2, "sideways")
 
@@ -290,7 +375,7 @@ def test_edge_divergence_high_edge():
 def test_edge_divergence_respects_true_edges():
     # t_max = 1 is a genuine boundary on the unit grid: no check there
     g = unit_grid(1024)
-    assert not g.truncated_high
+    assert not g.truncated("high")
     lw_grow = 2.0 * g.x        # grows toward t = 1, harmless
     assert not edge_diverges(lw_grow, 1.0, g, "high")
     assert math.isfinite(checked_norm(lw_grow, 1.0, g))
@@ -300,7 +385,8 @@ def test_tilde_norm_divergence_returns_inf():
     g = unit_grid(2048)
     fn = GridFunction(g, 1.0 / (1.0 + np.abs(g.x)))   # l^-1
     assert tilde_norm(fn, L1) == math.inf
-    assert math.isfinite(tilde_norm(fn, L1, check=False))
+    assert math.isfinite(_final(log_norm_between(fn.log_values(), 1.0, g.dx,
+                                                 0, g.n - 1)))
 
 
 def test_rispace_validation():

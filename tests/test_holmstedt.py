@@ -10,13 +10,13 @@ from interpolab.grid import (L1, L2, LINF, full_grid, log_norm_lower,
                              log_norm_upper)
 from interpolab.sv import EllPow, BrokenEll, ONE, sv_log_on_grid
 from interpolab.spaces import (EndpointX0, EndpointX1, ThetaSpace, LSpace,
-                               RSpace, UNIT, couple_reverse)
+                               RSpace, UNIT, CO_UNIT, couple_reverse)
 from interpolab.holmstedt import (HolmstedtCase, CASES, R_CASES, L_CASES,
                                   DEFAULT_CASES, holmstedt_rhs,
                                   verify_holmstedt)
 from interpolab.kfun import TruncationOracle, k_peetre, _cut_cap
 from interpolab.applications import (grand_descriptor, small_descriptor,
-                                     _grand_cases)
+                                     _reiterations)
 from interpolab import corpus
 
 
@@ -98,14 +98,21 @@ def test_l_case_error_names_the_l_case():
 
 
 @pytest.mark.parametrize("kind", L_CASES)
-def test_l_case_in_the_unit_setting_is_refused_by_reversal(kind):
+def test_l_case_in_the_unit_setting_is_the_co_unit_r_case(kind):
+    # reversal maps (0, 1) onto (1, inf): a unit L couple reads its kind
+    # off the reversed couple, an R case in the co_unit setting
     c = DEFAULT_CASES[kind]
-    with pytest.raises(ValueError, match="reversal"):
-        HolmstedtCase(replace(c.y0, setting=UNIT), replace(c.y1, setting=UNIT))
+    u = HolmstedtCase(replace(c.y0, setting=UNIT), replace(c.y1, setting=UNIT))
+    assert u.kind == kind and u.setting == UNIT
+    rev = u._reversed()
+    assert rev.kind == _MIRROR[kind] and rev.setting == CO_UNIT
+    assert rev == HolmstedtCase(*(replace(y, setting=CO_UNIT)
+                                  for y in (c._reversed().y0,
+                                            c._reversed().y1)))
 
 
 def test_verify_holmstedt_refuses_the_unit_setting():
-    d = _grand_cases()["grand-vs-ultra-interior"]
+    d = _reiterations()["grand-vs-ultra-interior"]
     with pytest.raises(ValueError, match="full line"):
         verify_holmstedt(HolmstedtCase(*d.couple),
                          corpus=("chi:0.1", "pow:4"), log2n=(9,))

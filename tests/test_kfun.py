@@ -10,7 +10,7 @@ from interpolab.grid import (GridFunction, L2, LINF, full_grid, unit_grid,
                              edge_diverges, _final)
 from interpolab.sv import EllPow, ONE
 from interpolab.spaces import (EndpointX0, EndpointX1, ThetaSpace, RSpace,
-                               Intersection, Over, FULL, UNIT)
+                               Intersection, Over, FULL, UNIT, CO_UNIT)
 from interpolab.kfun import (KProfile, k_peetre, kprofile_reverse,
                              norm_in_space, TruncationOracle)
 from interpolab.holmstedt import DEFAULT_CASES
@@ -44,6 +44,19 @@ def test_kprofile_reverse_is_involution():
     f = corpus.sample("powlog:2,1", g)
     K = k_peetre(f)
     back = kprofile_reverse(kprofile_reverse(K))
+    assert np.allclose(back.logk, K.logk, atol=1e-12)
+
+
+def test_kprofile_reverse_lands_on_the_reflected_grid():
+    # a grid that is not symmetric about t = 1 reverses onto the grid of
+    # t -> 1/t: a unit profile onto the co_unit grid, and back
+    g = unit_grid(512)
+    K = k_peetre(corpus.sample("chi:0.1", g))
+    R = kprofile_reverse(K)
+    assert R.grid is g.reflected() and R.grid.setting == CO_UNIT
+    assert np.array_equal(R.logk, R.grid.x + K.logk[::-1])
+    back = kprofile_reverse(R)
+    assert back.grid is g
     assert np.allclose(back.logk, K.logk, atol=1e-12)
 
 

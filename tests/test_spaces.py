@@ -15,8 +15,8 @@ from interpolab.sv import (EllPow, BrokenEll, ExpLogPow, InverseArg, ONE,
 from interpolab.spaces import (EndpointX0, EndpointX1, ThetaSpace, LSpace,
                                RSpace, LLSpace, RRSpace, Intersection,
                                AppMember, Over,
-                               FULL, UNIT, SpaceDescriptor, couple_reverse,
-                               check_admissible)
+                               FULL, UNIT, CO_UNIT, SpaceDescriptor,
+                               couple_reverse, check_admissible)
 from interpolab.wire import to_json
 from interpolab.kfun import k_peetre, norm_in_space, kprofile_reverse
 from interpolab import corpus
@@ -86,9 +86,32 @@ def test_reverse_endpoints_and_intersections():
     assert r.members[1] == EndpointX1()
 
 
-def test_reverse_requires_full_setting():
+def test_reverse_maps_the_unit_setting_onto_co_unit():
+    # t -> 1/t maps (0, 1) onto (1, inf) and the full line onto itself
+    r = couple_reverse(ThetaSpace(0.25, ONE, L2, UNIT))
+    assert r == ThetaSpace(0.75, ONE, L2, CO_UNIT)
+    assert couple_reverse(r).setting == UNIT
+    assert couple_reverse(ThetaSpace(0.25, ONE, L2)).setting == FULL
+    o = Over((EndpointX0(UNIT), EndpointX1(UNIT)),
+             ThetaSpace(0.5, ONE, L2, UNIT))
+    with pytest.raises(ValueError, match="cannot reverse Over"):
+        couple_reverse(o)
+
+
+def test_reversed_unit_descriptor_round_trips_as_co_unit():
+    r = couple_reverse(LSpace(0.5, EllPow(-0.5), L1, ONE, L2, UNIT))
+    obj = json.loads(to_json(r))
+    assert obj["setting"] == "co_unit"
+    back = SpaceDescriptor.from_obj(obj)
+    assert back == r and back.setting is CO_UNIT
+
+
+def test_setting_is_coerced_to_its_interval():
+    d = ThetaSpace(0.5, ONE, L2, "co_unit")
+    assert d.setting is CO_UNIT and d.setting == "co_unit"
+    assert AppMember(GrandLp(2.0, 1.0), "unit").setting is UNIT
     with pytest.raises(ValueError):
-        couple_reverse(ThetaSpace(0.5, ONE, L2, UNIT))
+        AppMember(GrandLp(2.0, 1.0), CO_UNIT)
 
 
 def test_reverse_norm_equality():
@@ -169,12 +192,23 @@ _MIRROR = {EndpointX0: EndpointX1, ThetaSpace: ThetaSpace, LSpace: RSpace,
            LLSpace: RRSpace, Intersection: Intersection}
 
 
-@pytest.mark.parametrize("d", [d for d in _DESCS if d.setting == FULL],
-                         ids=lambda d: d.to_obj()["kind"])
+def _in_unit(d):
+    if isinstance(d, Intersection):
+        return Intersection(tuple(map(_in_unit, d.members)))
+    return dataclasses.replace(d, setting=UNIT)
+
+
+# every descriptor of _DESCS, and each full-line one moved to (0, 1)
+@pytest.mark.parametrize("d", [*_DESCS, *(_in_unit(d) for d in _DESCS
+                                          if d.setting == FULL)],
+                         ids=lambda d: d.to_obj()["kind"]
+                         + ("" if d.setting == FULL else "-unit"))
 def test_reverse_is_an_involution_onto_the_mirror_class(d):
     r = couple_reverse(d)
     mirror = {**_MIRROR, **{v: k for k, v in _MIRROR.items()}}
     assert type(r) is mirror[type(d)]
+    assert r.setting == d.setting.reversed()
+    assert r.setting == (CO_UNIT if d.setting == UNIT else FULL)
     assert couple_reverse(r) == d
 
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from interpolab.grid import Grid, L1, L2, LINF, full_grid, unit_grid
+from interpolab.grid import (Grid, L1, L2, LINF, UNIT, CO_UNIT, full_grid,
+                             unit_grid)
 from interpolab.sv import (SvExpr, Const, EllPow, BrokenEll, IteratedEll,
                            ExpLogPow, Product, Power, InverseArg, NormTail,
                            ComposeWithRho, ONE, SvDivergenceError,
@@ -86,7 +87,7 @@ def test_const_validation():
 
 def test_norm_tail_analytic_identity():
     # || l^-2 ||_{L~1(0,u)} = l^-1(u) - l^-1(t_min edge)
-    g = Grid(-6e4, 0.0, 1 << 18, truncated_high=False)
+    g = Grid(-6e4, 0.0, 1 << 18, UNIT)
     tail = NormTail(EllPow(-2.0), L1, "lower")
     vals = np.exp(sv_log_on_grid(tail, g))
     mask = (g.x >= math.log(1e-6)) & (g.x <= math.log(0.5))
@@ -127,6 +128,36 @@ def test_norm_tail_tests_only_its_own_edge(b, side):
     # int l^-2 dt/t from the grid edge: 1/l(t) - 1/l(t_edge)
     expect = 1.0 / (1.0 + np.abs(x[sl])) - 1.0 / (1.0 + np.abs(x).max())
     assert np.max(np.abs(np.exp(lb[sl]) / expect - 1.0)) < 1e-3
+
+
+def test_reflected_tail_norm_reads_the_reflected_table():
+    # t -> 1/t maps the grid onto its reflection, where the tail table
+    # of the inner norm is built; on a grid that is not symmetric about
+    # t = 1 the grid's own table would be clamped at its end instead
+    g = Grid.from_bounds(1e-30, 1e8, 4096)
+    tail = NormTail(EllPow(-1.0), L2, "upper")
+    got = sv_log_on_grid(InverseArg(tail), g)
+    want = sv_log_on_grid(tail, g.reflected())[::-1]
+    assert np.array_equal(got, want)
+    # at t = 1e-25 it is || l^-1 ||_{L~2(1e25, 1e30)}, about 0.0530: the
+    # mass beyond the grid's end 1e30 is not there (0.131 with it)
+    i = g.index_of(1e-25)
+    exact = math.sqrt(1.0 / (1.0 - g.x[i]) - 1.0 / (1.0 - g.x[0]))
+    assert abs(math.exp(got[i]) / exact - 1.0) < 1e-3
+    assert round(math.exp(got[i]), 4) == 0.053
+
+
+def test_unit_tail_norm_reflects_onto_co_unit():
+    # a lower tail on the co_unit grid runs from its true edge t = 1, so
+    # || l^-1/2 ||_{L~1(1, 1/t)} = 2 (sqrt(l(t)) - 1) under t -> 1/t
+    g = unit_grid(2048)
+    r = g.reflected()
+    assert r.setting == CO_UNIT
+    val = np.exp(sv_log_on_grid(
+        InverseArg(NormTail(EllPow(-0.5), L1, "lower")), g))
+    exact = 2.0 * (np.sqrt(1.0 - g.x) - 1.0)
+    sl = slice(0, g.n - 2)
+    assert np.max(np.abs(val[sl] / exact[sl] - 1.0)) < 1e-5
 
 
 def test_tail_norm_property():
