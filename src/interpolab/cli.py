@@ -7,7 +7,8 @@ is an input error: it exits 1 with argparse's usage message, so exit 2
 is always a verdict.  Options must be spelled out in full, since a
 prefix such as --win is not taken for --window-max.  The parser is
 built on the first call to main, not at import, and serves every later
-call in the process.
+call in the process; the process pool is imported only when --jobs
+asks for more than one worker.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import functools
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .grid import Grid, L2, LINF
 from .sv import ONE, EllPow
@@ -157,12 +157,11 @@ def cmd_verify(args) -> int:
         log2n = _parse_log2n(args.grid)
         if args.jobs < 1:
             raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-        if args.corpus:
-            specs = corpus_mod.resolve_corpus(args.corpus)
-            if not specs:
+        corpus = None
+        if args.corpus:     # parsed once: the input check and the sweep
+            corpus = corpus_mod.parse_corpus(args.corpus)
+            if not corpus:
                 raise ValueError(f"corpus {args.corpus!r} holds no spec")
-            for spec in specs:
-                corpus_mod.parse_fn(spec)
         if args.target == "holmstedt" and args.case not in DEFAULT_CASES:
             raise ValueError("unknown case; available: " + ", ".join(CASES))
         if args.target == "reiteration":
@@ -175,7 +174,6 @@ def cmd_verify(args) -> int:
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    corpus = args.corpus
 
     if args.target == "holmstedt":
         rep = holmstedt_mod.verify_holmstedt(
@@ -193,9 +191,13 @@ def cmd_verify(args) -> int:
     # the pool forks all its workers at the first submit: no idle ones
     workers = min(args.jobs, len(picked))
     if workers > 1:
+        # imported here: every other run of the CLI goes without it.  A
+        # parsed prototype does not pickle, so the workers get its spec.
+        from concurrent.futures import ProcessPoolExecutor
+        specs = corpus and tuple(spec for spec, _ in corpus)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_run_identity,
-                                    [(nm, log2n, corpus) for nm in picked]))
+                                    [(nm, log2n, specs) for nm in picked]))
     else:
         reports = [_run_identity((nm, log2n, corpus)) for nm in picked]
     for rep in reports:

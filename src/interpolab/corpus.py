@@ -101,15 +101,20 @@ STANDARD = ("chi:0.001", "chi:0.1", "chi:1", "pow:2", "pow:4",
             "powlog:2,1", "powlog:4,-1", "log:2")
 
 
-def resolve_corpus(name_or_path) -> tuple:
-    """'standard', a sequence of specs, an inline semicolon-separated
-    list, or a file of one spec per line."""
-    if isinstance(name_or_path, (tuple, list)):
-        return tuple(name_or_path)
-    if name_or_path == "standard":
-        return STANDARD
-    if ":" in name_or_path:
-        return tuple(s for s in name_or_path.split(";") if s)
-    with open(name_or_path) as fh:
-        return tuple(line.strip() for line in fh
-                     if line.strip() and not line.startswith("#"))
+def parse_corpus(corpus) -> tuple:
+    """(spec, fn) from parse_fn for each prototype of corpus: 'standard',
+    a sequence of specs, an inline semicolon-separated list, or a file
+    of one spec per line.  A sequence may hold pairs parse_fn made; they
+    pass through, so a corpus parsed for an input check is used as it
+    is, not read again."""
+    if isinstance(corpus, (tuple, list)):
+        specs = corpus
+    elif corpus == "standard":
+        specs = STANDARD
+    elif ":" in corpus:
+        specs = [s for s in corpus.split(";") if s]
+    else:
+        with open(corpus) as fh:
+            specs = [line.strip() for line in fh
+                     if line.strip() and not line.startswith("#")]
+    return tuple(s if isinstance(s, tuple) else parse_fn(s) for s in specs)

@@ -28,8 +28,10 @@ Two kinds of integral live here:
   (log-log linear between nodes) which is exact on pure powers and
   extrapolates the head (0, t_min) by the power fitted to the first
   cell.  The cell kernel runs as in-place ufuncs on scratch arrays,
-  and the running max/min repairs of f* and K (_running) skip their
-  scalar scans when the samples are already in order.
+  over the span of cells where some row is positive at both ends.  The
+  running max/min repairs of f* and K (_running) skip their scans when
+  the samples are already in order, and otherwise scan only the
+  stretch out of order.
 """
 
 from __future__ import annotations
@@ -494,7 +496,10 @@ def _segment_integrals(values: np.ndarray, grid: Grid) -> np.ndarray:
     cell is (v0 t_j) expm1(dx p)/p, and (v0 t_j) dx where |p| < 1e-12.
     Cells touching zero, or whose power law overflows, fall back to the
     linear trapezoid.  The power law runs as in-place ufuncs on two
-    scratch arrays and is copied over the trapezoid where it is finite.
+    scratch arrays, only over the span of cells from the first to the
+    last where some row has both samples positive (every corpus f*
+    vanishes for t > 1), and is copied over the trapezoid where it is
+    finite.
     """
     values = np.asarray(values, dtype=float)
     t = grid.t
@@ -505,7 +510,11 @@ def _segment_integrals(values: np.ndarray, grid: Grid) -> np.ndarray:
     out *= 0.5
     out *= t[1:] - t[:-1]
     both = (v0 > 0) & (v1 > 0)
-    if both.any():
+    live = both.reshape(-1, both.shape[-1]).any(axis=0)
+    lo = int(live.argmax())
+    if live[lo]:
+        hi = len(live) - int(live[::-1].argmax())
+        v0, v1, both = v0[..., lo:hi], v1[..., lo:hi], both[..., lo:hi]
         # cells outside `both` compute garbage that copyto drops
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             p = np.divide(v1, v0)
@@ -516,8 +525,8 @@ def _segment_integrals(values: np.ndarray, grid: Grid) -> np.ndarray:
             np.expm1(cand, out=cand)
             cand /= p
             np.copyto(cand, dx, where=np.abs(p) < 1e-12)
-            cand *= np.multiply(v0, t[:-1], out=p)
-        np.copyto(out, cand, where=both & np.isfinite(cand))
+            cand *= np.multiply(v0, t[lo:hi], out=p)
+        np.copyto(out[..., lo:hi], cand, where=both & np.isfinite(cand))
     return out
 
 
@@ -568,14 +577,29 @@ def _running(ufunc, a: np.ndarray) -> np.ndarray:
 
     A running max (min) of a nondecreasing (nonincreasing) array is the
     array itself, and sampled f* and K almost always are in order, so
-    one vector compare over the whole array decides whether the scalar
-    scan runs at all; the result is then a itself.  The scan and the
-    skip can differ only in the sign of a tie between 0.0 and -0.0.
+    one vector compare over the whole array decides whether a scan runs
+    at all; the result is then a itself.  Otherwise only the stretch
+    out of order in some row is scanned, from the node before its first
+    break to its last: up to that node a is its own running value, and
+    past the stretch each node is in order, so its running value is
+    ufunc of the node and the stretch's last one (min and max do not
+    round).  The scan and the skip can differ only in the sign of a tie
+    between 0.0 and -0.0.
     """
     ordered = np.greater_equal if ufunc is np.maximum else np.less_equal
-    if ordered(a[..., 1:], a[..., :-1]).all():
+    ok = ordered(a[..., 1:], a[..., :-1])
+    if ok.all():
         return a
-    return ufunc.accumulate(a, axis=-1)
+    # cell i compares node i + 1 with node i; lo and hi - 2 are the
+    # first and last cells out of order in some row
+    cells = ok.reshape(-1, ok.shape[-1]).all(axis=0)
+    lo = int(cells.argmin())
+    hi = a.shape[-1] - int(cells[::-1].argmin())
+    out = np.empty(a.shape, a.dtype)
+    out[..., :lo] = a[..., :lo]
+    ufunc.accumulate(a[..., lo:hi], axis=-1, out=out[..., lo:hi])
+    ufunc(a[..., hi:], out[..., hi - 1:hi], out=out[..., hi:])
+    return out
 
 
 def rearrange(values: np.ndarray, weights: np.ndarray,

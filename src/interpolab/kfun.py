@@ -5,7 +5,8 @@ For the couple (L1, Linf) over a measure space, K(t, f) = int_0^t f*(s) ds,
 computed here with the power-law cell model (exact on pure powers).
 repair_k then enforces K nondecreasing and K(t)/t nonincreasing; each
 of its two running scans costs one vector compare when the samples are
-already in order, as they almost always are, and runs only otherwise.
+already in order, as they almost always are, and otherwise scans only
+the stretch of nodes out of order (grid._running).
 
 For a derived couple (Y0, Y1) no closed form exists, so TruncationOracle
 takes an infimum over an explicit family of decompositions f = g_c + h_c
@@ -22,7 +23,9 @@ the verification harnesses use it.
 
 The cuts are built and normed together: their profiles form a
 (cuts x n) array, taken in row blocks of at most _BLOCK_ELEMS elements,
-and norm_in_space works along the last axis of such a stack.  Every
+and norm_in_space works along the last axis of such a stack.  A block
+is built in place: S - c t broadcast once, each row's constant tail
+past its cut written once, then the clip, the repair and the logs.  Every
 truncated integral it takes goes through the one edge test,
 grid.edge_diverges (a closed-form least-squares fit per row), and the
 outer norm of each descriptor is the one checked norm,
@@ -232,9 +235,10 @@ class TruncationOracle:
         self.grid = grid
         self.fstar = f
 
-        cuts = np.unique(f[f > 0])[::-1]
+        cuts = _distinct(f[f > 0])[::-1]
         if max_cuts is not None and len(cuts) > max_cuts:
-            idx = np.unique(np.linspace(0, len(cuts) - 1, max_cuts).astype(int))
+            idx = _distinct(np.linspace(0, len(cuts) - 1,
+                                        max_cuts).astype(int))
             cuts = cuts[idx]
 
         # cut c keeps the j nodes where f* > c in g_c; the top value
@@ -246,9 +250,8 @@ class TruncationOracle:
         A = np.r_[norm_in_space(kp, Y0), 0.0, np.zeros(len(cuts))]
         B = np.r_[0.0, norm_in_space(kp, Y1), np.zeros(len(cuts))]
         normed = np.arange(len(A)) < 2
-        nodes = np.arange(grid.n)
         rows = max(2, _BLOCK_ELEMS // grid.n)
-        todo = 2 + np.unique(np.linspace(0, len(cuts) - 1,
+        todo = 2 + _distinct(np.linspace(0, len(cuts) - 1,
                                          min(rows, len(cuts))).astype(int))
         # app and over members are the only ones that read the f* rows;
         # their norms as sampled need not be monotone along the cuts
@@ -258,16 +261,24 @@ class TruncationOracle:
         while len(todo):
             for s in range(0, len(todo), rows):
                 r = todo[s:s + rows]
-                c, jc = cuts[r - 2, None], j[r - 2, None]
-                kg = np.where(nodes < jc, S - c * t, S[jc - 1] - c * t[jc - 1])
-                kg = repair_k(grid, np.clip(kg, 0.0, None))
-                kh = np.clip(S - kg, 0.0, None)
+                c = cuts[r - 2, None]
+                # K(., g_c) is S - c t up to node j - 1, constant after
+                kg = np.multiply(c, t)
+                np.subtract(S, kg, out=kg)
+                for row, jr in zip(kg, j[r - 2].tolist()):
+                    row[jr:] = row[jr - 1]
+                np.clip(kg, 0.0, None, out=kg)
+                kg = repair_k(grid, kg)
+                kh = np.subtract(S, kg)
+                np.clip(kh, 0.0, None, out=kh)
                 fg = fh = None
                 if concrete:
                     fg, fh = np.maximum(f - c, 0.0), np.minimum(f, c)
                 with np.errstate(divide="ignore"):
-                    A[r] = norm_in_space(KProfile(grid, np.log(kg), fg), Y0)
-                    B[r] = norm_in_space(KProfile(grid, np.log(kh), fh), Y1)
+                    np.log(kg, out=kg)
+                    np.log(kh, out=kh)
+                A[r] = norm_in_space(KProfile(grid, kg, fg), Y0)
+                B[r] = norm_in_space(KProfile(grid, kh, fh), Y1)
                 normed[r] = True
             todo = _next_cuts(A, B, normed)
         ok = normed & np.isfinite(A) & np.isfinite(B)
@@ -300,6 +311,17 @@ class TruncationOracle:
         triv = np.min(self.A[t] + tvals[:, None] * self.B[t], axis=1,
                       initial=math.inf)
         return triv / self.k_at(tvals)
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """np.unique of a 1-d array without NaN: its sorted distinct values.
+    np.unique would import numpy.ma, whose import costs more than the
+    first oracle's cut selection."""
+    a = np.sort(a)
+    keep = np.empty(len(a), bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 def _vertices(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -73,7 +73,18 @@ class EquivalenceReport:
 
     def add_rows(self, function_id, n, u, lhs, rhs):
         """Rows (u[i], lhs[i], rhs[i]) for one function and grid size,
-        from float arrays (u may be None); an empty add adds nothing."""
+        from float arrays or sequences (u may be None); an empty add
+        adds nothing.  One row is divided as Python floats, which have
+        the bits of the array path at a fraction of its overhead."""
+        if len(lhs) == 1:
+            lhs, rhs = float(lhs[0]), float(rhs[0])
+            ratio = math.inf if rhs == 0.0 else lhs / rhs
+            us = None if u is None else [float(u[0])]
+            self._blocks.append((function_id, n, us, [lhs], [rhs], [ratio]))
+            ratios = self._ratios.setdefault(n, [])
+            if math.isfinite(ratio) and ratio > 0:
+                ratios.append(ratio)
+            return
         lhs = np.asarray(lhs, dtype=float)
         rhs = np.asarray(rhs, dtype=float)
         if not len(lhs):
@@ -177,16 +188,16 @@ class EquivalenceReport:
 def _sweep(case, corpus, make_grid, log2n, rows) -> EquivalenceReport:
     """The report of case over the grids make_grid(2^k), k in log2n, and
     on each the prototypes of corpus (None: the standard one), read and
-    parsed once.  rows(fstar) gets f* sampled on the grid and returns a
+    parsed once (corpus_mod.parse_corpus: a corpus the caller parsed is
+    used as it is).  rows(fstar) gets f* sampled on the grid and returns a
     (u, lhs, rhs) block for add_rows (u may be None), or a str: the
     reason to exclude the prototype.
     """
     rep = EquivalenceReport(case)
-    specs = corpus_mod.resolve_corpus(corpus or corpus_mod.STANDARD)
-    fns = [corpus_mod.parse_fn(spec)[1] for spec in specs]
+    fns = corpus_mod.parse_corpus(corpus or corpus_mod.STANDARD)
     for k in log2n:
         grid = make_grid(1 << k)
-        for spec, fn in zip(specs, fns):
+        for spec, fn in fns:
             got = rows(corpus_mod.sample(fn, grid))
             if isinstance(got, str):
                 rep.exclude(spec, got)

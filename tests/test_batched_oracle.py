@@ -22,7 +22,7 @@ from interpolab.spaces import (EndpointX0, EndpointX1, ThetaSpace, LSpace,
                                RSpace, LLSpace, RRSpace, Intersection,
                                AppMember, FULL, UNIT)
 from interpolab.kfun import (KProfile, k_peetre, norm_in_space,
-                             TruncationOracle, repair_k)
+                             TruncationOracle, repair_k, _distinct)
 from interpolab.applications import (GrandLp, SmallLp, UltraLp, LinfQBeta,
                                      GGamma, AType, BType, norm_app,
                                      get_scenario)
@@ -505,7 +505,43 @@ def test_oracle_matches_per_cut_loop_past_dropped_top_cuts():
     assert len(orc.A) == kept
 
 
+def _steps(grid, m, seed):
+    """A seeded step f* with m distinct values on (0, a), a <= 1: its
+    breaks fall on distinct nodes, so every value holds over a run of
+    nodes, and it vanishes past a."""
+    rng = np.random.default_rng(seed)
+    end = grid.index_of(float(np.exp(rng.uniform(math.log(0.05), 0.0))))
+    breaks = np.sort(rng.choice(np.arange(1, end), m - 1, replace=False))
+    vals = np.sort(np.exp(rng.uniform(0.0, math.log(1000.0), m)))[::-1]
+    f = np.zeros(grid.n)
+    f[:end] = np.repeat(vals, np.diff(np.r_[0, breaks, end]))
+    return GridFunction(grid, f)
+
+
+@pytest.mark.parametrize("kind", ["L_interior", "R_interior"])
+def test_oracle_matches_per_cut_loop_on_many_steps(kind):
+    # 600 distinct values at n = 2^14: the capped 128 cuts go in blocks
+    # of 4 rows, and the K/t repair of a block scans only its first few
+    # nodes, where K/t of the flat head of f* wobbles by an ulp
+    g = full_grid(1 << 14)
+    f = _steps(g, 600, 20240618)
+    assert len(np.unique(f.values[f.values > 0])) == 600
+    c = DEFAULT_CASES[kind]
+    assert same_as_per_cut(f, c.y0, c.y1, 128) > 100
+
+
 # -- (d) cut cap and errors ----------------------------------------------
+
+@pytest.mark.parametrize("a", [
+    np.array([3.0, -1.5, 3.0, 0.0, -0.0, 2.5, 1e-300, np.inf, -np.inf, 3.0]),
+    np.random.default_rng(3).integers(-5, 5, 40),
+    np.random.default_rng(4).lognormal(0.0, 2.0, 300),
+    np.array([7.0]), np.empty(0), np.empty(0, int)])
+def test_distinct_is_unique(a):
+    got, want = _distinct(a), np.unique(a)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
 
 @pytest.mark.parametrize("max_cuts", [1, 2, 7, 28, 29, 64, None])
 def test_max_cuts_cap(max_cuts):

@@ -1,6 +1,7 @@
 """Command line entry point: exit codes, printed lines, report files."""
 
 import builtins
+import concurrent.futures
 import json
 import math
 import os
@@ -106,7 +107,7 @@ def test_verify_identity_jobs_start_at_most_one_worker_per_scenario(
         capsys, monkeypatch, name, jobs, workers):
     from interpolab.report import EquivalenceReport
     monkeypatch.setattr(_FakePool, "started", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _FakePool)
     monkeypatch.setattr(cli, "_run_identity",
                         lambda payload: EquivalenceReport(payload[0]))
     n = len(cli.app_mod.scenario_names()) if name == "all" else 1
@@ -121,7 +122,7 @@ def test_verify_jobs_below_1_exits_1(capsys, monkeypatch, jobs):
     def no_sweep(*args, **kwargs):
         raise AssertionError("a sweep ran")
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_sweep)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_sweep)
     monkeypatch.setattr(cli, "_run_identity", no_sweep)
     code = main(["verify", "identity", "--name", "all", "--jobs", jobs])
     captured = capsys.readouterr()
@@ -615,6 +616,29 @@ def test_importing_the_cli_builds_no_parser():
     assert proc.stdout.split() == ["0"]
 
 
+def _modules_after(code):
+    """Whether numpy.ma and concurrent.futures are imported after code
+    runs in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(interpolab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys; print(*("
+         "m in sys.modules for m in ('numpy.ma', 'concurrent.futures')))"],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src))
+    return proc.stdout.split()[-2:]
+
+
+def test_importing_the_cli_imports_no_process_pool():
+    assert _modules_after("import interpolab.cli")[1] == "False"
+
+
+def test_verify_holmstedt_imports_no_numpy_ma():
+    # np.unique imports numpy.ma; the oracle picks its cuts without it
+    got = _modules_after("from interpolab.cli import main\n"
+                         "main(['verify', 'holmstedt', '--grid', '9'])")
+    assert got == ["False", "False"]
+
+
 def test_verify_parses_a_csv_prototype_once_per_sweep(tmp_path, capsys,
                                                       monkeypatch):
     path = tmp_path / "steps.csv"
@@ -632,5 +656,6 @@ def test_verify_parses_a_csv_prototype_once_per_sweep(tmp_path, capsys,
                  "--corpus", f"csv:{path}", "--grid", "9,10,11"])
     assert code == 0
     assert "rows=" in capsys.readouterr().out
-    # once for the input check, once for the sweep over three grids
-    assert len(opened) == 2
+    # once for the input check, whose parse the sweep over three grids
+    # takes over
+    assert len(opened) == 1

@@ -1,8 +1,10 @@
 """The K-functional kernels against the formulas they replaced, bit for bit.
 
-_segment_integrals runs the power-law cell model in place, and the
-monotone repairs (repair_k, the rearrangement repair of corpus.sample)
-skip their running scans when the input is already in order.  The
+_segment_integrals runs the power-law cell model in place over the
+span of cells positive in some row, and the monotone repairs (repair_k,
+the rearrangement repair of corpus.sample) skip their running scans when
+the input is already in order and otherwise scan only the stretch out
+of order.  The
 references below are the np.where and always-scan forms of the same
 formulas; every stack compares byte for byte, except that a tie between
 0.0 and -0.0 may differ in the sign of the zero.
@@ -95,10 +97,27 @@ def segment_stacks():
     special[5, ::17] = -0.0
     mixed = rng.standard_normal((6, GRID.n)) * 10.0 ** rng.integers(
         -200, 200, (6, GRID.n))
+    # rows positive over different spans, one all zero: the power law
+    # runs over the cells from the first to the last positive one
+    spans = fstar[:5].copy()
+    spans[0, 100:] = 0.0
+    spans[1, :60] = 0.0
+    spans[1, 400:] = 0.0
+    spans[2, :300] = 0.0
+    spans[3] = 0.0
+    spans[4, :250] = 0.0
+    spans[4, 260:] = 0.0
+    one_cell = np.zeros((3, GRID.n))
+    one_cell[0, 200:202] = (3.0, 2.0)          # one positive cell
+    one_cell[1, 203] = 5.0                     # positive, no cell
+    last_cell = np.zeros((2, GRID.n))
+    last_cell[0, -2:] = (4.0, 1.0)
+    last_cell[1, :2] = (4.0, 1.0)
     return {"fstar": fstar, "zeros": zeros, "flat": flat, "huge": huge,
             "special": special, "mixed": mixed,
             "all-zero": np.zeros((2, GRID.n)),
-            "one-row": fstar[0]}
+            "one-row": fstar[0], "spans": spans, "one-cell": one_cell,
+            "one-cell-row": one_cell[0], "last-cell": last_cell}
 
 
 @pytest.mark.parametrize("name", list(segment_stacks()))
@@ -158,16 +177,42 @@ def test_repair_k_bit_for_bit(name):
     assert_bits(got, repair_k_ref(GRID, stack), zero_sign=(name == "ties"))
 
 
+def _broken_stacks(rng):
+    """Nondecreasing rows with breaks: a running max scans a stretch of
+    them (negated, a running min does)."""
+    up = np.sort(rng.standard_normal((4, 2000)), axis=-1)
+    rows = up.copy()                           # breaks at different nodes
+    rows[0, 5] -= 3.0
+    rows[1, 700:705] = rows[1, 700:705][::-1]
+    rows[2, 1500] = np.nan
+    first = up[:2].copy()                      # only the first cell
+    first[:, 0] = 10.0
+    last = up[:2].copy()                       # only the last cell
+    last[0, -1] = -10.0
+    # a short disordered head, then a long ordered tail that starts
+    # below the head's max and climbs past it
+    tail = np.concatenate([rng.standard_normal((3, 20)) * 5.0,
+                           np.sort(rng.uniform(-20.0, 20.0, (3, 3000)),
+                                   axis=-1)], axis=-1)
+    flat = np.full((2, 1000), 1.0)             # ulp wobble on a plateau
+    flat[0, 300::7] = np.nextafter(1.0, 0.0)
+    flat[1, 500] = np.nextafter(1.0, 0.0)
+    return (rows, first, last, tail, flat, rows[1], first[0], last[0],
+            tail[:, ::2])
+
+
 @pytest.mark.parametrize("ufunc", [np.maximum, np.minimum])
 def test_running_matches_accumulate(ufunc):
     rng = np.random.default_rng(5)
+    sign = 1.0 if ufunc is np.maximum else -1.0
     for a in (np.sort(rng.standard_normal((3, 64)), axis=-1),
               -np.sort(rng.standard_normal((3, 64)), axis=-1),
               rng.standard_normal((3, 64)),
               np.array([0.0, -0.0, 0.0, 1.0, np.inf]),
               np.array([-np.inf, -np.inf, 2.0, np.nan, 3.0]),
               np.array([np.inf, 1.0, 1.0, -0.0, 0.0, -np.inf]),
-              np.array([4.0]), np.empty((2, 0))):
+              np.array([4.0]), np.empty((2, 0)),
+              *(sign * b for b in _broken_stacks(rng))):
         assert_bits(_running(ufunc, a), ufunc.accumulate(a, axis=-1),
                     zero_sign=True)
 

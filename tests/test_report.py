@@ -276,6 +276,33 @@ def test_bulk_adds_cover_the_edge_rows(tmp_path):
                                       'c,"powlog:2,-1",512,,2.0,-0.0,inf']
 
 
+def test_one_row_adds_match_the_array_path(tmp_path):
+    # one-row blocks take the float path of add_rows; rhs = 0 gives
+    # ratio inf and lhs = 0 ratio 0, neither of which enters a window
+    rows = [(0.5, 2.0, 0.0), (0.25, 0.0, 1.0), (0.125, 3.0, 1.5),
+            (1.0, 1e308, 1e-10), (2.0, 5.0, -0.0), (4.0, math.nan, 1.0),
+            (8.0, math.inf, math.inf), (16.0, 1.0, 3.0), (32.0, 0.1, 0.7)]
+    one, arr = EquivalenceReport("c"), EquivalenceReport("c")
+    for fid, n, with_u in (("pow:2", 512, True), ("chi:1", 1024, False)):
+        for k, (u, lhs, rhs) in enumerate(rows):
+            kind = (list, tuple, np.asarray)[k % 3]
+            one.add_rows(fid, n, kind([u]) if with_u else None,
+                         kind([lhs]), kind([rhs]))
+        u, lhs, rhs = map(np.asarray, zip(*rows))
+        arr.add_rows(fid, n, u if with_u else None, lhs, rhs)
+    assert [repr(r) for r in one.rows] == [repr(r) for r in arr.rows]
+    assert one.sizes() == arr.sizes() == [512, 1024]
+    assert _summary(one) == _summary(arr)
+    # 1e308 / 1e-10 overflows to inf and rhs = -0.0 reads as 0
+    assert one.ratios(512) == [2.0, 1.0 / 3.0, 0.1 / 0.7]
+    one.to_csv(tmp_path / "one.csv")
+    arr.to_csv(tmp_path / "arr.csv")
+    text = (tmp_path / "one.csv").read_text()
+    assert text == (tmp_path / "arr.csv").read_text()
+    assert text.splitlines()[1:3] == ["c,pow:2,512,0.5,2.0,0.0,inf",
+                                      "c,pow:2,512,0.25,0.0,1.0,0.0"]
+
+
 # -- _sweep: the one grid x prototype loop of the harnesses ---------------
 
 def _spec_of(fstar, specs):
@@ -366,3 +393,25 @@ def test_sweep_parses_a_csv_prototype_once(tmp_path, monkeypatch):
     want = [corpus.sample(spec, unit_grid(1 << k)).values
             for k in (9, 10, 11)]
     assert all(np.array_equal(a, b) for a, b in zip(seen[::2], want))
+
+
+def test_sweep_takes_a_parsed_corpus_as_it_is(tmp_path, monkeypatch):
+    path = tmp_path / "steps.csv"
+    path.write_text("t,value\n0.01,3\n0.5,1\n")
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if os.fspath(file) == str(path):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    spec = f"csv:{path}"
+    fns = corpus.parse_corpus(f"{spec};chi:0.5")
+    assert [s for s, _ in fns] == [spec, "chi:0.5"] and len(opened) == 1
+    assert corpus.parse_corpus(fns) == fns      # the same pairs
+    rep = _sweep("c", fns, unit_grid, (9, 10), lambda f: (None, [1.0], [1.0]))
+    assert len(opened) == 1
+    assert [(r.function_id, r.n) for r in rep.rows] == [
+        (s, n) for n in (512, 1024) for s in (spec, "chi:0.5")]
