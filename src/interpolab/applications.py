@@ -4,12 +4,16 @@ The spaces: grand and small Lebesgue, ultrasymmetric L_{p,b,E},
 Lorentz-Zygmund L_{inf,q,beta}, generalized Gamma with double weight,
 and the A / B-type spaces built on f**.  Each has a direct norm recipe
 (norm_app) computed straight from f*, and each coincides with an
-interpolation-space descriptor over the couple (L1, Linf) on (0, 1).
+interpolation-space descriptor over the couple (L1, Linf) on (0, 1),
+which its *_descriptor function builds.
 
 verify_identity checks those coincidences and the interpolation
 formulas between the concrete spaces numerically: for every corpus
 prototype it evaluates the two norm recipes and reports the spread of
-their ratios.
+their ratios.  13 of the 21 scenarios are reiterations: their lhs is
+the outer space over a couple of descriptors that a theorem reduces
+(_reiterations), with the concrete spaces in place of their
+descriptors.
 """
 
 from __future__ import annotations
@@ -253,6 +257,18 @@ def ultra_descriptor(p: float, b: SvExpr, E: RiSpace) -> SpaceDescriptor:
     return ThetaSpace(1.0 - 1.0 / p, b, E, UNIT)
 
 
+def linfq_descriptor(q: float, beta: float) -> SpaceDescriptor:
+    return ThetaSpace(1.0, EllPow(beta), RiSpace(q), UNIT)
+
+
+def atype_descriptor(p: float, alpha: float, E: RiSpace) -> SpaceDescriptor:
+    return RSpace(1.0 - 1.0 / p, EllPow(alpha - 1.0), E, ONE, L1, UNIT)
+
+
+def btype_descriptor(p: float, alpha: float, E: RiSpace) -> SpaceDescriptor:
+    return LSpace(1.0 - 1.0 / p, ONE, E, EllPow(alpha - 1.0), LINF, UNIT)
+
+
 def ggamma_descriptor(g: GGamma) -> SpaceDescriptor:
     if g.w1pow != -1.0 or g.w2pow != 0.0:
         raise ValueError("descriptor form needs u*w1 and w2 slowly varying")
@@ -285,18 +301,24 @@ _GG = GGamma(2.0, 2.0, -1.0, EllPow(-3.0), 0.0, ONE)
 def _reiterations() -> dict:
     """The reiteration behind each identity scenario the theorems cover.
 
-    grand(4, 1) is an R-space, so (X, grand) is an R_interior,
-    R_theta0_zero or R_x0 couple over (0, 1) for X = L2, LlogL or L1;
-    small(2, 1) and GGamma are L-spaces, so (small, ultra) and (GGamma,
-    ultra) are L_interior couples and (small, Linf) an L_x1 one.  A
-    concrete rhs is the identity being checked, so it stays written
-    out; the tests sweep reiterate(d) against it.  Hand-written remain:
-    (small, grand), an (L, R) couple neither theorem covers, and
-    small-linfq and the A/B-type ones, whose members have no descriptor.
+    grand(4, 1) and A(4, 0, L2) are R-spaces, so (X, grand) is an
+    R_interior, R_theta0_zero or R_x0 couple over (0, 1) for X = L2,
+    LlogL or L1, and (ultra, A) an R_interior one, also at outer
+    theta = 0 (b-as-limit-of-A).  small(2, 1), GGamma and B(2, 0, L2)
+    are L-spaces, so (small, ultra), (GGamma, ultra) and (B, ultra) are
+    L_interior couples, (small, Linf) an L_x1 one and (small,
+    L_inf,2,-1) an L_theta1_one one, L_inf,q,beta being a theta = 1
+    space.  A concrete rhs is the identity being checked, so it stays
+    written out; the tests sweep reiterate(d) against it.  Hand-written
+    remain the four (L, R) couples neither theorem covers, (small,
+    grand) at three outer thetas and (B, A), and the four direct
+    characterizations (*-as-*), which compare one space with its own
+    descriptor and reduce nothing.
     """
     g, l2 = grand_descriptor(4.0, 1.0), ThetaSpace(0.5, ONE, L2, UNIT)
     small = small_descriptor(2.0, 1.0)
     ultra = ultra_descriptor(4.0, ONE, RiSpace(4.0))
+    at, bt = atype_descriptor(4.0, 0.0, L2), btype_descriptor(2.0, 0.0, L2)
 
     def over(y0, y1, theta=0.5, b=ONE, E=L2):
         return Over((y0, y1), ThetaSpace(theta, b, E, UNIT))
@@ -309,7 +331,12 @@ def _reiterations() -> dict:
             "l1-grand": over(EndpointX0(UNIT), g),
             "small-ultra": over(small, ultra),
             "small-linf": over(small, EndpointX1(UNIT)),
-            "ggamma-ultra": over(ggamma_descriptor(_GG), ultra)}
+            "small-linfq": over(small, linfq_descriptor(2.0, -1.0)),
+            "ggamma-ultra": over(ggamma_descriptor(_GG), ultra),
+            "a-type-ultra": over(ultra_descriptor(2.0, ONE, L2), at),
+            "b-type-ultra": over(bt, ultra),
+            "b-as-limit-of-A": over(ultra_descriptor(2.0, EllPow(-1.0), LINF),
+                                    at, 0.0)}
 
 
 @functools.cache
@@ -343,9 +370,15 @@ def _scenarios() -> dict:
     th = 0.5
     p_mid = 1.0 / ((1 - th) / p0 + th / p1)
     pa = 1.0 / (1 - th + th / p1)
+    q1, beta_lz = 2.0, -1.0
+    at = AType(4.0, 0.0, RiSpace(2.0))
+    bt = BType(2.0, 0.0, RiSpace(2.0))
     apps = {grand_descriptor(p1, beta): grand,
             small_descriptor(p0, alpha): small,
-            ggamma_descriptor(_GG): AppMember(_GG)}
+            ggamma_descriptor(_GG): AppMember(_GG),
+            linfq_descriptor(q1, beta_lz): AppMember(LinfQBeta(q1, beta_lz)),
+            atype_descriptor(at.p, at.alpha, at.E): AppMember(at),
+            btype_descriptor(bt.p, bt.alpha, bt.E): AppMember(bt)}
 
     def put_reiterated(name, concrete=None, corpus=smooth):
         d = _reiterations()[name]
@@ -402,24 +435,19 @@ def _scenarios() -> dict:
     put_reiterated("l1-grand",
                    UltraLp(pa, EllPow(-beta * th / p1), RiSpace(2.0)))
 
-    # -- (small, *) family: ultra and linf via _reiterations -------------
+    # -- (small, *) family: ultra, linfq and linf via _reiterations ------
     put_reiterated("small-ultra",
                    UltraLp(p_mid, EllPow(alpha * (1 - th) / _pp(p0)),
                            RiSpace(2.0)),
                    ("chi:1", "chi:0.1", "chi:0.01", "log:1"))
-    q1, beta_lz = 2.0, -1.0
     p_lz = p0 / (1 - th)
     # bounded prototypes only: the cut family resolves them exactly,
     # while unbounded ones leave a residual floor below the grid scale
     chis = ("chi:1", "chi:0.1", "chi:0.01", "chi:0.001")
-    put(Scenario("small-linfq", chis,
-                 lhs=Over((small, AppMember(LinfQBeta(q1, beta_lz))),
-                          ThetaSpace(th, ONE, RiSpace(2.0), UNIT)),
-                 rhs=AppMember(UltraLp(
-                     p_lz,
-                     EllPow((1 - th) * alpha / _pp(p0)
-                            + th * (beta_lz + 1.0 / q1)),
-                     RiSpace(2.0)))))
+    put_reiterated("small-linfq",
+                   UltraLp(p_lz, EllPow((1 - th) * alpha / _pp(p0)
+                                        + th * (beta_lz + 1.0 / q1)),
+                           RiSpace(2.0)), chis)
     put_reiterated("small-linf",
                    UltraLp(p_lz, EllPow(alpha * (1 - th) / _pp(p0)),
                            RiSpace(2.0)), chis)
@@ -430,29 +458,18 @@ def _scenarios() -> dict:
                    UltraLp(p_mid, Power(tailw1, 1 - th), RiSpace(2.0)),
                    ("chi:1", "chi:0.1", "chi:0.01", "log:1"))
 
-    # -- A and B-type ------------------------------------------------------
-    at = AType(4.0, 0.0, RiSpace(2.0))
-    bt = BType(2.0, 0.0, RiSpace(2.0))
+    # -- A and B-type: reiteration cases, see _reiterations ---------------
     tail_a = NormTail(EllPow(-1.0), RiSpace(2.0), "lower")
-    put(Scenario("a-type-ultra", chis,
-                 lhs=Over((ultra_descriptor(2.0, ONE, RiSpace(2.0)),
-                           AppMember(at)),
-                          ThetaSpace(th, ONE, RiSpace(2.0), UNIT)),
-                 rhs=AppMember(UltraLp(p_mid, Power(tail_a, th),
-                                       RiSpace(2.0)))))
+    put_reiterated("a-type-ultra",
+                   UltraLp(p_mid, Power(tail_a, th), RiSpace(2.0)), chis)
     # B_theta = (l^(alpha-1) * phi_E0(l))^{1-theta} b1^theta: with
     # alpha = 0, E0 = L2 this is l^{-1} * l^{1/2} = l^{-1/2}, power 1-theta
-    put(Scenario("b-type-ultra", ("chi:1", "chi:0.1", "chi:0.01", "log:1"),
-                 lhs=Over((AppMember(bt),
-                           ultra_descriptor(p1, ONE, RiSpace(p1))),
-                          ThetaSpace(th, ONE, RiSpace(2.0), UNIT)),
-                 rhs=AppMember(UltraLp(p_mid, EllPow(-0.5 * (1 - th)),
-                                       RiSpace(2.0)))))
-    put(Scenario("b-as-limit-of-A", ("chi:1", "chi:0.1", "chi:0.01", "log:1"),
-                 lhs=Over((ultra_descriptor(2.0, EllPow(-1.0), LINF),
-                           AppMember(at)),
-                          ThetaSpace(0.0, ONE, RiSpace(2.0), UNIT)),
-                 rhs=AppMember(bt)))
+    put_reiterated("b-type-ultra",
+                   UltraLp(p_mid, EllPow(-0.5 * (1 - th)), RiSpace(2.0)),
+                   ("chi:1", "chi:0.1", "chi:0.01", "log:1"))
+    put_reiterated("b-as-limit-of-A", bt,
+                   ("chi:1", "chi:0.1", "chi:0.01", "log:1"))
+    # (B, A) is an (L, R) couple, derived by hand
     put(Scenario("ultra-between-AB", chis,
                  lhs=Over((AppMember(bt), AppMember(at)),
                           ThetaSpace(th, ONE, RiSpace(2.0), UNIT)),

@@ -105,6 +105,12 @@ def cmd_norm(args) -> int:
         print(f"error: bad grid: {e}", file=sys.stderr)
         return 1
 
+    try:
+        fstar = corpus_mod.sample(args.fn, grid)
+    except (ValueError, OSError) as e:
+        print(f"error: bad function spec: {e}", file=sys.stderr)
+        return 1
+
     if isinstance(desc, AppMember):
         try:
             desc.space.validate()
@@ -120,19 +126,18 @@ def cmd_norm(args) -> int:
         if not rep.admissible:
             return 2
 
-    try:
-        fstar = corpus_mod.sample(args.fn, grid)
-    except (ValueError, OSError) as e:
-        print(f"error: bad function spec: {e}", file=sys.stderr)
-        return 1
-
     if not fstar.values.any():
         print("0.0")
         return 0
     if isinstance(desc, AppMember):
         value = app_mod.norm_app(desc.space, fstar)
     else:
-        value = norm_in_space(k_peetre(fstar), desc)
+        try:
+            K = k_peetre(fstar)
+        except ValueError as e:     # f is not in X0 + X1
+            print(f"norm: {e}")
+            return 2
+        value = norm_in_space(K, desc)
     if not math.isfinite(value):
         print("norm: divergent for this function")
         return 2

@@ -62,13 +62,6 @@ class RiSpace(Wire):
         if not (self.q >= 1.0):
             raise ValueError(f"q must be in [1, inf], got {self.q}")
 
-    @property
-    def is_sup(self) -> bool:
-        return math.isinf(self.q)
-
-    def phi_exponent(self) -> float:
-        return 0.0 if self.is_sup else 1.0 / self.q
-
 
 L1 = RiSpace(1.0)
 L2 = RiSpace(2.0)

@@ -73,9 +73,13 @@ def _pair(lhs: SpaceDescriptor, rhs: SpaceDescriptor, sides: tuple):
     """rows for report._sweep: one row per f*, the norms of f in lhs
     and rhs, both from K(., f; X0, X1).  f is excluded when its rhs
     norm is not finite and positive, or its lhs norm is not finite;
-    sides names the two in the reason."""
+    sides names the two in the reason.  An f* whose K cannot be formed
+    is excluded with k_peetre's reason."""
     def rows(fstar):
-        K = k_peetre(fstar)
+        try:
+            K = k_peetre(fstar)
+        except ValueError as e:
+            return str(e)
         n = fstar.grid.n
         r = norm_in_space(K, rhs)
         if not (math.isfinite(r) and r > 0):

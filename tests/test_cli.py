@@ -75,6 +75,52 @@ def test_norm_bad_function_spec(tmp_path, capsys):
     assert "bad function spec" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fn", ["bogus:1", "csv:{tmp}/missing.csv"])
+@pytest.mark.parametrize("space", [
+    ThetaSpace(1.0, ONE, L1).to_obj(),
+    {"kind": "app", "space": {"kind": "grand", "p": 1, "alpha": 1}},
+], ids=["theta", "app"])
+def test_norm_reads_the_function_before_the_admissibility_verdict(
+        tmp_path, capsys, space, fn):
+    # both spaces are inadmissible: a bad --fn is still an input error,
+    # reported before any verdict is printed
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(space))
+    code = main(["norm", "--space", str(p), "--grid", "9",
+                 "--fn", fn.replace("{tmp}", str(tmp_path))])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad function spec")
+
+
+def test_norm_of_a_function_outside_l1_plus_linf_exits_2(tmp_path, capsys):
+    # K(., f; L1, Linf) cannot be formed from this f*: a verdict, not a
+    # traceback
+    spath = _write_space(tmp_path / "theta.json", ThetaSpace(0.5, ONE, L2))
+    code = main(["norm", "--space", spath, "--fn", "powlog:1.01,1",
+                 "--grid", "9"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    assert captured.out.splitlines()[-1] == (
+        "norm: f* is not locally integrable near 0 (not in L1 + Linf)")
+
+
+@pytest.mark.parametrize("argv", [
+    ["identity", "--name", "small-as-L"],
+    ["reiteration", "--case", "ThmR_interior"],
+    ["holmstedt", "--case", "R_interior"],
+], ids=["identity", "reiteration", "holmstedt"])
+def test_verify_excludes_a_function_outside_l1_plus_linf(capsys, argv):
+    code = main(["verify", *argv, "--grid", "9",
+                 "--corpus", "powlog:1.01,1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == ""
+    assert "rows=0 excluded=1" in captured.out
+
+
 def test_verify_bad_grid_size(capsys):
     code = main(["verify", "identity", "--name", "ultra-as-theta",
                  "--grid", "21"])

@@ -392,6 +392,3 @@ def test_tilde_norm_divergence_returns_inf():
 def test_rispace_validation():
     with pytest.raises(ValueError):
         RiSpace(0.5)
-    assert LINF.is_sup and not L2.is_sup
-    assert L2.phi_exponent() == 0.5
-    assert LINF.phi_exponent() == 0.0

@@ -10,7 +10,7 @@ from interpolab.sv import (EllPow, BrokenEll, ONE, ComposeWithRho, NormTail,
                            Power, Product, compose_rho, sv_log_on_grid)
 from interpolab.spaces import (ThetaSpace, LSpace, RSpace, LLSpace, RRSpace,
                                Intersection, EndpointX1, Over)
-from interpolab.reiteration import reiterate, verify_reiteration
+from interpolab.reiteration import reiterate, verify_reiteration, _pair
 from interpolab.holmstedt import DEFAULT_CASES, HolmstedtCase
 
 
@@ -88,6 +88,18 @@ def test_verify_interior_window():
     win = max(rep.window(n) for n in rep.sizes())
     assert win <= 100.0
     assert rep.stability() <= 0.10
+
+
+def test_verify_excludes_f_outside_l1_plus_linf_with_the_reason():
+    # no K(., f; L1, Linf) for this f*: its rows give k_peetre's reason
+    case = _over(DEFAULT_CASES["R_interior"], 0.5)
+    rows = _pair(case, reiterate(case), ("outer", "reduced"))
+    assert rows(corpus.sample("powlog:1.01,1", full_grid(512))) == (
+        "f* is not locally integrable near 0 (not in L1 + Linf)")
+    rep = verify_reiteration(case, corpus=("powlog:1.01,1", "chi:0.1"),
+                             log2n=(9,))
+    assert rep.n_rows == 1
+    assert [fid for fid, _ in rep.excluded] == ["powlog:1.01,1"]
 
 
 def test_verify_endpoint_window():
