@@ -18,6 +18,7 @@ import ctypes
 import functools
 import json
 import math
+import os
 import sys
 
 from .grid import Grid, L2, LINF
@@ -176,6 +177,11 @@ def cmd_verify(args) -> int:
             if args.name not in (*names, "all"):
                 raise ValueError("unknown id; available: "
                                  + ", ".join(names))
+        for opt in ("window_max", "stability_max"):
+            if math.isnan(getattr(args, opt)):
+                raise ValueError(f"--{opt.replace('_', '-')} is NaN")
+        if args.out:        # before the sweep: --out may not be a directory
+            os.makedirs(args.out, exist_ok=True)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

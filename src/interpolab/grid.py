@@ -12,9 +12,8 @@ Two kinds of integral live here:
 
 * "tilde" norms, i.e. L_q norms against the measure dt/t.  These are
   trapezoid sums in x on log-scale values.  Terms are exponentiated
-  after a shift by the max of their row (log_norm_between) or of their
-  chunk of _CHUNK cells (the prefix scans, whose chunk totals are
-  carried in log space), so nothing overflows; a row that cannot be
+  after a shift by the max of their row, so nothing overflows, and the
+  prefix scans sum them with one cumsum a row; a row that cannot be
   shifted safely goes through np.logaddexp term by term.  Whether such
   an integral diverges past a truncated end of the grid is decided by
   one function, edge_diverges, and the norm it checks is one function,
@@ -210,8 +209,7 @@ class GridFunction:
 # them, (rows x n), and works along the last axis; a row of a stack
 # gives bit for bit what the same row gives alone.
 
-_CHUNK = 256       # cells per shift block of the prefix scan
-_GUARD = 575.0     # a term further below its chunk max than this
+_GUARD = 575.0     # a term further below its row max than this
                    # (e^-575 ~ 1e-250) nears the subnormals, e^-708
 
 
@@ -230,55 +228,40 @@ def _logaddexp_scan(lw: np.ndarray, q: float, dx: float) -> np.ndarray:
 
 
 def _shifted_scan(lw: np.ndarray, q: float, dx: float):
-    """log_norm_lower for q < inf on a (rows x n) stack, by chunks.
+    """log_norm_lower for q < inf on a (rows x n) stack, one shift a row.
 
-    The n - 1 trapezoid cells are cut into chunks of _CHUNK.  Each chunk
-    is exponentiated after a shift by its own max of q lw and summed
-    with cumsum; the chunk totals are carried with logaddexp over
-    n/_CHUNK values per row, and each node costs one log.  Returns
-    (log norms, rows to redo): a row is redone by the reference path
-    when a chunk max is +inf or NaN, or when a finite term sits more
-    than _GUARD below its chunk max.
+    Each row of q lw is exponentiated after a shift by its max, its
+    trapezoid cells are summed with one cumsum, and each node costs one
+    log.  Returns (log norms, rows to redo): a row is redone by the
+    reference path when its max is +inf or NaN, or when a finite term
+    sits more than _GUARD below its max.
     """
     rows, n = lw.shape
-    chunks = -(-(n - 1) // _CHUNK)
-    out = np.empty((rows, chunks * _CHUNK + 1))
-    np.multiply(lw, q, out=out[:, :n])
-    out[:, n:] = NEG_INF
-    # nodes of chunk c are out[:, c B : c B + B + 1] (B = _CHUNK)
-    st = out.strides
-    nodes = np.lib.stride_tricks.as_strided(
-        out, (rows, chunks, _CHUNK + 1), (st[0], _CHUNK * st[1], st[1]),
-        writeable=False)
-    top = nodes.max(axis=-1)
+    e = np.multiply(lw, q)
+    top = e.max(axis=1)
+    out = np.empty((rows, n))
+    out[:, 0] = NEG_INF
+    cells = out[:, 1:]
     with np.errstate(invalid="ignore", divide="ignore"):
-        e = nodes - np.where(top > NEG_INF, top, 0.0)[..., None]
-        redo = ((e < -_GUARD) & (e > NEG_INF)).any(axis=(1, 2)) | \
-            ~(top < np.inf).all(axis=1)
+        shift = np.where(top > NEG_INF, top, 0.0)
+        e -= shift[:, None]
+        redo = ((e < -_GUARD) & (e > NEG_INF)).any(axis=1) | ~(top < np.inf)
         np.exp(e, out=e)
-        # the cells overwrite q lw, which e no longer needs
-        out[:, 0] = NEG_INF
-        cells = out[:, 1:].reshape(rows, chunks, _CHUNK)
-        np.add(e[..., :-1], e[..., 1:], out=cells)
-        np.cumsum(cells, axis=-1, out=cells)
-        total = top + np.log(cells[..., -1])
-        carry = np.full(top.shape, NEG_INF)
-        carry[:, 1:] = np.logaddexp.accumulate(total[:, :-1], axis=-1)
-        shift = np.maximum(top, carry)
-        shift[shift == NEG_INF] = 0.0
-        cells *= np.exp(top - shift)[..., None]
-        cells += np.exp(carry - shift)[..., None]
+        np.add(e[:, :-1], e[:, 1:], out=cells)
+        np.cumsum(cells, axis=1, out=cells)
         np.log(cells, out=cells)
-    cells += (shift + math.log(dx / 2.0))[..., None]
+    cells += (shift + math.log(dx / 2.0))[:, None]
     cells /= q
-    return out[:, :n], redo
+    return out, redo
 
 
 def log_norm_lower(lw: np.ndarray, q: float, dx: float) -> np.ndarray:
     """log of || w ||_{L~q} over (x_0, x_i), for every node i.
 
     For q = inf this is the running sup (node i included); for q < inf
-    the value at i = 0 is -inf (empty interval -> norm 0).
+    the value at i = 0 is -inf (empty interval -> norm 0), and each row
+    is the one-shift scan of _shifted_scan, or _logaddexp_scan where
+    that row has a term it cannot shift.
     """
     if math.isinf(q):
         return np.maximum.accumulate(lw, axis=-1)

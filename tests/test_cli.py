@@ -533,9 +533,16 @@ def test_over_of_app_members_on_a_short_grid_is_an_error():
     ["holmstedt", "--corpus", "log:inf"],
     ["holmstedt", "--corpus", "csv:{tmp}/nan.csv"],
     ["holmstedt", "--corpus", "{tmp}/empty-corpus.txt"],
+    ["holmstedt", "--case", "R_x0", "--corpus", "chi:0.1",
+     "--out", "{tmp}/a-file"],
+    ["identity", "--name", "small-ultra", "--corpus", "chi:0.1",
+     "--window-max", "nan"],
+    ["identity", "--name", "small-ultra", "--corpus", "chi:0.1",
+     "--stability-max", "nan"],
 ], ids=["theta2", "theta-nan", "bogus", "pow0", "chi-neg", "csv-missing",
         "corpus-file-missing", "pow-nan", "log-inf", "csv-nan",
-        "corpus-empty"])
+        "corpus-empty", "out-is-a-file", "window-max-nan",
+        "stability-max-nan"])
 def test_verify_bad_input_exits_1_before_sweeping(tmp_path, capsys,
                                                   monkeypatch, argv):
     def no_sweep(*args, **kwargs):
@@ -543,6 +550,7 @@ def test_verify_bad_input_exits_1_before_sweeping(tmp_path, capsys,
 
     (tmp_path / "nan.csv").write_text("t,value\n0.5,nan\n0.9,1\n")
     (tmp_path / "empty-corpus.txt").write_text("# no specs\n")
+    (tmp_path / "a-file").write_text("")
 
     monkeypatch.setattr(cli.holmstedt_mod, "verify_holmstedt", no_sweep)
     monkeypatch.setattr(cli, "verify_reiteration", no_sweep)
@@ -705,3 +713,11 @@ def test_verify_parses_a_csv_prototype_once_per_sweep(tmp_path, capsys,
     # once for the input check, whose parse the sweep over three grids
     # takes over
     assert len(opened) == 1
+
+
+def test_verify_infinite_thresholds_accept_any_window(capsys):
+    code = main(["verify", "identity", "--name", "small-ultra",
+                 "--corpus", "chi:0.1", "--grid", "9",
+                 "--window-max", "inf", "--stability-max", "inf"])
+    assert code == 0
+    assert "window=" in capsys.readouterr().out

@@ -13,7 +13,7 @@ from interpolab.grid import (Grid, GridFunction, L1, L2, LINF, RiSpace,
                              checked_norm, edge_diverges, log_norm_lower,
                              log_norm_upper,
                              log_norm_between, _logaddexp_scan,
-                             _shifted_scan, _final, _CHUNK, _GUARD)
+                             _shifted_scan, _final, _GUARD)
 
 from util import rel_err
 
@@ -253,7 +253,7 @@ def walk(rng, rows, n):
     return lw, x[1] - x[0]
 
 
-@pytest.mark.parametrize("n", [2, 3, _CHUNK, _CHUNK + 1, _CHUNK + 2, 1 << 14])
+@pytest.mark.parametrize("n", [2, 3, 256, 257, 258, 1 << 14, 1 << 16])
 @pytest.mark.parametrize("q", [1.0, 2.0, 3.5])
 def test_kernels_match_exact_sums(q, n):
     rng = np.random.default_rng(n * 10 + int(2 * q))
@@ -285,7 +285,7 @@ def special_rows(n):
     return lw, dx
 
 
-@pytest.mark.parametrize("n", [3, _CHUNK + 1, 1000])
+@pytest.mark.parametrize("n", [3, 257, 1000])
 @pytest.mark.parametrize("q", [1.0, 2.0])
 def test_kernels_on_infinite_and_nan_rows(q, n):
     lw, dx = special_rows(n)
@@ -315,9 +315,9 @@ def test_kernels_on_infinite_and_nan_rows(q, n):
 def test_wide_chunk_takes_reference_path():
     # a term 700 nats below its chunk max, past the guard: that row
     # goes the logaddexp path, bit for bit, and the others do not
-    n = 3 * _CHUNK
+    n = 3 * 256
     lw, dx = walk(np.random.default_rng(3), 3, n)
-    lw[1, _CHUNK + 5] -= 700.0
+    lw[1, 256 + 5] -= 700.0
     assert 700.0 > _GUARD
     for q in (1.0, 2.0):
         assert _shifted_scan(lw, q, dx)[1].tolist() == [False, True, False]
@@ -330,6 +330,32 @@ def test_wide_chunk_takes_reference_path():
         for r in (0, 2):
             assert_close(low[r], exact_prefix(lw[r], q, dx))
         assert_rows_alone(lambda a: log_norm_lower(a, q, dx), lw)
+
+
+def test_steady_fall_past_guard_takes_reference_path():
+    # q lw falls by 600 nats across the row, about 2.3 over any 256
+    # nodes: no stretch is wide, but the whole row is past the guard,
+    # so that row goes the logaddexp path, bit for bit, and the others
+    # keep the bits they have alone
+    n = 1 << 16
+    lw, dx = walk(np.random.default_rng(11), 3, n)
+    for q in (1.0, 2.0):
+        stack = lw.copy()
+        stack[1] = np.linspace(0.0, -600.0 / q, n)
+        assert 600.0 > _GUARD
+        assert np.ptp(q * stack[1, :257]) < 3.0
+        assert _shifted_scan(stack, q, dx)[1].tolist() == [False, True, False]
+        low = log_norm_lower(stack, q, dx)
+        up = log_norm_upper(stack, q, dx)
+        assert np.array_equal(bits(low[1]),
+                              bits(_logaddexp_scan(stack[1], q, dx)))
+        assert np.array_equal(
+            bits(up[1]), bits(_logaddexp_scan(stack[1, ::-1], q, dx)[::-1]))
+        for r in (0, 2):
+            assert np.array_equal(bits(low[r]),
+                                  bits(log_norm_lower(stack[r], q, dx)))
+            assert np.array_equal(bits(up[r]),
+                                  bits(log_norm_upper(stack[r], q, dx)))
 
 
 # -- edge divergence ---------------------------------------------------
