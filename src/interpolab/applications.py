@@ -24,9 +24,9 @@ import math
 
 import numpy as np
 
-from .grid import (GridFunction, RiSpace, L1, L2, LINF, unit_grid,
-                   checked_norm, edge_diverges, lebesgue_prefix,
-                   lebesgue_suffix, log_norm_upper, _final)
+from .grid import (GridFunction, RiSpace, L1, L2, LINF, checked_norm,
+                   edge_diverges, lebesgue_prefix, lebesgue_suffix,
+                   log_norm_upper, _final)
 from .sv import (SvExpr, EllPow, NormTail, Power, Product, ONE,
                  sv_log_on_grid, compose_rho, SvDivergenceError)
 from .spaces import (SpaceDescriptor, ThetaSpace, LSpace, RSpace,
@@ -224,6 +224,8 @@ def _norm_app(space: AppSpace, fstar: GridFunction) -> np.ndarray:
         return np.where(ok, np.reshape(vals, ok.shape), math.inf)
 
     if isinstance(space, AType):
+        # not checked_scan: the suffix scan runs to t = 1, a true edge,
+        # but f is outside when int_0^1 s^(1/p) f** ds/s diverges at 0
         li = x / space.p + _fss_log(fstar)
         inner = log_norm_upper(li, 1.0, grid.dx)
         lw = (space.alpha - 1.0) * np.log1p(np.abs(x)) + inner
@@ -498,5 +500,5 @@ def verify_identity(name: str, log2n=(9, 10), corpus=None
     of lhs/rhs ratios, i.e. the numerical equivalence constant squared.
     """
     sc = get_scenario(name)
-    return _sweep(name, corpus or sc.corpus, unit_grid, log2n,
+    return _sweep(name, corpus or sc.corpus, sc.lhs.setting, log2n,
                   _pair(sc.lhs, sc.rhs, ("lhs", "rhs")))

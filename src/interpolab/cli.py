@@ -63,13 +63,15 @@ def _hold_heap() -> None:
 
 
 def _parse_log2n(grid: str) -> tuple:
-    """log2 grid sizes from --grid, a comma list of k in [8, 20]."""
+    """log2 grid sizes from --grid, a comma list of distinct k in [8, 20]."""
     try:
         log2n = tuple(int(s) for s in grid.split(","))
     except ValueError:
         raise ValueError(f"bad grid size list {grid!r}") from None
     if not all(8 <= k <= 20 for k in log2n):
         raise ValueError(f"log2 grid sizes must be in [8, 20], got {grid!r}")
+    if len(set(log2n)) < len(log2n):
+        raise ValueError(f"log2 grid sizes must be distinct, got {grid!r}")
     return log2n
 
 
@@ -120,7 +122,11 @@ def cmd_norm(args) -> int:
             print(f"admissibility: FAILED ({e})")
             return 2
     else:
-        rep = check_admissible(desc, grid)
+        try:
+            rep = check_admissible(desc, grid)
+        except ValueError as e:     # a full-line grid without t = 1
+            print(f"error: bad grid: {e}", file=sys.stderr)
+            return 1
         for c in rep.conditions:
             tag = "ok" if c.ok else "DIVERGENT"
             print(f"admissibility: {c.name} = {c.value:.6g} [{tag}]")

@@ -16,11 +16,12 @@ Two kinds of integral live here:
   prefix scans sum them with one cumsum a row; a row that cannot be
   shifted safely goes through np.logaddexp term by term.  Whether such
   an integral diverges past a truncated end of the grid is decided by
-  one function, edge_diverges, and the norm it checks is one function,
-  checked_norm; the other modules call these two rather than test the
-  grid's ends themselves.  The least-squares design of an edge strip
-  depends only on the grid end, so it is built once per end and kept
-  in a small memo of read-only arrays.
+  one function, edge_diverges; the norms it checks are checked_norm
+  and checked_scan (nested norms towards one end, tested there), which
+  the other modules call rather than test the grid's ends themselves.
+  The least-squares design of an edge strip depends only on the grid
+  end, so it is built once per end and kept in a small memo of
+  read-only arrays.
 * plain Lebesgue integrals of nonnegative samples (used for the
   K-functional of the couple (L1, Linf) and a few inner norms in the
   concrete function spaces).  Those use a piecewise power-law model
@@ -217,8 +218,11 @@ def _logaddexp_scan(lw: np.ndarray, q: float, dx: float) -> np.ndarray:
     """Reference prefix scan: log || w ||_{L~q(x_0, x_i)} for every i.
 
     Every trapezoid cell and every running sum goes through np.logaddexp,
-    so any dynamic range is exact to rounding; the fast kernels fall back
-    to it for rows they cannot shift safely.
+    so no dynamic range over- or underflows, but each running sum rounds
+    a log: against exactly summed cells the norm's relative error grows
+    with n, measured at up to 7.7e-13 at n = 2^14 and 2.3e-12 at 2^16
+    (seeded random-walk rows, q in {1, 2, 3.5}).  The fast kernel falls
+    back to it for rows it cannot shift safely.
     """
     lq = q * lw
     cells = np.logaddexp(lq[..., :-1], lq[..., 1:]) + math.log(dx / 2.0)
@@ -230,22 +234,24 @@ def _logaddexp_scan(lw: np.ndarray, q: float, dx: float) -> np.ndarray:
 def _shifted_scan(lw: np.ndarray, q: float, dx: float):
     """log_norm_lower for q < inf on a (rows x n) stack, one shift a row.
 
-    Each row of q lw is exponentiated after a shift by its max, its
+    Returns (log norms of the rows kept, rows to redo).  A row is redone
+    by the reference path when its max is +inf or NaN, or when a finite
+    term sits more than _GUARD below its max; that is decided first, and
+    each row kept is exponentiated after a shift by its max, its
     trapezoid cells are summed with one cumsum, and each node costs one
-    log.  Returns (log norms, rows to redo): a row is redone by the
-    reference path when its max is +inf or NaN, or when a finite term
-    sits more than _GUARD below its max.
+    log.
     """
-    rows, n = lw.shape
     e = np.multiply(lw, q)
     top = e.max(axis=1)
-    out = np.empty((rows, n))
-    out[:, 0] = NEG_INF
-    cells = out[:, 1:]
     with np.errstate(invalid="ignore", divide="ignore"):
         shift = np.where(top > NEG_INF, top, 0.0)
         e -= shift[:, None]
         redo = ((e < -_GUARD) & (e > NEG_INF)).any(axis=1) | ~(top < np.inf)
+        if redo.any():
+            e, shift = e[~redo], shift[~redo]
+        out = np.empty(e.shape)
+        out[:, 0] = NEG_INF
+        cells = out[:, 1:]
         np.exp(e, out=e)
         np.add(e[:, :-1], e[:, 1:], out=cells)
         np.cumsum(cells, axis=1, out=cells)
@@ -269,6 +275,8 @@ def log_norm_lower(lw: np.ndarray, q: float, dx: float) -> np.ndarray:
     flat = lw.reshape(math.prod(lw.shape[:-1]), lw.shape[-1])
     out, redo = _shifted_scan(flat, q, dx)
     if redo.any():
+        kept, out = out, np.empty(flat.shape)
+        out[~redo] = kept
         out[redo] = _logaddexp_scan(flat[redo], q, dx)
     return out.reshape(lw.shape)
 
@@ -429,6 +437,15 @@ def checked_norm(lw: np.ndarray, q: float, grid: Grid, i0: int = 0,
     return float(val) if val.ndim == 0 else val
 
 
+def checked_scan(lw: np.ndarray, q: float, grid: Grid, side: str):
+    """(log_norm_lower for side 'low' or log_norm_upper for 'high',
+    edge_diverges at that end): the nested norms miss the mass past it."""
+    if side not in ("low", "high"):
+        raise ValueError(f"side must be 'low' or 'high', got {side!r}")
+    scan = log_norm_lower if side == "low" else log_norm_upper
+    return scan(lw, q, grid.dx), edge_diverges(lw, q, grid, side)
+
+
 def tilde_norm(g: GridFunction, E: RiSpace,
                interval=(0.0, math.inf)) -> float:
     """|| g ||_{E~(interval)}, the L_q norm of g against dt/t.
@@ -441,23 +458,6 @@ def tilde_norm(g: GridFunction, E: RiSpace,
     i0 = 0 if lo <= 0 else g.grid.index_of(lo)
     i1 = g.grid.n - 1 if math.isinf(hi) else g.grid.index_of(hi)
     return checked_norm(g.log_values(), E.q, g.grid, i0, i1)
-
-
-def nested_tilde_norms(g: GridFunction, E: RiSpace, side: str) -> GridFunction:
-    """All prefix (side='lower') or suffix ('upper') tilde norms at once.
-
-    Agrees node-for-node with tilde_norm called on (0, t_i) resp.
-    (t_i, inf); one O(n) pass instead of n quadratures.
-    """
-    lw = g.log_values()
-    if side == "lower":
-        ln = log_norm_lower(lw, E.q, g.grid.dx)
-    elif side == "upper":
-        ln = log_norm_upper(lw, E.q, g.grid.dx)
-    else:
-        raise ValueError("side must be 'lower' or 'upper'")
-    with np.errstate(over="ignore"):
-        return GridFunction(g.grid, np.exp(ln))
 
 
 # ---------------------------------------------------------------------
@@ -586,7 +586,7 @@ def rearrange(values: np.ndarray, weights: np.ndarray,
     value[k] on a set of measure weight[k]; the result samples its
     rearrangement f*(t) at the grid nodes (right-continuous step).
     Only tests call it; it stays for the Lorentz parameters L^{p,r} of
-    ROADMAP item 7, whose norm needs the rearrangement with respect to
+    ROADMAP item 9, whose norm needs the rearrangement with respect to
     dt/t: this one, with weights that are dt/t measures.
     """
     values = np.asarray(values, float)

@@ -18,10 +18,10 @@ and three have an L-space as the first member:
 HolmstedtCase reads the configuration off the members' classes and
 thetas.  Each L case is the R case of the reversed couple, since
 K(t, f; X1, X0) = t K(1/t, f; X0, X1): the members swap and each is
-mapped by spaces.couple_reverse.  Only the R cases are written out.
-The members share one setting: FULL, or UNIT for couples over (0, 1),
-whose L cases read their configuration off the reversed couple in
-CO_UNIT, (1, inf).  verify_holmstedt runs on the full line.
+mapped by spaces.couple_reverse; holmstedt_rhs folds both sides into
+one expression.  The members share one setting: FULL, or UNIT for
+couples over (0, 1), whose L cases read their configuration off the
+reversed couple in CO_UNIT, (1, inf).
 
 In every case K(rho(u), f; Y0, Y1) is comparable, uniformly in u and f,
 to an explicit expression in K(., f; X0, X1) split at u.  verify_holmstedt
@@ -35,11 +35,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import L2, LINF, full_grid, log_norm_lower, log_norm_upper
+from .grid import L2, LINF, log_norm_lower, log_norm_upper
 from .sv import (ONE, EllPow, Power, Product, NormTail, inverse_arg,
                  sv_log_on_grid, SvDivergenceError)
 from .spaces import (SpaceDescriptor, ThetaSpace, LSpace, RSpace,
-                     EndpointX0, EndpointX1, FULL, couple_reverse)
+                     EndpointX0, EndpointX1, couple_reverse)
 from .kfun import KProfile, TruncationOracle, _cut_cap
 from .report import EquivalenceReport, _sweep
 
@@ -134,7 +134,8 @@ def holmstedt_rhs(case: HolmstedtCase, K: KProfile):
     interval reversed, (0,u) <-> (u,inf), and rho multiplying the mixed
     term instead.  Entries where a tail norm has not converged on the
     truncated grid are -inf/NaN free: the caller restricts to interior
-    nodes anyway.
+    nodes anyway, so its nested norms are unchecked on purpose (no
+    grid.checked_scan); test_folded_rhs_matches_side_tables pins them.
     """
     grid = K.grid
     x = grid.x
@@ -171,12 +172,11 @@ def verify_holmstedt(case: HolmstedtCase, corpus=None, log2n=(9, 10)
     couple; RHS is the explicit split expression over the oracle's
     K(., f; X0, X1) profile.  The split points are every 8th node of the
     grid interior (5% of the nodes dropped at each end).  report._sweep
-    adds one block per (grid size, prototype): the rows at u with both
-    sides finite and positive.  A prototype whose oracle or rho weight
-    fails, or with no such u, is excluded with the reason.
+    adds one block per (grid size, prototype) on the grids of the case's
+    setting: the rows at u with both sides finite and positive.  A
+    prototype whose oracle or rho weight fails, or with no such u, is
+    excluded with the reason.
     """
-    if case.setting != FULL:
-        raise ValueError("verify_holmstedt runs on the full line")
 
     def rows(fstar):
         grid = fstar.grid
@@ -198,4 +198,4 @@ def verify_holmstedt(case: HolmstedtCase, corpus=None, log2n=(9, 10)
             return f"no admissible split points at n={grid.n}"
         return grid.t[live[ok]], lhs[ok], rhs[ok]
 
-    return _sweep(case.kind, corpus, full_grid, log2n, rows)
+    return _sweep(case.kind, corpus, case.setting, log2n, rows)

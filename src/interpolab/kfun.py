@@ -27,15 +27,16 @@ and norm_in_space works along the last axis of such a stack.  A block
 is built in place: S - c t broadcast once, each row's constant tail
 past its cut written once, then the clip, the repair and the logs.  Every
 truncated integral it takes goes through the one edge test,
-grid.edge_diverges (a closed-form least-squares fit per row), and the
-outer norm of each descriptor is the one checked norm,
-grid.checked_norm; the levels of an x0/x1, theta, L/R or LL/RR
-descriptor (spaces.levels: X0 and X1 are the theta = 0 and theta = 1
-spaces with b = 1, E = Linf) run through one loop from the inner level
-out.  Every row gives bit for bit what the same profile gives on its
-own.  Most cuts never attain the minimum, so they are normed in rounds,
-each refining only the gaps between normed cuts that the envelope of
-the pairs so far cannot rule out.
+grid.edge_diverges (a closed-form least-squares fit per row): the inner
+levels are the nested norms of grid.checked_scan towards the
+descriptor's side (L and LL run to 0, R and RR to inf), and the outer
+norm is the one checked norm, grid.checked_norm.  The levels of an
+x0/x1, theta, L/R or LL/RR descriptor (spaces.levels: X0 and X1 are
+the theta = 0 and theta = 1 spaces with b = 1, E = Linf) run through
+one loop from the inner level out.  Every row gives bit for bit what
+the same profile gives on its own.  Most cuts never attain the minimum,
+so they are normed in rounds, each refining only the gaps between
+normed cuts that the envelope of the pairs so far cannot rule out.
 
 norm_in_space evaluates a spaces.Over descriptor, a space over a
 derived couple, through such an oracle built from the f* the profile
@@ -44,7 +45,7 @@ take at most _cut_cap(grid) cuts: 128, or 192 where t = 1 ends the grid.
 The cap moves answers: uncapped, the R_x0 Holmstedt window is 1.0565 /
 1.0519 at n = 2^9 / 2^10 against 1.0615 / 1.0591, and log K drops by up
 to 6.3e-2 (R_x0, powlog:2,1, n = 2^13); the cost grows with the cut
-count.  See open item 5 of ROADMAP.md.
+count.  See open item 7 of ROADMAP.md.
 """
 
 from __future__ import annotations
@@ -54,11 +55,11 @@ import math
 
 import numpy as np
 
-from .grid import (Grid, GridFunction, lebesgue_prefix, log_norm_lower,
-                   log_norm_upper, checked_norm, edge_diverges, _running)
+from .grid import (Grid, GridFunction, lebesgue_prefix, checked_norm,
+                   checked_scan, _running)
 from .sv import sv_log_on_grid, SvDivergenceError
-from .spaces import (SpaceDescriptor, LSpace, LLSpace, Intersection,
-                     AppMember, Over, contains, levels)
+from .spaces import (SpaceDescriptor, Intersection, AppMember, Over,
+                     contains, levels)
 
 # elements (cut rows x grid nodes) of one block of cut profiles; bounds
 # the oracle's working memory whatever the grid size and cut count
@@ -157,14 +158,14 @@ def _norms(K: KProfile, d: SpaceDescriptor) -> np.ndarray:
         if lv := levels(d):
             # x0/x1, theta, L/R, LL/RR: from the inner level out, each
             # level weights the prefix (L, LL) or suffix (R, RR) norms of
-            # the level inside it.  X0 = sup K and X1 = sup K(t)/t are
-            # the theta spaces with b = 1, E = Linf.
-            side = "low" if isinstance(d, (LSpace, LLSpace)) else "high"
-            nested = log_norm_lower if side == "low" else log_norm_upper
+            # the level inside it, each checked at the end it runs to.
+            # X0 = sup K and X1 = sup K(t)/t are the theta spaces with
+            # b = 1, E = Linf.
             lw = -d.theta * x + sv_log_on_grid(lv[0][0], grid) + logK
             for (_, F), (w, _) in zip(lv, lv[1:]):
-                div |= edge_diverges(lw, F.q, grid, side)
-                lw = sv_log_on_grid(w, grid) + nested(lw, F.q, grid.dx)
+                scan, edge = checked_scan(lw, F.q, grid, d.side)
+                div |= edge
+                lw = sv_log_on_grid(w, grid) + scan
             val = checked_norm(lw, lv[-1][1].q, grid)
         elif isinstance(d, Intersection):
             return np.maximum.reduce([_norms(K, m) for m in d.members])

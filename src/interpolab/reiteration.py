@@ -18,10 +18,8 @@ sweep them with report._sweep.
 
 from __future__ import annotations
 
-import functools
 import math
 
-from .grid import Grid
 from .sv import Power, Product, NormTail, compose_rho
 from .spaces import (SpaceDescriptor, ThetaSpace, LSpace, RSpace, RRSpace,
                      Intersection, Over, couple_reverse)
@@ -98,7 +96,5 @@ def verify_reiteration(d: Over, corpus=None, log2n=(9, 10)
     One row per (grid size, prototype), no split point, in d's setting.
     """
     kind = HolmstedtCase(*d.couple).kind
-    grid = functools.partial(Grid.from_bounds, None, None,
-                             setting=d.setting)
-    return _sweep(f"{kind}:theta={d.desc.theta:g}", corpus, grid, log2n,
-                  _pair(d, reiterate(d), ("outer", "reduced")))
+    return _sweep(f"{kind}:theta={d.desc.theta:g}", corpus, d.setting,
+                  log2n, _pair(d, reiterate(d), ("outer", "reduced")))

@@ -9,15 +9,15 @@ over the rows at grid size n, and a refinement stability figure, the
 relative change of the window between the two largest grid sizes.
 Serialization is deterministic: repeated runs give byte-identical files.
 
-Every harness builds its report with _sweep, one loop over grid sizes
-and then corpus prototypes; a harness only says what the rows of one
-sampled f* are.  Rows are stored by column, in blocks of one function
-and grid size (a split-point sweep, or a single row), and to_csv
-writes each block from its columns under one "case,function_id,n,"
-prefix.  The finite positive ratios at each grid size are kept up to
-date as rows come in, so windows never rescan the rows.  The ratio of
-a row is inf where rhs == 0, else lhs/rhs; numpy and Python divide
-floats alike (IEEE), so it has the bits of Row.ratio.
+Every harness builds its report with _sweep, one loop over the grid
+sizes of its setting and then corpus prototypes; a harness only says
+what the rows of one sampled f* are.  Rows are stored by column, in
+blocks of one function and grid size (a split-point sweep, or a single
+row), and to_csv writes each block from its columns under one
+"case,function_id,n," prefix.  The finite positive ratios at each grid
+size are kept up to date as rows come in, so windows never rescan the
+rows.  The ratio of a row is inf where rhs == 0, else lhs/rhs; numpy
+and Python divide floats alike (IEEE), so it has the bits of Row.ratio.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import os
 import numpy as np
 
 from . import corpus as corpus_mod
+from .grid import Grid
 
 
 def _quote(s: str) -> str:
@@ -185,9 +186,10 @@ class EquivalenceReport:
         return csv_path, json_path
 
 
-def _sweep(case, corpus, make_grid, log2n, rows) -> EquivalenceReport:
-    """The report of case over the grids make_grid(2^k), k in log2n, and
-    on each the prototypes of corpus (None: the standard one), read and
+def _sweep(case, corpus, setting, log2n, rows) -> EquivalenceReport:
+    """The report of case over the default grids of setting,
+    Grid.from_bounds(None, None, 2^k, setting) for k in log2n, and on
+    each the prototypes of corpus (None: the standard one), read and
     parsed once (corpus_mod.parse_corpus: a corpus the caller parsed is
     used as it is).  rows(fstar) gets f* sampled on the grid and returns a
     (u, lhs, rhs) block for add_rows (u may be None), or a str: the
@@ -196,7 +198,7 @@ def _sweep(case, corpus, make_grid, log2n, rows) -> EquivalenceReport:
     rep = EquivalenceReport(case)
     fns = corpus_mod.parse_corpus(corpus or corpus_mod.STANDARD)
     for k in log2n:
-        grid = make_grid(1 << k)
+        grid = Grid.from_bounds(None, None, 1 << k, setting)
         for spec, fn in fns:
             got = rows(corpus_mod.sample(fn, grid))
             if isinstance(got, str):

@@ -6,7 +6,8 @@ A descriptor says how to turn the profile t -> K(t, f) into a norm:
 * theta            || t^-theta b(t) K(t,f) ||_{E~}
 * L / R            an inner prefix/suffix norm in F~ weighted by
                    s^-theta a(s), then an outer E~ norm against b
-* LL / RR          the same with two nested inner levels
+* LL / RR          the same with two nested inner levels; side names
+                   the end the inner norms run to (grid.checked_scan)
 * intersection     max of the member norms
 * app              a concrete function-space norm computed straight
                    from f* (see applications.py)
@@ -32,7 +33,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .grid import (Grid, RiSpace, LINF, Setting, FULL, UNIT, CO_UNIT,
-                   checked_norm, edge_diverges, log_norm_lower,
+                   checked_norm, checked_scan, log_norm_lower,
                    log_norm_upper)
 from .sv import ONE, SvExpr, sv_log_on_grid, inverse_arg, SvDivergenceError
 from .wire import Wire
@@ -80,6 +81,7 @@ class LSpace(SpaceDescriptor, kind="L"):
     a: SvExpr
     F: RiSpace
     setting: Setting = FULL
+    side = "low"    # not a field: its inner norms run to t = 0
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,7 @@ class RSpace(SpaceDescriptor, kind="R"):
     a: SvExpr
     F: RiSpace
     setting: Setting = FULL
+    side = "high"   # not a field: its inner norms run to t = inf
 
 
 @dataclass(frozen=True)
@@ -103,6 +106,7 @@ class LLSpace(SpaceDescriptor, kind="LL"):
     a: SvExpr
     G: RiSpace
     setting: Setting = FULL
+    side = "low"
 
 
 @dataclass(frozen=True)
@@ -116,6 +120,7 @@ class RRSpace(SpaceDescriptor, kind="RR"):
     a: SvExpr
     G: RiSpace
     setting: Setting = FULL
+    side = "high"
 
 
 @dataclass(frozen=True)
@@ -250,20 +255,20 @@ class AdmissibilityReport:
         return all(c.ok for c in self.conditions)
 
 
-def _nested_cond(la, lb, qF, qE, grid, low, from_one, outer_range, i_one):
+def _nested_cond(la, lb, qF, qE, grid, side, from_one, outer_range, i_one):
     """Conditions of shape || b(t) || a ||_{F~(I(t))} ||_{E~(J)}.
 
-    I(t) is (0,t) if low, else (t,inf); from_one starts it at 1 instead:
-    (1,t) for t >= 1, or (t,1) for t <= 1.
+    I(t) is (0,t) for side 'low', else (t,inf), checked at that end;
+    from_one starts it at 1 instead: (1,t) for t >= 1, or (t,1) for t <= 1.
     """
-    norm = log_norm_lower if low else log_norm_upper
     if from_one:
-        part = slice(i_one, None) if low else slice(None, i_one + 1)
+        part, norm = ((slice(i_one, None), log_norm_lower) if side == "low"
+                      else (slice(None, i_one + 1), log_norm_upper))
         inner = np.full(len(la), -np.inf)
         inner[part] = norm(la[part], qF, grid.dx)
     else:
-        inner = norm(la, qF, grid.dx)
-        if edge_diverges(la, qF, grid, "low" if low else "high"):
+        inner, div = checked_scan(la, qF, grid, side)
+        if div:
             return math.inf
     return checked_norm(lb + inner, qE, grid, *outer_range)
 
@@ -272,7 +277,8 @@ def check_admissible(d: SpaceDescriptor, grid: Grid | None = None) -> Admissibil
     """Evaluate the parameter conditions that keep the space nontrivial.
 
     Conditions are truncated integrals on a reference grid; a condition
-    holds when the integral is finite under the edge-stability rule.
+    holds when the integral is finite under the edge-stability rule.  A
+    full-line grid must hold t = 1 inside, else ValueError.
     """
     if parts(d):
         return AdmissibilityReport([c for m in parts(d) for c in
@@ -288,6 +294,8 @@ def check_admissible(d: SpaceDescriptor, grid: Grid | None = None) -> Admissibil
 
     unit = d.setting == UNIT
     grid = grid or Grid.from_bounds(None, None, 4097, d.setting)
+    if grid.setting == FULL and not grid.x[0] < 0.0 < grid.x[-1]:
+        raise ValueError("a full-line grid must have t_min < 1 < t_max")
     n = grid.n
     i_one = grid.index_of(1.0)
     conds: list[Condition] = []
@@ -316,7 +324,7 @@ def check_admissible(d: SpaceDescriptor, grid: Grid | None = None) -> Admissibil
     # finite: (1,inf) for L, (0,1) for R.  (a, F) is the inner level,
     # (b, E) the outer one.
     (a, F), *_, (b, E) = lv
-    low = isinstance(d, (LSpace, LLSpace))
+    low = d.side == "low"
     try:
         la = sv_log_on_grid(a, grid)
         lb = sv_log_on_grid(b, grid)
@@ -333,14 +341,14 @@ def check_admissible(d: SpaceDescriptor, grid: Grid | None = None) -> Admissibil
         if d.theta == theta_far:
             conds.append(Condition(
                 f"||b(t)||a||_{{F~{in_far}}}||_{{E~{far}}}",
-                _nested_cond(la, lb, F.q, E.q, grid, low,
+                _nested_cond(la, lb, F.q, E.q, grid, d.side,
                              True, nodes[far], i_one)))
             conds.append(Condition(f"||ab||_{{E~{far}}}",
                                    norm_of(a * b, E.q, *nodes[far])))
     if d.theta == 1.0 - theta_far and not (unit and near == "(1,inf)"):
         conds.append(Condition(
             f"||b(t)||a||_{{F~{in_near}}}||_{{E~{near}}}",
-            _nested_cond(la, lb, F.q, E.q, grid, low,
+            _nested_cond(la, lb, F.q, E.q, grid, d.side,
                          False, nodes[near], i_one)))
     return AdmissibilityReport(conds)
 

@@ -24,8 +24,7 @@ import math
 
 import numpy as np
 
-from .grid import (Grid, RiSpace, edge_diverges, log_norm_lower,
-                   log_norm_upper)
+from .grid import Grid, RiSpace, checked_scan
 from .wire import Wire
 
 
@@ -186,12 +185,12 @@ def _tail_table(expr: NormTail, grid: Grid) -> np.ndarray:
     lb = sv_log_on_grid(expr.b, grid)
     low = expr.side == "lower"
     # only the edge the norm runs towards: 0 for the lower, inf the upper
-    if edge_diverges(lb, expr.E.q, grid, "low" if low else "high"):
+    table, div = checked_scan(lb, expr.E.q, grid, "low" if low else "high")
+    if div:
         raise SvDivergenceError(
             f"{expr.side} tail norm of {expr.b!r} in L_{expr.E.q} "
             f"diverges at {'0' if low else 'inf'}")
-    norm = log_norm_lower if low else log_norm_upper
-    return norm(lb, expr.E.q, grid.dx)
+    return table
 
 
 def sv_log_eval(expr: SvExpr, x: np.ndarray, grid: Grid | None = None) -> np.ndarray:

@@ -20,9 +20,9 @@ import time
 
 import numpy as np
 
-from interpolab.grid import (Grid, GridFunction, RiSpace, L1, L2, LINF, UNIT,
+from interpolab.grid import (Grid, GridFunction, L1, L2, LINF, UNIT,
                              full_grid, unit_grid, tilde_norm,
-                             nested_tilde_norms,
+                             log_norm_lower, log_norm_upper,
                              lebesgue_prefix, lebesgue_suffix)
 from interpolab.sv import EllPow, BrokenEll, ONE, sv_log_on_grid
 from interpolab.kfun import (k_peetre, kprofile_reverse, norm_in_space,
@@ -89,9 +89,9 @@ def test_criterion_03_log_weight_tail_identities(capsys):
     n = 1 << 20
     g1 = Grid(-6e4, 0.0, n, UNIT)
     ell = 1.0 - g1.x
-    pref = nested_tilde_norms(GridFunction(g1, ell ** -2.0), L1, "lower")
+    pref = np.exp(log_norm_lower(np.log(ell ** -2.0), L1.q, g1.dx))
     mask = (g1.x >= math.log(1e-6)) & (g1.x <= math.log(0.5))
-    ratio = pref.values[mask] * ell[mask]
+    ratio = pref[mask] * ell[mask]
     err = float(np.max(np.abs(ratio - 1.0)))
     assert err <= 1e-3, err
 
@@ -104,15 +104,13 @@ def test_criterion_03_log_weight_tail_identities(capsys):
     lower = {(-2.0, 1.0): 1.0 / ell2, (-1.0, math.inf): 1.0 / ell2,
              (0.0, math.inf): np.ones(g2.n)}
     for (sigma, q), closed in lower.items():
-        got = nested_tilde_norms(GridFunction(g2, ell2 ** sigma),
-                                 RiSpace(q), "lower")
-        wins[(sigma, q, "lower")] = _window(got.values[mask2]
-                                            / closed[mask2])
+        got = np.exp(log_norm_lower(np.log(ell2 ** sigma), q, g2.dx))
+        wins[(sigma, q, "lower")] = _window(got[mask2] / closed[mask2])
     # suffix norm on (u, 1/2) of l itself
-    suf = nested_tilde_norms(GridFunction(g2, ell2), L1, "upper")
+    suf = np.exp(log_norm_upper(np.log(ell2), L1.q, g2.dx))
     closed = 0.5 * (ell2 ** 2 - ell2[-1] ** 2)
     sl = g2.interior(0.05)
-    wins[(1.0, 1.0, "upper")] = _window(suf.values[sl] / closed[sl])
+    wins[(1.0, 1.0, "upper")] = _window(suf[sl] / closed[sl])
     worst = max(wins.values())
     assert worst <= 1.2, wins
     assert err <= 1e-3
@@ -131,17 +129,17 @@ def test_criterion_04_power_tail_envelope(capsys):
     for b in weights:
         for alpha in (0.25, 1.0):
             for E in (L1, L2, LINF):
-                for side, sgn in (("lower", alpha), ("upper", -alpha)):
+                for side, scan, sgn in (("lower", log_norm_lower, alpha),
+                                        ("upper", log_norm_upper, -alpha)):
                     wins = {}
                     for n, g in grids.items():
                         lb = sv_log_on_grid(b, g)
                         target = np.exp(sgn * g.x + lb)
-                        got = nested_tilde_norms(
-                            GridFunction(g, target), E, side)
+                        got = np.exp(scan(np.log(target), E.q, g.dx))
                         mask = np.zeros(g.n, dtype=bool)
                         mask[g.interior(0.25)] = True
                         mask &= (g.x <= 0) if side == "lower" else (g.x >= 0)
-                        wins[n] = _window(got.values[mask] / target[mask])
+                        wins[n] = _window(got[mask] / target[mask])
                         assert wins[n] <= 5.0, (b, alpha, E, side, wins[n])
                     drift = abs(wins[1024] / wins[512] - 1.0)
                     assert drift <= 0.10, (b, alpha, E, side, drift)
@@ -261,10 +259,9 @@ def test_criterion_09_hardy_and_nested_collapse(capsys):
             for a in (ONE, EllPow(0.5)):
                 for b in (ONE, EllPow(0.5)):
                     for E, F in ((L2, L2), (L2, LINF), (LINF, L2)):
-                        inner = nested_tilde_norms(
-                            _weighted(g, alpha, a, f.values), F, "upper")
-                        lhs = tilde_norm(
-                            _weighted(g, beta, b, inner.values), E)
+                        inner = np.exp(log_norm_upper(_weighted(
+                            g, alpha, a, f.values).log_values(), F.q, g.dx))
+                        lhs = tilde_norm(_weighted(g, beta, b, inner), E)
                         rhs = tilde_norm(
                             _weighted(g, alpha + beta, a * b, f.values), E)
                         if not (math.isfinite(lhs) and math.isfinite(rhs)

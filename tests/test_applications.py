@@ -301,7 +301,7 @@ def test_reiterated_matches_concrete_right_side(name):
     # wrong exponent, but every unit grid starts at t = 1e-8, so doubling
     # one log exponent moves these windows by less than a factor 2
     sc = get_scenario(name)
-    rep = _sweep(name, sc.corpus, unit_grid, (9, 10),
+    rep = _sweep(name, sc.corpus, UNIT, (9, 10),
                  _pair(reiterate(_reiterations()[name]), sc.rhs,
                        ("reiterated", "concrete")))
     assert not rep.excluded

@@ -15,7 +15,7 @@ import interpolab
 from interpolab import cli
 from interpolab.cli import main
 from interpolab.grid import RiSpace
-from interpolab.spaces import (FULL, UNIT, LSpace, ThetaSpace,
+from interpolab.spaces import (FULL, UNIT, LSpace, RSpace, ThetaSpace,
                                couple_reverse)
 from interpolab.sv import ONE, EllPow
 
@@ -119,6 +119,20 @@ def test_verify_excludes_a_function_outside_l1_plus_linf(capsys, argv):
     assert code == 3
     assert captured.err == ""
     assert "rows=0 excluded=1" in captured.out
+
+
+def test_verify_repeated_grid_size_exits_1(capsys, monkeypatch):
+    # a repeated size would sweep twice and compare a grid with itself
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(cli.holmstedt_mod, "verify_holmstedt", no_sweep)
+    code = main(["verify", "holmstedt", "--case", "R_x0", "--corpus",
+                 "chi:0.1", "--grid", "9,9"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "distinct" in captured.err
 
 
 def test_verify_bad_grid_size(capsys):
@@ -436,6 +450,29 @@ def test_norm_bad_bounds_exit_1(tmp_path, capsys, setting, bound):
                          ThetaSpace(0.5, ONE, L2, setting))
     code = main(["norm", "--space", spath, "--fn", "chi:0.5",
                  "--grid", "9", *bound])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad grid:")
+
+
+@pytest.mark.parametrize("desc,tmin,tmax", [
+    (ThetaSpace(1.0, ONE, L1), "2", "10"),
+    (ThetaSpace(0.0, ONE, L1), "1e-3", "0.5"),
+    (RSpace(1.0, ONE, L1, ONE, L1), "2", "10"),
+], ids=["theta1", "theta0", "R"])
+def test_norm_full_grid_without_t_1_exits_1(tmp_path, capsys, monkeypatch,
+                                            desc, tmin, tmax):
+    # the admissibility conditions split at t = 1: on a full-line grid
+    # that misses it, a condition over the side it misses has no nodes
+    def never(*args, **kwargs):
+        raise AssertionError("a norm was taken")
+
+    for name in ("interpolab.cli.k_peetre", "interpolab.cli.norm_in_space"):
+        monkeypatch.setattr(name, never)
+    spath = _write_space(tmp_path / "space.json", desc)
+    code = main(["norm", "--space", spath, "--fn", "chi:0.5", "--grid",
+                 "10", "--tmin", tmin, "--tmax", tmax])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""

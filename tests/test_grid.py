@@ -8,10 +8,9 @@ import pytest
 from interpolab.grid import (Grid, GridFunction, L1, L2, LINF, RiSpace,
                              FULL, UNIT, CO_UNIT, Setting,
                              full_grid, unit_grid, tilde_norm,
-                             nested_tilde_norms, lebesgue_prefix,
-                             lebesgue_suffix, rearrange,
-                             checked_norm, edge_diverges, log_norm_lower,
-                             log_norm_upper,
+                             lebesgue_prefix, lebesgue_suffix, rearrange,
+                             checked_norm, checked_scan, edge_diverges,
+                             log_norm_lower, log_norm_upper,
                              log_norm_between, _logaddexp_scan,
                              _shifted_scan, _final, _GUARD)
 
@@ -150,16 +149,16 @@ def test_tilde_norm_upper_power():
 def test_nested_matches_pointwise():
     g = unit_grid(512)
     fn = GridFunction(g, np.sqrt(g.t))
-    low = nested_tilde_norms(fn, L2, "lower")
-    up = nested_tilde_norms(fn, L2, "upper")
+    low = np.exp(log_norm_lower(fn.log_values(), L2.q, g.dx))
+    up = np.exp(log_norm_upper(fn.log_values(), L2.q, g.dx))
     for i in (50, 250, 480):
         u = float(g.t[i])
-        assert rel_err(low.values[i], tilde_norm(fn, L2, (0.0, u))) < 1e-12
+        assert rel_err(low[i], tilde_norm(fn, L2, (0.0, u))) < 1e-12
         unchecked = _final(log_norm_between(fn.log_values(), 2.0, g.dx, i,
                                             g.n - 1))
-        assert rel_err(up.values[i], unchecked) < 1e-12
+        assert rel_err(up[i], unchecked) < 1e-12
     with pytest.raises(ValueError):
-        nested_tilde_norms(fn, L2, "sideways")
+        checked_scan(fn.log_values(), L2.q, g, "sideways")
 
 
 def test_lebesgue_prefix_exact_on_powers():
@@ -405,6 +404,25 @@ def test_edge_divergence_respects_true_edges():
     lw_grow = 2.0 * g.x        # grows toward t = 1, harmless
     assert not edge_diverges(lw_grow, 1.0, g, "high")
     assert math.isfinite(checked_norm(lw_grow, 1.0, g))
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, 3.5, math.inf])
+@pytest.mark.parametrize("side", ["low", "high"])
+@pytest.mark.parametrize("make", [lambda: full_grid(512),
+                                  lambda: unit_grid(512)],
+                         ids=["full", "unit"])
+def test_checked_scan_is_the_scan_and_its_edge_test(make, side, q):
+    g = make()
+    lw, _ = walk(np.random.default_rng(5), 3, g.n)
+    lw[1] = np.log1p(np.abs(g.x))    # l(t) grows towards both ends
+    scan = log_norm_lower if side == "low" else log_norm_upper
+    for a in (lw, lw[1]):            # a stack and one row alone
+        got, edge = checked_scan(a, q, g, side)
+        assert np.array_equal(bits(got), bits(scan(a, q, g.dx)))
+        assert np.array_equal(edge, edge_diverges(a, q, g, side))
+        assert edge.shape == a.shape[:-1]
+    # the row of l diverges past the end exactly where that end is cut
+    assert bool(edge) == g.truncated(side)
 
 
 def test_tilde_norm_divergence_returns_inf():

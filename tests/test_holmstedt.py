@@ -111,11 +111,21 @@ def test_l_case_in_the_unit_setting_is_the_co_unit_r_case(kind):
                                             c._reversed().y1)))
 
 
-def test_verify_holmstedt_refuses_the_unit_setting():
-    d = _reiterations()["grand-vs-ultra-interior"]
-    with pytest.raises(ValueError, match="full line"):
-        verify_holmstedt(HolmstedtCase(*d.couple),
-                         corpus=("chi:0.1", "pow:4"), log2n=(9,))
+def test_verify_holmstedt_runs_every_unit_couple():
+    # the 10 distinct couples of the registered reiterations, all over
+    # (0, 1), on their default unit grids and the standard corpus, under
+    # the tier-1 bounds; only the prototypes no decomposition of the
+    # couple can split are left out
+    couples = dict.fromkeys(d.couple for d in _reiterations().values())
+    assert len(couples) == 10
+    for couple in couples:
+        rep = verify_holmstedt(HolmstedtCase(*couple), log2n=(9, 10))
+        assert rep.sizes() == [512, 1024]
+        assert max(rep.window(n) for n in rep.sizes()) <= 100.0, couple
+        assert rep.stability() <= 0.10, couple
+        for spec, reason in rep.excluded:
+            assert spec in ("pow:2", "powlog:2,1"), (couple, spec)
+            assert reason.startswith("no finite decomposition found"), reason
 
 
 def test_rhs_tables_are_finite_inside():

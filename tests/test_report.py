@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from interpolab import corpus
-from interpolab.grid import unit_grid
+from interpolab.grid import UNIT, unit_grid
 from interpolab.report import EquivalenceReport, _sweep
 
 
@@ -323,7 +323,7 @@ def test_sweep_adds_blocks_size_major_in_corpus_order():
         u = None if spec == "chi:1" else [0.25, 0.5]
         return u, [float(n), 2.0], [1.0, 0.0]
 
-    rep = _sweep("c", specs, unit_grid, (9, 10), rows)
+    rep = _sweep("c", specs, UNIT, (9, 10), rows)
     assert rep.case == "c"
     assert calls == [(n, s) for n in (512, 1024) for s in specs]
     assert [(r.function_id, r.n, r.u, r.lhs, r.rhs) for r in rep.rows] == [
@@ -343,7 +343,7 @@ def test_sweep_without_a_corpus_runs_the_standard_one():
         seen.append(_spec_of(fstar, corpus.STANDARD))
         return "x"
 
-    rep = _sweep("c", None, unit_grid, (9,), rows)
+    rep = _sweep("c", None, UNIT, (9,), rows)
     assert tuple(seen) == corpus.STANDARD
     assert rep.excluded == [(s, "x") for s in corpus.STANDARD]
     assert rep.n_rows == 0 and rep.sizes() == []
@@ -361,7 +361,7 @@ def test_sweep_reads_a_corpus_file_once(tmp_path, monkeypatch):
         return real_open(file, *args, **kwargs)
 
     monkeypatch.setattr(builtins, "open", counting_open)
-    rep = _sweep("c", str(path), unit_grid, (9, 10, 11),
+    rep = _sweep("c", str(path), UNIT, (9, 10, 11),
                  lambda f: (None, [1.0], [1.0]))
     assert len(opened) == 1
     assert [(r.function_id, r.n) for r in rep.rows] == [
@@ -387,7 +387,7 @@ def test_sweep_parses_a_csv_prototype_once(tmp_path, monkeypatch):
         seen.append(fstar.values)
         return None, [1.0], [1.0]
 
-    _sweep("c", (spec, "chi:0.5"), unit_grid, (9, 10, 11), rows)
+    _sweep("c", (spec, "chi:0.5"), UNIT, (9, 10, 11), rows)
     assert len(opened) == 1
     # f* sampled from the parsed function is f* sampled from the spec
     want = [corpus.sample(spec, unit_grid(1 << k)).values
@@ -411,7 +411,7 @@ def test_sweep_takes_a_parsed_corpus_as_it_is(tmp_path, monkeypatch):
     fns = corpus.parse_corpus(f"{spec};chi:0.5")
     assert [s for s, _ in fns] == [spec, "chi:0.5"] and len(opened) == 1
     assert corpus.parse_corpus(fns) == fns      # the same pairs
-    rep = _sweep("c", fns, unit_grid, (9, 10), lambda f: (None, [1.0], [1.0]))
+    rep = _sweep("c", fns, UNIT, (9, 10), lambda f: (None, [1.0], [1.0]))
     assert len(opened) == 1
     assert [(r.function_id, r.n) for r in rep.rows] == [
         (s, n) for n in (512, 1024) for s in (spec, "chi:0.5")]

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from interpolab.grid import (L1, L2, LINF, full_grid, unit_grid,
+from interpolab.grid import (Grid, L1, L2, LINF, full_grid, unit_grid,
                              checked_norm, edge_diverges, log_norm_lower,
                              log_norm_upper)
 from interpolab.sv import (EllPow, BrokenEll, ExpLogPow, InverseArg, ONE,
@@ -48,6 +48,22 @@ def test_admissibility_report_structure():
     assert any(not c.ok for c in rep.conditions)
     names = [c.name for c in rep.conditions]
     assert len(names) == len(set(names))
+
+
+@pytest.mark.parametrize("desc,t_min,t_max", [
+    (ThetaSpace(1.0, ONE, L1), 2.0, 10.0),
+    (ThetaSpace(0.0, ONE, L1), 1e-3, 0.5),
+    (RSpace(1.0, ONE, L1, ONE, L1), 2.0, 10.0),
+    (LSpace(0.0, ONE, L1, ONE, L1), 1e-3, 1.0),
+], ids=["theta1-above", "theta0-below", "R-above", "L-to-1"])
+def test_admissibility_needs_t_1_inside_a_full_grid(desc, t_min, t_max):
+    # the conditions split at t = 1: a full-line grid that misses it
+    # leaves one side without nodes, which would read 0 [ok]
+    with pytest.raises(ValueError, match="t_min < 1 < t_max"):
+        check_admissible(desc, Grid.from_bounds(t_min, t_max, 1024))
+    # a unit grid may stop short of t = 1
+    unit = dataclasses.replace(desc, setting=UNIT)
+    check_admissible(unit, Grid.from_bounds(1e-3, 0.5, 1024, UNIT))
 
 
 def test_default_case_members_admissible():
