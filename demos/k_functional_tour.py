@@ -27,8 +27,9 @@ def main():
     print("\noracle / exact K ratio (max over interior t):")
     for spec in ("chi:0.1", "pow:2", "powlog:2,1", "log:2"):
         f = corpus.sample(spec, g)
-        exact = np.exp(k_peetre(f).logk[sl])
-        est = TruncationOracle(f, EndpointX0(), EndpointX1()).k_at(g.t[sl])
+        K = k_peetre(f)
+        exact = np.exp(K.logk[sl])
+        est = TruncationOracle(K, EndpointX0(), EndpointX1()).k_at(g.t[sl])
         print(f"  {spec:12s} {np.max(est / exact):.4f}")
 
 

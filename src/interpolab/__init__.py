@@ -8,13 +8,11 @@ grand, small, ultrasymmetric and related concrete function spaces.
 
 from .grid import Grid, GridFunction, RiSpace, full_grid, unit_grid
 from .sv import (SvExpr, Const, EllPow, BrokenEll, IteratedEll, ExpLogPow,
-                 Product, Power, InverseArg, NormTail, ComposeWithRho, ONE,
-                 sv_eval, sv_verify)
+                 Product, Power, InverseArg, NormTail, ComposeWithRho, ONE)
 from .spaces import (EndpointX0, EndpointX1, ThetaSpace, LSpace, RSpace,
                      LLSpace, RRSpace, Intersection, AppMember, Over, FULL,
                      UNIT, CO_UNIT, couple_reverse, check_admissible)
-from .kfun import (KProfile, k_peetre, kprofile_reverse, norm_in_space,
-                   TruncationOracle)
+from .kfun import KProfile, k_peetre, norm_in_space, TruncationOracle
 from .holmstedt import HolmstedtCase, CASES, holmstedt_rhs, verify_holmstedt
 from .reiteration import reiterate, verify_reiteration
 from .applications import (GrandLp, SmallLp, UltraLp, LinfQBeta, GGamma,

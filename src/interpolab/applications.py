@@ -26,7 +26,7 @@ import numpy as np
 
 from .grid import (GridFunction, RiSpace, L1, L2, LINF, checked_norm,
                    edge_diverges, lebesgue_prefix, lebesgue_suffix,
-                   log_norm_upper, _final)
+                   log_norm_upper, _final, Grid)
 from .sv import (SvExpr, EllPow, NormTail, Power, Product, ONE,
                  sv_log_on_grid, compose_rho, SvDivergenceError)
 from .spaces import (SpaceDescriptor, ThetaSpace, LSpace, RSpace,
@@ -161,11 +161,11 @@ class BType(AppSpace, kind="btype"):
 # norms
 # ---------------------------------------------------------------------
 
-def _fss_log(f: GridFunction) -> np.ndarray:
+def _fss_log(grid: Grid, f: np.ndarray) -> np.ndarray:
     """log f**(t) = log( K(t)/t )."""
-    pref = lebesgue_prefix(f.values, f.grid)
+    pref = lebesgue_prefix(f, grid)
     with np.errstate(divide="ignore"):
-        return np.log(pref) - f.grid.x
+        return np.log(pref) - grid.x
 
 
 def norm_app(space: AppSpace, fstar: GridFunction):
@@ -174,16 +174,14 @@ def norm_app(space: AppSpace, fstar: GridFunction):
     fstar.values may be a (rows x n) stack; the result is then an array
     with one norm per row, each equal to what that row gives alone.
     """
-    return _unstack(_norm_app(space, fstar))
+    return _unstack(_norm_app(space, fstar.grid, fstar.values))
 
 
-def _norm_app(space: AppSpace, fstar: GridFunction) -> np.ndarray:
-    grid = fstar.grid
+def _norm_app(space: AppSpace, grid: Grid, f: np.ndarray) -> np.ndarray:
+    """norm_app on valid f* samples; only ultra and linfq take log f*."""
     if grid.truncated("high"):
         raise ValueError("concrete spaces live on (0,1): use a unit grid")
     x = grid.x
-    f = fstar.values
-    lf = fstar.log_values()
 
     if isinstance(space, GrandLp):
         suf = lebesgue_suffix(f ** space.p, grid)
@@ -202,13 +200,15 @@ def _norm_app(space: AppSpace, fstar: GridFunction) -> np.ndarray:
 
     if isinstance(space, UltraLp):
         try:
-            lw = x / space.p + sv_log_on_grid(space.b, grid) + lf
+            with np.errstate(divide="ignore"):
+                lw = x / space.p + sv_log_on_grid(space.b, grid) + np.log(f)
         except SvDivergenceError:
             return np.full(f.shape[:-1], math.inf)
         return checked_norm(lw, space.E.q, grid)
 
     if isinstance(space, LinfQBeta):
-        lw = space.beta * np.log1p(np.abs(x)) + lf
+        with np.errstate(divide="ignore"):
+            lw = space.beta * np.log1p(np.abs(x)) + np.log(f)
         return checked_norm(lw, space.q, grid)
 
     if isinstance(space, GGamma):
@@ -226,14 +226,14 @@ def _norm_app(space: AppSpace, fstar: GridFunction) -> np.ndarray:
     if isinstance(space, AType):
         # not checked_scan: the suffix scan runs to t = 1, a true edge,
         # but f is outside when int_0^1 s^(1/p) f** ds/s diverges at 0
-        li = x / space.p + _fss_log(fstar)
+        li = x / space.p + _fss_log(grid, f)
         inner = log_norm_upper(li, 1.0, grid.dx)
         lw = (space.alpha - 1.0) * np.log1p(np.abs(x)) + inner
         return np.where(edge_diverges(li, 1.0, grid, "low"), math.inf,
                         checked_norm(lw, space.E.q, grid))
 
     if isinstance(space, BType):
-        lss = _fss_log(fstar)
+        lss = _fss_log(grid, f)
         g = x / space.p + (space.alpha - 1.0) * np.log1p(np.abs(x)) + lss
         sup = np.maximum.accumulate(g, axis=-1)
         return checked_norm(sup, space.E.q, grid)

@@ -2,13 +2,15 @@
 
 Exit codes: 0 success / verification within thresholds, 1 input error,
 2 inadmissible or trivial space, 3 verification window or stability
-exceeded.  A usage error (an unknown or missing option, a bad choice)
-is an input error: it exits 1 with argparse's usage message, so exit 2
-is always a verdict.  Options must be spelled out in full, since a
-prefix such as --win is not taken for --window-max.  The parser is
-built on the first call to main, not at import, and serves every later
-call in the process; the process pool is imported only when --jobs
-asks for more than one worker.
+exceeded; verify exits 1 before it sweeps on a threshold no run can
+meet (a --window-max below 1, as a window is max/min, a negative
+--stability-max, NaN).  A usage error (an unknown or missing option, a
+bad choice) is an input error: it exits 1 with argparse's usage
+message, so exit 2 is always a verdict.  Options must be spelled out in
+full, since a prefix such as --win is not taken for --window-max.  The
+parser is built on the first call to main, not at import, and serves
+every later call in the process; the process pool is imported only
+when --jobs asks for more than one worker.
 """
 
 from __future__ import annotations
@@ -183,9 +185,10 @@ def cmd_verify(args) -> int:
             if args.name not in (*names, "all"):
                 raise ValueError("unknown id; available: "
                                  + ", ".join(names))
-        for opt in ("window_max", "stability_max"):
-            if math.isnan(getattr(args, opt)):
-                raise ValueError(f"--{opt.replace('_', '-')} is NaN")
+        for opt, least in (("window_max", 1.0), ("stability_max", 0.0)):
+            if not getattr(args, opt) >= least:     # NaN too
+                raise ValueError(f"--{opt.replace('_', '-')} must be at "
+                                 f"least {least:g}, got {getattr(args, opt)}")
         if args.out:        # before the sweep: --out may not be a directory
             os.makedirs(args.out, exist_ok=True)
     except (ValueError, OSError) as e:

@@ -17,11 +17,12 @@ Two kinds of integral live here:
   shifted safely goes through np.logaddexp term by term.  Whether such
   an integral diverges past a truncated end of the grid is decided by
   one function, edge_diverges; the norms it checks are checked_norm
-  and checked_scan (nested norms towards one end, tested there), which
-  the other modules call rather than test the grid's ends themselves.
-  The least-squares design of an edge strip depends only on the grid
-  end, so it is built once per end and kept in a small memo of
-  read-only arrays.
+  (both ends of a full range tested in one edge call) and checked_scan
+  (nested norms towards one end, tested there), which the other
+  modules call rather than test the grid's ends themselves.  The
+  least-squares design of an edge strip depends only on the grid end,
+  so it is built once per end and kept in a small memo of read-only
+  arrays.
 * plain Lebesgue integrals of nonnegative samples (used for the
   K-functional of the couple (L1, Linf) and a few inner norms in the
   concrete function spaces).  Those use a piecewise power-law model
@@ -344,63 +345,75 @@ def _strip_design(x_edge: float, x_far: float, k: int):
 
 def edge_diverges(lw: np.ndarray, q: float, grid: Grid,
                   side: str) -> np.ndarray:
-    """Does int e^{q lw} dx (sup e^lw for q = inf) diverge past one end?
+    """Does int e^{q lw} dx (sup e^lw for q = inf) diverge past an end?
 
     The one edge-divergence test.  lw holds one log integrand or a stack
-    of them, (rows x m), whose first node (side='low') or last node
-    ('high') is that end of grid; one answer per row, all False when the
-    end is a true edge of the setting's interval (Grid.truncated).
+    of them, (rows x m), whose first and last nodes are the low and high
+    ends of grid; side is the end tested, 'low' or 'high', or 'both',
+    which ORs the two answers in one call.  One answer per row; an end
+    that is a true edge of the setting's interval (Grid.truncated)
+    answers False.
 
-    The integrand is fit over a log(2)-wide strip at that edge by two
-    local models, each by a closed-form least-squares line: e^{p x} (a
-    power of t) and |x|^sigma (a power of |log t|, only where the strip
-    keeps |x| >= 2).  The strip's abscissae, centred, and their sums of
-    squares depend on the grid end alone and come from a small memo
-    (_strip_design); the rows are centred once and serve both fits.
-    The better fit is extrapolated past the edge: a power tail diverges
-    unless it decays by more than _EDGE_PTOL, a |log t|^sigma tail iff
-    q sigma >= -1 (sigma > _EDGE_STOL for the sup).  A NaN in the strip
-    counts as divergent, an edge value of -inf (nothing at the edge) as
-    convergent, and any other -inf in the strip as divergent: all mass
-    then sits at the edge, and a flat continuation past it diverges.
+    The integrand is fit over a log(2)-wide strip at each tested end by
+    two local models, each by a closed-form least-squares line: e^{p x}
+    (a power of t) and |x|^sigma (a power of |log t|, only where the
+    strip keeps |x| >= 2).  The strips of both ends are stacked, so the
+    finite, NaN and centring passes run once (the NaN pass and the zero
+    fill only if some value is not finite); each end is fit with its own
+    strip design, the centred abscissae and their sums of squares, which
+    depend on the grid end alone and come from a small memo
+    (_strip_design).  The better fit is extrapolated past the edge: a
+    power tail diverges unless it decays by more than _EDGE_PTOL, a
+    |log t|^sigma tail iff q sigma >= -1 (sigma > _EDGE_STOL for the
+    sup).  A NaN in the strip counts as divergent, an edge value of -inf
+    (nothing at the edge) as convergent, and any other -inf in the strip
+    as divergent: all mass then sits at the edge, and a flat
+    continuation past it diverges.
     """
     lw = np.asarray(lw, dtype=float)
     dx = grid.dx
     k = max(2, int(math.ceil(math.log(2.0) / dx)))
-    low = side == "low"
-    if not grid.truncated(side) or lw.shape[-1] - 1 <= k:
-        return np.zeros(lw.shape[:-1], bool)
-    if low:
-        x_edge = grid.x[0]
-        h, x_far = lw[..., :k + 1], x_edge + k * dx
-    else:
-        x_edge = grid.x[-1]
-        h, x_far = lw[..., ::-1][..., :k + 1], x_edge - k * dx
+    ends = [s for s in (("low", "high") if side == "both" else (side,))
+            if grid.truncated(s)]
+    out = np.zeros(lw.shape[:-1], bool)
+    if not ends or lw.shape[-1] - 1 <= k:
+        return out
+    # each strip runs from its edge node inwards
+    h = np.concatenate([lw[None, ..., :k + 1] if s == "low"
+                        else lw[None, ..., :-k - 2:-1] for s in ends])
     finite = np.isfinite(h).all(axis=-1)
-    nan = np.isnan(h).any(axis=-1)
-    hf = np.where(finite[..., None], h, 0.0)
-    ua, saa, ub, sbb = _strip_design(float(x_edge), float(x_far), k)
+    bad = None
+    if not finite.all():
+        bad = np.isnan(h).any(axis=-1) | (~finite & (h[..., 0] != NEG_INF))
+        h = np.where(finite[..., None], h, 0.0)
     # centred once for both fits; add.reduce / (k + 1) has the bits of
     # mean(), and each fit keeps the operation order of a centred line
-    hc = hf - np.add.reduce(hf, axis=-1, keepdims=True) / (k + 1)
-    p = hc @ ua / saa
-    r = hc - p[..., None] * ua
-    res_a = np.einsum("...i,...i->...", r, r)
-    if ub is not None:
-        sigma = hc @ ub / sbb
-        r = hc - sigma[..., None] * ub
-        res_b = np.einsum("...i,...i->...", r, r)
-    else:
-        sigma, res_b = np.zeros_like(p), np.full_like(p, math.inf)
-    slope = p if x_edge > x_far else -p     # growth towards the edge
-    if math.isinf(q):
-        div = np.where(res_b <= res_a, sigma > _EDGE_STOL,
-                       slope > _EDGE_PTOL)
-    else:
-        # numerically flat power tails diverge for q < inf
-        div = np.where(res_b <= res_a, q * sigma >= -1.0,
-                       slope >= -_EDGE_PTOL)
-    return nan | (~finite & (h[..., 0] != NEG_INF)) | (finite & div)
+    hc = h - np.add.reduce(h, axis=-1, keepdims=True) / (k + 1)
+    for e, s in enumerate(ends):
+        x_edge = grid.x[0] if s == "low" else grid.x[-1]
+        x_far = x_edge + k * dx if s == "low" else x_edge - k * dx
+        ua, saa, ub, sbb = _strip_design(float(x_edge), float(x_far), k)
+        p = hc[e] @ ua / saa
+        r = hc[e] - p[..., None] * ua
+        res_a = np.einsum("...i,...i->...", r, r)
+        if ub is not None:
+            sigma = hc[e] @ ub / sbb
+            r = hc[e] - sigma[..., None] * ub
+            res_b = np.einsum("...i,...i->...", r, r)
+        else:
+            sigma, res_b = np.zeros_like(p), np.full_like(p, math.inf)
+        slope = p if x_edge > x_far else -p     # growth towards the edge
+        if math.isinf(q):
+            div = np.where(res_b <= res_a, sigma > _EDGE_STOL,
+                           slope > _EDGE_PTOL)
+        else:
+            # numerically flat power tails diverge for q < inf
+            div = np.where(res_b <= res_a, q * sigma >= -1.0,
+                           slope >= -_EDGE_PTOL)
+        if bad is not None:
+            div = bad[e] | (finite[e] & div)
+        out |= div
+    return out
 
 
 def _final(logval) -> np.ndarray:
@@ -420,20 +433,19 @@ def checked_norm(lw: np.ndarray, q: float, grid: Grid, i0: int = 0,
     """|| e^lw ||_{L~q} over the node range [i0, i1] (default: all nodes).
 
     The one checked truncated norm: log_norm_between, then _final, then
-    math.inf wherever an end of [i0, i1] is an end of the grid and
-    edge_diverges fires there on lw[..., i0:i1 + 1].  An empty
+    math.inf wherever an end of [i0, i1] is an end of the grid and one
+    edge_diverges call on lw[..., i0:i1 + 1] fires there.  An empty
     range gives 0.  A float for one integrand, an array with one value
     per row for a stack.
     """
     lw = np.asarray(lw, dtype=float)
     i1 = grid.n - 1 if i1 is None else i1
     val = _final(log_norm_between(lw, q, grid.dx, i0, i1))
-    if i1 > i0:
-        seg = lw[..., i0:i1 + 1]
-        if i0 == 0:
-            val = np.where(edge_diverges(seg, q, grid, "low"), math.inf, val)
-        if i1 == grid.n - 1:
-            val = np.where(edge_diverges(seg, q, grid, "high"), math.inf, val)
+    lo, hi = i0 == 0, i1 == grid.n - 1
+    if i1 > i0 and (lo or hi):
+        side = "both" if lo and hi else "low" if lo else "high"
+        val = np.where(edge_diverges(lw[..., i0:i1 + 1], q, grid, side),
+                       math.inf, val)
     return float(val) if val.ndim == 0 else val
 
 

@@ -40,7 +40,7 @@ from .sv import (ONE, EllPow, Power, Product, NormTail, inverse_arg,
                  sv_log_on_grid, SvDivergenceError)
 from .spaces import (SpaceDescriptor, ThetaSpace, LSpace, RSpace,
                      EndpointX0, EndpointX1, couple_reverse)
-from .kfun import KProfile, TruncationOracle, _cut_cap
+from .kfun import KProfile, TruncationOracle, k_peetre, _cut_cap
 from .report import EquivalenceReport, _sweep
 
 R_CASES = ("R_interior", "R_theta0_zero", "R_x0")
@@ -169,25 +169,26 @@ def verify_holmstedt(case: HolmstedtCase, corpus=None, log2n=(9, 10)
     """Measure LHS/RHS over a corpus and a sweep of split points u.
 
     LHS is K(rho(u), f; Y0, Y1) from a truncation oracle over the member
-    couple; RHS is the explicit split expression over the oracle's
-    K(., f; X0, X1) profile.  The split points are every 8th node of the
-    grid interior (5% of the nodes dropped at each end).  report._sweep
-    adds one block per (grid size, prototype) on the grids of the case's
-    setting: the rows at u with both sides finite and positive.  A
-    prototype whose oracle or rho weight fails, or with no such u, is
-    excluded with the reason.
+    couple; RHS is the explicit split expression over K(., f; X0, X1),
+    the k_peetre profile the oracle is built from.  The split points are
+    every 8th node of the grid interior (5% of the nodes dropped at each
+    end).  report._sweep adds one block per (grid size, prototype) on the
+    grids of the case's setting: the rows at u with both sides finite
+    and positive.  A prototype whose oracle or rho weight fails, or with
+    no such u, is excluded with the reason.
     """
 
     def rows(fstar):
         grid = fstar.grid
         idx = np.arange(grid.n)[grid.interior()][::8]
         try:
-            orc = TruncationOracle(fstar, case.y0, case.y1,
+            K = k_peetre(fstar)
+            orc = TruncationOracle(K, case.y0, case.y1,
                                    max_cuts=_cut_cap(grid))
         except ValueError as e:
             return str(e)
         try:
-            lrho, lrhs = holmstedt_rhs(case, orc.kprofile)
+            lrho, lrhs = holmstedt_rhs(case, K)
         except SvDivergenceError as e:
             return str(e)
         live = idx[np.isfinite(lrho[idx]) & np.isfinite(lrhs[idx])]

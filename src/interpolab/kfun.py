@@ -25,7 +25,10 @@ The cuts are built and normed together: their profiles form a
 (cuts x n) array, taken in row blocks of at most _BLOCK_ELEMS elements,
 and norm_in_space works along the last axis of such a stack.  A block
 is built in place: S - c t broadcast once, each row's constant tail
-past its cut written once, then the clip, the repair and the logs.  Every
+past its cut written once, then the clip, the repair and the logs.  A
+block holds only the pieces its members read (_reads): log K of a piece
+for a member normed from K, the piece itself for a concrete one; the
+first block also carries the trivial splittings as its row 0.  Every
 truncated integral it takes goes through the one edge test,
 grid.edge_diverges (a closed-form least-squares fit per row): the inner
 levels are the nested norms of grid.checked_scan towards the
@@ -38,19 +41,19 @@ the same profile gives on its own.  Most cuts never attain the minimum,
 so they are normed in rounds, each refining only the gaps between
 normed cuts that the envelope of the pairs so far cannot rule out.
 
-norm_in_space evaluates a spaces.Over descriptor, a space over a
-derived couple, through such an oracle built from the f* the profile
-carries.  That oracle, and the ones the verification harnesses build,
-take at most _cut_cap(grid) cuts: 128, or 192 where t = 1 ends the grid.
-The cap moves answers: uncapped, the R_x0 Holmstedt window is 1.0565 /
-1.0519 at n = 2^9 / 2^10 against 1.0615 / 1.0591, and log K drops by up
-to 6.3e-2 (R_x0, powlog:2,1, n = 2^13); the cost grows with the cut
-count.  See open item 7 of ROADMAP.md.
+norm_in_space evaluates a spaces.Over descriptor, a space over a derived
+couple, through such an oracle built from the profile: from the K of a
+single profile k_peetre formed, else from f*.  That oracle, and the ones
+the verification harnesses build, take at most _cut_cap(grid) cuts: 128,
+or 192 where t = 1 ends the grid.  The cap moves answers: uncapped, the
+R_x0 Holmstedt window is 1.0565 / 1.0519 at n = 2^9 / 2^10 against
+1.0615 / 1.0591, and log K drops by up to 6.3e-2 (R_x0, powlog:2,1, n =
+2^13); the cost grows with the cut count.  See open item 7 of ROADMAP.md.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import math
 
 import numpy as np
@@ -76,12 +79,15 @@ class KProfile:
     """t -> K(t, f), stored as log K at the grid nodes.
 
     ``fstar`` optionally carries the rearrangement the profile came
-    from; concrete-space member norms need it.
+    from; concrete-space member norms need it.  A profile k_peetre formed
+    keeps K itself too (``_k``), which an oracle over its f* cuts.
+    ``logk`` is None in a block of cut pieces only concrete members read.
     """
 
     grid: Grid
-    logk: np.ndarray
+    logk: np.ndarray | None
     fstar: np.ndarray | None = None
+    _k: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def values(self) -> np.ndarray:
@@ -102,26 +108,16 @@ def repair_k(grid: Grid, k: np.ndarray) -> np.ndarray:
         return np.minimum(k, slope, out=slope)
 
 
-def _k_linear(fstar: GridFunction) -> np.ndarray:
-    """K(t, f; L1, Linf) = int_0^t f*(s) ds at the grid nodes, repaired."""
+def k_peetre(fstar: GridFunction) -> KProfile:
+    """K(t, f; L1, Linf) = int_0^t f*(s) ds at the grid nodes, repaired;
+    the profile keeps K itself beside its log."""
     k = lebesgue_prefix(fstar.values, fstar.grid)
     if not np.all(np.isfinite(k)):
         raise ValueError("f* is not locally integrable near 0 "
                          "(not in L1 + Linf)")
-    return repair_k(fstar.grid, k)
-
-
-def k_peetre(fstar: GridFunction) -> KProfile:
-    """K(t, f; L1, Linf) = int_0^t f*(s) ds at the grid nodes."""
-    k = _k_linear(fstar)
+    k = repair_k(fstar.grid, k)
     with np.errstate(divide="ignore"):
-        return KProfile(fstar.grid, np.log(k), fstar.values)
-
-
-def kprofile_reverse(K: KProfile) -> KProfile:
-    """K(t; X1, X0) = t K(1/t; X0, X1), on the reflected grid."""
-    g = K.grid.reflected()
-    return KProfile(g, g.x + K.logk[..., ::-1], None)
+        return KProfile(fstar.grid, np.log(k), fstar.values, k)
 
 
 # ---------------------------------------------------------------------
@@ -144,16 +140,21 @@ def norm_in_space(K: KProfile, d: SpaceDescriptor):
     edge (the descriptor is then trivial or f lies outside the space).
     K.logk (and K.fstar) may be a (rows x n) stack of profiles; the
     result is then an array with one norm per row, each equal to what
-    that row gives alone.
+    that row gives alone.  K.fstar is taken as valid, not checked again.
     """
     return _unstack(_norms(K, d))
 
 
+def _reads(d: SpaceDescriptor) -> tuple:
+    """(log K, f*): the parts of a profile the norm of d reads; an
+    Intersection reads what its members read."""
+    if isinstance(d, Intersection):
+        return tuple(map(any, zip(*map(_reads, d.members))))
+    return bool(levels(d)), isinstance(d, (AppMember, Over))
+
+
 def _norms(K: KProfile, d: SpaceDescriptor) -> np.ndarray:
     grid = K.grid
-    x = grid.x
-    logK = K.logk
-    div = np.zeros(logK.shape[:-1], bool)   # rows found divergent
     try:
         if lv := levels(d):
             # x0/x1, theta, L/R, LL/RR: from the inner level out, each
@@ -161,38 +162,39 @@ def _norms(K: KProfile, d: SpaceDescriptor) -> np.ndarray:
             # the level inside it, each checked at the end it runs to.
             # X0 = sup K and X1 = sup K(t)/t are the theta spaces with
             # b = 1, E = Linf.
-            lw = -d.theta * x + sv_log_on_grid(lv[0][0], grid) + logK
+            div = np.zeros(K.logk.shape[:-1], bool)   # rows found divergent
+            lw = -d.theta * grid.x + sv_log_on_grid(lv[0][0], grid) + K.logk
             for (_, F), (w, _) in zip(lv, lv[1:]):
                 scan, edge = checked_scan(lw, F.q, grid, d.side)
                 div |= edge
                 lw = sv_log_on_grid(w, grid) + scan
-            val = checked_norm(lw, lv[-1][1].q, grid)
-        elif isinstance(d, Intersection):
+            return np.where(div, math.inf,
+                            checked_norm(lw, lv[-1][1].q, grid))
+        if isinstance(d, Intersection):
             return np.maximum.reduce([_norms(K, m) for m in d.members])
-        elif isinstance(d, (AppMember, Over)):
-            if K.fstar is None:
-                raise ValueError("a concrete space or derived couple needs "
-                                 "f*, but the profile carries none")
-            if isinstance(d, Over):
-                rows = np.reshape(K.fstar, (-1, grid.n))
-                return np.reshape([_over(grid, f, d) for f in rows],
-                                  np.shape(K.fstar)[:-1])
-            from .applications import norm_app
-            return np.asarray(norm_app(d.space, GridFunction(grid, K.fstar)))
-        else:
+        if not isinstance(d, (AppMember, Over)):
             raise TypeError(f"unknown descriptor {type(d).__name__}")
+        if K.fstar is None:
+            raise ValueError("a concrete space or derived couple needs "
+                             "f*, but the profile carries none")
+        if isinstance(d, Over):
+            rows = [K] if np.ndim(K.fstar) == 1 else \
+                [KProfile(grid, None, f) for f in K.fstar.reshape(-1, grid.n)]
+            return np.reshape([_over(r, d) for r in rows],
+                              np.shape(K.fstar)[:-1])
+        from .applications import _norm_app
+        return np.asarray(_norm_app(d.space, grid, K.fstar))
     except SvDivergenceError:
-        return np.full(div.shape, math.inf)
-    return np.where(div, math.inf, val)
+        rows = K.fstar if K.logk is None else K.logk
+        return np.full(np.shape(rows)[:-1], math.inf)
 
 
-def _over(grid: Grid, f: np.ndarray, d: Over) -> float:
-    """d.desc over the couple d.couple, for the f* sampled as f."""
-    if grid.truncated("high") and contains(d, AppMember):
+def _over(K: KProfile, d: Over) -> float:
+    """d.desc over the couple d.couple, for the one f* K carries."""
+    if K.grid.truncated("high") and contains(d, AppMember):
         raise ValueError("concrete spaces live on (0,1): use a unit grid")
     try:
-        orc = TruncationOracle(GridFunction(grid, f), *d.couple,
-                               max_cuts=_cut_cap(grid))
+        orc = TruncationOracle(K, *d.couple, max_cuts=_cut_cap(K.grid))
     except ValueError:      # f lies outside Y0 + Y1
         return math.inf
     return float(_norms(orc.profile(), d.desc))
@@ -204,6 +206,10 @@ def _over(grid: Grid, f: np.ndarray, d: Over) -> float:
 
 class TruncationOracle:
     """K(t, f; Y0, Y1) from truncation decompositions of f*.
+
+    K is the profile K(., f; X0, X1) with its f*, kept as kprofile; the
+    cuts are built from the K that k_peetre formed, or from k_peetre of
+    K.fstar if K is another profile.
 
     A and B hold (|| f ||_{Y0}, 0) and (0, || f ||_{Y1}) when finite,
     then (|| g_c ||_{Y0}, || h_c ||_{Y1}) for the normed cuts with both
@@ -217,24 +223,21 @@ class TruncationOracle:
     finite is dropped when A_i + t B_k, below every cut inside, is not
     below the lower envelope of the finite pairs so far at any of its
     vertices, so k_at, k_at_log, profile and trivial_gap keep the bits
-    of all the cuts.  Couples with app or over members norm every cut;
-    they are also the only ones that read the pieces g_c and h_c as
-    functions, so only for them are those (rows x n) arrays built.
+    of all the cuts.  Couples with app or over members norm every cut.
 
-    kprofile is K(., f; X0, X1), the profile the trivial splittings are
-    normed from: bit for bit what k_peetre(fstar) gives.
+    Each member gets one norm_in_space call per block, on the pieces it
+    reads (_reads): log K(g_c) or log K(h_c), (f* - c)_+ or min(f*, c).
+    The trivial splittings ride in row 0 of the first block (log K or f*
+    itself), which so holds one row more than _BLOCK_ELEMS // n; an
+    oracle with no cut norms them on their own.
     """
 
-    def __init__(self, fstar: GridFunction, Y0: SpaceDescriptor,
+    def __init__(self, K: KProfile, Y0: SpaceDescriptor,
                  Y1: SpaceDescriptor, max_cuts: int | None = None):
-        grid = fstar.grid
-        f = fstar.values
-        S = _k_linear(fstar)
-        t = grid.t
-        with np.errstate(divide="ignore"):
-            logS = np.log(S)
-        self.grid = grid
-        self.fstar = f
+        if K._k is None:
+            K = k_peetre(GridFunction(K.grid, K.fstar))
+        grid, f, S, logS = K.grid, K.fstar, K._k, K.logk
+        self.grid, self.fstar, self.kprofile = grid, f, K
 
         cuts = _distinct(f[f > 0])[::-1]
         if max_cuts is not None and len(cuts) > max_cuts:
@@ -247,39 +250,51 @@ class TruncationOracle:
         j = np.searchsorted(-f, -cuts, side="left")
         cuts, j = cuts[j > 0], j[j > 0]
         # rows 0 and 1: the trivial decompositions f + 0 and 0 + f
-        self.kprofile = kp = KProfile(grid, logS, f)
-        A = np.r_[norm_in_space(kp, Y0), 0.0, np.zeros(len(cuts))]
-        B = np.r_[0.0, norm_in_space(kp, Y1), np.zeros(len(cuts))]
+        A, B = np.zeros(len(cuts) + 2), np.zeros(len(cuts) + 2)
+        if not len(cuts):
+            A[0], B[1] = norm_in_space(K, Y0), norm_in_space(K, Y1)
         normed = np.arange(len(A)) < 2
         rows = max(2, _BLOCK_ELEMS // grid.n)
         todo = 2 + _distinct(np.linspace(0, len(cuts) - 1,
                                          min(rows, len(cuts))).astype(int))
-        # app and over members are the only ones that read the f* rows;
-        # their norms as sampled need not be monotone along the cuts
-        concrete = any(contains(y, (AppMember, Over)) for y in (Y0, Y1))
-        if concrete:
+        (k0, f0), (k1, f1) = _reads(Y0), _reads(Y1)
+        # app and over members read f*: their norms as sampled need not
+        # be monotone along the cuts
+        if f0 or f1:
             todo = np.arange(2, len(A))
+        top = 1     # the first block norms the trivial splittings in row 0
         while len(todo):
             for s in range(0, len(todo), rows):
                 r = todo[s:s + rows]
                 c = cuts[r - 2, None]
-                # K(., g_c) is S - c t up to node j - 1, constant after
-                kg = np.multiply(c, t)
-                np.subtract(S, kg, out=kg)
-                for row, jr in zip(kg, j[r - 2].tolist()):
-                    row[jr:] = row[jr - 1]
-                np.clip(kg, 0.0, None, out=kg)
-                kg = repair_k(grid, kg)
-                kh = np.subtract(S, kg)
-                np.clip(kh, 0.0, None, out=kh)
-                fg = fh = None
-                if concrete:
-                    fg, fh = np.maximum(f - c, 0.0), np.minimum(f, c)
-                with np.errstate(divide="ignore"):
-                    np.log(kg, out=kg)
-                    np.log(kh, out=kh)
-                A[r] = norm_in_space(KProfile(grid, kg, fg), Y0)
-                B[r] = norm_in_space(KProfile(grid, kh, fh), Y1)
+                lg = lh = fg = fh = None
+                if k0 or k1:
+                    # K(., g_c) is S - c t up to node j - 1, constant after
+                    kg = np.multiply(c, grid.t)
+                    np.subtract(S, kg, out=kg)
+                    for row, jr in zip(kg, j[r - 2].tolist()):
+                        row[jr:] = row[jr - 1]
+                    np.clip(kg, 0.0, None, out=kg)
+                    kg = repair_k(grid, kg)
+                    if k1:
+                        kh = np.subtract(S, kg)
+                        np.clip(kh, 0.0, None, out=kh)
+                        lh = _log_block(kh, top, logS)
+                    if k0:
+                        lg = _log_block(kg, top, logS)
+                if f0:
+                    fg = _block(len(r), top, f)
+                    np.subtract(f, c, out=fg[top:])
+                    np.maximum(fg[top:], 0.0, out=fg[top:])
+                if f1:
+                    fh = _block(len(r), top, f)
+                    np.minimum(f, c, out=fh[top:])
+                a = norm_in_space(KProfile(grid, lg, fg), Y0)
+                b = norm_in_space(KProfile(grid, lh, fh), Y1)
+                if top:
+                    A[0], B[1], top = a[0], b[0], 0
+                    a, b = a[1:], b[1:]
+                A[r], B[r] = a, b
                 normed[r] = True
             todo = _next_cuts(A, B, normed)
         ok = normed & np.isfinite(A) & np.isfinite(B)
@@ -312,6 +327,21 @@ class TruncationOracle:
         triv = np.min(self.A[t] + tvals[:, None] * self.B[t], axis=1,
                       initial=math.inf)
         return triv / self.k_at(tvals)
+
+
+def _block(m: int, top: int, first: np.ndarray) -> np.ndarray:
+    """An empty block of top + m rows, its row 0 set to first if top."""
+    out = np.empty((top + m, len(first)))
+    out[:top] = first
+    return out
+
+
+def _log_block(k: np.ndarray, top: int, first: np.ndarray) -> np.ndarray:
+    """log k, in place, or below the row first in a new block if top."""
+    out = _block(len(k), top, first) if top else k
+    with np.errstate(divide="ignore"):
+        np.log(k, out=out[top:])
+    return out
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:

@@ -247,47 +247,3 @@ def sv_log_on_grid(expr: SvExpr, grid: Grid) -> np.ndarray:
         out.setflags(write=False)
         _GRID_EVALS[key] = out
     return out
-
-
-def sv_eval(expr: SvExpr, t, grid: Grid | None = None):
-    """b(t) in the linear domain, for t inside float range."""
-    t = np.asarray(t, dtype=float)
-    with np.errstate(over="ignore"):
-        return np.exp(sv_log_eval(expr, np.log(t), grid))
-
-
-# ---------------------------------------------------------------------
-# verification of the slowly-varying contract
-# ---------------------------------------------------------------------
-
-@dataclass
-class SvCheckReport:
-    eps: float
-    c_up: float      # t^eps b(t) is within factor c_up of nondecreasing
-    c_down: float    # t^-eps b(t) within factor c_down of nonincreasing
-    passed: bool
-
-
-def sv_verify(expr: SvExpr, eps: float = 0.25, grid: Grid | None = None,
-              tol: float = 50.0) -> SvCheckReport:
-    """Check b is slowly varying: t^eps b quasi-increasing, t^-eps b
-    quasi-decreasing, with quasi-monotonicity constants below tol.
-
-    The constants depend on eps and on the weight (for l^alpha the dip
-    behaves like (alpha/eps)^alpha), so the default tolerance is loose;
-    what matters is that they are finite and stable.  Constants are
-    measured on the grid interior (5% of nodes dropped at each end,
-    where truncation artifacts of embedded tail norms live).
-    """
-    if grid is None:
-        grid = Grid.from_bounds(1e-8, 1e8, 4097)
-    lb = sv_log_on_grid(expr, grid)
-    sl = grid.interior()
-    x = grid.x[sl]
-    w_up = eps * x + lb[sl]
-    w_dn = -eps * x + lb[sl]
-    # how far w_up dips below its running max (quasi-increase defect)
-    c_up = float(np.exp(np.max(np.maximum.accumulate(w_up) - w_up)))
-    c_dn = float(np.exp(np.max(w_dn - np.minimum.accumulate(w_dn))))
-    return SvCheckReport(eps, c_up, c_dn, passed=(c_up <= tol and c_dn <= tol))
-

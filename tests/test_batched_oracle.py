@@ -20,12 +20,12 @@ from interpolab.grid import (GridFunction, Grid, RiSpace, L1, L2, LINF,
 from interpolab.sv import EllPow, ONE, NormTail
 from interpolab.spaces import (EndpointX0, EndpointX1, ThetaSpace, LSpace,
                                RSpace, LLSpace, RRSpace, Intersection,
-                               AppMember, FULL, UNIT)
+                               AppMember, Over, FULL, UNIT, contains)
 from interpolab.kfun import (KProfile, k_peetre, norm_in_space,
-                             TruncationOracle, repair_k, _distinct)
+                             TruncationOracle, repair_k, _distinct, _cut_cap)
 from interpolab.applications import (GrandLp, SmallLp, UltraLp, LinfQBeta,
                                      GGamma, AType, BType, norm_app,
-                                     get_scenario)
+                                     get_scenario, scenario_names)
 from interpolab.holmstedt import DEFAULT_CASES
 
 
@@ -277,6 +277,41 @@ def test_strip_design_is_memoized_and_read_only():
     assert ub is None and sbb is None
 
 
+@pytest.mark.parametrize("name", EDGE_GRIDS)
+def test_both_ends_in_one_edge_call_is_the_or_of_the_two(name):
+    # unit1024 and unit-short end at t = 1: their high end is never
+    # tested, so "both" is the low end alone there
+    grid = EDGE_GRIDS[name]
+    stack = _strip_rows(grid.x, np.random.default_rng(20261020))
+    finite = stack[np.isfinite(stack).all(axis=1)]  # the skip path
+    cube = stack[:len(stack) // 2 * 2].reshape(2, -1, grid.n)
+    k = max(2, int(math.ceil(math.log(2.0) / grid.dx)))
+    for q in (1.0, 2.0, 3.5, math.inf):
+        for lw in (stack, finite, cube, stack[0], stack[-1],
+                   stack[:, :k + 1], stack[:, :k + 2]):
+            want = edge_diverges(lw, q, grid, "low") | \
+                edge_diverges(lw, q, grid, "high")
+            got = edge_diverges(lw, q, grid, "both")
+            assert np.shape(got) == np.shape(want)
+            assert np.asarray(got).dtype == bool
+            assert np.array_equal(got, want), q
+            ref = edge_diverges_ref(lw, q, grid, "low") | \
+                edge_diverges_ref(lw, q, grid, "high")
+            assert np.array_equal(got, ref), q
+            if not grid.truncated("high"):
+                assert np.array_equal(got, edge_diverges(lw, q, grid, "low"))
+        for row, w in zip(stack, edge_diverges(stack, q, grid, "both")):
+            assert edge_diverges(row, q, grid, "both") == w
+        # checked_norm over every node: one call tests both ends
+        div = edge_diverges_ref(stack, q, grid, "low") | \
+            edge_diverges_ref(stack, q, grid, "high")
+        with np.errstate(invalid="ignore"):
+            want = np.where(div, math.inf, _final(
+                log_norm_between(stack, q, grid.dx, 0, grid.n - 1)))
+            got = checked_norm(stack, q, grid)
+        assert np.array_equal(bits(got), bits(want)), q
+
+
 # -- (b) stacked norms ---------------------------------------------------
 
 def _stack(grid, specs):
@@ -427,9 +462,9 @@ def same_as_per_cut(fstar, Y0, Y1, max_cuts):
         A, B = per_cut_oracle(fstar, Y0, Y1, max_cuts)
     except ValueError as e:
         with pytest.raises(ValueError, match=str(e).replace("+", r"\+")):
-            TruncationOracle(fstar, Y0, Y1, max_cuts=max_cuts)
+            TruncationOracle(k_peetre(fstar), Y0, Y1, max_cuts=max_cuts)
         return 0
-    orc = TruncationOracle(fstar, Y0, Y1, max_cuts=max_cuts)
+    orc = TruncationOracle(k_peetre(fstar), Y0, Y1, max_cuts=max_cuts)
     triv = int(np.sum((A == 0.0) | (B == 0.0)))
     assert np.array_equal(bits(orc.A[:triv]), bits(A[:triv]))
     assert np.array_equal(bits(orc.B[:triv]), bits(B[:triv]))
@@ -462,6 +497,30 @@ def test_oracle_matches_per_cut_loop_on_app_members():
     assert same_as_per_cut(f, *sc.lhs.couple, 192) > 2
 
 
+def _identity_couples():
+    """The first scenario of each (couple, corpus) of the identities
+    whose lhs is an Over: every couple has an app member."""
+    first = {}
+    for name in scenario_names():
+        sc = get_scenario(name)
+        if isinstance(sc.lhs, Over):
+            assert any(contains(y, AppMember) for y in sc.lhs.couple)
+            first.setdefault((sc.lhs.couple, sc.corpus), name)
+    return sorted(first.values())
+
+
+@pytest.mark.parametrize("name", _identity_couples())
+def test_oracle_matches_per_cut_loop_on_identity_couples(name):
+    sc = get_scenario(name)
+    built = []
+    for log2n in (9, 10):
+        g = Grid.from_bounds(None, None, 1 << log2n, sc.lhs.setting)
+        built += [same_as_per_cut(corpus.sample(spec, g), *sc.lhs.couple,
+                                  _cut_cap(g)) for spec in sc.corpus]
+    # chi corpora have one cut: their pairs may be the trivial ones
+    assert max(built) >= 2
+
+
 def test_oracle_blocks_span_large_grids():
     # at n = 2^14 a block holds 4 cut rows: many blocks, same answer
     g = full_grid(1 << 14)
@@ -486,7 +545,7 @@ def test_oracle_norms_only_cuts_that_can_attain_k(monkeypatch):
         return norm_in_space(K, d)
 
     monkeypatch.setattr("interpolab.kfun.norm_in_space", counting)
-    orc = TruncationOracle(f, y0, y1, max_cuts=128)
+    orc = TruncationOracle(k_peetre(f), y0, y1, max_cuts=128)
     assert 0 < len(orc.A) - 2 <= sum(normed) <= 32
     monkeypatch.undo()
     assert same_as_per_cut(f, y0, y1, 128) > 100
@@ -501,7 +560,7 @@ def test_oracle_matches_per_cut_loop_past_dropped_top_cuts():
     n_values = len(np.unique(f.values[f.values > 0]))
     kept = same_as_per_cut(f, EndpointX0(), EndpointX1(), None)
     assert kept == 1 + (n_values - 1) - 8
-    orc = TruncationOracle(f, EndpointX0(), EndpointX1())
+    orc = TruncationOracle(k_peetre(f), EndpointX0(), EndpointX1())
     assert len(orc.A) == kept
 
 
@@ -530,7 +589,108 @@ def test_oracle_matches_per_cut_loop_on_many_steps(kind):
     assert same_as_per_cut(f, c.y0, c.y1, 128) > 100
 
 
-# -- (d) cut cap and errors ----------------------------------------------
+# -- (d) each piece once -------------------------------------------------
+
+def _spy_norms(monkeypatch):
+    """The oracle's norm_in_space calls, as (descriptor, profile)."""
+    calls = []
+
+    def spy(K, d):
+        calls.append((d, K))
+        return norm_in_space(K, d)
+
+    monkeypatch.setattr("interpolab.kfun.norm_in_space", spy)
+    return calls
+
+
+def test_over_row_integrates_its_fstar_once_per_grid(monkeypatch):
+    # the row's k_peetre profile hands its K to the Over's oracle: no
+    # second lebesgue_prefix on the same f*
+    from interpolab import applications, kfun
+    calls = []
+
+    def counting(values, grid):
+        calls.append((grid.n, np.array(values)))
+        return lebesgue_prefix(values, grid)
+
+    monkeypatch.setattr(kfun, "lebesgue_prefix", counting)
+    monkeypatch.setattr(applications, "lebesgue_prefix", counting)
+    name, spec = "grand-vs-ultra-theta0", "pow:4"
+    sc = get_scenario(name)
+    assert isinstance(sc.lhs, Over)
+    rep = applications.verify_identity(name, log2n=(9, 10), corpus=(spec,))
+    assert rep.n_rows == 2
+    for n in (512, 1024):
+        f = corpus.sample(spec, unit_grid(n)).values
+        on_f = [v for m, v in calls if m == n and np.array_equal(v, f)]
+        assert len(on_f) == 1, n
+
+
+def test_oracle_over_two_app_members_takes_no_log_k(monkeypatch):
+    sc = get_scenario("small-grand-interior")
+    assert all(isinstance(y, AppMember) for y in sc.lhs.couple)
+    repairs = []
+
+    def counting(grid, k):
+        repairs.append(np.ndim(k))
+        return repair_k(grid, k)
+
+    monkeypatch.setattr("interpolab.kfun.repair_k", counting)
+    calls = _spy_norms(monkeypatch)
+    g = unit_grid(512)
+    TruncationOracle(k_peetre(corpus.sample("pow:4", g)), *sc.lhs.couple,
+                     max_cuts=192)
+    assert calls and repairs.count(2) == 0
+    for _, K in calls:
+        assert K.logk is None and np.ndim(K.fstar) == 2
+
+
+def test_mixed_couple_builds_each_member_only_its_pieces(monkeypatch):
+    # llogl-grand: Y0 = (theta = 0, L1) is normed from K, Y1 = grand(4, 1)
+    # from f*
+    y0, y1 = get_scenario("llogl-grand").lhs.couple
+    assert isinstance(y1, AppMember) and not isinstance(y0, AppMember)
+    calls = _spy_norms(monkeypatch)
+    g = unit_grid(512)
+    f = corpus.sample("pow:4", g)
+    TruncationOracle(k_peetre(f), y0, y1, max_cuts=192)
+    assert {d for d, _ in calls} == {y0, y1}
+    for d, K in calls:
+        if d is y0:
+            assert K.fstar is None and np.ndim(K.logk) == 2
+        else:
+            assert K.logk is None and np.ndim(K.fstar) == 2
+
+
+@pytest.mark.parametrize("couple,spec,n", [
+    ("R_interior", "pow:2", 1 << 12),       # rounds of pruned cuts
+    ("L_interior", "powlog:2,1", 512),
+    ("small-grand-interior", "pow:4", 512),   # every cut, two blocks
+    ("llogl-grand", "log:1", 1024),
+], ids=lambda v: str(v))
+def test_oracle_norms_each_member_once_per_block(monkeypatch, couple, spec,
+                                                 n):
+    if couple in DEFAULT_CASES:
+        y0, y1 = DEFAULT_CASES[couple].y0, DEFAULT_CASES[couple].y1
+        g = full_grid(n)
+    else:
+        y0, y1 = get_scenario(couple).lhs.couple
+        g = unit_grid(n)
+    calls = _spy_norms(monkeypatch)
+    f = corpus.sample(spec, g)
+    orc = TruncationOracle(k_peetre(f), y0, y1, max_cuts=_cut_cap(g))
+    rows = max(2, (1 << 16) // n)
+    assert [d for d, _ in calls] == [y0, y1] * (len(calls) // 2)
+    sizes = [len(K.logk if K.logk is not None else K.fstar)
+             for _, K in calls]
+    assert sizes[0::2] == sizes[1::2]           # one call per member
+    # the first block carries the trivial splittings in one more row
+    assert 2 <= sizes[0] <= rows + 1
+    assert all(1 <= m <= rows for m in sizes[2::2])
+    assert len(orc.A) <= sum(sizes[0::2]) + 1
+
+
+# -- (e) cut cap and errors ----------------------------------------------
 
 @pytest.mark.parametrize("a", [
     np.array([3.0, -1.5, 3.0, 0.0, -0.0, 2.5, 1e-300, np.inf, -np.inf, 3.0]),
@@ -561,8 +721,9 @@ def test_oracle_errors():
     g = full_grid(512)
     f = GridFunction(g, np.exp(-1.5 * g.x))   # t^-3/2: not in L1 + Linf
     with pytest.raises(ValueError, match="not locally integrable"):
-        TruncationOracle(f, EndpointX0(), EndpointX1())
+        TruncationOracle(k_peetre(f), EndpointX0(), EndpointX1())
     # the theta = 0 L~1 norm of any nonzero K diverges at infinity
     y = ThetaSpace(0.0, ONE, RiSpace(1.0), FULL)
     with pytest.raises(ValueError, match="no finite decomposition"):
-        TruncationOracle(corpus.sample("pow:2", g), y, y, max_cuts=16)
+        TruncationOracle(k_peetre(corpus.sample("pow:2", g)), y, y,
+                         max_cuts=16)

@@ -576,10 +576,14 @@ def test_over_of_app_members_on_a_short_grid_is_an_error():
      "--window-max", "nan"],
     ["identity", "--name", "small-ultra", "--corpus", "chi:0.1",
      "--stability-max", "nan"],
+    ["holmstedt", "--case", "R_x0", "--corpus", "chi:0.5",
+     "--window-max", "0.5"],
+    ["identity", "--name", "small-as-L", "--corpus", "chi:1",
+     "--stability-max", "-1"],
 ], ids=["theta2", "theta-nan", "bogus", "pow0", "chi-neg", "csv-missing",
         "corpus-file-missing", "pow-nan", "log-inf", "csv-nan",
         "corpus-empty", "out-is-a-file", "window-max-nan",
-        "stability-max-nan"])
+        "stability-max-nan", "window-max-below-1", "stability-max-negative"])
 def test_verify_bad_input_exits_1_before_sweeping(tmp_path, capsys,
                                                   monkeypatch, argv):
     def no_sweep(*args, **kwargs):

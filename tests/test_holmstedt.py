@@ -178,7 +178,8 @@ def _verify_rows_ref(case, specs, k):
     for spec in specs:
         fstar = corpus.sample(spec, grid)
         try:
-            orc = TruncationOracle(fstar, y0, y1, max_cuts=_cut_cap(grid))
+            orc = TruncationOracle(k_peetre(fstar), y0, y1,
+                                   max_cuts=_cut_cap(grid))
         except ValueError as e:
             excluded.append((spec, str(e)))
             continue
@@ -214,7 +215,7 @@ def test_oracle_carries_the_k_peetre_profile():
     y0, y1 = c.y0, c.y1
     for spec in corpus.STANDARD:
         fstar = corpus.sample(spec, g)
-        orc = TruncationOracle(fstar, y0, y1, max_cuts=_cut_cap(g))
+        orc = TruncationOracle(k_peetre(fstar), y0, y1, max_cuts=_cut_cap(g))
         want = k_peetre(fstar)
         assert orc.kprofile.logk.tobytes() == want.logk.tobytes()
         assert orc.kprofile.fstar.tobytes() == want.fstar.tobytes()

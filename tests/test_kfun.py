@@ -11,12 +11,12 @@ from interpolab.grid import (GridFunction, L2, LINF, full_grid, unit_grid,
 from interpolab.sv import EllPow, ONE
 from interpolab.spaces import (EndpointX0, EndpointX1, ThetaSpace, RSpace,
                                Intersection, Over, FULL, UNIT, CO_UNIT)
-from interpolab.kfun import (KProfile, k_peetre, kprofile_reverse,
-                             norm_in_space, TruncationOracle)
+from interpolab.kfun import (KProfile, k_peetre, norm_in_space,
+                             TruncationOracle)
 from interpolab.holmstedt import DEFAULT_CASES
 from interpolab import corpus, kfun
 
-from util import rel_err
+from util import rel_err, kprofile_reverse
 
 
 def test_peetre_exact_sqrt():
@@ -77,7 +77,8 @@ def test_oracle_tightness_endpoint_couple():
     for spec in ("chi:0.1", "pow:2", "powlog:4,-1", "log:2"):
         f = corpus.sample(spec, g)
         K = np.exp(k_peetre(f).logk)
-        est = TruncationOracle(f, EndpointX0(), EndpointX1()).k_at(g.t)
+        est = TruncationOracle(k_peetre(f), EndpointX0(),
+                               EndpointX1()).k_at(g.t)
         ratio = est[sl] / K[sl]
         assert np.min(ratio) > 1.0 - 1e-9, spec
         assert np.max(ratio) <= 1.05, spec
@@ -119,7 +120,8 @@ def test_intersection_norm_is_max():
 def test_oracle_profile_upper_bounds_k():
     g = full_grid(512)
     f = corpus.sample("pow:4", g)
-    orc = TruncationOracle(f, EndpointX0(), EndpointX1(), max_cuts=64)
+    orc = TruncationOracle(k_peetre(f), EndpointX0(), EndpointX1(),
+                           max_cuts=64)
     K = np.exp(k_peetre(f).logk)
     est = orc.k_at(g.t)
     assert np.all(est >= K * (1.0 - 1e-9))
@@ -128,7 +130,8 @@ def test_oracle_profile_upper_bounds_k():
 def test_oracle_k_at_log_matches_k_at():
     g = full_grid(512)
     f = corpus.sample("powlog:2,1", g)
-    orc = TruncationOracle(f, EndpointX0(), EndpointX1(), max_cuts=64)
+    orc = TruncationOracle(k_peetre(f), EndpointX0(), EndpointX1(),
+                           max_cuts=64)
     xs = g.x[100:400:50]
     assert np.allclose(np.exp(orc.k_at_log(xs)), orc.k_at(np.exp(xs)),
                        rtol=1e-10)
@@ -138,7 +141,7 @@ def test_oracle_rejects_nonintegrable():
     g = full_grid(512)
     f = GridFunction(g, np.exp(-1.5 * g.x))   # f* = t^-3/2 not in L1 + Linf?
     with pytest.raises(ValueError):
-        TruncationOracle(f, EndpointX0(), EndpointX1())
+        TruncationOracle(k_peetre(f), EndpointX0(), EndpointX1())
 
 
 def test_oracle_trivial_gap():
@@ -147,7 +150,8 @@ def test_oracle_trivial_gap():
     g = full_grid(512)
     f = corpus.sample("pow:2", g)
     y1 = RSpace(0.5, ONE, LINF, ONE, L2, FULL)
-    orc = TruncationOracle(f, ThetaSpace(0.25, ONE, L2), y1, max_cuts=64)
+    orc = TruncationOracle(k_peetre(f), ThetaSpace(0.25, ONE, L2), y1,
+                           max_cuts=64)
     gap = orc.trivial_gap(g.t[g.interior()])
     assert np.max(gap) > 1.0
 
@@ -219,7 +223,8 @@ def test_endpoint_norms_of_the_oracle_cuts_are_the_sups_of_k(
     g = full_grid(512)
     c = DEFAULT_CASES[case]
     for spec in ("chi:0.1", "pow:4", "powlog:4,-1", "log:2"):
-        TruncationOracle(corpus.sample(spec, g), c.y0, c.y1, max_cuts=64)
+        TruncationOracle(k_peetre(corpus.sample(spec, g)), c.y0, c.y1,
+                         max_cuts=64)
     assert any(np.ndim(out) == 1 for _, _, out in seen)
     for K, d, out in seen:
         assert _same_bits(out, _endpoint_ref(K, d)), d

@@ -18,10 +18,12 @@ from interpolab.spaces import (EndpointX0, EndpointX1, ThetaSpace, LSpace,
                                FULL, UNIT, CO_UNIT, SpaceDescriptor,
                                couple_reverse, check_admissible)
 from interpolab.wire import to_json
-from interpolab.kfun import k_peetre, norm_in_space, kprofile_reverse
+from interpolab.kfun import k_peetre, norm_in_space
 from interpolab import corpus
 from interpolab.holmstedt import DEFAULT_CASES
 from interpolab.applications import GrandLp
+
+from util import kprofile_reverse
 
 
 # -- admissibility -----------------------------------------------------

@@ -12,10 +12,10 @@ from interpolab.grid import (Grid, L1, L2, LINF, UNIT, CO_UNIT, full_grid,
 from interpolab.sv import (SvExpr, Const, EllPow, BrokenEll, IteratedEll,
                            ExpLogPow, Product, Power, InverseArg, NormTail,
                            ComposeWithRho, ONE, SvDivergenceError,
-                           inverse_arg, sv_eval, sv_log_on_grid, sv_verify)
+                           inverse_arg, sv_log_on_grid)
 from interpolab.wire import to_json
 
-from util import rel_err, interior_ratio_window
+from util import rel_err, interior_ratio_window, sv_eval, sv_verify
 
 
 def test_ellpow_values():

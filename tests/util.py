@@ -1,8 +1,14 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite, and the functions only tests call:
+the reversed Peetre profile and the slow-variation check."""
 
+from dataclasses import dataclass
 import math
 
 import numpy as np
+
+from interpolab.grid import Grid
+from interpolab.kfun import KProfile
+from interpolab.sv import sv_log_eval, sv_log_on_grid
 
 
 def window(ratios):
@@ -27,3 +33,47 @@ def interior_ratio_window(lhs, rhs, grid, frac=0.05):
         return math.inf
     r = a[m] / b[m]
     return float(r.max() / r.min())
+
+
+def kprofile_reverse(K):
+    """K(t; X1, X0) = t K(1/t; X0, X1), on the reflected grid."""
+    g = K.grid.reflected()
+    return KProfile(g, g.x + K.logk[..., ::-1], None)
+
+
+def sv_eval(expr, t, grid=None):
+    """b(t) in the linear domain, for t inside float range."""
+    t = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore"):
+        return np.exp(sv_log_eval(expr, np.log(t), grid))
+
+
+@dataclass
+class SvCheckReport:
+    eps: float
+    c_up: float      # t^eps b(t) is within factor c_up of nondecreasing
+    c_down: float    # t^-eps b(t) within factor c_down of nonincreasing
+    passed: bool
+
+
+def sv_verify(expr, eps=0.25, grid=None, tol=50.0) -> SvCheckReport:
+    """Check b is slowly varying: t^eps b quasi-increasing, t^-eps b
+    quasi-decreasing, with quasi-monotonicity constants below tol.
+
+    The constants depend on eps and on the weight (for l^alpha the dip
+    behaves like (alpha/eps)^alpha), so the default tolerance is loose;
+    what matters is that they are finite and stable.  Constants are
+    measured on the grid interior (5% of nodes dropped at each end,
+    where truncation artifacts of embedded tail norms live).
+    """
+    if grid is None:
+        grid = Grid.from_bounds(1e-8, 1e8, 4097)
+    lb = sv_log_on_grid(expr, grid)
+    sl = grid.interior()
+    x = grid.x[sl]
+    w_up = eps * x + lb[sl]
+    w_dn = -eps * x + lb[sl]
+    # how far w_up dips below its running max (quasi-increase defect)
+    c_up = float(np.exp(np.max(np.maximum.accumulate(w_up) - w_up)))
+    c_dn = float(np.exp(np.max(w_dn - np.minimum.accumulate(w_dn))))
+    return SvCheckReport(eps, c_up, c_dn, passed=(c_up <= tol and c_dn <= tol))
