@@ -5,15 +5,15 @@ Lorentz-Zygmund L_{inf,q,beta}, generalized Gamma with double weight,
 and the A / B-type spaces built on f**.  Each has a direct norm recipe
 (norm_app) computed straight from f*, and each coincides with an
 interpolation-space descriptor over the couple (L1, Linf) on (0, 1),
-which its *_descriptor function builds.
+which its descriptor() method builds.
 
 verify_identity checks those coincidences and the interpolation
 formulas between the concrete spaces numerically: for every corpus
 prototype it evaluates the two norm recipes and reports the spread of
 their ratios.  13 of the 21 scenarios are reiterations: their lhs is
-the outer space over a couple of descriptors that a theorem reduces
-(_reiterations), with the concrete spaces in place of their
-descriptors.
+an outer space over a couple of concrete spaces, and
+Scenario.reiteration is that lhs over their descriptors, which a
+theorem reduces (_reiterations collects them).
 """
 
 from __future__ import annotations
@@ -63,6 +63,10 @@ class GrandLp(AppSpace, kind="grand"):
             if not ok:
                 raise ValueError(f"{self._kind} space needs {need}")
 
+    def descriptor(self) -> SpaceDescriptor:
+        return RSpace(1.0 - 1.0 / self.p, EllPow(-self.alpha / self.p), LINF,
+                      ONE, RiSpace(self.p), UNIT)
+
 
 @dataclass(frozen=True)
 class SmallLp(AppSpace, kind="small"):
@@ -71,6 +75,10 @@ class SmallLp(AppSpace, kind="small"):
     alpha: float
 
     validate = GrandLp.validate
+
+    def descriptor(self) -> SpaceDescriptor:
+        b = EllPow(self.alpha / _pp(self.p) - 1.0)
+        return LSpace(1.0 - 1.0 / self.p, b, L1, ONE, RiSpace(self.p), UNIT)
 
 
 @dataclass(frozen=True)
@@ -83,6 +91,9 @@ class UltraLp(AppSpace, kind="ultra"):
     def validate(self):
         if not self.p >= 1:
             raise ValueError("ultrasymmetric space needs p >= 1")
+
+    def descriptor(self) -> SpaceDescriptor:
+        return ThetaSpace(1.0 - 1.0 / self.p, self.b, self.E, UNIT)
 
 
 @dataclass(frozen=True)
@@ -99,6 +110,9 @@ class LinfQBeta(AppSpace, kind="linfq"):
                 raise ValueError("needs beta <= 0 when q = inf")
         elif not self.beta + 1.0 / self.q < 0:
             raise ValueError("needs beta + 1/q < 0")
+
+    def descriptor(self) -> SpaceDescriptor:
+        return ThetaSpace(1.0, EllPow(self.beta), RiSpace(self.q), UNIT)
 
 
 @dataclass(frozen=True)
@@ -122,6 +136,14 @@ class GGamma(AppSpace, kind="ggamma"):
         if math.isinf(self.p):
             raise ValueError("GGamma needs p < inf")
 
+    def descriptor(self) -> SpaceDescriptor:
+        if self.w1pow != -1.0 or self.w2pow != 0.0:
+            raise ValueError("descriptor form needs u*w1 and w2 slowly "
+                             "varying")
+        return LSpace(1.0 - 1.0 / self.p, Power(self.w1sv, 1.0 / self.q),
+                      RiSpace(self.q), Power(self.w2sv, 1.0 / self.p),
+                      RiSpace(self.p), UNIT)
+
 
 @dataclass(frozen=True)
 class AType(AppSpace, kind="atype"):
@@ -144,6 +166,10 @@ class AType(AppSpace, kind="atype"):
         if not ok:
             raise ValueError("l^(alpha-1) not in E~(0,1)")
 
+    def descriptor(self) -> SpaceDescriptor:
+        return RSpace(1.0 - 1.0 / self.p, EllPow(self.alpha - 1.0), self.E,
+                      ONE, L1, UNIT)
+
 
 @dataclass(frozen=True)
 class BType(AppSpace, kind="btype"):
@@ -155,6 +181,10 @@ class BType(AppSpace, kind="btype"):
     def validate(self):
         if not self.p >= 1:
             raise ValueError("B-type space needs p >= 1")
+
+    def descriptor(self) -> SpaceDescriptor:
+        return LSpace(1.0 - 1.0 / self.p, ONE, self.E,
+                      EllPow(self.alpha - 1.0), LINF, UNIT)
 
 
 # ---------------------------------------------------------------------
@@ -242,43 +272,6 @@ def _norm_app(space: AppSpace, grid: Grid, f: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------
-# descriptor characterizations
-# ---------------------------------------------------------------------
-
-def grand_descriptor(p: float, alpha: float) -> SpaceDescriptor:
-    return RSpace(1.0 - 1.0 / p, EllPow(-alpha / p), LINF, ONE,
-                  RiSpace(p), UNIT)
-
-
-def small_descriptor(p: float, alpha: float) -> SpaceDescriptor:
-    return LSpace(1.0 - 1.0 / p, EllPow(alpha / _pp(p) - 1.0), L1, ONE,
-                  RiSpace(p), UNIT)
-
-
-def ultra_descriptor(p: float, b: SvExpr, E: RiSpace) -> SpaceDescriptor:
-    return ThetaSpace(1.0 - 1.0 / p, b, E, UNIT)
-
-
-def linfq_descriptor(q: float, beta: float) -> SpaceDescriptor:
-    return ThetaSpace(1.0, EllPow(beta), RiSpace(q), UNIT)
-
-
-def atype_descriptor(p: float, alpha: float, E: RiSpace) -> SpaceDescriptor:
-    return RSpace(1.0 - 1.0 / p, EllPow(alpha - 1.0), E, ONE, L1, UNIT)
-
-
-def btype_descriptor(p: float, alpha: float, E: RiSpace) -> SpaceDescriptor:
-    return LSpace(1.0 - 1.0 / p, ONE, E, EllPow(alpha - 1.0), LINF, UNIT)
-
-
-def ggamma_descriptor(g: GGamma) -> SpaceDescriptor:
-    if g.w1pow != -1.0 or g.w2pow != 0.0:
-        raise ValueError("descriptor form needs u*w1 and w2 slowly varying")
-    return LSpace(1.0 - 1.0 / g.p, Power(g.w1sv, 1.0 / g.q), RiSpace(g.q),
-                  Power(g.w2sv, 1.0 / g.p), RiSpace(g.p), UNIT)
-
-
-# ---------------------------------------------------------------------
 # identity scenarios
 # ---------------------------------------------------------------------
 
@@ -288,131 +281,105 @@ class Scenario:
 
     An interpolation identity has an lhs over a derived couple,
     Over((Y0, Y1), outer space); a direct characterization compares two
-    norm recipes on the endpoint couple.
+    norm recipes on the endpoint couple.  Where a theorem reduces the
+    lhs, reiteration is that lhs with each concrete member replaced by
+    its descriptor; else it is None.
     """
     name: str
     corpus: tuple
     lhs: SpaceDescriptor
     rhs: SpaceDescriptor
+    reiteration: Over | None = None
 
 
-_GG = GGamma(2.0, 2.0, -1.0, EllPow(-3.0), 0.0, ONE)
-
-
-@functools.cache
 def _reiterations() -> dict:
-    """The reiteration behind each identity scenario the theorems cover.
-
-    grand(4, 1) and A(4, 0, L2) are R-spaces, so (X, grand) is an
-    R_interior, R_theta0_zero or R_x0 couple over (0, 1) for X = L2,
-    LlogL or L1, and (ultra, A) an R_interior one, also at outer
-    theta = 0 (b-as-limit-of-A).  small(2, 1), GGamma and B(2, 0, L2)
-    are L-spaces, so (small, ultra), (GGamma, ultra) and (B, ultra) are
-    L_interior couples, (small, Linf) an L_x1 one and (small,
-    L_inf,2,-1) an L_theta1_one one, L_inf,q,beta being a theta = 1
-    space.  A concrete rhs is the identity being checked, so it stays
-    written out; the tests sweep reiterate(d) against it.  Hand-written
-    remain the four (L, R) couples neither theorem covers, (small,
-    grand) at three outer thetas and (B, A), and the four direct
-    characterizations (*-as-*), which compare one space with its own
-    descriptor and reduce nothing.
-    """
-    g, l2 = grand_descriptor(4.0, 1.0), ThetaSpace(0.5, ONE, L2, UNIT)
-    small = small_descriptor(2.0, 1.0)
-    ultra = ultra_descriptor(4.0, ONE, RiSpace(4.0))
-    at, bt = atype_descriptor(4.0, 0.0, L2), btype_descriptor(2.0, 0.0, L2)
-
-    def over(y0, y1, theta=0.5, b=ONE, E=L2):
-        return Over((y0, y1), ThetaSpace(theta, b, E, UNIT))
-
-    return {"small-dual-limit": over(l2, g, 0.0, EllPow(-0.5), L1),
-            "grand-vs-ultra-interior": over(l2, g),
-            "grand-vs-ultra-theta0": over(l2, g, 0.0, EllPow(-0.5)),
-            "grand-vs-ultra-theta1": over(l2, g, 1.0, EllPow(-1.0), LINF),
-            "llogl-grand": over(ThetaSpace(0.0, ONE, L1, UNIT), g),
-            "l1-grand": over(EndpointX0(UNIT), g),
-            "small-ultra": over(small, ultra),
-            "small-linf": over(small, EndpointX1(UNIT)),
-            "small-linfq": over(small, linfq_descriptor(2.0, -1.0)),
-            "ggamma-ultra": over(ggamma_descriptor(_GG), ultra),
-            "a-type-ultra": over(ultra_descriptor(2.0, ONE, L2), at),
-            "b-type-ultra": over(bt, ultra),
-            "b-as-limit-of-A": over(ultra_descriptor(2.0, EllPow(-1.0), LINF),
-                                    at, 0.0)}
+    """The reiteration of each scenario a theorem covers, by name."""
+    return {name: sc.reiteration for name, sc in _scenarios().items()
+            if sc.reiteration}
 
 
 @functools.cache
 def _scenarios() -> dict:
+    """The identity scenarios by name, in report order.
+
+    13 are reiterations, each declared through reiterated.  grand(4, 1)
+    and A(4, 0, L2) are R-spaces, so (X, grand) is an R_interior,
+    R_theta0_zero or R_x0 couple over (0, 1) for X = L2, LlogL or L1,
+    and (ultra, A) an R_interior one, also at outer theta = 0
+    (b-as-limit-of-A).  small(2, 1), GGamma and B(2, 0, L2) are
+    L-spaces, so (small, ultra), (GGamma, ultra) and (B, ultra) are
+    L_interior couples, (small, Linf) an L_x1 one and (small,
+    L_inf,2,-1) an L_theta1_one one, L_inf,q,beta being a theta = 1
+    space.  Hand-written remain the four (L, R) couples neither theorem
+    covers, (small, grand) at three outer thetas and (B, A), and the
+    four direct characterizations (*-as-*), which compare one space with
+    its own descriptor and reduce nothing.
+    """
     reg = {}
+    smooth = ("chi:1", "chi:0.01", "pow:4", "powlog:4,1", "log:1")
+    chi_log = ("chi:1", "chi:0.1", "chi:0.01", "log:1")
+    chi_pow = ("chi:1", "chi:0.01", "pow:4", "log:1")
+    # bounded prototypes only: the cut family resolves them exactly,
+    # while unbounded ones leave a residual floor below the grid scale
+    chis = ("chi:1", "chi:0.1", "chi:0.01", "chi:0.001")
+    gg = GGamma(2.0, 2.0, -1.0, EllPow(-3.0), 0.0, ONE)
 
     def put(s):
         reg[s.name] = s
 
-    smooth = ("chi:1", "chi:0.01", "pow:4", "powlog:4,1", "log:1")
+    def reiterated(name, couple, rhs=None, corpus=smooth, theta=0.5, b=ONE,
+                   E=L2):
+        # with no concrete rhs, the rhs is the theorem's reduction
+        outer = ThetaSpace(theta, b, E, UNIT)
+        d = Over(tuple(y.space.descriptor() if isinstance(y, AppMember)
+                       else y for y in couple), outer)
+        put(Scenario(name, corpus, Over(couple, outer),
+                     AppMember(rhs) if rhs else reiterate(d), d))
 
     # -- direct characterizations --------------------------------------
-    put(Scenario("ultra-as-theta",
-                 ("chi:0.01", "chi:0.1", "pow:4", "powlog:4,1", "log:1"),
-                 lhs=AppMember(UltraLp(2.0, ONE, RiSpace(2.0))),
-                 rhs=ultra_descriptor(2.0, ONE, RiSpace(2.0))))
-    put(Scenario("grand-as-R", ("chi:1", "chi:0.01", "pow:4",
-                                "powlog:2,-1", "log:1"),
-                 lhs=AppMember(GrandLp(2.0, 1.0)),
-                 rhs=grand_descriptor(2.0, 1.0)))
-    put(Scenario("small-as-L", smooth,
-                 lhs=AppMember(SmallLp(2.0, 1.0)),
-                 rhs=small_descriptor(2.0, 1.0)))
-    put(Scenario("ggamma-as-L", smooth, lhs=AppMember(_GG),
-                 rhs=ggamma_descriptor(_GG)))
+    for name, corpus, s in (
+            ("ultra-as-theta",
+             ("chi:0.01", "chi:0.1", "pow:4", "powlog:4,1", "log:1"),
+             UltraLp(2.0, ONE, RiSpace(2.0))),
+            ("grand-as-R",
+             ("chi:1", "chi:0.01", "pow:4", "powlog:2,-1", "log:1"),
+             GrandLp(2.0, 1.0)),
+            ("small-as-L", smooth, SmallLp(2.0, 1.0)),
+            ("ggamma-as-L", smooth, gg)):
+        put(Scenario(name, corpus, AppMember(s), s.descriptor()))
 
-    # -- (X, grand) family: reiteration cases, see _reiterations -------
+    # -- (X, grand) family: reiteration cases ----------------------------
     p0, p1, alpha, beta = 2.0, 4.0, 1.0, 1.0
-    grand = AppMember(GrandLp(p1, beta))
-    small = AppMember(SmallLp(p0, alpha))
+    grand, small = AppMember(GrandLp(p1, beta)), AppMember(SmallLp(p0, alpha))
     th = 0.5
     p_mid = 1.0 / ((1 - th) / p0 + th / p1)
     pa = 1.0 / (1 - th + th / p1)
-    q1, beta_lz = 2.0, -1.0
-    at = AType(4.0, 0.0, RiSpace(2.0))
-    bt = BType(2.0, 0.0, RiSpace(2.0))
-    apps = {grand_descriptor(p1, beta): grand,
-            small_descriptor(p0, alpha): small,
-            ggamma_descriptor(_GG): AppMember(_GG),
-            linfq_descriptor(q1, beta_lz): AppMember(LinfQBeta(q1, beta_lz)),
-            atype_descriptor(at.p, at.alpha, at.E): AppMember(at),
-            btype_descriptor(bt.p, bt.alpha, bt.E): AppMember(bt)}
-
-    def put_reiterated(name, concrete=None, corpus=smooth):
-        d = _reiterations()[name]
-        put(Scenario(name, corpus,
-                     Over(tuple(apps.get(y, y) for y in d.couple), d.desc),
-                     AppMember(concrete) if concrete else reiterate(d)))
-
-    put_reiterated("small-dual-limit", SmallLp(p0, alpha))
+    l2 = ThetaSpace(0.5, ONE, L2, UNIT)
+    reiterated("small-dual-limit", (l2, grand), SmallLp(p0, alpha),
+               theta=0.0, b=EllPow(-0.5), E=L1)
     # interior: (L_{p0}, grand)_{1/2,1,L2} = ultra(8/3, l^{-1/8}, L2)
-    put_reiterated("grand-vs-ultra-interior",
-                   UltraLp(p_mid, EllPow(-beta * th / p1), RiSpace(2.0)))
-    put_reiterated("grand-vs-ultra-theta0")
-    put_reiterated("grand-vs-ultra-theta1")
+    reiterated("grand-vs-ultra-interior", (l2, grand),
+               UltraLp(p_mid, EllPow(-beta * th / p1), RiSpace(2.0)))
+    reiterated("grand-vs-ultra-theta0", (l2, grand), theta=0.0, b=EllPow(-0.5))
+    reiterated("grand-vs-ultra-theta1", (l2, grand), theta=1.0,
+               b=EllPow(-1.0), E=LINF)
 
     # -- (small, grand) family: an (L, R) couple, derived by hand -------
     r = 2.0
     A = alpha * (1 - th) / _pp(p0) - beta * th / p1
-    put(Scenario("small-grand-interior", ("chi:1", "chi:0.01", "pow:4",
-                                          "log:1"),
+    put(Scenario("small-grand-interior", chi_pow,
                  lhs=Over((small, grand),
                           ThetaSpace(th, ONE, RiSpace(r), UNIT)),
                  rhs=AppMember(UltraLp(p_mid, EllPow(A), RiSpace(r)))))
     # theta = 0: intersection; the second member is an L-space over the
     # derived couple (L_{p0}, grand), evaluated through its own oracle.
-    put(Scenario("small-grand-theta0", ("chi:1", "chi:0.01", "pow:4",
-                                        "log:1"),
+    put(Scenario("small-grand-theta0", chi_pow,
                  lhs=Over((small, grand),
                           ThetaSpace(0.0, ONE, RiSpace(r), UNIT)),
                  rhs=Intersection((
                      LSpace(1.0 - 1.0 / p0, EllPow(alpha / _pp(p0)),
                             RiSpace(r), ONE, RiSpace(p0), UNIT),
-                     Over((ultra_descriptor(p0, ONE, RiSpace(p0)), grand),
+                     Over((UltraLp(p0, ONE, RiSpace(p0)).descriptor(), grand),
                           LSpace(0.0, ONE, RiSpace(r),
                                  EllPow(alpha / _pp(p0) - 1.0), L1,
                                  UNIT))))))
@@ -420,8 +387,7 @@ def _scenarios() -> dict:
     b_t1 = EllPow(-1.0)
     brho_sg = compose_rho(b_t1, 1.0 / p0 - 1.0 / p1,
                           EllPow(alpha / _pp(p0) + beta / p1))
-    put(Scenario("small-grand-theta1", ("chi:1", "chi:0.01", "pow:4",
-                                        "log:1"),
+    put(Scenario("small-grand-theta1", chi_pow,
                  lhs=Over((small, grand), ThetaSpace(1.0, b_t1, LINF, UNIT)),
                  rhs=Intersection((
                      RSpace(1.0 - 1.0 / p1,
@@ -432,49 +398,47 @@ def _scenarios() -> dict:
                              UNIT)))))
 
     # -- (LlogL, grand) and (L1, grand): reiteration cases ---------------
-    put_reiterated("llogl-grand",
-                   UltraLp(pa, EllPow(1 - th - beta * th / p1), RiSpace(2.0)))
-    put_reiterated("l1-grand",
-                   UltraLp(pa, EllPow(-beta * th / p1), RiSpace(2.0)))
+    reiterated("llogl-grand", (ThetaSpace(0.0, ONE, L1, UNIT), grand),
+               UltraLp(pa, EllPow(1 - th - beta * th / p1), RiSpace(2.0)))
+    reiterated("l1-grand", (EndpointX0(UNIT), grand),
+               UltraLp(pa, EllPow(-beta * th / p1), RiSpace(2.0)))
 
-    # -- (small, *) family: ultra, linfq and linf via _reiterations ------
-    put_reiterated("small-ultra",
-                   UltraLp(p_mid, EllPow(alpha * (1 - th) / _pp(p0)),
-                           RiSpace(2.0)),
-                   ("chi:1", "chi:0.1", "chi:0.01", "log:1"))
-    p_lz = p0 / (1 - th)
-    # bounded prototypes only: the cut family resolves them exactly,
-    # while unbounded ones leave a residual floor below the grid scale
-    chis = ("chi:1", "chi:0.1", "chi:0.01", "chi:0.001")
-    put_reiterated("small-linfq",
-                   UltraLp(p_lz, EllPow((1 - th) * alpha / _pp(p0)
-                                        + th * (beta_lz + 1.0 / q1)),
-                           RiSpace(2.0)), chis)
-    put_reiterated("small-linf",
-                   UltraLp(p_lz, EllPow(alpha * (1 - th) / _pp(p0)),
-                           RiSpace(2.0)), chis)
+    # -- (small, *) family: ultra, linfq and linf ------------------------
+    ultra = UltraLp(4.0, ONE, RiSpace(4.0)).descriptor()
+    reiterated("small-ultra", (small, ultra),
+               UltraLp(p_mid, EllPow(alpha * (1 - th) / _pp(p0)),
+                       RiSpace(2.0)), chi_log)
+    p_lz, q1, beta_lz = p0 / (1 - th), 2.0, -1.0
+    reiterated("small-linfq", (small, AppMember(LinfQBeta(q1, beta_lz))),
+               UltraLp(p_lz, EllPow((1 - th) * alpha / _pp(p0)
+                                    + th * (beta_lz + 1.0 / q1)),
+                       RiSpace(2.0)), chis)
+    reiterated("small-linf", (small, EndpointX1(UNIT)),
+               UltraLp(p_lz, EllPow(alpha * (1 - th) / _pp(p0)),
+                       RiSpace(2.0)), chis)
 
-    # -- generalized Gamma: a reiteration case, see _reiterations --------
+    # -- generalized Gamma: a reiteration case ---------------------------
     tailw1 = NormTail(Power(EllPow(-3.0), 0.5), RiSpace(2.0), "upper")
-    put_reiterated("ggamma-ultra",
-                   UltraLp(p_mid, Power(tailw1, 1 - th), RiSpace(2.0)),
-                   ("chi:1", "chi:0.1", "chi:0.01", "log:1"))
+    reiterated("ggamma-ultra", (AppMember(gg), ultra),
+               UltraLp(p_mid, Power(tailw1, 1 - th), RiSpace(2.0)), chi_log)
 
-    # -- A and B-type: reiteration cases, see _reiterations ---------------
+    # -- A and B-type: reiteration cases ---------------------------------
+    at = AppMember(AType(4.0, 0.0, RiSpace(2.0)))
+    bt = AppMember(BType(2.0, 0.0, RiSpace(2.0)))
     tail_a = NormTail(EllPow(-1.0), RiSpace(2.0), "lower")
-    put_reiterated("a-type-ultra",
-                   UltraLp(p_mid, Power(tail_a, th), RiSpace(2.0)), chis)
+    reiterated("a-type-ultra", (l2, at),
+               UltraLp(p_mid, Power(tail_a, th), RiSpace(2.0)), chis)
     # B_theta = (l^(alpha-1) * phi_E0(l))^{1-theta} b1^theta: with
     # alpha = 0, E0 = L2 this is l^{-1} * l^{1/2} = l^{-1/2}, power 1-theta
-    put_reiterated("b-type-ultra",
-                   UltraLp(p_mid, EllPow(-0.5 * (1 - th)), RiSpace(2.0)),
-                   ("chi:1", "chi:0.1", "chi:0.01", "log:1"))
-    put_reiterated("b-as-limit-of-A", bt,
-                   ("chi:1", "chi:0.1", "chi:0.01", "log:1"))
+    reiterated("b-type-ultra", (bt, ultra),
+               UltraLp(p_mid, EllPow(-0.5 * (1 - th)), RiSpace(2.0)),
+               chi_log)
+    reiterated("b-as-limit-of-A",
+               (UltraLp(2.0, EllPow(-1.0), LINF).descriptor(), at), bt.space,
+               chi_log, theta=0.0)
     # (B, A) is an (L, R) couple, derived by hand
     put(Scenario("ultra-between-AB", chis,
-                 lhs=Over((AppMember(bt), AppMember(at)),
-                          ThetaSpace(th, ONE, RiSpace(2.0), UNIT)),
+                 lhs=Over((bt, at), ThetaSpace(th, ONE, RiSpace(2.0), UNIT)),
                  rhs=AppMember(UltraLp(
                      p_mid, Product(EllPow(-0.5 * (1 - th)),
                                     Power(tail_a, th)), RiSpace(2.0)))))

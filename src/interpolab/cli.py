@@ -92,12 +92,13 @@ def cmd_norm(args) -> int:
     except OSError as e:
         print(f"error: cannot read descriptor: {e}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:   # not UTF-8, or too deep
         print(f"error: malformed JSON in {args.space}: {e}", file=sys.stderr)
         return 1
     try:
         desc = space_from_obj(obj)
-    except (KeyError, ValueError, TypeError, OverflowError) as e:
+    except (KeyError, ValueError, TypeError, OverflowError,
+            RecursionError) as e:
         print(f"error: bad descriptor field: {e}", file=sys.stderr)
         return 1
 

@@ -7,21 +7,18 @@ import pytest
 
 from interpolab.grid import (Grid, GridFunction, L1, L2, LINF, RiSpace,
                              full_grid, unit_grid)
-from interpolab.sv import EllPow, ONE
+from interpolab.sv import EllPow, Power, ONE
 from interpolab.kfun import k_peetre, norm_in_space
 from interpolab.spaces import (EndpointX0, EndpointX1, LSpace, RSpace,
-                               ThetaSpace, AppMember, Over, UNIT, CO_UNIT)
+                               ThetaSpace, AppMember, Over, UNIT, CO_UNIT,
+                               parts)
 from interpolab.holmstedt import HolmstedtCase
 from interpolab.reiteration import reiterate, verify_reiteration, _pair
 from interpolab.report import _sweep
 from interpolab.applications import (AppSpace, GrandLp, SmallLp, UltraLp,
                                      LinfQBeta, GGamma, AType, BType,
                                      norm_app, scenario_names, get_scenario,
-                                     verify_identity, grand_descriptor,
-                                     small_descriptor, ultra_descriptor,
-                                     ggamma_descriptor, linfq_descriptor,
-                                     atype_descriptor, btype_descriptor,
-                                     _reiterations)
+                                     verify_identity, _reiterations)
 from interpolab import corpus
 
 from util import rel_err
@@ -193,8 +190,8 @@ _GG = GGamma(2.0, 2.0, -1.0, EllPow(-3.0), 0.0, ONE)
 
 def test_grand_cases_name_their_couples():
     cases = _reiterations()
-    grand = grand_descriptor(4.0, 1.0)
-    first = {"R_interior": ultra_descriptor(2.0, ONE, L2),
+    grand = GrandLp(4.0, 1.0).descriptor()
+    first = {"R_interior": UltraLp(2.0, ONE, L2).descriptor(),
              "R_theta0_zero": ThetaSpace(0.0, ONE, L1, UNIT),
              "R_x0": EndpointX0(UNIT)}
     kinds = {name: HolmstedtCase(*cases[name].couple).kind
@@ -219,18 +216,18 @@ def test_l_type_cases_name_their_couples():
     # and (B, ultra) are unit-setting L couples; each scenario's lhs
     # norms its concrete members from f*
     cases = _reiterations()
-    small, ultra = small_descriptor(2.0, 1.0), ultra_descriptor(4.0, ONE,
-                                                                RiSpace(4.0))
+    small = SmallLp(2.0, 1.0).descriptor()
+    ultra = UltraLp(4.0, ONE, RiSpace(4.0)).descriptor()
     lq = LinfQBeta(2.0, -1.0)
     sm = AppMember(SmallLp(2.0, 1.0))
     want = {"small-ultra": ((small, ultra), "L_interior", (sm, ultra)),
             "small-linf": ((small, EndpointX1(UNIT)), "L_x1",
                            (sm, EndpointX1(UNIT))),
-            "small-linfq": ((small, linfq_descriptor(2.0, -1.0)),
+            "small-linfq": ((small, LinfQBeta(2.0, -1.0).descriptor()),
                             "L_theta1_one", (sm, AppMember(lq))),
-            "ggamma-ultra": ((ggamma_descriptor(_GG), ultra), "L_interior",
+            "ggamma-ultra": ((_GG.descriptor(), ultra), "L_interior",
                              (AppMember(_GG), ultra)),
-            "b-type-ultra": ((btype_descriptor(2.0, 0.0, L2), ultra),
+            "b-type-ultra": ((BType(2.0, 0.0, L2).descriptor(), ultra),
                              "L_interior", (AppMember(_BT), ultra))}
     assert set(cases) == {*_GRAND, *_A_TYPE, *want}
     assert len(cases) == 13
@@ -248,10 +245,10 @@ def test_a_type_cases_name_their_couples():
     # A(4, 0, L2) is an R-space with theta = 3/4, so (ultra, A) is an
     # R_interior couple; b-as-limit-of-A takes its outer theta = 0
     cases = _reiterations()
-    at = atype_descriptor(4.0, 0.0, L2)
-    want = {"a-type-ultra": (ultra_descriptor(2.0, ONE, L2), 0.5, ONE),
-            "b-as-limit-of-A": (ultra_descriptor(2.0, EllPow(-1.0), LINF),
-                                0.0, ONE)}
+    at = AType(4.0, 0.0, L2).descriptor()
+    y0 = UltraLp(2.0, EllPow(-1.0), LINF).descriptor()
+    want = {"a-type-ultra": (UltraLp(2.0, ONE, L2).descriptor(), 0.5, ONE),
+            "b-as-limit-of-A": (y0, 0.0, ONE)}
     for name, (y0, theta, b) in want.items():
         d = cases[name]
         assert d.couple == (y0, at)
@@ -265,7 +262,7 @@ def test_a_type_cases_name_their_couples():
 def test_b_type_is_the_theta_0_limit_of_a_type():
     # the theorem's theta = 0 branch gives the B-type descriptor itself
     d = reiterate(_reiterations()["b-as-limit-of-A"])
-    assert d == btype_descriptor(2.0, 0.0, L2)
+    assert d == BType(2.0, 0.0, L2).descriptor()
     assert get_scenario("b-as-limit-of-A").rhs == AppMember(_BT)
 
 
@@ -280,13 +277,47 @@ def test_a_and_b_type_recipes_are_their_descriptors(p, alpha, E, log2n):
     K = k_peetre(GridFunction(g, np.stack(
         [corpus.sample(spec, g).values for spec in corpus.STANDARD])))
     fstar = GridFunction(g, K.fstar)
-    for space, desc in ((AType(p, alpha, E), atype_descriptor(p, alpha, E)),
-                        (BType(p, alpha, E), btype_descriptor(p, alpha, E))):
+    for space in (AType(p, alpha, E), BType(p, alpha, E)):
+        desc = space.descriptor()
         got, want = norm_app(space, fstar), norm_in_space(K, desc)
         inf = np.isinf(want)
         assert np.array_equal(np.isinf(got), inf), space
         assert np.all(np.abs(got[~inf] - want[~inf])
                       <= 1e-12 * want[~inf]), space
+
+
+def _nested(d):
+    yield d
+    for m in parts(d):
+        yield from _nested(m)
+
+
+def test_reiterations_are_their_lhs_over_descriptors():
+    # each registered reiteration is its scenario's lhs with every
+    # concrete member replaced by that space's descriptor
+    covered = 0
+    for name in scenario_names():
+        sc = get_scenario(name)
+        d = sc.reiteration
+        if d is None:
+            continue
+        covered += 1
+        assert not any(isinstance(m, AppMember) for m in _nested(d)), name
+        assert d.desc == sc.lhs.desc, name
+        for y, z in zip(sc.lhs.couple, d.couple, strict=True):
+            want = y.space.descriptor() if isinstance(y, AppMember) else y
+            assert z == want, name
+        assert _reiterations()[name] is d
+    assert covered == len(_reiterations()) == 13
+
+
+def test_ggamma_descriptor_needs_slowly_varying_weights():
+    assert _GG.descriptor() == LSpace(0.5, Power(EllPow(-3.0), 0.5), L2,
+                                      Power(ONE, 0.5), L2, UNIT)
+    for g in (GGamma(2.0, 2.0, -0.5, ONE, 0.0, ONE),
+              GGamma(2.0, 2.0, -1.0, ONE, 0.5, ONE)):
+        with pytest.raises(ValueError, match="slowly varying"):
+            g.descriptor()
 
 
 def test_descriptor_right_sides_are_reiterated():

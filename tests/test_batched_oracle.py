@@ -497,6 +497,23 @@ def test_oracle_matches_per_cut_loop_on_app_members():
     assert same_as_per_cut(f, *sc.lhs.couple, 192) > 2
 
 
+def test_oracle_matches_per_cut_loop_with_an_intersection_member():
+    # an Intersection member reads what its members read: log K for two
+    # K-normed members, log K and f* with an app member among them
+    g = full_grid(512)
+    y0 = ThetaSpace(0.25, EllPow(0.5), L2)
+    y1 = Intersection((ThetaSpace(0.75, ONE, L2),
+                       RSpace(0.75, ONE, LINF, ONE, L2)))
+    built = {spec: same_as_per_cut(corpus.sample(spec, g), y0, y1, 128)
+             for spec in corpus.STANDARD}
+    assert min(built[s] for s in ("pow:2", "powlog:2,1", "log:2")) > 60
+    g = unit_grid(512)
+    y0 = ThetaSpace(0.25, EllPow(0.5), L2, UNIT)
+    y1 = Intersection((AppMember(GrandLp(4.0, 1.0)),
+                       ThetaSpace(0.9, ONE, L2, UNIT)))
+    assert same_as_per_cut(corpus.sample("pow:4", g), y0, y1, 128) > 2
+
+
 def _identity_couples():
     """The first scenario of each (couple, corpus) of the identities
     whose lhs is an Over: every couple has an app member."""

@@ -17,7 +17,7 @@ from interpolab.cli import main
 from interpolab.grid import RiSpace
 from interpolab.spaces import (FULL, UNIT, LSpace, RSpace, ThetaSpace,
                                couple_reverse)
-from interpolab.sv import ONE, EllPow
+from interpolab.sv import ONE, EllPow, NormTail
 
 L1 = RiSpace(1.0)
 L2 = RiSpace(2.0)
@@ -355,6 +355,58 @@ def test_norm_bad_descriptor_exits_1(tmp_path, capsys, obj):
     code = _norm_of_literal(tmp_path, obj)
     assert code == 1
     assert "bad descriptor field" in capsys.readouterr().err
+
+
+def test_norm_non_utf8_file_exits_1(tmp_path, capsys):
+    # a UTF-16 file with its byte-order mark ended in a UnicodeDecodeError
+    p = tmp_path / "utf16.json"
+    p.write_bytes(b"\xff\xfe{\x00}\x00")
+    code = main(["norm", "--space", str(p), "--fn", "chi:0.5"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: malformed JSON in {p}: ")
+
+
+@pytest.mark.parametrize("depth,msg", [(600, "bad descriptor field"),
+                                       (5000, "malformed JSON")])
+def test_norm_deeply_nested_descriptor_exits_1(tmp_path, capsys, depth, msg):
+    # power nodes nested 600 deep overflow the recursion limit of the
+    # wire decoder, 5000 deep that of the JSON reader; both were
+    # RecursionError tracebacks
+    b = '{"kind": "ell", "alpha": -1}'
+    for _ in range(depth):
+        b = f'{{"kind": "power", "base": {b}, "r": 1}}'
+    p = tmp_path / "deep.json"
+    p.write_text(f'{{"kind": "theta", "theta": 0.5, "E": {{"q": 2}}, '
+                 f'"b": {b}}}')
+    code = main(["norm", "--space", str(p), "--fn", "chi:0.5"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {msg}")
+
+
+def test_norm_of_a_function_vanishing_on_the_grid_is_0(tmp_path, capsys):
+    # chi:1e-30 is 0 at every node of the default grid
+    spath = _write_space(tmp_path / "theta.json", ThetaSpace(0.5, ONE, L2))
+    code = main(["norm", "--space", spath, "--fn", "chi:1e-30",
+                 "--grid", "9"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert (captured.out, captured.err) == ("0.0\n", "")
+
+
+def test_norm_divergent_tail_norm_parameter_exits_2(tmp_path, capsys):
+    # a = ||l^0||_{L1~(0,t)} diverges at every t: no level can be formed
+    a = NormTail(EllPow(0.0), L1, "lower")
+    spath = _write_space(tmp_path / "tail.json",
+                         LSpace(0.5, ONE, L2, a, L2))
+    code = main(["norm", "--space", spath, "--fn", "chi:0.5",
+                 "--grid", "9"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ("admissibility: parameter tail norm = inf "
+                            "[DIVERGENT]\n")
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("space,msg", [

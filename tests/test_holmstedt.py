@@ -15,8 +15,7 @@ from interpolab.holmstedt import (HolmstedtCase, CASES, R_CASES, L_CASES,
                                   DEFAULT_CASES, holmstedt_rhs,
                                   verify_holmstedt)
 from interpolab.kfun import TruncationOracle, k_peetre, _cut_cap
-from interpolab.applications import (grand_descriptor, small_descriptor,
-                                     _reiterations)
+from interpolab.applications import GrandLp, SmallLp, _reiterations
 from interpolab import corpus
 
 
@@ -77,7 +76,7 @@ def test_reversed_l_couple_is_the_mirror_r_case(kind):
 
 
 @pytest.mark.parametrize("couple", [
-    (small_descriptor(2.0, 1.0), grand_descriptor(4.0, 1.0)),
+    (SmallLp(2.0, 1.0).descriptor(), GrandLp(4.0, 1.0).descriptor()),
     (ThetaSpace(0.25, ONE, L2), ThetaSpace(0.5, ONE, L2)),
     (RSpace(0.25, ONE, L2, ONE, L2), ThetaSpace(0.5, ONE, L2)),
     (EndpointX0(), EndpointX1()),

@@ -6,8 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from interpolab.grid import (GridFunction, L2, LINF, full_grid, unit_grid,
-                             edge_diverges, _final)
+from interpolab.grid import (GridFunction, L1, L2, LINF, full_grid,
+                             unit_grid, edge_diverges, _final)
 from interpolab.sv import EllPow, ONE
 from interpolab.spaces import (EndpointX0, EndpointX1, ThetaSpace, RSpace,
                                Intersection, Over, FULL, UNIT, CO_UNIT)
@@ -177,6 +177,19 @@ def test_over_norms_a_stack_row_by_row():
     assert all(math.isfinite(v) and v > 0 for v in alone)
     nested = Over((d, EndpointX1()), ThetaSpace(0.5, ONE, L2))
     assert math.isfinite(norm_in_space(k_peetre(fs[0]), nested))
+
+
+def test_over_a_couple_without_a_decomposition_is_infinite():
+    # pow:2 = s^(-1/2) has K(t) = 2 t^(1/2), while both members need K
+    # to vanish faster than t^0.9 at 0: f lies outside Y0 + Y1, and the
+    # Over reads the oracle's refusal as a divergent norm
+    g = full_grid(512)
+    K = k_peetre(corpus.sample("pow:2", g))
+    couple = (ThetaSpace(0.9, ONE, L1), ThetaSpace(0.95, ONE, L1))
+    with pytest.raises(ValueError, match="no finite decomposition found"):
+        TruncationOracle(K, *couple)
+    assert norm_in_space(K, Over(couple, ThetaSpace(0.5, ONE, L2))) \
+        == math.inf
 
 
 def _endpoint_ref(K, d):
