@@ -9,8 +9,9 @@ described by a mini grammar:
     log:m        l^m(s), m > 0
     csv:PATH     step function from a two-column t,value CSV
 
-All prototypes vanish for t > 1 and are repaired to nonincreasing after
-sampling (powlog with negative m turns upward near t = 1, where l^m
+All prototypes vanish for t > 1 (pow, powlog and log evaluate their
+formula only on the nodes with t <= 1) and are repaired to nonincreasing
+after sampling (powlog with negative m turns upward near t = 1, where l^m
 starts winning; the repair replaces the sample by its running maximum
 from the right, which is the rearrangement of the sampled step
 function).
@@ -30,8 +31,25 @@ def _ell(x):
     return 1.0 + np.abs(x)
 
 
+def _vanish_above_1(formula):
+    """fn(x) = formula(x) on the nodes x <= 0 (t <= 1), 0.0 on the rest.
+
+    x is ascending (grid nodes), so the nodes x <= 0 are a prefix that
+    searchsorted finds; the formula is evaluated on it alone, and is inf
+    where it overflows (far below the grids of the CLI).
+    """
+    def fn(x):
+        k = int(np.searchsorted(x, 0.0, side="right"))
+        with np.errstate(over="ignore"):
+            head = formula(x[:k])
+        return head if k == len(x) else \
+            np.concatenate((head, np.zeros(len(x) - k)))
+    return fn
+
+
 def parse_fn(spec: str):
-    """Turn a grammar string into (id, callable log t -> values)."""
+    """Turn a grammar string into (id, callable log t -> values); the
+    callable takes ascending x, the nodes of a grid."""
     kind, _, arg = spec.partition(":")
     if kind == "chi":
         a = float(arg)
@@ -45,35 +63,28 @@ def parse_fn(spec: str):
         r = float(arg)
         if not r > 1:
             raise ValueError(f"pow exponent r must be > 1, got {r}")
-
-        def fn(x):
-            return np.where(x <= 0, np.exp(-x / r), 0.0)
+        fn = _vanish_above_1(lambda x: np.exp(-x / r))
     elif kind == "powlog":
         r_s, m_s = arg.split(",")
         r, m = float(r_s), float(m_s)
         if not (r > 1 and math.isfinite(m)):
             raise ValueError(f"powlog needs r > 1 and a finite m, "
                              f"got {r}, {m}")
-
-        def fn(x):
-            with np.errstate(over="ignore"):
-                return np.where(x <= 0, np.exp(-x / r) * _ell(x) ** m, 0.0)
+        fn = _vanish_above_1(lambda x: np.exp(-x / r) * _ell(x) ** m)
     elif kind == "log":
         m = float(arg)
         if not 0 < m < math.inf:
             raise ValueError(f"log exponent m must be finite and > 0, "
                              f"got {m}")
-
-        def fn(x):
-            return np.where(x <= 0, _ell(x) ** m, 0.0)
+        fn = _vanish_above_1(lambda x: _ell(x) ** m)
     elif kind == "csv":
         with open(arg) as fh:
             rows = [r for r in csv.reader(fh) if r and r[0] != "t"]
         pts = np.array(sorted((float(t), float(v)) for t, v in rows))
         if (len(pts) == 0 or not np.isfinite(pts).all()
-                or np.any(pts[:, 0] <= 0)):
+                or np.any(pts[:, 0] <= 0) or np.any(pts[:, 1] < 0)):
             raise ValueError(f"csv corpus file {arg} needs finite rows "
-                             "with positive t")
+                             "with positive t and nonnegative values")
         tt, vv = pts[:, 0], pts[:, 1]
 
         def fn(x):
@@ -91,9 +102,12 @@ def sample(spec, grid: Grid) -> GridFunction:
     """f* on the grid nodes; spec is a grammar string or a function
     parse_fn made, so a sweep over several grids parses it once."""
     fn = parse_fn(spec)[1] if isinstance(spec, str) else spec
-    # rearrangement repair: nonincreasing envelope from the right,
-    # skipped when the samples are already nonincreasing
-    vals = _running(np.maximum, fn(grid.x)[::-1])[::-1]
+    vals = fn(grid.x)
+    # rearrangement repair: nonincreasing envelope from the right, run
+    # only when a forward compare finds the samples out of order (a
+    # compare on the reversed view costs several times as much)
+    if not (vals[1:] <= vals[:-1]).all():
+        vals = _running(np.maximum, vals[::-1])[::-1]
     return GridFunction(grid, vals)
 
 

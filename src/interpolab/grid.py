@@ -28,11 +28,15 @@ Two kinds of integral live here:
   concrete function spaces).  Those use a piecewise power-law model
   (log-log linear between nodes) which is exact on pure powers and
   extrapolates the head (0, t_min) by the power fitted to the first
-  cell.  The cell kernel runs as in-place ufuncs on scratch arrays,
-  over the span of cells where some row is positive at both ends.  The
-  running max/min repairs of f* and K (_running) skip their scans when
-  the samples are already in order, and otherwise scan only the
-  stretch out of order.
+  cell.  Each cell takes one rule (_segment_integrals): a flat cell,
+  equal positive samples, the closed form of the power law at p = 1; a
+  curved one the power law, run as in-place ufuncs over the span of
+  cells curved in some row; any other cell, or one whose power law is
+  not finite, the trapezoid.  The head is not computed below
+  t = e^-700, so Grid.from_bounds refuses a t_min there.  The running
+  max/min repairs of f* and K (_running) skip their scans when the
+  samples are already in order, and otherwise scan only the stretch out
+  of order.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ import numpy as np
 from .wire import Wire
 
 NEG_INF = -np.inf
+_X_TINY = -700.0    # log t below which the K head is not computed
 
 
 @dataclass(frozen=True)
@@ -130,6 +135,9 @@ class Grid:
         t_max = (1.0 if setting == UNIT else 1e8) if t_max is None else t_max
         if not 0 < t_min < t_max < math.inf:
             raise ValueError("need 0 < t_min < t_max < inf")
+        if math.log(t_min) < _X_TINY:
+            raise ValueError(f"t_min = {t_min:g} is below e^{_X_TINY:g} "
+                             "(~9.9e-305), where K(t_min) is not computed")
         return cls(math.log(t_min), math.log(t_max), n, setting)
 
     def reflected(self) -> "Grid":
@@ -195,7 +203,7 @@ class GridFunction:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape[-1:] != (self.grid.n,):
             raise ValueError("values shape does not match grid")
-        if np.any(self.values < 0) or np.any(np.isnan(self.values)):
+        if not (self.values >= 0).all():    # NaN fails the compare too
             raise ValueError("values must be nonnegative and finite")
 
     def log_values(self) -> np.ndarray:
@@ -479,53 +487,83 @@ def tilde_norm(g: GridFunction, E: RiSpace,
 def _segment_integrals(values: np.ndarray, grid: Grid) -> np.ndarray:
     """int_{t_j}^{t_{j+1}} v(s) ds for each cell (each row of a stack).
 
-    Cells with both endpoints positive use the power law through the two
-    samples (exact for v = C s^gamma): with p = log(v1/v0)/dx + 1 the
-    cell is (v0 t_j) expm1(dx p)/p, and (v0 t_j) dx where |p| < 1e-12.
-    Cells touching zero, or whose power law overflows, fall back to the
-    linear trapezoid.  The power law runs as in-place ufuncs on two
-    scratch arrays, only over the span of cells from the first to the
-    last where some row has both samples positive (every corpus f*
-    vanishes for t > 1), and is copied over the trapezoid where it is
-    finite.
+    One rule per cell, from its samples v0 = v(t_j) and v1 = v(t_{j+1}):
+
+    * flat, v1 == v0 > 0: (v0 t_j) expm1(dx).  This is the power law
+      below with p = 1, which v1 / v0 == 1.0 gives exactly;
+    * curved, v1 != v0 and both positive: the power law through the two
+      samples (exact for v = C s^gamma): with p = log(v1/v0)/dx + 1 the
+      cell is (v0 t_j) expm1(dx p)/p, and (v0 t_j) dx where |p| < 1e-12;
+    * any other cell, and one whose power law is not finite: the linear
+      trapezoid (v0 + v1)/2 (t_{j+1} - t_j).
+
+    The trapezoid is formed on every cell first; the other two rules
+    overwrite it where they apply and are finite.  The power law runs as
+    in-place ufuncs over the span of cells from the first to the last
+    where some row has both samples positive (every corpus f* vanishes
+    for t > 1), and its divide, log and expm1 only from the first cell
+    curved in some row to the last; the flat cells around that stretch
+    take the closed form.  A flat cell inside the stretch goes through
+    the power law, whose p = 1 gives the same bits.
     """
     values = np.asarray(values, dtype=float)
-    t = grid.t
+    t, dx = grid.t, grid.dx
     v0, v1 = values[..., :-1], values[..., 1:]
-    dx = grid.dx
-    # trapezoid fallback (also fine for all-zero cells)
-    out = np.add(v0, v1)
-    out *= 0.5
-    out *= t[1:] - t[:-1]
-    both = (v0 > 0) & (v1 > 0)
-    live = both.reshape(-1, both.shape[-1]).any(axis=0)
-    lo = int(live.argmax())
-    if live[lo]:
-        hi = len(live) - int(live[::-1].argmax())
-        v0, v1, both = v0[..., lo:hi], v1[..., lo:hi], both[..., lo:hi]
-        # cells outside `both` compute garbage that copyto drops
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            p = np.divide(v1, v0)
-            np.log(p, out=p)
-            p /= dx
-            p += 1.0
-            cand = np.multiply(p, dx)
-            np.expm1(cand, out=cand)
-            cand /= p
-            np.copyto(cand, dx, where=np.abs(p) < 1e-12)
-            cand *= np.multiply(v0, t[lo:hi], out=p)
-        np.copyto(out[..., lo:hi], cand, where=both & np.isfinite(cand))
+    # cells outside `both` compute garbage that copyto drops; a sum or
+    # a power law past float range is inf, silently
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = np.add(v0, v1)                    # the trapezoid
+        out *= 0.5
+        out *= t[1:] - t[:-1]
+        pos = values > 0
+        both = pos[..., :-1] & pos[..., 1:]
+        lo, hi = _span(both)
+        if lo < hi:
+            a, b = v0[..., lo:hi], v1[..., lo:hi]
+            k = np.multiply(a, t[lo:hi])        # v0 t_j
+            c0, c1 = _span(np.not_equal(a, b))  # the curved cells
+            if c0 < c1:
+                c = slice(c0, c1)
+                p = np.divide(b[..., c], a[..., c])
+                np.log(p, out=p)
+                p /= dx
+                p += 1.0
+                pw = np.multiply(p, dx)
+                np.expm1(pw, out=pw)
+                pw /= p
+                np.copyto(pw, dx, where=np.abs(p, out=p) < 1e-12)
+                k[..., c] *= pw
+            if c0 > 0 or c1 < hi - lo:          # flat cells around them
+                em = np.expm1(np.full(1, dx))
+                k[..., :c0] *= em
+                k[..., c1:] *= em
+            good = np.isfinite(k)
+            good &= both[..., lo:hi]
+            np.copyto(out[..., lo:hi], k, where=good)
     return out
+
+
+def _span(mask: np.ndarray) -> tuple:
+    """(lo, hi): the cells from the first to the last that are True in
+    some row of mask; lo == hi if none is."""
+    if mask.ndim > 1:
+        mask = mask.reshape(-1, mask.shape[-1]).any(axis=0)
+    lo = int(mask.argmax())
+    if not mask[lo]:
+        return 0, 0
+    return lo, len(mask) - int(mask[::-1].argmax())
 
 
 def _head_integral(values: np.ndarray, grid: Grid) -> np.ndarray:
     """int_0^{t_min} by power-law extrapolation of the first cell.
 
     One value per row; scalar math.log per row keeps every row's head
-    the same whether it is integrated alone or in a stack.
+    the same whether it is integrated alone or in a stack.  Below
+    x = _X_TINY the head is taken as nil (Grid.from_bounds refuses
+    such a t_min).
     """
     t0, dx = grid.t[0], grid.dx
-    tiny = grid.x[0] < -700     # t_min below float range; head is nil
+    tiny = grid.x[0] < _X_TINY
 
     def head(v0, v1):
         if v0 == 0.0 or tiny:
@@ -543,12 +581,14 @@ def _head_integral(values: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def lebesgue_prefix(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """F(t_i) = int_0^{t_i} v(s) ds at every node (head extrapolated)."""
+    """F(t_i) = int_0^{t_i} v(s) ds at every node (head extrapolated); a
+    sum past float range is inf, silently, as a cell's integral is."""
     segs = _segment_integrals(values, grid)
     out = np.empty(values.shape)
     out[..., 0] = _head_integral(values, grid)
-    np.cumsum(segs, axis=-1, out=out[..., 1:])
-    out[..., 1:] += out[..., :1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.cumsum(segs, axis=-1, out=out[..., 1:])
+        out[..., 1:] += out[..., :1]
     return out
 
 
@@ -556,7 +596,8 @@ def lebesgue_suffix(values: np.ndarray, grid: Grid) -> np.ndarray:
     """G(t_i) = int_{t_i}^{t_max} v(s) ds at every node."""
     segs = _segment_integrals(values, grid)
     out = np.zeros(values.shape)
-    out[..., :-1] = np.cumsum(segs[..., ::-1], axis=-1)[..., ::-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[..., :-1] = np.cumsum(segs[..., ::-1], axis=-1)[..., ::-1]
     return out
 
 

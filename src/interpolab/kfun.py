@@ -3,10 +3,16 @@ and a decomposition oracle for derived couples.
 
 For the couple (L1, Linf) over a measure space, K(t, f) = int_0^t f*(s) ds,
 computed here with the power-law cell model (exact on pure powers).
-repair_k then enforces K nondecreasing and K(t)/t nonincreasing; each
-of its two running scans costs one vector compare when the samples are
-already in order, as they almost always are, and otherwise scans only
-the stretch of nodes out of order (grid._running).
+repair_k enforces K nondecreasing and K(t)/t nonincreasing; each of its
+two running scans costs one vector compare when the samples are already
+in order, as they almost always are, and otherwise scans only the
+stretch of nodes out of order (grid._running).  k_peetre runs only the
+K(t)/t scan (repair_slope): a head plus a cumsum of nonnegative cells is
+nondecreasing as computed, and finite exactly when its last node is.
+That scan starts past the first nodes where K underflowed below the
+least normal float; a 0 there is rounding, not a zero f*.  The oracle's
+cut blocks, clipped differences of two K, need both scans, and their
+zeros are exact.
 
 For a derived couple (Y0, Y1) no closed form exists, so TruncationOracle
 takes an infimum over an explicit family of decompositions f = g_c + h_c
@@ -67,6 +73,7 @@ from .spaces import (SpaceDescriptor, Intersection, AppMember, Over,
 # elements (cut rows x grid nodes) of one block of cut profiles; bounds
 # the oracle's working memory whatever the grid size and cut count
 _BLOCK_ELEMS = 1 << 16
+_TINY = np.finfo(float).tiny    # the least normal float
 
 
 def _cut_cap(grid: Grid) -> int:
@@ -103,19 +110,47 @@ def repair_k(grid: Grid, k: np.ndarray) -> np.ndarray:
     """
     k = _running(np.maximum, k)
     with np.errstate(over="ignore", invalid="ignore"):
-        slope = _running(np.minimum, k / grid.t)
-        slope *= grid.t
-        return np.minimum(k, slope, out=slope)
+        return _cap_slope(grid, k, k / grid.t)
+
+
+def repair_slope(grid: Grid, k: np.ndarray) -> np.ndarray:
+    """The K(t)/t half of repair_k, for a K that lebesgue_prefix made.
+
+    Such a K is below the least normal float at its first nodes only
+    where v(t_0) t_0 and the first cells underflow, as a step of 1e-30
+    does at t_min = 1e-304: K is 0 or a few subnormal ulps there, and
+    its K/t is not the slope of f*.  Those nodes keep their K and the
+    minimum of K/t starts past them, where repair_k's would start at
+    that 0 (or a slope too low by up to half) and carry it to every
+    later node.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = k / grid.t
+        if not (k[..., 0] >= _TINY).all():
+            slope[k < _TINY] = np.inf
+        return _cap_slope(grid, k, slope)
+
+
+def _cap_slope(grid: Grid, k: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """min(K, t min_{s <= t} slope(s)); slope = K/t is overwritten."""
+    slope = _running(np.minimum, slope)
+    slope *= grid.t
+    return np.minimum(k, slope, out=slope)
 
 
 def k_peetre(fstar: GridFunction) -> KProfile:
     """K(t, f; L1, Linf) = int_0^t f*(s) ds at the grid nodes, repaired;
-    the profile keeps K itself beside its log."""
+    the profile keeps K itself beside its log.
+
+    K is its head plus a cumsum of nonnegative cells, so it is
+    nondecreasing as computed, and finite everywhere exactly when its
+    last node is: only the K(t)/t half of repair_k runs.
+    """
     k = lebesgue_prefix(fstar.values, fstar.grid)
-    if not np.all(np.isfinite(k)):
+    if not np.isfinite(k[..., -1]).all():
         raise ValueError("f* is not locally integrable near 0 "
                          "(not in L1 + Linf)")
-    k = repair_k(fstar.grid, k)
+    k = repair_slope(fstar.grid, k)
     with np.errstate(divide="ignore"):
         return KProfile(fstar.grid, np.log(k), fstar.values, k)
 

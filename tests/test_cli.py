@@ -8,6 +8,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -15,8 +16,8 @@ import interpolab
 from interpolab import cli
 from interpolab.cli import main
 from interpolab.grid import RiSpace
-from interpolab.spaces import (FULL, UNIT, LSpace, RSpace, ThetaSpace,
-                               couple_reverse)
+from interpolab.spaces import (FULL, UNIT, EndpointX0, LSpace, RSpace,
+                               ThetaSpace, couple_reverse)
 from interpolab.sv import ONE, EllPow, NormTail
 
 L1 = RiSpace(1.0)
@@ -75,7 +76,11 @@ def test_norm_bad_function_spec(tmp_path, capsys):
     assert "bad function spec" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("fn", ["bogus:1", "csv:{tmp}/missing.csv"])
+NEG_CSV = "t,value\n0.001,2\n0.5,-1\n5,-1\n"
+
+
+@pytest.mark.parametrize("fn", ["bogus:1", "csv:{tmp}/missing.csv",
+                                "csv:{tmp}/neg.csv"])
 @pytest.mark.parametrize("space", [
     ThetaSpace(1.0, ONE, L1).to_obj(),
     {"kind": "app", "space": {"kind": "grand", "p": 1, "alpha": 1}},
@@ -84,6 +89,7 @@ def test_norm_reads_the_function_before_the_admissibility_verdict(
         tmp_path, capsys, space, fn):
     # both spaces are inadmissible: a bad --fn is still an input error,
     # reported before any verdict is printed
+    (tmp_path / "neg.csv").write_text(NEG_CSV)
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(space))
     code = main(["norm", "--space", str(p), "--grid", "9",
@@ -495,8 +501,11 @@ def test_norm_bad_grid_exits_1_before_building(tmp_path, capsys,
 
 @pytest.mark.parametrize("setting", [FULL, UNIT])
 @pytest.mark.parametrize("bound", [("--tmin", "0"), ("--tmax", "0"),
-                                   ("--tmax", "inf"), ("--tmin", "nan")],
-                         ids=["tmin0", "tmax0", "tmax-inf", "tmin-nan"])
+                                   ("--tmax", "inf"), ("--tmin", "nan"),
+                                   ("--tmin", "1e-305"), ("--tmin", "9e-305"),
+                                   ("--tmin", "5e-324")],
+                         ids=["tmin0", "tmax0", "tmax-inf", "tmin-nan",
+                              "tmin-1e-305", "tmin-9e-305", "tmin-subnormal"])
 def test_norm_bad_bounds_exit_1(tmp_path, capsys, setting, bound):
     spath = _write_space(tmp_path / "theta.json",
                          ThetaSpace(0.5, ONE, L2, setting))
@@ -506,6 +515,44 @@ def test_norm_bad_bounds_exit_1(tmp_path, capsys, setting, bound):
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: bad grid:")
+
+
+@pytest.mark.parametrize("desc,fn,want", [
+    (EndpointX0(), "chi:0.5", None),
+    (EndpointX0(UNIT), "chi:0.5", None),
+    (EndpointX0(), "csv:{tmp}/tiny.csv", None),
+    (ThetaSpace(0.5, ONE, L2), "pow:2", "norm: divergent for this function"),
+], ids=["x0-chi", "x0-unit-chi", "x0-tiny-csv", "theta-pow"])
+def test_norm_tmin_near_exp_minus_700_never_prints_0(tmp_path, capsys, desc,
+                                                     fn, want):
+    # below e^-700 (~9.9e-305) the K head is not computed and the grid is
+    # refused.  Just above it a step of 1e-30 still has v(t_min) t_min =
+    # 1e-334 below the least subnormal, so K(t_min) = 0 while K(0.5) =
+    # 5e-31; the K/t repair must not start its minimum at that 0
+    (tmp_path / "tiny.csv").write_text("t,value\n0.001,1e-30\n0.5,1e-30\n")
+    spath = _write_space(tmp_path / "space.json", desc)
+    code = main(["norm", "--space", spath, "--fn", fn.format(tmp=tmp_path),
+                 "--grid", "10", "--tmin", "1e-304"])
+    last = capsys.readouterr().out.splitlines()[-1]
+    if want is None:
+        assert code == 0 and float(last) > 0.0
+    else:
+        assert code == 2 and last == want
+
+
+def test_norm_of_a_step_near_float_max_warns_nothing(tmp_path, capsys):
+    # the trapezoid of two samples near 1e308 overflows; a RuntimeWarning
+    # used to reach stderr beside the verdict
+    csv_path = tmp_path / "big.csv"
+    csv_path.write_text("t,value\n0.001,1e308\n0.5,1e308\n")
+    spath = _write_space(tmp_path / "theta.json", ThetaSpace(0.5, ONE, L2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["norm", "--space", spath, "--fn", f"csv:{csv_path}",
+                     "--grid", "10"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    assert captured.out == "norm: divergent for this function\n"
 
 
 @pytest.mark.parametrize("desc,tmin,tmax", [
@@ -632,16 +679,20 @@ def test_over_of_app_members_on_a_short_grid_is_an_error():
      "--window-max", "0.5"],
     ["identity", "--name", "small-as-L", "--corpus", "chi:1",
      "--stability-max", "-1"],
+    ["identity", "--name", "small-linf", "--corpus", "csv:{tmp}/neg.csv"],
+    ["holmstedt", "--corpus", "csv:{tmp}/neg.csv"],
 ], ids=["theta2", "theta-nan", "bogus", "pow0", "chi-neg", "csv-missing",
         "corpus-file-missing", "pow-nan", "log-inf", "csv-nan",
         "corpus-empty", "out-is-a-file", "window-max-nan",
-        "stability-max-nan", "window-max-below-1", "stability-max-negative"])
+        "stability-max-nan", "window-max-below-1", "stability-max-negative",
+        "csv-negative-value", "csv-negative-value-holmstedt"])
 def test_verify_bad_input_exits_1_before_sweeping(tmp_path, capsys,
                                                   monkeypatch, argv):
     def no_sweep(*args, **kwargs):
         raise AssertionError("a sweep ran")
 
     (tmp_path / "nan.csv").write_text("t,value\n0.5,nan\n0.9,1\n")
+    (tmp_path / "neg.csv").write_text(NEG_CSV)
     (tmp_path / "empty-corpus.txt").write_text("# no specs\n")
     (tmp_path / "a-file").write_text("")
 

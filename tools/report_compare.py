@@ -4,8 +4,9 @@
 
 PARENT_SRC and CHANGE_SRC are ``src`` directories holding an
 ``interpolab`` package.  Each tree runs, in its own process, every CLI
-call of ``report_digest.py``: the ``verify`` sweeps of ``runs()`` and
-``norm`` on each descriptor of ``norm_descriptors()``.  The tool then
+call of ``report_digest.py``: the ``verify`` sweeps of ``runs()``,
+``norm`` on each descriptor of ``norm_descriptors()`` and the finer
+``norm`` calls of ``fine_calls()``.  The tool then
 prints one line per report, ``<worst relative deviation>  <report>``,
 and one line ``norm/stdout`` for the ``norm`` calls.
 
@@ -51,6 +52,9 @@ def collect(out: str) -> None:
     with tempfile.TemporaryDirectory() as root:
         norms = {name: report_digest.norm_call(cli, root, name, obj)
                  for name, obj in report_digest.norm_descriptors()}
+        norms.update({f"{label}/{name}": report_digest.norm_call(
+            cli, root, name, obj, args) for label, name, obj, args
+            in report_digest.fine_calls(root)})
     with open(os.path.join(out, "calls.json"), "w") as fh:
         json.dump({"exits": exits, "norms": norms}, fh)
 

@@ -12,12 +12,19 @@ Runs, in-process through ``interpolab.cli.main``:
   admissible;
 * ``norm`` on a fixed set of descriptor files, written here as literal
   JSON: every wire kind, and the L/R/LL/RR spaces at theta 0, 1/2 and 1
-  in both settings;
+  in both settings, on ``chi:0.5`` at ``--grid 10``;
+* ``norm`` at ``--grid 14`` and ``16`` with bounds other than the
+  default ones, for every corpus kind (chi, pow, powlog with m < 0 and
+  m > 0, log, and a csv step file written here) on the x0/x1 spaces,
+  the theta, L/R and LL/RR spaces at theta 1/2 of both settings, and
+  every app kind;
 
 and prints one ``<sha256>  <report>`` line per written CSV/JSON file,
-plus one line, ``norm/stdout+exit``, for the stdout and exit codes of
-all the ``norm`` calls.  Reports are deterministic, so two checkouts
-that print the same digests write byte-identical reports.  A change to
+one line, ``norm/stdout+exit``, for the stdout and exit codes of the
+``norm`` calls at ``--grid 10``, and one line per corpus kind and grid
+size, ``norm/<kind>/grid<k>``, for those of the finer calls.  Reports
+are deterministic, so two checkouts that print the same digests write
+byte-identical reports.  A change to
 the numerics moves last bits and so every digest; ``report_compare.py``
 then checks the reports value by value.  Compare a change against its
 parent with
@@ -37,6 +44,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -135,25 +143,61 @@ def norm_descriptors():
                                        "setting": "unit"}
 
 
-def norm_call(cli, root: str, name: str, obj) -> tuple[str, int]:
-    """stdout and exit code of ``norm`` on one descriptor, written to root."""
+# the further arguments of the norm calls of norm_descriptors()
+NORM_ARGS = ("--fn", "chi:0.5", "--grid", "10")
+# the finer norm calls: bounds per setting, the csv steps, and the
+# --fn spec of each corpus kind ({csv} is the step file's path)
+FINE_GRIDS = ("14", "16")
+FINE_BOUNDS = {"full": ["--tmin", "1e-10", "--tmax", "1e6"],
+               "unit": ["--tmin", "1e-12"]}
+CSV_STEPS = "t,value\n1e-6,40\n1e-3,9\n0.02,3.5\n0.3,1\n0.9,0.25\n"
+FINE_FNS = {"chi": "chi:0.3", "pow": "pow:2", "powlog-neg": "powlog:4,-1",
+            "powlog-pos": "powlog:2,1", "log": "log:2", "csv": "csv:{csv}"}
+
+
+def fine_descriptors():
+    """(name, descriptor JSON object) of every finer ``norm`` call: the
+    x0/x1 and app descriptors of norm_descriptors(), and its theta, L/R
+    and LL/RR ones at theta 1/2."""
+    return [(name, obj) for name, obj in norm_descriptors()
+            if name.startswith(("x0-", "x1-", "app-")) or "-0.5-" in name]
+
+
+def norm_call(cli, root: str, name: str, obj,
+              args=NORM_ARGS) -> tuple[str, int]:
+    """stdout and exit code of ``norm`` on one descriptor, written to root,
+    with the further arguments args."""
     path = os.path.join(root, f"{name}.json")
     with open(path, "w") as fh:
         json.dump(obj, fh)
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        rc = cli.main(["norm", "--space", path, "--fn", "chi:0.5",
-                       "--grid", "10"])
+        rc = cli.main(["norm", "--space", path, *args])
     return buf.getvalue(), rc
 
 
-def norm_transcript(cli, root: str) -> bytes:
-    """Name, stdout and exit code of every ``norm`` call, concatenated."""
+def norm_transcript(cli, root: str, calls) -> bytes:
+    """Name, stdout and exit code of each ``norm`` call of calls, (name,
+    descriptor, args) triples, concatenated."""
     out = io.StringIO()
-    for name, obj in norm_descriptors():
-        text, rc = norm_call(cli, root, name, obj)
+    for name, obj, args in calls:
+        text, rc = norm_call(cli, root, name, obj, args)
         out.write(f"{name}\n{text}exit {rc}\n")
     return out.getvalue().encode()
+
+
+def fine_calls(root: str):
+    """(label, name, descriptor, args) of each finer ``norm`` call, label
+    ``norm/<kind>/grid<k>``; the csv step file is written to root."""
+    csv_path = os.path.join(root, "steps.csv")
+    with open(csv_path, "w") as fh:
+        fh.write(CSV_STEPS)
+    for kind, spec in FINE_FNS.items():
+        for k in FINE_GRIDS:
+            for name, obj in fine_descriptors():
+                yield (f"norm/{kind}/grid{k}", name, obj,
+                       ["--fn", spec.format(csv=csv_path), "--grid", k,
+                        *FINE_BOUNDS[obj["setting"]]])
 
 
 def digest(path: str) -> str:
@@ -183,8 +227,13 @@ def main() -> int:
                 print(f"{digest(os.path.join(root, sub, name))}  "
                       f"{sub}/{name}")
     with tempfile.TemporaryDirectory() as root:
-        text = norm_transcript(cli, root)
-    print(f"{hashlib.sha256(text).hexdigest()}  norm/stdout+exit")
+        text = norm_transcript(cli, root, ((name, obj, NORM_ARGS) for
+                                           name, obj in norm_descriptors()))
+        print(f"{hashlib.sha256(text).hexdigest()}  norm/stdout+exit")
+        for label, calls in itertools.groupby(fine_calls(root),
+                                              lambda c: c[0]):
+            text = norm_transcript(cli, root, (c[1:] for c in calls))
+            print(f"{hashlib.sha256(text).hexdigest()}  {label}")
     return 0
 
 
