@@ -216,7 +216,7 @@ def _norm_app(space: AppSpace, grid: Grid, f: np.ndarray) -> np.ndarray:
     if isinstance(space, GrandLp):
         suf = lebesgue_suffix(f ** space.p, grid)
         with np.errstate(divide="ignore"):
-            lw = (-space.alpha / space.p) * np.log1p(np.abs(x)) \
+            lw = sv_log_on_grid(EllPow(-space.alpha / space.p), grid) \
                 + np.log(suf) / space.p
         return _final(np.max(lw, axis=-1))
 
@@ -224,7 +224,8 @@ def _norm_app(space: AppSpace, grid: Grid, f: np.ndarray) -> np.ndarray:
         pref = lebesgue_prefix(f ** space.p, grid)
         with np.errstate(divide="ignore"):
             inner = np.log(pref) / space.p
-        lw = (space.alpha / _pp(space.p) - 1.0) * np.log1p(np.abs(x)) + inner
+        lw = sv_log_on_grid(EllPow(space.alpha / _pp(space.p) - 1.0),
+                            grid) + inner
         return np.where(np.isfinite(pref).all(axis=-1),
                         checked_norm(lw, 1.0, grid), math.inf)
 
@@ -238,7 +239,7 @@ def _norm_app(space: AppSpace, grid: Grid, f: np.ndarray) -> np.ndarray:
 
     if isinstance(space, LinfQBeta):
         with np.errstate(divide="ignore"):
-            lw = space.beta * np.log1p(np.abs(x)) + np.log(f)
+            lw = sv_log_on_grid(EllPow(space.beta), grid) + np.log(f)
         return checked_norm(lw, space.q, grid)
 
     if isinstance(space, GGamma):
@@ -258,13 +259,14 @@ def _norm_app(space: AppSpace, grid: Grid, f: np.ndarray) -> np.ndarray:
         # but f is outside when int_0^1 s^(1/p) f** ds/s diverges at 0
         li = x / space.p + _fss_log(grid, f)
         inner = log_norm_upper(li, 1.0, grid.dx)
-        lw = (space.alpha - 1.0) * np.log1p(np.abs(x)) + inner
+        lw = sv_log_on_grid(EllPow(space.alpha - 1.0), grid) + inner
         return np.where(edge_diverges(li, 1.0, grid, "low"), math.inf,
                         checked_norm(lw, space.E.q, grid))
 
     if isinstance(space, BType):
         lss = _fss_log(grid, f)
-        g = x / space.p + (space.alpha - 1.0) * np.log1p(np.abs(x)) + lss
+        g = x / space.p + sv_log_on_grid(EllPow(space.alpha - 1.0), grid) \
+            + lss
         sup = np.maximum.accumulate(g, axis=-1)
         return checked_norm(sup, space.E.q, grid)
 

@@ -204,7 +204,7 @@ class GridFunction:
         if self.values.shape[-1:] != (self.grid.n,):
             raise ValueError("values shape does not match grid")
         if not (self.values >= 0).all():    # NaN fails the compare too
-            raise ValueError("values must be nonnegative and finite")
+            raise ValueError("values must be nonnegative (NaN refused)")
 
     def log_values(self) -> np.ndarray:
         with np.errstate(divide="ignore"):

@@ -144,8 +144,12 @@ def k_peetre(fstar: GridFunction) -> KProfile:
 
     K is its head plus a cumsum of nonnegative cells, so it is
     nondecreasing as computed, and finite everywhere exactly when its
-    last node is: only the K(t)/t half of repair_k runs.
+    last node is: only the K(t)/t half of repair_k runs.  An f* whose
+    first sample is not finite is refused: the head of K extrapolates
+    the first cell from it.
     """
+    if not np.isfinite(fstar.values[..., 0]).all():
+        raise ValueError("the sample of f* at t_min is out of float range")
     k = lebesgue_prefix(fstar.values, fstar.grid)
     if not np.isfinite(k[..., -1]).all():
         raise ValueError("f* is not locally integrable near 0 "

@@ -14,6 +14,12 @@ Under t -> b(1/t) a tail norm is tabulated on the reflected grid.
 Everything evaluates as a function of x = log t, so expressions stay
 finite on grids whose t range leaves float64.  Every node has a JSON
 form through its wire tag (see wire.py).
+
+At a grid's own nodes (sv_log_on_grid) the leaf weights share one
+n-long table per grid, log l(t): a constant is a zero-stride view of
+its log and a power of l is a multiple of that table.  Every other
+weight (tail tables, products, powers, compositions) is kept per
+(expr, grid).
 """
 
 from __future__ import annotations
@@ -231,19 +237,33 @@ def sv_log_eval(expr: SvExpr, x: np.ndarray, grid: Grid | None = None) -> np.nda
 
 
 _GRID_EVALS: dict = {}
+_ELL = EllPow(1.0)      # its table is log l(t) = log1p(|log t|)
 
 
 def sv_log_on_grid(expr: SvExpr, grid: Grid) -> np.ndarray:
-    """sv_log_eval at the grid's own nodes, memoized per (expr, grid).
+    """sv_log_eval at the grid's own nodes, bit for bit, read-only.
 
-    The one weight memo: a NormTail's value here is its tail table,
-    which sv_log_eval interpolates off the nodes.
+    The one weight memo.  Per grid it keeps one n-long table for the
+    leaf weights, log l(t), under the key of EllPow(1.0): EllPow(alpha)
+    is alpha times that table, formed on each call as sv_log_eval forms
+    it, and a Const is a zero-stride view of log c, kept per
+    (expr, grid) at the cost of one float.  Every other weight is kept
+    per (expr, grid) as an n-long array; a NormTail's value here is its
+    tail table, which sv_log_eval interpolates off the nodes.
     """
-    key = (expr, grid.key)
+    leaf = _ELL if isinstance(expr, EllPow) else expr
+    key = (leaf, grid.key)
     out = _GRID_EVALS.get(key)
     if out is None:
-        out = _tail_table(expr, grid) if isinstance(expr, NormTail) \
-            else sv_log_eval(expr, grid.x, grid)
+        if isinstance(leaf, Const):
+            out = np.broadcast_to(math.log(leaf.c), grid.x.shape)
+        elif isinstance(leaf, NormTail):
+            out = _tail_table(leaf, grid)
+        else:
+            out = sv_log_eval(leaf, grid.x, grid)
         out.setflags(write=False)
         _GRID_EVALS[key] = out
+    if leaf is not expr:
+        out = expr.alpha * out
+        out.setflags(write=False)
     return out

@@ -555,6 +555,19 @@ def test_norm_of_a_step_near_float_max_warns_nothing(tmp_path, capsys):
     assert captured.out == "norm: divergent for this function\n"
 
 
+def test_norm_of_a_sample_past_float_max_at_t_min_names_it(tmp_path, capsys):
+    # f*(t_min) overflows to inf while f*(t_1) = 9.1e307 is finite; the
+    # head of K used to take math.log(0) and print "math domain error"
+    spath = _write_space(tmp_path / "theta.json", ThetaSpace(0.5, ONE, L2))
+    code = main(["norm", "--space", spath, "--fn", "powlog:1.0001,1.51",
+                 "--grid", "10", "--tmin", "1e-304"])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.splitlines()[-1] == ("norm: the sample of f* at t_min is "
+                                    "out of float range")
+    assert "math domain error" not in out
+
+
 @pytest.mark.parametrize("desc,tmin,tmax", [
     (ThetaSpace(1.0, ONE, L1), "2", "10"),
     (ThetaSpace(0.0, ONE, L1), "1e-3", "0.5"),

@@ -362,6 +362,17 @@ def test_k_peetre_refuses_an_infinite_k_at_any_node():
             k_peetre(GridFunction(GRID, np.stack([f, g])))
 
 
+def test_k_peetre_refuses_a_first_sample_past_float_range():
+    # the head of K extrapolates the first cell from f*(t_min); an inf
+    # there beside a finite f*(t_1) used to end in math.log(0)
+    f = sample("pow:2", GRID).values
+    g = f.copy()
+    g[0] = math.inf
+    with pytest.raises(ValueError, match="^the sample of f\\* at t_min "
+                       "is out of float range$"):
+        k_peetre(GridFunction(GRID, np.stack([f, g])))
+
+
 def test_k_peetre_keeps_k_past_an_underflowed_head():
     # v(t_min) t_min = 1e-334 is below the least subnormal, so K is 0,
     # then subnormal, at the first nodes; the K/t repair starts past
@@ -429,6 +440,8 @@ def test_gridfunction_validates_in_one_pass():
             GridFunction(g, v)
     v = ok.copy()
     v[3] = -0.0
+    GridFunction(g, v)
+    v[0] = math.inf     # out of float range is k_peetre's verdict
     GridFunction(g, v)
 
 

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from interpolab import sv
 from interpolab.grid import (Grid, L1, L2, LINF, UNIT, CO_UNIT, full_grid,
                              unit_grid)
 from interpolab.sv import (SvExpr, Const, EllPow, BrokenEll, IteratedEll,
                            ExpLogPow, Product, Power, InverseArg, NormTail,
                            ComposeWithRho, ONE, SvDivergenceError,
-                           inverse_arg, sv_log_on_grid)
+                           inverse_arg, sv_log_eval, sv_log_on_grid)
 from interpolab.wire import to_json
 
 from util import rel_err, interior_ratio_window, sv_eval, sv_verify
@@ -170,6 +171,30 @@ def test_tail_norm_property():
     low = np.exp(log_norm_lower(alpha * g.x + lb, 2.0, g.dx))
     expect = np.exp(alpha * g.x + lb)
     assert interior_ratio_window(low, expect, g) < 5.0
+
+
+def test_leaf_weights_keep_one_table_per_grid(monkeypatch):
+    # constants and powers of l(t) share the grid's log l(t) table; a
+    # constant is a zero-stride view that holds one float
+    monkeypatch.setattr(sv, "_GRID_EVALS", {})
+    grids = (full_grid(1000), unit_grid(1 << 16))
+    consts = [Const(c) for c in (1.0, 0.25, 3e7)]
+    ells = [EllPow(a) for a in (-1.0, -0.5, 0.5, 1.0)]
+    for g in grids:
+        for expr in consts + ells:
+            for _ in range(2):
+                got = sv_log_on_grid(expr, g)
+                want = sv_log_eval(expr, g.x, g)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), expr
+                assert not got.flags.writeable
+                if isinstance(expr, Const):
+                    assert got.strides == (0,)
+    tables = {}
+    for (expr, gkey), arr in sv._GRID_EVALS.items():
+        if arr.strides != (0,):
+            tables.setdefault(gkey, []).append(expr)
+    assert tables == {g.key: [EllPow(1.0)] for g in grids}
 
 
 def test_sv_verify_families():
