@@ -2,10 +2,10 @@
 
 The spaces: grand and small Lebesgue, ultrasymmetric L_{p,b,E},
 Lorentz-Zygmund L_{inf,q,beta}, generalized Gamma with double weight,
-and the A / B-type spaces built on f**.  Each has a direct norm recipe
-(norm_app) computed straight from f*, and each coincides with an
-interpolation-space descriptor over the couple (L1, Linf) on (0, 1),
-which its descriptor() method builds.
+and the A / B-type spaces built on f**.  Each class norms f* by its
+own recipe, its _norm method, reached through AppSpace.norm (and
+norm_app), and coincides with an interpolation-space descriptor over
+the couple (L1, Linf) on (0, 1), which its descriptor() method builds.
 
 verify_identity checks those coincidences and the interpolation
 formulas between the concrete spaces numerically: for every corpus
@@ -33,7 +33,7 @@ from .spaces import (SpaceDescriptor, ThetaSpace, LSpace, RSpace,
                      RRSpace, Intersection, EndpointX0, EndpointX1,
                      AppMember, Over, UNIT)
 from .wire import Wire
-from .kfun import _unstack
+from .kfun import _unstack, _check_first_sample
 from .reiteration import reiterate, _pair
 from .report import EquivalenceReport, _sweep
 
@@ -43,11 +43,26 @@ def _pp(p: float) -> float:
     return p / (p - 1.0)
 
 
+def _fss_log(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """log f**(t) = log( K(t)/t )."""
+    pref = lebesgue_prefix(f, grid)
+    with np.errstate(divide="ignore"):
+        return np.log(pref) - grid.x
+
+
 class AppSpace(Wire):
     """A concrete space over (0, 1); written through its wire tag."""
 
     def validate(self) -> None:
         pass
+
+    def norm(self, grid: Grid, f: np.ndarray) -> np.ndarray:
+        """The space's own recipe, _norm, on f* sampled on a unit grid (one
+        norm per row of a stack); the first sample of f* must be finite."""
+        if grid.truncated("high"):
+            raise ValueError("concrete spaces live on (0,1): use a unit grid")
+        _check_first_sample(f)
+        return self._norm(grid, f)
 
 
 @dataclass(frozen=True)
@@ -67,6 +82,13 @@ class GrandLp(AppSpace, kind="grand"):
         return RSpace(1.0 - 1.0 / self.p, EllPow(-self.alpha / self.p), LINF,
                       ONE, RiSpace(self.p), UNIT)
 
+    def _norm(self, grid, f):
+        suf = lebesgue_suffix(f ** self.p, grid)
+        with np.errstate(divide="ignore"):
+            lw = sv_log_on_grid(EllPow(-self.alpha / self.p), grid) \
+                + np.log(suf) / self.p
+        return _final(np.max(lw, axis=-1))
+
 
 @dataclass(frozen=True)
 class SmallLp(AppSpace, kind="small"):
@@ -79,6 +101,15 @@ class SmallLp(AppSpace, kind="small"):
     def descriptor(self) -> SpaceDescriptor:
         b = EllPow(self.alpha / _pp(self.p) - 1.0)
         return LSpace(1.0 - 1.0 / self.p, b, L1, ONE, RiSpace(self.p), UNIT)
+
+    def _norm(self, grid, f):
+        pref = lebesgue_prefix(f ** self.p, grid)
+        with np.errstate(divide="ignore"):
+            inner = np.log(pref) / self.p
+        lw = sv_log_on_grid(EllPow(self.alpha / _pp(self.p) - 1.0),
+                            grid) + inner
+        return np.where(np.isfinite(pref).all(axis=-1),
+                        checked_norm(lw, 1.0, grid), math.inf)
 
 
 @dataclass(frozen=True)
@@ -94,6 +125,15 @@ class UltraLp(AppSpace, kind="ultra"):
 
     def descriptor(self) -> SpaceDescriptor:
         return ThetaSpace(1.0 - 1.0 / self.p, self.b, self.E, UNIT)
+
+    def _norm(self, grid, f):
+        try:
+            with np.errstate(divide="ignore"):
+                lw = grid.x / self.p + sv_log_on_grid(self.b, grid) \
+                    + np.log(f)
+        except SvDivergenceError:
+            return np.full(f.shape[:-1], math.inf)
+        return checked_norm(lw, self.E.q, grid)
 
 
 @dataclass(frozen=True)
@@ -113,6 +153,11 @@ class LinfQBeta(AppSpace, kind="linfq"):
 
     def descriptor(self) -> SpaceDescriptor:
         return ThetaSpace(1.0, EllPow(self.beta), RiSpace(self.q), UNIT)
+
+    def _norm(self, grid, f):
+        with np.errstate(divide="ignore"):
+            lw = sv_log_on_grid(EllPow(self.beta), grid) + np.log(f)
+        return checked_norm(lw, self.q, grid)
 
 
 @dataclass(frozen=True)
@@ -144,6 +189,19 @@ class GGamma(AppSpace, kind="ggamma"):
                       RiSpace(self.q), Power(self.w2sv, 1.0 / self.p),
                       RiSpace(self.p), UNIT)
 
+    def _norm(self, grid, f):
+        x = grid.x
+        w2 = np.exp(self.w2pow * x + sv_log_on_grid(self.w2sv, grid))
+        inner = lebesgue_prefix(w2 * f ** self.p, grid)
+        ok = np.isfinite(inner).all(axis=-1)
+        # rows outside the space drop out before the outer integral
+        inner = np.where(ok[..., None], inner, 0.0)
+        w1 = np.exp(self.w1pow * x + sv_log_on_grid(self.w1sv, grid))
+        total = lebesgue_prefix(w1 * inner ** (self.q / self.p), grid)
+        vals = [v ** (1.0 / self.q) if math.isfinite(v) else math.inf
+                for v in total[..., -1].ravel().tolist()]
+        return np.where(ok, np.reshape(vals, ok.shape), math.inf)
+
 
 @dataclass(frozen=True)
 class AType(AppSpace, kind="atype"):
@@ -170,6 +228,15 @@ class AType(AppSpace, kind="atype"):
         return RSpace(1.0 - 1.0 / self.p, EllPow(self.alpha - 1.0), self.E,
                       ONE, L1, UNIT)
 
+    def _norm(self, grid, f):
+        # not checked_scan: the suffix scan runs to t = 1, a true edge,
+        # but f is outside when int_0^1 s^(1/p) f** ds/s diverges at 0
+        li = grid.x / self.p + _fss_log(grid, f)
+        inner = log_norm_upper(li, 1.0, grid.dx)
+        lw = sv_log_on_grid(EllPow(self.alpha - 1.0), grid) + inner
+        return np.where(edge_diverges(li, 1.0, grid, "low"), math.inf,
+                        checked_norm(lw, self.E.q, grid))
+
 
 @dataclass(frozen=True)
 class BType(AppSpace, kind="btype"):
@@ -186,91 +253,19 @@ class BType(AppSpace, kind="btype"):
         return LSpace(1.0 - 1.0 / self.p, ONE, self.E,
                       EllPow(self.alpha - 1.0), LINF, UNIT)
 
-
-# ---------------------------------------------------------------------
-# norms
-# ---------------------------------------------------------------------
-
-def _fss_log(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """log f**(t) = log( K(t)/t )."""
-    pref = lebesgue_prefix(f, grid)
-    with np.errstate(divide="ignore"):
-        return np.log(pref) - grid.x
+    def _norm(self, grid, f):
+        lss = _fss_log(grid, f)
+        g = grid.x / self.p \
+            + sv_log_on_grid(EllPow(self.alpha - 1.0), grid) + lss
+        sup = np.maximum.accumulate(g, axis=-1)
+        return checked_norm(sup, self.E.q, grid)
 
 
 def norm_app(space: AppSpace, fstar: GridFunction):
-    """Direct norm recipe on f*, math.inf if outside the space.
-
-    fstar.values may be a (rows x n) stack; the result is then an array
-    with one norm per row, each equal to what that row gives alone.
+    """Direct norm recipe on f*, math.inf if outside the space; for a
+    (rows x n) stack, one norm per row, each what that row gives alone.
     """
-    return _unstack(_norm_app(space, fstar.grid, fstar.values))
-
-
-def _norm_app(space: AppSpace, grid: Grid, f: np.ndarray) -> np.ndarray:
-    """norm_app on valid f* samples; only ultra and linfq take log f*."""
-    if grid.truncated("high"):
-        raise ValueError("concrete spaces live on (0,1): use a unit grid")
-    x = grid.x
-
-    if isinstance(space, GrandLp):
-        suf = lebesgue_suffix(f ** space.p, grid)
-        with np.errstate(divide="ignore"):
-            lw = sv_log_on_grid(EllPow(-space.alpha / space.p), grid) \
-                + np.log(suf) / space.p
-        return _final(np.max(lw, axis=-1))
-
-    if isinstance(space, SmallLp):
-        pref = lebesgue_prefix(f ** space.p, grid)
-        with np.errstate(divide="ignore"):
-            inner = np.log(pref) / space.p
-        lw = sv_log_on_grid(EllPow(space.alpha / _pp(space.p) - 1.0),
-                            grid) + inner
-        return np.where(np.isfinite(pref).all(axis=-1),
-                        checked_norm(lw, 1.0, grid), math.inf)
-
-    if isinstance(space, UltraLp):
-        try:
-            with np.errstate(divide="ignore"):
-                lw = x / space.p + sv_log_on_grid(space.b, grid) + np.log(f)
-        except SvDivergenceError:
-            return np.full(f.shape[:-1], math.inf)
-        return checked_norm(lw, space.E.q, grid)
-
-    if isinstance(space, LinfQBeta):
-        with np.errstate(divide="ignore"):
-            lw = sv_log_on_grid(EllPow(space.beta), grid) + np.log(f)
-        return checked_norm(lw, space.q, grid)
-
-    if isinstance(space, GGamma):
-        w2 = np.exp(space.w2pow * x + sv_log_on_grid(space.w2sv, grid))
-        inner = lebesgue_prefix(w2 * f ** space.p, grid)
-        ok = np.isfinite(inner).all(axis=-1)
-        # rows outside the space drop out before the outer integral
-        inner = np.where(ok[..., None], inner, 0.0)
-        w1 = np.exp(space.w1pow * x + sv_log_on_grid(space.w1sv, grid))
-        total = lebesgue_prefix(w1 * inner ** (space.q / space.p), grid)
-        vals = [v ** (1.0 / space.q) if math.isfinite(v) else math.inf
-                for v in total[..., -1].ravel().tolist()]
-        return np.where(ok, np.reshape(vals, ok.shape), math.inf)
-
-    if isinstance(space, AType):
-        # not checked_scan: the suffix scan runs to t = 1, a true edge,
-        # but f is outside when int_0^1 s^(1/p) f** ds/s diverges at 0
-        li = x / space.p + _fss_log(grid, f)
-        inner = log_norm_upper(li, 1.0, grid.dx)
-        lw = sv_log_on_grid(EllPow(space.alpha - 1.0), grid) + inner
-        return np.where(edge_diverges(li, 1.0, grid, "low"), math.inf,
-                        checked_norm(lw, space.E.q, grid))
-
-    if isinstance(space, BType):
-        lss = _fss_log(grid, f)
-        g = x / space.p + sv_log_on_grid(EllPow(space.alpha - 1.0), grid) \
-            + lss
-        sup = np.maximum.accumulate(g, axis=-1)
-        return checked_norm(sup, space.E.q, grid)
-
-    raise TypeError(f"unknown concrete space {type(space).__name__}")
+    return _unstack(space.norm(fstar.grid, fstar.values))
 
 
 # ---------------------------------------------------------------------

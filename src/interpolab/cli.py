@@ -28,7 +28,7 @@ from .sv import ONE, EllPow
 from .spaces import (AppMember, Over, ThetaSpace, check_admissible,
                      contains, space_from_obj)
 from .kfun import k_peetre, norm_in_space
-from .holmstedt import CASES, DEFAULT_CASES
+from .holmstedt import CASES, DEFAULT_CASES, HolmstedtCase
 from .reiteration import verify_reiteration
 from . import corpus as corpus_mod
 from . import holmstedt as holmstedt_mod
@@ -136,18 +136,14 @@ def cmd_norm(args) -> int:
         if not rep.admissible:
             return 2
 
-    if not fstar.values.any():
-        print("0.0")
-        return 0
-    if isinstance(desc, AppMember):
-        value = app_mod.norm_app(desc.space, fstar)
-    else:
-        try:
-            K = k_peetre(fstar)
-        except ValueError as e:     # f is not in X0 + X1
-            print(f"norm: {e}")
-            return 2
-        value = norm_in_space(K, desc)
+    try:    # f is not in X0 + X1, or f*(t_min) is out of float range
+        if isinstance(desc, AppMember):
+            value = app_mod.norm_app(desc.space, fstar)
+        else:
+            value = norm_in_space(k_peetre(fstar), desc)
+    except ValueError as e:
+        print(f"norm: {e}")
+        return 2
     if not math.isfinite(value):
         print("norm: divergent for this function")
         return 2
@@ -177,8 +173,8 @@ def cmd_verify(args) -> int:
             corpus = corpus_mod.parse_corpus(args.corpus)
             if not corpus:
                 raise ValueError(f"corpus {args.corpus!r} holds no spec")
-        if args.target == "holmstedt" and args.case not in DEFAULT_CASES:
-            raise ValueError("unknown case; available: " + ", ".join(CASES))
+        if args.target == "holmstedt":
+            case = _holmstedt_case(args.case)
         if args.target == "reiteration":
             case = _reiteration_case(args.case, args.theta)
         if args.target == "identity":
@@ -197,8 +193,8 @@ def cmd_verify(args) -> int:
         return 1
 
     if args.target == "holmstedt":
-        rep = holmstedt_mod.verify_holmstedt(
-            DEFAULT_CASES[args.case], corpus=corpus, log2n=log2n)
+        rep = holmstedt_mod.verify_holmstedt(case, corpus=corpus,
+                                             log2n=log2n)
         return _finish(rep, args, f"holmstedt_{args.case}")
 
     if args.target == "reiteration":
@@ -224,6 +220,18 @@ def cmd_verify(args) -> int:
     for rep in reports:
         codes.append(_finish(rep, args, f"identity_{rep.case}"))
     return max(codes) if codes else 0
+
+
+def _holmstedt_case(name: str) -> HolmstedtCase:
+    """A case by its name, or the couple of a reiteration scenario."""
+    if name in DEFAULT_CASES:
+        return DEFAULT_CASES[name]
+    reits = app_mod._reiterations()
+    if name not in reits:
+        raise ValueError("unknown case; available: " + ", ".join(CASES)
+                         + "; or a reiteration scenario: "
+                         + ", ".join(reits))
+    return HolmstedtCase(*reits[name].couple)
 
 
 def _reiteration_case(name: str, theta: float) -> Over:
@@ -276,8 +284,8 @@ def _parser() -> _Parser:
     pv.add_argument("target", choices=("holmstedt", "reiteration",
                                        "identity"))
     pv.add_argument("--case", default="R_interior",
-                    help="holmstedt/reiteration case id (reiteration "
-                    "also takes it with a Thm prefix)")
+                    help="case id (reiteration: Thm prefix optional; "
+                    "holmstedt: or a reiteration scenario's name)")
     pv.add_argument("--name", default="all", help="identity scenario id")
     pv.add_argument("--theta", type=float, default=0.5,
                     help="outer theta for reiteration")

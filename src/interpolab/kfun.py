@@ -39,12 +39,13 @@ truncated integral it takes goes through the one edge test,
 grid.edge_diverges (a closed-form least-squares fit per row): the inner
 levels are the nested norms of grid.checked_scan towards the
 descriptor's side (L and LL run to 0, R and RR to inf), and the outer
-norm is the one checked norm, grid.checked_norm.  The levels of an
-x0/x1, theta, L/R or LL/RR descriptor (spaces.levels: X0 and X1 are
-the theta = 0 and theta = 1 spaces with b = 1, E = Linf) run through
-one loop from the inner level out.  Every row gives bit for bit what
-the same profile gives on its own.  Most cuts never attain the minimum,
-so they are normed in rounds, each refining only the gaps between
+norm is the one checked norm, grid.checked_norm; an app member's
+piece is normed by the concrete space's own recipe, AppSpace.norm.
+The levels of an x0/x1, theta, L/R or LL/RR descriptor (spaces.levels:
+X0 and X1 are the theta = 0 and theta = 1 spaces with b = 1, E = Linf)
+run through one loop from the inner level out.  Every row gives bit for
+bit what the same profile gives on its own.  Most cuts never attain the
+minimum, so they are normed in rounds, each refining only the gaps between
 normed cuts that the envelope of the pairs so far cannot rule out.
 
 norm_in_space evaluates a spaces.Over descriptor, a space over a derived
@@ -138,6 +139,12 @@ def _cap_slope(grid: Grid, k: np.ndarray, slope: np.ndarray) -> np.ndarray:
     return np.minimum(k, slope, out=slope)
 
 
+def _check_first_sample(f: np.ndarray) -> None:
+    """Refuse f* (a row or a stack) whose sample at t_min is not finite."""
+    if not np.isfinite(f[..., 0]).all():
+        raise ValueError("the sample of f* at t_min is out of float range")
+
+
 def k_peetre(fstar: GridFunction) -> KProfile:
     """K(t, f; L1, Linf) = int_0^t f*(s) ds at the grid nodes, repaired;
     the profile keeps K itself beside its log.
@@ -148,8 +155,7 @@ def k_peetre(fstar: GridFunction) -> KProfile:
     first sample is not finite is refused: the head of K extrapolates
     the first cell from it.
     """
-    if not np.isfinite(fstar.values[..., 0]).all():
-        raise ValueError("the sample of f* at t_min is out of float range")
+    _check_first_sample(fstar.values)
     k = lebesgue_prefix(fstar.values, fstar.grid)
     if not np.isfinite(k[..., -1]).all():
         raise ValueError("f* is not locally integrable near 0 "
@@ -179,7 +185,8 @@ def norm_in_space(K: KProfile, d: SpaceDescriptor):
     edge (the descriptor is then trivial or f lies outside the space).
     K.logk (and K.fstar) may be a (rows x n) stack of profiles; the
     result is then an array with one norm per row, each equal to what
-    that row gives alone.  K.fstar is taken as valid, not checked again.
+    that row gives alone.  K.fstar is taken as valid: only an app
+    member's AppSpace.norm checks its first sample again.
     """
     return _unstack(_norms(K, d))
 
@@ -221,8 +228,7 @@ def _norms(K: KProfile, d: SpaceDescriptor) -> np.ndarray:
                 [KProfile(grid, None, f) for f in K.fstar.reshape(-1, grid.n)]
             return np.reshape([_over(r, d) for r in rows],
                               np.shape(K.fstar)[:-1])
-        from .applications import _norm_app
-        return np.asarray(_norm_app(d.space, grid, K.fstar))
+        return np.asarray(d.space.norm(grid, K.fstar))
     except SvDivergenceError:
         rows = K.fstar if K.logk is None else K.logk
         return np.full(np.shape(rows)[:-1], math.inf)

@@ -75,17 +75,7 @@ class EquivalenceReport:
     def add_rows(self, function_id, n, u, lhs, rhs):
         """Rows (u[i], lhs[i], rhs[i]) for one function and grid size,
         from float arrays or sequences (u may be None); an empty add
-        adds nothing.  One row is divided as Python floats, which have
-        the bits of the array path at a fraction of its overhead."""
-        if len(lhs) == 1:
-            lhs, rhs = float(lhs[0]), float(rhs[0])
-            ratio = math.inf if rhs == 0.0 else lhs / rhs
-            us = None if u is None else [float(u[0])]
-            self._blocks.append((function_id, n, us, [lhs], [rhs], [ratio]))
-            ratios = self._ratios.setdefault(n, [])
-            if math.isfinite(ratio) and ratio > 0:
-                ratios.append(ratio)
-            return
+        adds nothing."""
         lhs = np.asarray(lhs, dtype=float)
         rhs = np.asarray(rhs, dtype=float)
         if not len(lhs):

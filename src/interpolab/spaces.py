@@ -10,7 +10,7 @@ A descriptor says how to turn the profile t -> K(t, f) into a norm:
                    the end the inner norms run to (grid.checked_scan)
 * intersection     max of the member norms
 * app              a concrete function-space norm computed straight
-                   from f* (see applications.py)
+                   from f* by the space itself (AppSpace.norm)
 * over             a descriptor applied to K(., f; Y0, Y1) of a derived
                    couple (Y0, Y1) instead of the endpoint couple
 

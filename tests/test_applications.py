@@ -21,7 +21,7 @@ from interpolab.applications import (AppSpace, GrandLp, SmallLp, UltraLp,
                                      verify_identity, _reiterations)
 from interpolab import corpus
 
-from util import rel_err
+from util import APP_SPACES, rel_err
 
 
 # -- parameter validation ----------------------------------------------
@@ -122,6 +122,18 @@ def test_norm_app_needs_unit_grid():
     f = corpus.sample("chi:0.1", full_grid(512))
     with pytest.raises(ValueError):
         norm_app(GrandLp(2.0, 1.0), f)
+
+
+@pytest.mark.parametrize("space", APP_SPACES, ids=lambda s: s._kind)
+def test_norm_app_and_the_app_member_norm_agree_bit_for_bit(space):
+    # two doors to the space's one recipe: norm_app on f*, and
+    # norm_in_space on an app member, which reads the f* K carries
+    g = unit_grid(1024)
+    for spec in corpus.STANDARD:
+        f = corpus.sample(spec, g)
+        got = norm_app(space, f)
+        want = norm_in_space(k_peetre(f), AppMember(space))
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), spec
 
 
 def test_app_obj_round_trip():

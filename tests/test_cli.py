@@ -16,9 +16,12 @@ import interpolab
 from interpolab import cli
 from interpolab.cli import main
 from interpolab.grid import RiSpace
-from interpolab.spaces import (FULL, UNIT, EndpointX0, LSpace, RSpace,
-                               ThetaSpace, couple_reverse)
+from interpolab.spaces import (FULL, UNIT, AppMember, EndpointX0,
+                               EndpointX1, Intersection, LLSpace, LSpace,
+                               RRSpace, RSpace, ThetaSpace, couple_reverse)
 from interpolab.sv import ONE, EllPow, NormTail
+
+from util import APP_SPACES
 
 L1 = RiSpace(1.0)
 L2 = RiSpace(2.0)
@@ -262,9 +265,33 @@ def test_verify_holmstedt_inline_corpus(capsys):
 
 
 def test_verify_holmstedt_unknown_case(capsys):
+    # the error lists the six cases and the reiteration scenarios
     code = main(["verify", "holmstedt", "--case", "R_nowhere"])
+    err = capsys.readouterr().err
     assert code == 1
-    assert "unknown case" in capsys.readouterr().err
+    assert "unknown case; available: R_interior, R_theta0_zero, R_x0, " \
+        "L_interior, L_theta1_one, L_x1;" in err
+    assert "l1-grand" in err and "small-ultra" in err
+
+
+@pytest.mark.parametrize("name", ["l1-grand", "small-ultra"])
+def test_verify_holmstedt_by_scenario_name_writes_the_harness_report(
+        tmp_path, name):
+    # an R couple and an L couple of the reiteration registry, over (0, 1)
+    from interpolab.applications import _reiterations
+    from interpolab.holmstedt import HolmstedtCase, verify_holmstedt
+    corpus = "chi:0.1;pow:4"
+    code = main(["verify", "holmstedt", "--case", name, "--grid", "9",
+                 "--corpus", corpus, "--out", str(tmp_path / "cli")])
+    assert code == 0
+    case = HolmstedtCase(*_reiterations()[name].couple)
+    verify_holmstedt(case, corpus=corpus, log2n=(9,)).write(
+        str(tmp_path / "harness"), f"holmstedt_{name}")
+    got, want = ({p.name: p.read_bytes() for p in (tmp_path / d).iterdir()}
+                 for d in ("cli", "harness"))
+    assert sorted(got) == [f"holmstedt_{name}.{ext}" for ext in ("csv",
+                                                                  "json")]
+    assert got == want
 
 
 def test_verify_reiteration_alias(capsys):
@@ -391,14 +418,60 @@ def test_norm_deeply_nested_descriptor_exits_1(tmp_path, capsys, depth, msg):
     assert err.startswith(f"error: {msg}")
 
 
-def test_norm_of_a_function_vanishing_on_the_grid_is_0(tmp_path, capsys):
-    # chi:1e-30 is 0 at every node of the default grid
-    spath = _write_space(tmp_path / "theta.json", ThetaSpace(0.5, ONE, L2))
-    code = main(["norm", "--space", spath, "--fn", "chi:1e-30",
-                 "--grid", "9"])
+def _one_descriptor_of_each_kind():
+    """One admissible descriptor of each wire kind, an app member of
+    each concrete kind among them, by kind."""
+    from interpolab.applications import get_scenario
+    ell, linf = EllPow(-1.0), RiSpace(math.inf)
+    kinds = {
+        "x0": EndpointX0(), "x1": EndpointX1(),
+        "theta": ThetaSpace(0.5, ONE, L2),
+        "L": LSpace(0.5, ell, L2, ONE, linf),
+        "R": RSpace(0.5, ell, L2, ONE, linf),
+        "LL": LLSpace(0.5, ell, L2, EllPow(-0.5), linf, ONE, L2),
+        "RR": RRSpace(0.5, ell, L2, EllPow(-0.5), linf, ONE, L2),
+        "intersection": Intersection((ThetaSpace(0.5, ONE, L2),
+                                      RSpace(1.0, ell, linf, ONE, L2))),
+        "over": get_scenario("small-grand-interior").lhs}
+    for space in APP_SPACES:
+        kinds[f"app-{space._kind}"] = AppMember(space)
+    return kinds
+
+
+@pytest.mark.parametrize("kind", list(_one_descriptor_of_each_kind()))
+def test_norm_of_a_function_vanishing_on_the_grid_is_0(tmp_path, capsys,
+                                                       kind):
+    # chi:1e-30 is 0 at every node of the default grids: the norm of an
+    # f* that is 0 throughout is 0 whatever the space, by the usual path
+    desc = _one_descriptor_of_each_kind()[kind]
+    spath = _write_space(tmp_path / "space.json", desc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["norm", "--space", spath, "--fn", "chi:1e-30",
+                     "--grid", "9"])
     captured = capsys.readouterr()
-    assert code == 0
-    assert (captured.out, captured.err) == ("0.0\n", "")
+    lines = captured.out.splitlines()
+    assert code == 0 and captured.err == ""
+    assert lines[-1] == "0.0"
+    assert all(ln.startswith("admissibility:") and "DIVERGENT" not in ln
+               for ln in lines[:-1])
+
+
+@pytest.mark.parametrize("space", APP_SPACES, ids=lambda s: s._kind)
+def test_norm_app_of_a_sample_past_float_max_at_t_min_names_it(
+        tmp_path, capsys, space):
+    # f*(t_min) overflows to inf: the A- and B-type recipes took
+    # math.log(0) in the head of f**, and grand, small and ggamma warned
+    # and printed "divergent" for an integrable f*
+    spath = _write_space(tmp_path / "app.json", AppMember(space))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["norm", "--space", spath, "--fn", "powlog:1.0001,1.51",
+                     "--grid", "10", "--tmin", "1e-304", "--tmax", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    assert captured.out.splitlines()[-1] == ("norm: the sample of f* at "
+                                             "t_min is out of float range")
 
 
 def test_norm_divergent_tail_norm_parameter_exits_2(tmp_path, capsys):

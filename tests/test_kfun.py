@@ -1,5 +1,7 @@
 """K-functional computation, couple reversal and the truncation oracle."""
 
+import ast
+import inspect
 import math
 import time
 
@@ -17,6 +19,16 @@ from interpolab.holmstedt import DEFAULT_CASES
 from interpolab import corpus, kfun
 
 from util import rel_err, kprofile_reverse
+
+
+def test_kfun_imports_nothing_from_applications():
+    # the concrete spaces norm themselves (AppSpace.norm): kfun, the
+    # lower layer, reaches a recipe through the app member it norms
+    for node in ast.walk(ast.parse(inspect.getsource(kfun))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""]
+            names += [alias.name for alias in node.names]
+            assert not any("applications" in n for n in names), node.lineno
 
 
 def test_peetre_exact_sqrt():

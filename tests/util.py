@@ -6,9 +6,17 @@ import math
 
 import numpy as np
 
-from interpolab.grid import Grid
+from interpolab.applications import (GrandLp, SmallLp, UltraLp, LinfQBeta,
+                                     GGamma, AType, BType)
+from interpolab.grid import Grid, L2
 from interpolab.kfun import KProfile
-from interpolab.sv import sv_log_eval, sv_log_on_grid
+from interpolab.sv import ONE, EllPow, sv_log_eval, sv_log_on_grid
+
+# one concrete space of each kind
+APP_SPACES = (GrandLp(2.0, 1.0), SmallLp(2.0, 1.0),
+              UltraLp(2.0, EllPow(-0.5), L2), LinfQBeta(math.inf, -1.0),
+              GGamma(2.0, 2.0, -1.0, EllPow(-3.0), 0.0, ONE),
+              AType(4.0, 0.0, L2), BType(2.0, 0.0, L2))
 
 
 def window(ratios):

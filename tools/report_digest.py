@@ -18,11 +18,14 @@ Runs, in-process through ``interpolab.cli.main``:
   m > 0, log, and a csv step file written here) on the x0/x1 spaces,
   the theta, L/R and LL/RR spaces at theta 1/2 of both settings, and
   every app kind;
+* ``norm`` on the same descriptor files on ``chi:1e-30``, which is 0 at
+  every node of the default grids, at ``--grid 10``;
 
 and prints one ``<sha256>  <report>`` line per written CSV/JSON file,
 one line, ``norm/stdout+exit``, for the stdout and exit codes of the
-``norm`` calls at ``--grid 10``, and one line per corpus kind and grid
-size, ``norm/<kind>/grid<k>``, for those of the finer calls.  Reports
+``norm`` calls on ``chi:0.5`` at ``--grid 10``, one, ``norm/zero``, for
+those on ``chi:1e-30``, and one line per corpus kind and grid size,
+``norm/<kind>/grid<k>``, for those of the finer calls.  Reports
 are deterministic, so two checkouts that print the same digests write
 byte-identical reports.  A change to
 the numerics moves last bits and so every digest; ``report_compare.py``
@@ -145,6 +148,8 @@ def norm_descriptors():
 
 # the further arguments of the norm calls of norm_descriptors()
 NORM_ARGS = ("--fn", "chi:0.5", "--grid", "10")
+# the same on a function that vanishes on the grid: its f* is all 0
+ZERO_ARGS = ("--fn", "chi:1e-30", "--grid", "10")
 # the finer norm calls: bounds per setting, the csv steps, and the
 # --fn spec of each corpus kind ({csv} is the step file's path)
 FINE_GRIDS = ("14", "16")
@@ -227,9 +232,11 @@ def main() -> int:
                 print(f"{digest(os.path.join(root, sub, name))}  "
                       f"{sub}/{name}")
     with tempfile.TemporaryDirectory() as root:
-        text = norm_transcript(cli, root, ((name, obj, NORM_ARGS) for
-                                           name, obj in norm_descriptors()))
-        print(f"{hashlib.sha256(text).hexdigest()}  norm/stdout+exit")
+        for label, args in (("stdout+exit", NORM_ARGS),
+                            ("zero", ZERO_ARGS)):
+            text = norm_transcript(cli, root, (
+                (name, obj, args) for name, obj in norm_descriptors()))
+            print(f"{hashlib.sha256(text).hexdigest()}  norm/{label}")
         for label, calls in itertools.groupby(fine_calls(root),
                                               lambda c: c[0]):
             text = norm_transcript(cli, root, (c[1:] for c in calls))
