@@ -169,7 +169,7 @@ def cmd_verify(args) -> int:
         if args.jobs < 1:
             raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         corpus = None
-        if args.corpus:     # parsed once: the input check and the sweep
+        if args.corpus is not None:     # parsed once: check and sweep
             corpus = corpus_mod.parse_corpus(args.corpus)
             if not corpus:
                 raise ValueError(f"corpus {args.corpus!r} holds no spec")

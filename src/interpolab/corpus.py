@@ -118,17 +118,21 @@ STANDARD = ("chi:0.001", "chi:0.1", "chi:1", "pow:2", "pow:4",
 def parse_corpus(corpus) -> tuple:
     """(spec, fn) from parse_fn for each prototype of corpus: 'standard',
     a sequence of specs, an inline semicolon-separated list, or a file
-    of one spec per line.  A sequence may hold pairs parse_fn made; they
-    pass through, so a corpus parsed for an input check is used as it
-    is, not read again."""
+    of one spec per line ('' is empty); a repeated spec is refused.  A
+    sequence may hold pairs parse_fn made; they pass through, so a corpus
+    parsed for an input check is used as it is, not read again."""
     if isinstance(corpus, (tuple, list)):
         specs = corpus
     elif corpus == "standard":
         specs = STANDARD
-    elif ":" in corpus:
+    elif ":" in corpus or not corpus:
         specs = [s for s in corpus.split(";") if s]
     else:
         with open(corpus) as fh:
             specs = [line.strip() for line in fh
                      if line.strip() and not line.startswith("#")]
-    return tuple(s if isinstance(s, tuple) else parse_fn(s) for s in specs)
+    out = tuple(s if isinstance(s, tuple) else parse_fn(s) for s in specs)
+    ids = [spec for spec, _ in out]
+    if len(set(ids)) < len(ids):
+        raise ValueError(f"corpus specs must be distinct, got {ids}")
+    return out

@@ -5,8 +5,7 @@ rather than t keeps the arithmetic finite across the enormous dynamic
 ranges that show up in weighted norms (t^{-theta*q} spans dozens of
 decades on the default full-line grid), and lets a grid reach far below
 the float64 underflow threshold when a slowly converging log-integral
-needs it.  A grid lies in the t-interval of its Setting, and t -> 1/t
-maps it onto its reflection in the reversed setting (Grid.reflected).
+needs it.  A grid lies in the t-interval of its Setting.
 
 Two kinds of integral live here:
 
@@ -97,8 +96,7 @@ class Grid:
     setting's interval.  An end stands in for t = 0 or inf, and needs
     divergence checks, exactly when it stops short of that interval."""
 
-    __slots__ = ("x", "dx", "n", "setting", "key", "_truncated", "_t",
-                 "_reflected")
+    __slots__ = ("x", "dx", "n", "setting", "key", "_truncated", "_t")
 
     def __init__(self, x_min: float, x_max: float, n: int,
                  setting: Setting = FULL):
@@ -120,7 +118,7 @@ class Grid:
         self.n = n
         self.key = (x[0], x[-1], n, self.setting)
         self._truncated = (bool(x_min > lo), bool(x_max < hi))
-        self._t = self._reflected = None
+        self._t = None
 
     # -- constructors -------------------------------------------------
 
@@ -128,9 +126,11 @@ class Grid:
     def from_bounds(cls, t_min: float | None, t_max: float | None, n: int,
                     setting: Setting = FULL) -> "Grid":
         """The grid from t_min to t_max; None stands for 1e-8 and 1e8, cut
-        to the interval.  A co_unit grid is only made by reflection."""
+        to the interval.  The co_unit setting is refused: reversal
+        rewrites weights, so nothing is normed on a co_unit grid."""
         if Setting(setting) is CO_UNIT:
-            raise ValueError("a co_unit grid is only made by reflection")
+            raise ValueError("nothing is normed on a co_unit grid: norm "
+                             "the unit space it reverses")
         t_min = 1e-8 if t_min is None else t_min
         t_max = (1.0 if setting == UNIT else 1e8) if t_max is None else t_max
         if not 0 < t_min < t_max < math.inf:
@@ -139,20 +139,6 @@ class Grid:
             raise ValueError(f"t_min = {t_min:g} is below e^{_X_TINY:g} "
                              "(~9.9e-305), where K(t_min) is not computed")
         return cls(math.log(t_min), math.log(t_max), n, setting)
-
-    def reflected(self) -> "Grid":
-        """The grid of t -> 1/t in the reversed setting, nodes exactly -x
-        reversed; a full grid symmetric about t = 1 is its own."""
-        x, r = self.x, self._reflected
-        if r is None:
-            r = self
-            if self.setting is not FULL or abs(x[0] + x[-1]) > 1e-9:
-                r = Grid(-x[-1], -x[0], self.n, self.setting.reversed())
-                r.x, r._reflected = -x[::-1], self
-                # a bounds-built grid may share its ends, not its nodes
-                r.key += ("reflected",)
-            self._reflected = r
-        return r
 
     # -- conveniences --------------------------------------------------
 

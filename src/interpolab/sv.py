@@ -9,7 +9,8 @@ for gamma > 0, and the running tail norms
     B0(t) = || b ||_{E~(0,t)},      Binf(t) = || b ||_{E~(t, +edge)},
 
 which are again slowly varying and keep appearing as derived parameters.
-Under t -> b(1/t) a tail norm is tabulated on the reflected grid.
+t -> b(1/t) is a rewrite into the same kinds (inverse_arg), so every
+weight is tabulated on the grid it is normed on.
 
 Everything evaluates as a function of x = log t, so expressions stay
 finite on grids whose t range leaves float64.  Every node has a JSON
@@ -156,20 +157,28 @@ ONE = Const(1.0)
 
 
 def inverse_arg(e: SvExpr) -> SvExpr:
-    """Wrap in InverseArg, collapsing the involution."""
-    if isinstance(e, InverseArg):
-        return e.inner
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, EllPow):
-        return e  # l is symmetric in log t
+    """t -> e(1/t) in closed form, never an InverseArg: a tail norm
+    changes side, ||b||_{E~(0,1/t)} = ||b(1/.)||_{E~(t,inf)}, and
+    (1/t)^gamma inner(1/t) = 1 / (t^gamma / inner(1/t))."""
+    if isinstance(e, (Const, EllPow, IteratedEll, ExpLogPow)):
+        return e    # functions of |log t|
     if isinstance(e, BrokenEll):
         return BrokenEll(e.beta, e.alpha)
     if isinstance(e, Product):
         return Product(inverse_arg(e.left), inverse_arg(e.right))
     if isinstance(e, Power):
         return Power(inverse_arg(e.base), e.r)
-    return InverseArg(e)
+    if isinstance(e, InverseArg):
+        return inverse_arg(inverse_arg(e.inner))  # e.inner, written out
+    if isinstance(e, NormTail):
+        side = "upper" if e.side == "lower" else "lower"
+        return NormTail(inverse_arg(e.b), e.E, side)
+    if isinstance(e, ComposeWithRho):
+        # 1/inner undoes a reciprocal, as (-1)((-1) v) is v bit for bit
+        r = inverse_arg(e.inner)
+        r = r.base if isinstance(r, Power) and r.r == -1.0 else Power(r, -1.0)
+        return ComposeWithRho(inverse_arg(e.outer), e.gamma, r)
+    raise TypeError(f"unknown SvExpr node {e!r}")
 
 
 def compose_rho(b: SvExpr, gamma: float, sv: SvExpr) -> SvExpr:
@@ -225,7 +234,7 @@ def sv_log_eval(expr: SvExpr, x: np.ndarray, grid: Grid | None = None) -> np.nda
     if isinstance(expr, Power):
         return expr.r * sv_log_eval(expr.base, x, grid)
     if isinstance(expr, InverseArg):
-        return sv_log_eval(expr.inner, -x, grid and grid.reflected())
+        return sv_log_eval(inverse_arg(expr.inner), x, grid)
     if isinstance(expr, ComposeWithRho):
         logv = expr.gamma * x + sv_log_eval(expr.inner, x, grid)
         return sv_log_eval(expr.outer, logv, grid)

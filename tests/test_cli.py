@@ -718,7 +718,7 @@ def test_norm_app_members_need_tmax_1(tmp_path, capsys, monkeypatch, kind):
 
 def test_norm_refuses_the_co_unit_setting(tmp_path, capsys, monkeypatch):
     # a co_unit descriptor reads (it is what reversal makes of a unit
-    # one), but a co_unit grid is only ever a reflection: nothing to norm
+    # one), but nothing is normed on a co_unit grid
     rev = couple_reverse(ThetaSpace(0.25, ONE, L2, UNIT))
     spath = _write_space(tmp_path / "co_unit.json", rev)
     with open(spath) as fh:
@@ -767,11 +767,14 @@ def test_over_of_app_members_on_a_short_grid_is_an_error():
      "--stability-max", "-1"],
     ["identity", "--name", "small-linf", "--corpus", "csv:{tmp}/neg.csv"],
     ["holmstedt", "--corpus", "csv:{tmp}/neg.csv"],
+    ["holmstedt", "--corpus", ""],
+    ["holmstedt", "--corpus", "pow:2;pow:2"],
 ], ids=["theta2", "theta-nan", "bogus", "pow0", "chi-neg", "csv-missing",
         "corpus-file-missing", "pow-nan", "log-inf", "csv-nan",
         "corpus-empty", "out-is-a-file", "window-max-nan",
         "stability-max-nan", "window-max-below-1", "stability-max-negative",
-        "csv-negative-value", "csv-negative-value-holmstedt"])
+        "csv-negative-value", "csv-negative-value-holmstedt",
+        "corpus-empty-string", "corpus-repeated-spec"])
 def test_verify_bad_input_exits_1_before_sweeping(tmp_path, capsys,
                                                   monkeypatch, argv):
     def no_sweep(*args, **kwargs):

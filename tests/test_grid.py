@@ -14,7 +14,7 @@ from interpolab.grid import (Grid, GridFunction, L1, L2, LINF, RiSpace,
                              log_norm_between, _logaddexp_scan,
                              _shifted_scan, _final, _GUARD)
 
-from util import rel_err
+from util import mirror, rel_err
 
 
 def test_grid_constructors_agree():
@@ -58,8 +58,8 @@ def test_an_end_is_truncated_when_it_stops_short_of_the_interval(
     g = Grid.from_bounds(t_min, t_max, 256, setting)
     assert g.setting is setting
     assert (g.truncated("low"), g.truncated("high")) == ends
-    # the reflection is truncated at the mirrored ends
-    r = g.reflected()
+    # the grid of t -> 1/t is truncated at the mirrored ends
+    r = mirror(g)
     assert (r.truncated("low"), r.truncated("high")) == ends[::-1]
 
 
@@ -75,7 +75,7 @@ def test_default_bounds_are_cut_to_the_interval():
     (UNIT, None, 1.5), (UNIT, 2.0, None), (UNIT, 1e-8, 1e8),
     (CO_UNIT, None, None), (CO_UNIT, 2.0, 1e8), (FULL, None, math.inf)])
 def test_bounds_outside_the_interval_are_refused(setting, t_min, t_max):
-    # a co_unit grid is only ever the reflection of a unit grid
+    # nothing is normed on a co_unit grid: reversal rewrites the weights
     with pytest.raises(ValueError):
         Grid.from_bounds(t_min, t_max, 64, setting)
 
@@ -103,24 +103,14 @@ def test_setting_is_its_string_value():
     ids=["unit", "full-asymmetric", "unit-short"])
 def test_reflection_negates_and_reverses_the_nodes(make):
     g = make()
-    r = g.reflected()
-    assert r is not g and r.setting is g.setting.reversed()
+    r = mirror(g)
+    assert r.setting is g.setting.reversed()
     assert np.array_equal(r.x, -g.x[::-1]) and r.dx == g.dx and r.n == g.n
-    assert r.reflected() is g and g.reflected() is r
-    # a bounds-built grid never shares a memo key with a reflection
+    assert np.array_equal(mirror(r).x, g.x)
+    # a bounds-built grid never shares a memo key with a mirror grid
     assert r.key != g.key
     assert r.key != Grid.from_bounds(math.exp(r.x[0]), math.exp(r.x[-1]),
                                      r.n, FULL).key
-
-
-def test_symmetric_full_grid_is_its_own_reflection():
-    g = full_grid(512)
-    assert g.reflected() is g
-    # within 1e-9 of symmetric, as kprofile_reverse once demanded
-    near = Grid(-3.0, 3.0 + 1e-10, 64)
-    assert near.reflected() is near
-    off = Grid(-3.0, 3.0 + 1e-8, 64)
-    assert off.reflected() is not off and off.reflected().setting is FULL
 
 
 def test_tilde_norm_pure_power():

@@ -18,7 +18,7 @@ from interpolab.kfun import (KProfile, k_peetre, norm_in_space,
 from interpolab.holmstedt import DEFAULT_CASES
 from interpolab import corpus, kfun
 
-from util import rel_err, kprofile_reverse
+from util import rel_err, kprofile_reverse, mirror
 
 
 def test_kfun_imports_nothing_from_applications():
@@ -60,15 +60,16 @@ def test_kprofile_reverse_is_involution():
 
 
 def test_kprofile_reverse_lands_on_the_reflected_grid():
-    # a grid that is not symmetric about t = 1 reverses onto the grid of
-    # t -> 1/t: a unit profile onto the co_unit grid, and back
+    # a profile reverses onto the grid of t -> 1/t (util.mirror): a unit
+    # profile onto the co_unit grid, and back onto the unit nodes
     g = unit_grid(512)
     K = k_peetre(corpus.sample("chi:0.1", g))
     R = kprofile_reverse(K)
-    assert R.grid is g.reflected() and R.grid.setting == CO_UNIT
+    assert np.array_equal(R.grid.x, mirror(g).x)
+    assert R.grid.setting == CO_UNIT
     assert np.array_equal(R.logk, R.grid.x + K.logk[::-1])
     back = kprofile_reverse(R)
-    assert back.grid is g
+    assert np.array_equal(back.grid.x, g.x) and back.grid.setting is UNIT
     assert np.allclose(back.logk, K.logk, atol=1e-12)
 
 

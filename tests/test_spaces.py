@@ -11,7 +11,7 @@ from interpolab.grid import (Grid, L1, L2, LINF, full_grid, unit_grid,
                              checked_norm, edge_diverges, log_norm_lower,
                              log_norm_upper)
 from interpolab.sv import (EllPow, BrokenEll, ExpLogPow, InverseArg, ONE,
-                           Power, sv_log_on_grid)
+                           Power, inverse_arg, sv_log_on_grid)
 from interpolab.spaces import (EndpointX0, EndpointX1, ThetaSpace, LSpace,
                                RSpace, LLSpace, RRSpace, Intersection,
                                AppMember, Over,
@@ -23,7 +23,7 @@ from interpolab import corpus
 from interpolab.holmstedt import DEFAULT_CASES
 from interpolab.applications import GrandLp
 
-from util import kprofile_reverse
+from util import SV_WEIGHTS, kprofile_reverse
 
 
 # -- admissibility -----------------------------------------------------
@@ -228,6 +228,20 @@ def test_reverse_is_an_involution_onto_the_mirror_class(d):
     assert r.setting == d.setting.reversed()
     assert r.setting == (CO_UNIT if d.setting == UNIT else FULL)
     assert couple_reverse(r) == d
+
+
+@pytest.mark.parametrize("setting", [FULL, UNIT])
+@pytest.mark.parametrize("kind", SV_WEIGHTS)
+def test_reverse_is_an_involution_on_every_weight_kind(kind, setting):
+    def descs(w):
+        return (ThetaSpace(0.5, w, L2, setting),
+                LSpace(0.25, w, L2, w, LINF, setting),
+                RRSpace(0.75, w, LINF, ONE, L2, w, L1, setting))
+    w = SV_WEIGHTS[kind]
+    # an InverseArg reverses into its closed form, which then round-trips
+    w0 = inverse_arg(w.inner) if isinstance(w, InverseArg) else w
+    for d, d0 in zip(descs(w), descs(w0)):
+        assert couple_reverse(couple_reverse(d)) == d0
 
 
 # -- the folded L/R admissibility against the mirrored tables ----------

@@ -1,5 +1,6 @@
 """Slowly varying weights: evaluation, tail norms, contracts, JSON."""
 
+import dataclasses
 import json
 import math
 
@@ -16,7 +17,8 @@ from interpolab.sv import (SvExpr, Const, EllPow, BrokenEll, IteratedEll,
                            inverse_arg, sv_log_eval, sv_log_on_grid)
 from interpolab.wire import to_json
 
-from util import rel_err, interior_ratio_window, sv_eval, sv_verify
+from util import (SV_WEIGHTS, rel_err, interior_ratio_window, mirror,
+                  sv_eval, sv_verify)
 
 
 def test_ellpow_values():
@@ -79,6 +81,56 @@ def test_inverse_arg_collapses():
     assert rel_err(sv_eval(w, t), sv_eval(BrokenEll(1.0, -1.0), 1.0 / t)) < 1e-12
 
 
+def _inverse_arg_nodes(e):
+    """The InverseArg nodes of e, at any depth."""
+    if isinstance(e, InverseArg):
+        yield e
+    for f in dataclasses.fields(e):
+        v = getattr(e, f.name)
+        if isinstance(v, SvExpr):
+            yield from _inverse_arg_nodes(v)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: unit_grid(1024), lambda: Grid.from_bounds(1e-30, 1e8, 4096)],
+    ids=["unit", "full-asymmetric"])
+@pytest.mark.parametrize("kind", SV_WEIGHTS)
+def test_reversal_is_the_weight_on_the_grid_of_one_over_t(kind, make):
+    # inverse_arg(e) on a grid is e on the grid of t -> 1/t, reversed
+    g, e = make(), SV_WEIGHTS[kind]
+    r = inverse_arg(e)
+    got = sv_log_on_grid(r, g)
+    want = sv_log_on_grid(e, mirror(g))[::-1]
+    if kind == "compose_rho-tail-outer":
+        # its outer tail is read between nodes by np.interp, which
+        # starts from the left node of a cell: on the mirror grid that
+        # is the other node, so a value may move in its last bit
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+    else:
+        assert np.array_equal(got, want)
+    assert np.array_equal(sv_log_on_grid(InverseArg(e), g), got)
+    assert not list(_inverse_arg_nodes(r))
+    # an involution; an InverseArg written out is its own closed form
+    back = inverse_arg(e.inner) if isinstance(e, InverseArg) else e
+    assert inverse_arg(r) == back
+
+
+def test_inverse_arg_refuses_an_unknown_node():
+    with pytest.raises(TypeError, match="unknown SvExpr node"):
+        inverse_arg(SvExpr())
+
+
+def test_reciprocal_inner_folds_under_reversal():
+    # (1/t)^gamma inner(1/t) = 1 / (t^gamma / inner(1/t)): the reversed
+    # inner is a reciprocal, and reversing again folds it away
+    tail = NormTail(EllPow(-2.0), L1, "lower")
+    e = ComposeWithRho(EllPow(-1.0), 0.5, Power(tail, -1.0))
+    r = inverse_arg(e)
+    assert r == ComposeWithRho(EllPow(-1.0), 0.5,
+                               NormTail(EllPow(-2.0), L1, "upper"))
+    assert inverse_arg(r) == e
+
+
 def test_const_validation():
     with pytest.raises(ValueError):
         Const(0.0)
@@ -132,13 +184,13 @@ def test_norm_tail_tests_only_its_own_edge(b, side):
 
 
 def test_reflected_tail_norm_reads_the_reflected_table():
-    # t -> 1/t maps the grid onto its reflection, where the tail table
-    # of the inner norm is built; on a grid that is not symmetric about
-    # t = 1 the grid's own table would be clamped at its end instead
+    # under t -> 1/t an upper tail is the lower tail of the reversed
+    # weight, tabulated on the grid itself: the table of the upper tail
+    # on the grid of t -> 1/t, reversed, bit for bit
     g = Grid.from_bounds(1e-30, 1e8, 4096)
     tail = NormTail(EllPow(-1.0), L2, "upper")
     got = sv_log_on_grid(InverseArg(tail), g)
-    want = sv_log_on_grid(tail, g.reflected())[::-1]
+    want = sv_log_on_grid(tail, mirror(g))[::-1]
     assert np.array_equal(got, want)
     # at t = 1e-25 it is || l^-1 ||_{L~2(1e25, 1e30)}, about 0.0530: the
     # mass beyond the grid's end 1e30 is not there (0.131 with it)
@@ -149,13 +201,16 @@ def test_reflected_tail_norm_reads_the_reflected_table():
 
 
 def test_unit_tail_norm_reflects_onto_co_unit():
-    # a lower tail on the co_unit grid runs from its true edge t = 1, so
-    # || l^-1/2 ||_{L~1(1, 1/t)} = 2 (sqrt(l(t)) - 1) under t -> 1/t
+    # a lower tail on the co_unit grid of t -> 1/t runs from its true
+    # edge t = 1, and reversed it is the upper tail on the unit grid,
+    # which runs to it: || l^-1/2 ||_{L~1(t, 1)} = 2 (sqrt(l(t)) - 1)
     g = unit_grid(2048)
-    r = g.reflected()
-    assert r.setting == CO_UNIT
-    val = np.exp(sv_log_on_grid(
-        InverseArg(NormTail(EllPow(-0.5), L1, "lower")), g))
+    tail = NormTail(EllPow(-0.5), L1, "lower")
+    lb = sv_log_on_grid(InverseArg(tail), g)
+    r = mirror(g)
+    assert r.setting == CO_UNIT and not r.truncated("low")
+    assert np.array_equal(lb, sv_log_on_grid(tail, r)[::-1])
+    val = np.exp(lb)
     exact = 2.0 * (np.sqrt(1.0 - g.x) - 1.0)
     sl = slice(0, g.n - 2)
     assert np.max(np.abs(val[sl] / exact[sl] - 1.0)) < 1e-5

@@ -8,15 +8,34 @@ import numpy as np
 
 from interpolab.applications import (GrandLp, SmallLp, UltraLp, LinfQBeta,
                                      GGamma, AType, BType)
-from interpolab.grid import Grid, L2
+from interpolab.grid import Grid, L1, L2
 from interpolab.kfun import KProfile
-from interpolab.sv import ONE, EllPow, sv_log_eval, sv_log_on_grid
+from interpolab.sv import (ONE, Const, EllPow, BrokenEll, IteratedEll,
+                           ExpLogPow, Product, Power, InverseArg, NormTail,
+                           ComposeWithRho, sv_log_eval, sv_log_on_grid)
 
 # one concrete space of each kind
 APP_SPACES = (GrandLp(2.0, 1.0), SmallLp(2.0, 1.0),
               UltraLp(2.0, EllPow(-0.5), L2), LinfQBeta(math.inf, -1.0),
               GGamma(2.0, 2.0, -1.0, EllPow(-3.0), 0.0, ONE),
               AType(4.0, 0.0, L2), BType(2.0, 0.0, L2))
+
+# one weight of each kind, a tail norm of each side and a composition
+# with rho through a tail norm inside and outside; every tail is finite
+# on full and unit grids
+_LOWER = NormTail(EllPow(-2.0), L1, "lower")
+_UPPER = NormTail(EllPow(-2.0), L2, "upper")
+SV_WEIGHTS = {
+    "const": Const(2.0), "ell": EllPow(-0.5),
+    "broken_ell": BrokenEll(-1.0, 0.5), "iterated_ell": IteratedEll(2, 1.0),
+    "exp_log_pow": ExpLogPow(0.5),
+    "product": Product(EllPow(0.5), BrokenEll(1.0, -1.0)),
+    "power": Power(BrokenEll(0.5, -1.0), -3.0),
+    "norm_tail-lower": _LOWER, "norm_tail-upper": _UPPER,
+    "compose_rho-tail-inner": ComposeWithRho(EllPow(-1.0), 0.5, _LOWER),
+    "compose_rho-tail-outer": ComposeWithRho(_UPPER, 0.5, EllPow(0.5)),
+    "inverse_arg": InverseArg(BrokenEll(1.0, -1.0)),
+}
 
 
 def window(ratios):
@@ -43,9 +62,17 @@ def interior_ratio_window(lhs, rhs, grid, frac=0.05):
     return float(r.max() / r.min())
 
 
+def mirror(g):
+    """The grid of t -> 1/t in the reversed setting, nodes exactly -x
+    reversed; its memo key is its own, even where the nodes agree."""
+    m = Grid(-g.x[-1], -g.x[0], g.n, g.setting.reversed())
+    m.x, m.key = -g.x[::-1], m.key + ("mirror",)
+    return m
+
+
 def kprofile_reverse(K):
-    """K(t; X1, X0) = t K(1/t; X0, X1), on the reflected grid."""
-    g = K.grid.reflected()
+    """K(t; X1, X0) = t K(1/t; X0, X1), on the mirror grid."""
+    g = mirror(K.grid)
     return KProfile(g, g.x + K.logk[..., ::-1], None)
 
 

@@ -5,8 +5,9 @@
 PARENT_SRC and CHANGE_SRC are ``src`` directories holding an
 ``interpolab`` package.  Each tree runs, in its own process, every CLI
 call of ``report_digest.py``: the ``verify`` sweeps of ``runs()``,
-``norm`` on each descriptor of ``norm_descriptors()`` and the finer
-``norm`` calls of ``fine_calls()``.  The tool then
+``norm`` on each descriptor of ``norm_descriptors()``, the finer
+``norm`` calls of ``fine_calls()`` and the reversal calls of
+``reversal_calls()``.  The tool then
 prints one line per report, ``<worst relative deviation>  <report>``,
 and one line ``norm/stdout`` for the ``norm`` calls.
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -54,7 +56,8 @@ def collect(out: str) -> None:
                  for name, obj in report_digest.norm_descriptors()}
         norms.update({f"{label}/{name}": report_digest.norm_call(
             cli, root, name, obj, args) for label, name, obj, args
-            in report_digest.fine_calls(root)})
+            in itertools.chain(report_digest.fine_calls(root),
+                               report_digest.reversal_calls())})
     with open(os.path.join(out, "calls.json"), "w") as fh:
         json.dump({"exits": exits, "norms": norms}, fh)
 

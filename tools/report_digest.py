@@ -20,12 +20,19 @@ Runs, in-process through ``interpolab.cli.main``:
   every app kind;
 * ``norm`` on the same descriptor files on ``chi:1e-30``, which is 0 at
   every node of the default grids, at ``--grid 10``;
+* ``norm`` on theta(1/2, inverse_arg(w), L2) for a weight w of every
+  kind (a tail norm of each side, a composition with rho through a tail
+  norm inside and outside), on ``chi:0.5`` and ``powlog:2,-1`` at
+  ``--grid 10``, on the default full grid, on ``--tmin 1e-30`` and in
+  the unit setting;
 
 and prints one ``<sha256>  <report>`` line per written CSV/JSON file,
 one line, ``norm/stdout+exit``, for the stdout and exit codes of the
 ``norm`` calls on ``chi:0.5`` at ``--grid 10``, one, ``norm/zero``, for
-those on ``chi:1e-30``, and one line per corpus kind and grid size,
-``norm/<kind>/grid<k>``, for those of the finer calls.  Reports
+those on ``chi:1e-30``, one line per corpus kind and grid size,
+``norm/<kind>/grid<k>``, for those of the finer calls, and one line per
+function and grid, ``norm/reverse/<fn>/<grid>``, for the reversal
+calls.  Reports
 are deterministic, so two checkouts that print the same digests write
 byte-identical reports.  A change to
 the numerics moves last bits and so every digest; ``report_compare.py``
@@ -160,6 +167,49 @@ FINE_FNS = {"chi": "chi:0.3", "pow": "pow:2", "powlog-neg": "powlog:4,-1",
             "powlog-pos": "powlog:2,1", "log": "log:2", "csv": "csv:{csv}"}
 
 
+_LOWER = {"kind": "norm_tail", "b": _ell(-2.0), "E": _q(1.0),
+          "side": "lower"}
+_UPPER = {"kind": "norm_tail", "b": _ell(-2.0), "E": _q(2.0),
+          "side": "upper"}
+# a weight of every kind, every tail finite on full and unit grids
+REVERSAL_WEIGHTS = {
+    "const": {"kind": "const", "c": 2.0},
+    "ell": _ell(-0.5),
+    "broken_ell": {"kind": "broken_ell", "alpha": -1.0, "beta": 0.5},
+    "iterated_ell": {"kind": "iterated_ell", "depth": 2, "alpha": 1.0},
+    "exp_log_pow": {"kind": "exp_log_pow", "alpha": 0.5},
+    "product": {"kind": "product", "args": [
+        _ell(0.5), {"kind": "broken_ell", "alpha": 1.0, "beta": -1.0}]},
+    "power": {"kind": "power", "base": {"kind": "broken_ell", "alpha": 0.5,
+                                        "beta": -1.0}, "r": -3.0},
+    "norm_tail-lower": _LOWER,
+    "norm_tail-upper": _UPPER,
+    "compose_rho-tail-inner": {"kind": "compose_rho", "outer": _ell(-1.0),
+                               "gamma": 0.5, "inner": _LOWER},
+    "compose_rho-tail-outer": {"kind": "compose_rho", "outer": _UPPER,
+                               "gamma": 0.5, "inner": _ell(0.5)},
+    "inverse_arg": SV_KINDS["inverse_arg"],
+}
+REVERSAL_FNS = ("chi:0.5", "powlog:2,-1")
+# grid label -> (setting, further bounds)
+REVERSAL_GRIDS = {"full": ("full", []),
+                  "tmin1e-30": ("full", ["--tmin", "1e-30"]),
+                  "unit": ("unit", [])}
+
+
+def reversal_calls():
+    """(label, name, descriptor, args) of each reversal ``norm`` call,
+    label ``norm/reverse/<fn>/<grid>``."""
+    for fn in REVERSAL_FNS:
+        for grid, (setting, bounds) in REVERSAL_GRIDS.items():
+            for name, w in REVERSAL_WEIGHTS.items():
+                yield (f"norm/reverse/{fn}/{grid}", f"reverse-{name}",
+                       {"kind": "theta", "theta": 0.5,
+                        "b": {"kind": "inverse_arg", "inner": w},
+                        "E": _q(2.0), "setting": setting},
+                       ["--fn", fn, "--grid", "10", *bounds])
+
+
 def fine_descriptors():
     """(name, descriptor JSON object) of every finer ``norm`` call: the
     x0/x1 and app descriptors of norm_descriptors(), and its theta, L/R
@@ -237,8 +287,9 @@ def main() -> int:
             text = norm_transcript(cli, root, (
                 (name, obj, args) for name, obj in norm_descriptors()))
             print(f"{hashlib.sha256(text).hexdigest()}  norm/{label}")
-        for label, calls in itertools.groupby(fine_calls(root),
-                                              lambda c: c[0]):
+        for label, calls in itertools.groupby(
+                itertools.chain(fine_calls(root), reversal_calls()),
+                lambda c: c[0]):
             text = norm_transcript(cli, root, (c[1:] for c in calls))
             print(f"{hashlib.sha256(text).hexdigest()}  {label}")
     return 0
