@@ -22,10 +22,13 @@ built by truncating f* at height c:
 
 plus the two trivial splittings.  Since the cut pieces do not depend on
 the argument t, the member norms (A_c, B_c) are computed once per cut and
-K(t) = min_c (A_c + t B_c) is then available at every t for free.  The
-estimate is an upper bound on the true K; it is exact at the endpoint
-couple itself and two-sided within the equivalence constants everywhere
-the verification harnesses use it.
+K(t) = min_c (A_c + t B_c) is then available at every t for free: the
+lines A_c + t B_c that attain the minimum somewhere, the lower hull, are
+found once, and K at a point is the least of the hull line attaining it
+and that line's two neighbours.  So K at m points costs O(m + pairs),
+not O(m x pairs).  The estimate is an upper bound on the true K; it is
+exact at the endpoint couple itself and two-sided within the equivalence
+constants everywhere the verification harnesses use it.
 
 The cuts are built and normed together: their profiles form a
 (cuts x n) array, taken in row blocks of at most _BLOCK_ELEMS elements,
@@ -61,6 +64,7 @@ R_x0 Holmstedt window is 1.0565 / 1.0519 at n = 2^9 / 2^10 against
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 import math
 
 import numpy as np
@@ -258,7 +262,14 @@ class TruncationOracle:
 
     A and B hold (|| f ||_{Y0}, 0) and (0, || f ||_{Y1}) when finite,
     then (|| g_c ||_{Y0}, || h_c ||_{Y1}) for the normed cuts with both
-    finite, in cut order; k_at evaluates min_c (A_c + t B_c).  The cuts
+    finite, in cut order; k_at evaluates min_c (A_c + t B_c) from the
+    lower hull of those lines (_hull, found on the first call), on three
+    lines per point: the one attaining K there and its two neighbours,
+    which cover a point within rounding of where the attaining line
+    changes.  That is the minimum over all pairs bit for bit, but where
+    the pairs lie almost on one line, so that their lines nearly all
+    meet at one t (as those of the R_x0 oracles do): within a few ulps
+    of that t a line off the hull can compute an ulp lower.  The cuts
     are distinct values of f* in descending order (at most max_cuts,
     evenly spaced), so A does not decrease along them and B does not
     increase.  They are normed in rounds of row blocks within
@@ -349,16 +360,24 @@ class TruncationOracle:
 
     def k_at(self, tvals) -> np.ndarray:
         tvals = np.atleast_1d(np.asarray(tvals, dtype=float))
-        return np.min(self.A + tvals[:, None] * self.B, axis=1)
+        tv, a, b = self._envelope
+        j = _near(tv, tvals)
+        return np.min(a[j] + tvals[:, None] * b[j], axis=1)
 
     def k_at_log(self, xvals) -> np.ndarray:
         """log K at x = log t, robust to t outside float range."""
         xvals = np.atleast_1d(np.asarray(xvals, dtype=float))
+        tv, a, b = self._envelope
         with np.errstate(divide="ignore"):
-            la = np.log(self.A[None, :])
-            lb = np.log(self.B[None, :])
-        cand = np.logaddexp(la, xvals[:, None] + lb)
-        return np.min(cand, axis=1)
+            j = _near(np.log(tv), xvals)
+            la, lb = np.log(a), np.log(b)
+        return np.min(np.logaddexp(la[j], xvals[:, None] + lb[j]), axis=1)
+
+    @cached_property
+    def _envelope(self) -> tuple:
+        """(t where each hull line starts to attain K, its A, its B)."""
+        hull, tv = _hull(self.A, self.B)
+        return tv, self.A[hull], self.B[hull]
 
     def profile(self) -> KProfile:
         k = repair_k(self.grid, self.k_at(self.grid.t))
@@ -400,18 +419,37 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-def _vertices(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """t = 0 and each t where the line attaining min(a + t b) changes."""
+def _hull(a: np.ndarray, b: np.ndarray) -> tuple:
+    """The lower envelope of the lines a + t b over t >= 0: the indices
+    of the lines that attain it, in the order they do, and the t at
+    which each starts to (0 for the first)."""
     o = np.lexsort((b, a))      # by a, keeping only each new lowest b
-    o = o[b[o] < np.minimum.accumulate(np.r_[np.inf, b[o][:-1]])]
+    lowest = np.minimum.accumulate(np.concatenate(([np.inf], b[o][:-1])))
+    o = o[b[o] < lowest]
     a, b, hull, tv = a[o].tolist(), b[o].tolist(), [0], [0.0]
-    for k in range(1, len(a)):  # lower hull: drop lines that never attain
+    for k in range(1, len(a)):  # drop lines that never attain
         while (t := (a[k] - a[hull[-1]]) / (b[hull[-1]] - b[k])) <= tv[-1] \
                 and len(hull) > 1:
             del hull[-1], tv[-1]
         hull.append(k)
         tv.append(t)
-    return np.asarray(tv)
+    return o[hull], np.asarray(tv)
+
+
+def _near(breaks, points) -> np.ndarray:
+    """(points x w) hull positions, w = min(3, hull lines): around the
+    line attaining K at each point, placed among breaks (where the hull
+    lines start, as t or log t), the line before and the line after it,
+    which cover a point within rounding of a break; at either end of the
+    hull, the first or last three.  A hull of at most three lines gives
+    one row of them all, which broadcasts against the points: the
+    oracle of a one-valued f* has two."""
+    w = min(3, len(breaks))
+    if w == len(breaks):        # every point reads every line
+        return np.arange(w)[None, :]
+    j = np.searchsorted(breaks, points, side="right") - 2
+    np.clip(j, 0, len(breaks) - w, out=j)
+    return j[:, None] + np.arange(w)
 
 
 def _next_cuts(A, B, normed) -> np.ndarray:
@@ -424,7 +462,7 @@ def _next_cuts(A, B, normed) -> np.ndarray:
     i, k = i[k > i + 1], k[k > i + 1]
     keep = ~(fin[i] & fin[k])
     if not keep.all():
-        tv = _vertices(A[fin], B[fin])
+        tv = _hull(A[fin], B[fin])[1]
         env = np.min(A[fin] + tv[:, None] * B[fin], axis=1)
         keep[~keep] = ~np.all(A[i[~keep], None] + tv * B[k[~keep], None]
                               >= env, axis=1)

@@ -14,10 +14,19 @@ sizes of its setting and then corpus prototypes; a harness only says
 what the rows of one sampled f* are.  Rows are stored by column, in
 blocks of one function and grid size (a split-point sweep, or a single
 row), and to_csv writes each block from its columns under one
-"case,function_id,n," prefix.  The finite positive ratios at each grid
-size are kept up to date as rows come in, so windows never rescan the
-rows.  The ratio of a row is inf where rhs == 0, else lhs/rhs; numpy
-and Python divide floats alike (IEEE), so it has the bits of Row.ratio.
+"case,function_id,n," prefix.  The least and greatest finite positive
+ratio at each grid size are kept up to date as rows come in, so windows
+never rescan the rows.  The ratio of a row is inf where rhs == 0, else
+lhs/rhs; numpy and Python divide floats alike (IEEE), so it has the
+bits of Row.ratio.
+
+Every number is written as its repr, CPython's shortest round-trip
+text, which costs about a microsecond a float.  The split points of a
+sweep are grid nodes, the same ones in every sweep on a grid and for
+every prototype, so their text is formatted once per process and kept
+in _U_TEXT, node -> repr, as sv._GRID_EVALS keeps weights.  It holds
+the positive finite split points of the grids swept, and nothing else:
+one per eighth interior node, about n/9 entries for a grid of n nodes.
 """
 
 from __future__ import annotations
@@ -32,6 +41,13 @@ import numpy as np
 
 from . import corpus as corpus_mod
 from .grid import Grid
+
+
+# the (min, max) ratio range of a grid size with no finite positive ratio
+_EMPTY = (math.inf, -math.inf)
+# split point -> its repr: the text of every positive finite u written,
+# shared by all reports of the process (see the module docstring)
+_U_TEXT: dict = {}
 
 
 def _quote(s: str) -> str:
@@ -70,7 +86,9 @@ class EquivalenceReport:
         self.excluded: list = []
         self.notes: list = []
         self._blocks: list = []
-        self._ratios: dict = {}     # n -> finite positive ratios, row order
+        # n -> (min, max) of the finite positive ratios at grid size n,
+        # _EMPTY while there are none
+        self._ranges: dict = {}
 
     def add_rows(self, function_id, n, u, lhs, rhs):
         """Rows (u[i], lhs[i], rhs[i]) for one function and grid size,
@@ -85,8 +103,11 @@ class EquivalenceReport:
         us = None if u is None else np.asarray(u, dtype=float).tolist()
         self._blocks.append((function_id, n, us, lhs.tolist(), rhs.tolist(),
                              ratio.tolist()))
-        self._ratios.setdefault(n, []).extend(
-            ratio[np.isfinite(ratio) & (ratio > 0)].tolist())
+        lo, hi = self._ranges.get(n, _EMPTY)
+        ratio = ratio[np.isfinite(ratio) & (ratio > 0)]
+        if len(ratio):
+            lo, hi = min(lo, float(ratio.min())), max(hi, float(ratio.max()))
+        self._ranges[n] = (lo, hi)
 
     @property
     def n_rows(self) -> int:
@@ -106,19 +127,24 @@ class EquivalenceReport:
         self.excluded.append((function_id, reason))
 
     def sizes(self) -> list:
-        return sorted(self._ratios)
+        return sorted(self._ranges)
 
     def ratios(self, n=None) -> list:
-        """Finite positive ratios at grid size n (all sizes for None)."""
-        if n is not None:
-            return list(self._ratios.get(n, ()))
-        return [x for g in self._ratios.values() for x in g]
+        """Finite positive ratios at grid size n in row order (all sizes
+        for None, size by size in the order each first came).  Built
+        from the blocks on each read, for tests: windows read the
+        running ranges."""
+        if n is None:
+            return [x for m in self._ranges for x in self.ratios(m)]
+        return [x for b in self._blocks if b[1] == n for x in b[5]
+                if math.isfinite(x) and x > 0]
 
     def window(self, n=None) -> float:
-        ratios = self._ratios.get(n, ()) if n is not None else self.ratios()
-        if not ratios:
-            return math.inf
-        return max(ratios) / min(ratios)
+        ranges = self._ranges.values() if n is None else \
+            [self._ranges.get(n, _EMPTY)]
+        lo = min((r[0] for r in ranges), default=math.inf)
+        hi = max((r[1] for r in ranges), default=-math.inf)
+        return hi / lo if lo <= hi else math.inf
 
     def stability(self) -> float:
         """Relative change of the window between the two largest n."""
@@ -142,7 +168,7 @@ class EquivalenceReport:
         case = _quote(self.case)
         for fid, n, us, lhs, rhs, ratio in self._blocks:
             head = f"{case},{_quote(fid)},{n},"
-            u = repeat("") if us is None else map(repr, us)
+            u = repeat("") if us is None else _u_text(us)
             lines += map(",".join, zip(map(head.__add__, u), map(repr, lhs),
                                        map(repr, rhs), map(repr, ratio)))
         with open(path, "w", newline="\n") as fh:
@@ -174,6 +200,22 @@ class EquivalenceReport:
         self.to_csv(csv_path)
         self.to_json(json_path)
         return csv_path, json_path
+
+
+def _u_text(us: list) -> list:
+    """repr of each split point in us, read from _U_TEXT where it can."""
+    get = _U_TEXT.get
+    return [get(u) or _u_repr(u) for u in us]
+
+
+def _u_repr(u: float) -> str:
+    """repr(u), kept in _U_TEXT if u is positive and finite: 0.0 and
+    -0.0 are equal keys of another text, and a NaN is found only as the
+    object it is."""
+    text = repr(u)
+    if 0.0 < u < math.inf:
+        _U_TEXT[u] = text
+    return text
 
 
 def _sweep(case, corpus, setting, log2n, rows) -> EquivalenceReport:

@@ -3,22 +3,24 @@
 import ast
 import inspect
 import math
+import os
 import time
 
 import numpy as np
 import pytest
 
-from interpolab.grid import (GridFunction, L1, L2, LINF, full_grid,
+from interpolab.grid import (Grid, GridFunction, L1, L2, LINF, full_grid,
                              unit_grid, edge_diverges, _final)
 from interpolab.sv import EllPow, ONE
 from interpolab.spaces import (EndpointX0, EndpointX1, ThetaSpace, RSpace,
                                Intersection, Over, FULL, UNIT, CO_UNIT)
 from interpolab.kfun import (KProfile, k_peetre, norm_in_space,
-                             TruncationOracle)
+                             TruncationOracle, _cut_cap)
 from interpolab.holmstedt import DEFAULT_CASES
 from interpolab import corpus, kfun
 
-from util import rel_err, kprofile_reverse, mirror
+from util import (rel_err, kprofile_reverse, mirror, k_all_pairs,
+                  k_log_all_pairs)
 
 
 def test_kfun_imports_nothing_from_applications():
@@ -148,6 +150,96 @@ def test_oracle_k_at_log_matches_k_at():
     xs = g.x[100:400:50]
     assert np.allclose(np.exp(orc.k_at_log(xs)), orc.k_at(np.exp(xs)),
                        rtol=1e-10)
+
+
+# -- K off the lower envelope against the formulas over all pairs ---------
+
+def _same(got, want):
+    """Bit for bit, but any NaN for a NaN: np.min leaves the sign bit of
+    the NaN of t B = inf times 0 open."""
+    nan = np.isnan(want)
+    return np.array_equal(np.isnan(got), nan) and np.array_equal(
+        got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def _k_is_all_pairs(orc, grid, exact_at_breaks=False):
+    """k_at and k_at_log equal the all-pairs formulas bit for bit on the
+    grid, on x from 50 below to 50 above it, and where t is 0,
+    subnormal or past float range; returns the number of pairs.
+
+    At each t where a hull line starts, and one ulp either side, the
+    result is within two ulps above the all-pairs one: where pairs lie on
+    one line, their lines meet near one t, and there a line off the hull
+    can compute an ulp lower than the hull lines (the R_x0 oracles).
+    With exact_at_breaks it must equal it there too."""
+    xs = np.r_[grid.x, np.linspace(grid.x[0] - 50.0, grid.x[-1] + 50.0,
+                                   2001),
+               -np.inf, -1e4, -745.0, -720.0, 710.0, 1e4, np.inf]
+    tv = orc._envelope[0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ts = np.exp(xs)
+        near = np.r_[tv, np.nextafter(tv, 0.0), np.nextafter(tv, np.inf)]
+        for k, k_ref, pts, at in (
+                (orc.k_at, k_all_pairs, ts, near),
+                (orc.k_at_log, k_log_all_pairs, xs, np.log(near))):
+            assert _same(k(pts), k_ref(orc.A, orc.B, pts))
+            got, want = k(at), k_ref(orc.A, orc.B, at)
+            assert _same(got, want) or not exact_at_breaks and np.all(
+                (got == want) | (got > want)
+                & (got <= want + 2 * np.spacing(np.abs(want))))
+    return len(orc.A)
+
+
+@pytest.mark.parametrize("kind", sorted(DEFAULT_CASES))
+@pytest.mark.parametrize("k", (9, 10))
+def test_k_from_the_envelope_is_k_over_all_pairs(kind, k):
+    c = DEFAULT_CASES[kind]
+    g = Grid.from_bounds(None, None, 1 << k, c.setting)
+    sizes = []
+    for spec in corpus.STANDARD:
+        try:
+            orc = TruncationOracle(k_peetre(corpus.sample(spec, g)), c.y0,
+                                   c.y1, max_cuts=_cut_cap(g))
+        except ValueError:
+            continue
+        sizes.append(_k_is_all_pairs(orc, g))
+    assert max(sizes) > 100     # some prototype hits the cut cap
+
+
+def test_k_from_the_envelope_on_600_steps(tmp_path, monkeypatch):
+    # the step prototype of tools/report_digest.py: 600 values, past the
+    # cut cap, so 129 pairs, 74 of them on the hull
+    monkeypatch.syspath_prepend(
+        os.path.join(os.path.dirname(__file__), os.pardir, "tools"))
+    import report_digest
+    path = tmp_path / "steps.csv"
+    path.write_text(report_digest.steps_csv())
+    c = DEFAULT_CASES["L_interior"]
+    g = Grid.from_bounds(None, None, 1 << 13, c.setting)
+    f = corpus.sample(f"csv:{path}", g)
+    assert len(np.unique(f.values[f.values > 0])) == 600
+    orc = TruncationOracle(k_peetre(f), c.y0, c.y1, max_cuts=_cut_cap(g))
+    assert _k_is_all_pairs(orc, g) == 129
+
+
+def test_k_from_the_envelope_with_few_pairs():
+    g = full_grid(512)
+    K = k_peetre(corpus.sample("chi:0.5", g))   # one value: no cut
+    trivial = TruncationOracle(K, EndpointX0(), EndpointX1())
+    assert (trivial.A == 0.0).sum() == (trivial.B == 0.0).sum() == 1
+    assert _k_is_all_pairs(trivial, g) == 2
+    # int K^2 dt/t diverges at inf: only the splitting 0 + f is finite
+    one = TruncationOracle(K, ThetaSpace(0.0, ONE, L2), EndpointX1())
+    assert _k_is_all_pairs(one, g) == 1 and one.A[0] == 0.0
+
+
+def test_k_from_the_envelope_with_duplicate_pairs():
+    # the hull keeps one of equal lines, and one of equal intercepts
+    orc = object.__new__(TruncationOracle)
+    orc.A = np.array([3.0, 0.0, 1.0, 1.0, 2.0, 1.0, 0.0, 3.0, 2.0, 0.5])
+    orc.B = np.array([0.0, 4.0, 1.0, 1.0, 0.5, 1.0, 4.0, 0.0, 0.25, 3.0])
+    assert _k_is_all_pairs(orc, full_grid(512), exact_at_breaks=True) == 10
+    assert len(orc._envelope[0]) < 10
 
 
 def test_oracle_rejects_nonintegrable():

@@ -11,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from interpolab import corpus
+from interpolab import corpus, report
 from interpolab.grid import UNIT, unit_grid
 from interpolab.report import EquivalenceReport, _sweep
 
@@ -301,6 +301,52 @@ def test_one_row_adds_match_the_array_path(tmp_path):
     assert text == (tmp_path / "arr.csv").read_text()
     assert text.splitlines()[1:3] == ["c,pow:2,512,0.5,2.0,0.0,inf",
                                       "c,pow:2,512,0.25,0.0,1.0,0.0"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_running_ranges_match_a_rescan_after_every_add(seed):
+    # blocks whose ratios are all inf or all 0, empty adds and adds to a
+    # size read before: each answer equals the reference's rescan
+    rng = np.random.default_rng(100 + seed)
+    rep, ref = EquivalenceReport("c"), _RefReport("c")
+    for _ in range(40):
+        n = int(rng.choice((512, 1024, 2048)))
+        m = int(rng.choice((0, 1, 3, 9)))
+        lhs, rhs = _values(rng, m), _values(rng, m)
+        pick = rng.random()
+        if pick < 0.15:
+            rhs[:] = 0.0                    # ratio inf throughout
+        elif pick < 0.3:
+            lhs[:] = 0.0                    # ratio 0 throughout
+        rep.add_rows("f", n, None, lhs, rhs)
+        for a, b in zip(lhs.tolist(), rhs.tolist()):
+            ref.add("f", n, None, a, b)
+        assert _summary(rep) == _summary(ref)
+        assert repr([rep.window(n) for n in (None, 512, 1024, 2048)]) == \
+            repr([ref.window(n) for n in (None, 512, 1024, 2048)])
+        assert repr(rep.stability()) == repr(ref.stability())
+
+
+def test_split_point_text_is_repr_across_reports(tmp_path):
+    # two reports share nodes of one grid; the text of a node written by
+    # the first is read by the second, and 0.0, -0.0, NaN, inf and
+    # negative points, never kept, keep their own text
+    g = unit_grid(1024)
+    us = g.t[g.interior()][::8]
+    odd = [0.0, -0.0, math.nan, math.inf, -math.inf, -0.5, 5e-324]
+    one, two = EquivalenceReport("one"), EquivalenceReport("two")
+    one.add_rows("f", 1024, np.r_[us, odd], np.ones(len(us) + 7),
+                 np.ones(len(us) + 7))
+    shared = np.r_[us[::3], us[1::5] * 1.5]
+    two.add_rows("g", 1024, np.r_[odd[::-1], shared],
+                 np.ones(len(shared) + 7), np.ones(len(shared) + 7))
+    for rep in (one, two, one):
+        rep.to_csv(tmp_path / "r.csv")
+        with open(tmp_path / "r.csv", newline="") as fh:
+            got = [r["u"] for r in csv.DictReader(fh)]
+        assert got == [repr(r.u) for r in rep.rows]
+    assert "0.0" in got and "-0.0" in got and "nan" in got
+    assert all(0.0 < u < math.inf for u in report._U_TEXT)
 
 
 # -- _sweep: the one grid x prototype loop of the harnesses ---------------

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite, and the functions only tests call:
-the reversed Peetre profile and the slow-variation check."""
+the reversed Peetre profile, the slow-variation check and the oracle's
+K over all its pairs."""
 
 from dataclasses import dataclass
 import math
@@ -74,6 +75,23 @@ def kprofile_reverse(K):
     """K(t; X1, X0) = t K(1/t; X0, X1), on the mirror grid."""
     g = mirror(K.grid)
     return KProfile(g, g.x + K.logk[..., ::-1], None)
+
+
+def k_all_pairs(A, B, tvals):
+    """min_c (A_c + t B_c) over every pair (A_c, B_c) at each t: the
+    truncation oracle's k_at as first written, a (points x pairs)
+    array, the reference for its walk along the lower envelope."""
+    tvals = np.atleast_1d(np.asarray(tvals, dtype=float))
+    return np.min(A + tvals[:, None] * B, axis=1)
+
+
+def k_log_all_pairs(A, B, xvals):
+    """log K at x = log t over every pair: k_at_log as first written."""
+    xvals = np.atleast_1d(np.asarray(xvals, dtype=float))
+    with np.errstate(divide="ignore"):
+        la = np.log(A[None, :])
+        lb = np.log(B[None, :])
+    return np.min(np.logaddexp(la, xvals[:, None] + lb), axis=1)
 
 
 def sv_eval(expr, t, grid=None):

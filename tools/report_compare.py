@@ -47,10 +47,12 @@ def collect(out: str) -> None:
     """Run every call against the interpolab on sys.path, results to out."""
     from interpolab import cli
     exits = {}
-    for sub, argv in report_digest.runs():
-        with contextlib.redirect_stdout(io.StringIO()):
-            exits[" ".join(argv)] = cli.main(
-                argv + ["--out", os.path.join(out, "reports", sub)])
+    out = os.path.abspath(out)
+    with report_digest.in_step_dir():
+        for sub, argv in report_digest.runs():
+            with contextlib.redirect_stdout(io.StringIO()):
+                exits[" ".join(argv)] = cli.main(
+                    argv + ["--out", os.path.join(out, "reports", sub)])
     with tempfile.TemporaryDirectory() as root:
         norms = {name: report_digest.norm_call(cli, root, name, obj)
                  for name, obj in report_digest.norm_descriptors()}

@@ -7,6 +7,10 @@ Runs, in-process through ``interpolab.cli.main``:
   theta in {0, 0.5, 1}, so every branch of ``reiterate`` on both sides;
 * ``verify identity`` for every registered scenario;
 * ``verify holmstedt`` for R_interior and L_interior at ``--grid 13,14``;
+* ``verify holmstedt`` for L_interior at ``--grid 13,14`` on a step
+  function with 600 distinct values (``steps_csv()``, written here and
+  named by a relative path), above the 128-cut cap, so each oracle
+  keeps 129 pairs;
 * ``verify holmstedt`` for R_x0 on ``chi:1e-9`` and ``pow:2``, which
   excludes ``chi:1e-9`` at both grid sizes: no split point of it is
   admissible;
@@ -56,6 +60,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -82,6 +87,39 @@ def runs():
                             "--grid", "13,14"]
     yield "excluded", ["verify", "holmstedt", "--case", "R_x0",
                        "--corpus", "chi:1e-9;pow:2"]
+    yield "steps600", ["verify", "holmstedt", "--case", "L_interior",
+                       "--grid", "13,14", "--corpus", f"csv:{STEP_CSV}"]
+
+
+# the step prototype of runs(), in the working directory of in_step_dir()
+STEP_CSV = "steps600.csv"
+
+
+def steps_csv(m: int = 600) -> str:
+    """t,value rows of a nonincreasing step function with m distinct
+    values.  The breakpoints sit 0.02 or 0.03 apart in log t from 1e-7,
+    so every step spans several nodes of a 2^13 grid, and the values
+    fall from 4200 to 9 by 7 less an uneven 0 to 4 per step."""
+    x = [math.log(1e-7) + 0.01 * (5 * i // 2) for i in range(m + 1)]
+    v = [7 * (m - i) + 13 * i % 5 for i in range(m)]
+    # the last row ends the last step: f* is 0 past it
+    rows = zip((f"{math.exp(xi):.6g}" for xi in x), v + v[-1:])
+    return "t,value\n" + "".join(f"{t},{vi}\n" for t, vi in rows)
+
+
+@contextlib.contextmanager
+def in_step_dir():
+    """Run inside a temporary working directory that holds STEP_CSV,
+    so the reports name the prototype the same way wherever they go."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as root:
+        with open(os.path.join(root, STEP_CSV), "w") as fh:
+            fh.write(steps_csv())
+        os.chdir(root)
+        try:
+            yield
+        finally:
+            os.chdir(cwd)
 
 
 def _ell(alpha):
@@ -271,7 +309,7 @@ def main() -> int:
     from interpolab import cli
     print(f"interpolab from {os.path.dirname(interpolab.__file__)}",
           file=sys.stderr)
-    with tempfile.TemporaryDirectory() as root:
+    with tempfile.TemporaryDirectory() as root, in_step_dir():
         for sub, argv in runs():
             out = os.path.join(root, sub)
             with contextlib.redirect_stdout(io.StringIO()):
