@@ -176,6 +176,7 @@ def cmd_verify(args) -> int:
         if args.target == "holmstedt":
             case = _holmstedt_case(args.case)
         if args.target == "reiteration":
+            args.theta += 0.0   # -0.0: the space, case and reports of 0.0
             case = _reiteration_case(args.case, args.theta)
         if args.target == "identity":
             names = app_mod.scenario_names()

@@ -16,15 +16,15 @@ and three have an L-space as the first member:
   L_x1            Y1 = X1 itself,            theta0 in [0, 1)
 
 HolmstedtCase reads the configuration off the members' classes and
-thetas.  Each L case is the R case of the reversed couple, since
-K(t, f; X1, X0) = t K(1/t, f; X0, X1): the members swap and each is
-mapped by spaces.couple_reverse; holmstedt_rhs folds both sides into
-one expression.  The members share one setting: FULL, or UNIT for
-couples over (0, 1), whose L cases read their configuration off the
-reversed couple in CO_UNIT, (1, inf).
+thetas; an L couple's is read off the reversed couple, an R one, since
+K(t, f; X1, X0) = t K(1/t, f; X0, X1) (spaces.couple_reverse maps each
+member).  The members share one setting: FULL, or UNIT for couples
+over (0, 1), whose reversed couples are in CO_UNIT, (1, inf).
 
 In every case K(rho(u), f; Y0, Y1) is comparable, uniformly in u and f,
-to an explicit expression in K(., f; X0, X1) split at u.  verify_holmstedt
+to an explicit expression in K(., f; X0, X1) split at u (Holmstedt,
+Math. Scand. 26, 1970); rho has one factor and the expression one term
+per member, read off its own kind and place.  verify_holmstedt
 measures the two sides on a corpus of K-profiles and reports the ratio
 spread over a range of u.
 """
@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import L2, LINF, log_norm_lower, log_norm_upper
-from .sv import (ONE, EllPow, Power, Product, NormTail, inverse_arg,
-                 sv_log_on_grid, SvDivergenceError)
+from .sv import (ONE, EllPow, Power, Product, NormTail, sv_log_on_grid,
+                 SvDivergenceError)
 from .spaces import (SpaceDescriptor, ThetaSpace, LSpace, RSpace,
                      EndpointX0, EndpointX1, couple_reverse)
 from .kfun import KProfile, TruncationOracle, k_peetre, _cut_cap
@@ -84,24 +84,29 @@ class HolmstedtCase:
     def setting(self) -> str:
         return self.y0.setting
 
-    def _reversed(self) -> HolmstedtCase:
-        """The R case over the reversed couple (X1, X0) that an L case is."""
-        return HolmstedtCase(couple_reverse(self.y1), couple_reverse(self.y0))
+    def factors(self):
+        """(N, D) with rho(u) = u^(theta1 - theta0) N(u) / D(u), one
+        factor per member (_factor)."""
+        return _factor(self.y0, "upper"), _factor(self.y1, "lower")
 
     def rho_params(self):
         """(gamma, sv) with rho(u) = u^gamma * sv(u)."""
-        if self.kind in L_CASES:
-            # rho(u) = 1 / rho'(1/u) for the rho' of the reversed case
-            gamma, sv = self._reversed().rho_params()
-            return gamma, Power(inverse_arg(sv), -1.0)
-        y0, y1 = self.y0, self.y1
-        sv = Product(Power(y1.a, -1.0),
-                     Power(NormTail(y1.b, y1.E, "lower"), -1.0))
-        if self.kind == "R_interior":
-            return y1.theta - y0.theta, Product(y0.b, sv)
-        if self.kind == "R_theta0_zero":
-            return y1.theta, Product(NormTail(y0.b, y0.E, "upper"), sv)
-        return y1.theta, sv
+        n, d = self.factors()
+        d = d and Power(d, -1.0)
+        sv = Product(n, d) if n and d else n or d
+        return self.y1.theta - self.y0.theta, sv
+
+
+def _factor(y: SpaceDescriptor, side: str):
+    """Member y's factor of rho, side 'upper' for Y0 and 'lower' for Y1:
+    a ||b||_{E~} over that side of u for an L or R member, ||b||_{E~}
+    there for a theta member at theta 0 or 1, b for an interior one and
+    None for X0 or X1."""
+    if isinstance(y, (LSpace, RSpace)):
+        return Product(y.a, NormTail(y.b, y.E, side))
+    if isinstance(y, ThetaSpace):
+        return NormTail(y.b, y.E, side) if y.theta in (0.0, 1.0) else y.b
+    return None
 
 
 # the couples used by `verify holmstedt` and `verify reiteration`; the
@@ -124,44 +129,44 @@ DEFAULT_CASES = {c.kind: c for c in (
 def holmstedt_rhs(case: HolmstedtCase, K: KProfile):
     """Per-node arrays: (log rho(u_i), log RHS(u_i)) for every grid node.
 
-    For L, RHS is a mixed term over the L member (theta_m, b_m, E_m, a, F)
-
-        || b_m ||_{E_m~(u,inf)} || s^-theta_m a K ||_{F~(0,u)}
-          + || b_m(t) || s^-theta_m a K ||_{F~(0,t)} ||_{E_m~(0,u)}
-
-    plus rho(u) times an endpoint term || t^-theta b K ||_{E~(u,inf)}
-    over the theta member (none for X1).  R is the mirror image: every
-    interval reversed, (0,u) <-> (u,inf), and rho multiplying the mixed
-    term instead.  Entries where a tail norm has not converged on the
+    RHS(u) = T(Y0) + rho(u) T(Y1), one term per member (_term), none for
+    X0 or X1.  Entries where a tail norm has not converged on the
     truncated grid are -inf/NaN free: the caller restricts to interior
-    nodes anyway, so its nested norms are unchecked on purpose (no
+    nodes anyway, so the scans are unchecked on purpose (no
     grid.checked_scan); test_folded_rhs_matches_side_tables pins them.
     """
-    grid = K.grid
-    x = grid.x
-    dx = grid.dx
-    logk = K.logk
-
     gamma, sv = case.rho_params()
-    lrho = gamma * x + sv_log_on_grid(sv, grid)
+    lrho = gamma * K.grid.x + sv_log_on_grid(sv, K.grid)
+    t0 = _term(case.y0, K, log_norm_lower, "upper")
+    t1 = _term(case.y1, K, log_norm_upper, "lower")
+    if t1 is None:
+        return lrho, t0
+    return lrho, lrho + t1 if t0 is None else np.logaddexp(t0, lrho + t1)
 
-    y0, y1 = case.y0, case.y1
-    low = isinstance(y0, LSpace)
-    mixed, end = (y0, y1) if low else (y1, y0)
-    pre, suf = (log_norm_lower, log_norm_upper) if low else \
-        (log_norm_upper, log_norm_lower)
-    la = sv_log_on_grid(mixed.a, grid)
-    lb = sv_log_on_grid(mixed.b, grid)
-    aK = pre(-mixed.theta * x + la + logk, mixed.F.q, dx)
-    rhs = np.logaddexp(suf(lb, mixed.E.q, dx) + aK,
-                       pre(lb + aK, mixed.E.q, dx))
-    if not low:
-        rhs = lrho + rhs
-    if isinstance(end, ThetaSpace):
-        lb = sv_log_on_grid(end.b, grid)
-        e = suf(-end.theta * x + lb + logk, end.E.q, dx)
-        rhs = np.logaddexp(rhs, lrho + e if low else e)
-    return lrho, rhs
+
+def _term(y: SpaceDescriptor, K: KProfile, scan, far: str):
+    """log of member y's term at each u, scanned towards y's end, over
+    (0, u) for Y0 and (u, inf) for Y1; far names the other side.
+
+    A theta member gives || t^-theta_m b_m K ||_{E_m~}; an L member
+    (theta_m, b_m, E_m, a, F) its mixed term
+
+        || b_m ||_{E_m~(u,inf)} || s^-theta_m a K ||_{F~(0,u)}
+          + || b_m(t) || s^-theta_m a K ||_{F~(0,t)} ||_{E_m~(0,u)},
+
+    and an R member the same with (0, u) <-> (u, inf).  || b_m ||_{E_m~}
+    is the tail table of rho's factor, built and edge-checked there.
+    """
+    if not isinstance(y, (ThetaSpace, LSpace, RSpace)):
+        return None
+    grid, x, dx, logk = K.grid, K.grid.x, K.grid.dx, K.logk
+    lb = sv_log_on_grid(y.b, grid)
+    if isinstance(y, ThetaSpace):
+        return scan(-y.theta * x + lb + logk, y.E.q, dx)
+    la = sv_log_on_grid(y.a, grid)
+    aK = scan(-y.theta * x + la + logk, y.F.q, dx)
+    tail = sv_log_on_grid(NormTail(y.b, y.E, far), grid)
+    return np.logaddexp(tail + aK, scan(lb + aK, y.E.q, dx))
 
 
 def verify_holmstedt(case: HolmstedtCase, corpus=None, log2n=(9, 10)

@@ -307,6 +307,7 @@ class TruncationOracle:
         cuts, j = cuts[j > 0], j[j > 0]
         # rows 0 and 1: the trivial decompositions f + 0 and 0 + f
         A, B = np.zeros(len(cuts) + 2), np.zeros(len(cuts) + 2)
+        # one-valued f* (chi): two plain norms beat the block path by 5-10 %
         if not len(cuts):
             A[0], B[1] = norm_in_space(K, Y0), norm_in_space(K, Y1)
         normed = np.arange(len(A)) < 2

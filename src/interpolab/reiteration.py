@@ -3,12 +3,8 @@
 A reiteration is an Over((Y0, Y1), (theta, b, E)): the outer theta
 space over a couple in one of the six configurations of
 holmstedt.CASES.  reiterate() returns a descriptor over the endpoint
-K-functional whose norm is equivalent.  Only the R cases are written
-out: an L case is the R case of the reversed couple, and since
-K(t; Y0, Y1) = t K(1/t; Y1, Y0) its outer space reverses too, to
-(1 - theta, b(1/.), E); the reduced descriptor is then reversed back
-(spaces.couple_reverse).  Both sides are in the couple's setting; a
-unit L case reduces through an R case over (1, inf), never normed.
+K-functional whose norm is equivalent, in the couple's setting, reading
+each member by its own kind and place as the split formula does.
 
 verify_reiteration measures both sides on a corpus: the Over (through
 a truncation oracle) against the reduced descriptor.  It and
@@ -18,53 +14,50 @@ sweep them with report._sweep.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .sv import Power, Product, NormTail, compose_rho
-from .spaces import (SpaceDescriptor, ThetaSpace, LSpace, RSpace, RRSpace,
-                     Intersection, Over, couple_reverse)
-from .holmstedt import HolmstedtCase, L_CASES
+from .spaces import (SpaceDescriptor, ThetaSpace, LSpace, RSpace, LLSpace,
+                     RRSpace, Intersection, Over)
+from .holmstedt import HolmstedtCase
 from .kfun import k_peetre, norm_in_space
 from .report import EquivalenceReport, _sweep
 
 
 def reiterate(d: Over) -> SpaceDescriptor:
     """Descriptor over the endpoint couple equivalent to d, an outer
-    theta space over a case's couple."""
+    theta space over a case's couple.  With N, D the factors of rho
+    (HolmstedtCase.factors) and b o rho the outer weight composed with
+    rho, theta in (0, 1), or at the end of X0 or X1, gives theta((1 -
+    theta) theta0 + theta theta1, N^(1-theta) D^theta b o rho, E).  At
+    the end of the L or R member it gives that member's one- and
+    two-level spaces intersected, L and LL at 0, R and RR at 1; at the
+    end of the theta member, an L (at 0) or R (at 1) space over its
+    (b, E), and where the member sits at that theta, that space
+    intersected with theta(theta, ||b||_{E~} b o rho, E)."""
     c = HolmstedtCase(*d.couple)
     out = d.desc
     if not isinstance(out, ThetaSpace):
         raise ValueError("reiterate needs an outer theta space")
-    if c.kind in L_CASES:
-        rev = c._reversed()
-        return couple_reverse(reiterate(
-            Over((rev.y0, rev.y1), couple_reverse(out))))
-    y0, y1 = c.y0, c.y1
     th, E, s = out.theta, out.E, c.setting
-    gamma, rho_sv = c.rho_params()
-    brho = compose_rho(out.b, gamma, rho_sv)
-    b1_low = NormTail(y1.b, y1.E, "lower")
-    a_b1 = Product(y1.a, b1_low)
-    if th == 1.0:
-        return Intersection((
-            RSpace(y1.theta, Product(b1_low, brho), E, y1.a, y1.F, s),
-            RRSpace(y1.theta, brho, E, y1.b, y1.E, y1.a, y1.F, s)))
-    if c.kind == "R_interior":
-        if th == 0.0:
-            return LSpace(y0.theta, brho, E, y0.b, y0.E, s)
-        tmix = (1 - th) * y0.theta + th * y1.theta
-        bmix = Product(Power(y0.b, 1 - th), Power(a_b1, th))
-        return ThetaSpace(tmix, Product(bmix, brho), E, s)
-    if c.kind == "R_theta0_zero":
-        b0_up = NormTail(y0.b, y0.E, "upper")
-        if th == 0.0:
-            return Intersection((
-                ThetaSpace(0.0, Product(b0_up, brho), E, s),
-                LSpace(0.0, brho, E, y0.b, y0.E, s)))
-        bmix = Product(Power(b0_up, 1 - th), Power(a_b1, th))
-        return ThetaSpace(th * y1.theta, Product(bmix, brho), E, s)
-    # R_x0
-    return ThetaSpace(th * y1.theta, Product(Power(a_b1, th), brho), E, s)
+    brho = compose_rho(out.b, *c.rho_params())
+    # at theta 0 (1): Y0 (Y1), the side of its tail norm in rho, and the
+    # one- and two-level spaces of that end
+    y, side, one, two = ((c.y0, "upper", LSpace, LLSpace) if th == 0.0
+                         else (c.y1, "lower", RSpace, RRSpace))
+    if th in (0.0, 1.0) and isinstance(y, (ThetaSpace, LSpace, RSpace)):
+        w = Product(NormTail(y.b, y.E, side), brho)
+        if isinstance(y, ThetaSpace):
+            single = one(y.theta, brho, E, y.b, y.E, s)
+            return single if y.theta != th else Intersection((
+                ThetaSpace(y.theta, w, E, s), single))
+        return Intersection((one(y.theta, w, E, y.a, y.F, s),
+                             two(y.theta, brho, E, y.b, y.E, y.a, y.F, s)))
+    # a factor to the power 0 is 1, also where its tail is 0 at the edge
+    mix = [Power(f, r) for f, r in zip(c.factors(), (1 - th, th)) if f and r]
+    return ThetaSpace((1 - th) * c.y0.theta + th * c.y1.theta,
+                      functools.reduce(Product, [*mix, brho]), E, s)
 
 
 def _pair(lhs: SpaceDescriptor, rhs: SpaceDescriptor, sides: tuple):

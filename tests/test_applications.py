@@ -11,7 +11,7 @@ from interpolab.sv import EllPow, Power, ONE
 from interpolab.kfun import k_peetre, norm_in_space
 from interpolab.spaces import (EndpointX0, EndpointX1, LSpace, RSpace,
                                ThetaSpace, AppMember, Over, UNIT, CO_UNIT,
-                               parts)
+                               couple_reverse, parts)
 from interpolab.holmstedt import HolmstedtCase
 from interpolab.reiteration import reiterate, verify_reiteration, _pair
 from interpolab.report import _sweep
@@ -388,7 +388,7 @@ def test_l_case_in_the_unit_setting_reverses_to_co_unit():
     c = HolmstedtCase(LSpace(0.25, EllPow(-0.5), LINF, ONE, L2, UNIT),
                       ThetaSpace(0.5, EllPow(0.5), L2, UNIT))
     assert c.kind == "L_interior"
-    rev = c._reversed()
+    rev = HolmstedtCase(couple_reverse(c.y1), couple_reverse(c.y0))
     assert rev.kind == "R_interior" and rev.setting == CO_UNIT
     assert isinstance(rev.y1, RSpace)
     d = reiterate(Over((c.y0, c.y1), ThetaSpace(0.5, ONE, L2, UNIT)))

@@ -313,16 +313,19 @@ def test_verify_reiteration_unknown_case_lists_plain_names(capsys):
 
 
 def test_verify_reiteration_thm_prefix_writes_the_same_reports(tmp_path):
-    files = {}
-    for name in ("L_x1", "ThmL_x1"):
-        out = tmp_path / name
-        code = main(["verify", "reiteration", "--case", name, "--theta",
-                     "0.5", "--grid", "9", "--corpus", "chi:0.1;pow:2",
-                     "--out", str(out)])
-        assert code == 0
-        files[name] = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert len(files["L_x1"]) == 2
-    assert files["L_x1"] == files["ThmL_x1"]
+    # as does --theta -0.0 those of --theta 0: both name one space
+    for pair in (("L_x1", "0.5"), ("ThmL_x1", "0.5")), \
+            (("ThmR_x0", "-0.0"), ("ThmR_x0", "0")):
+        files = []
+        for name, theta in pair:
+            out = tmp_path / f"{name}_{theta}"
+            code = main(["verify", "reiteration", "--case", name, "--theta",
+                         theta, "--grid", "9", "--corpus", "chi:0.1;pow:2",
+                         "--out", str(out)])
+            assert code == 0
+            files.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert len(files[0]) == 2
+        assert files[0] == files[1]
 
 
 def test_verify_threshold_exceeded(capsys):

@@ -72,7 +72,7 @@ def test_reversed_l_couple_is_the_mirror_r_case(kind):
     c = DEFAULT_CASES[kind]
     rev = HolmstedtCase(couple_reverse(c.y1), couple_reverse(c.y0))
     assert rev.kind == _MIRROR[kind]
-    assert c._reversed() == rev
+    assert HolmstedtCase(couple_reverse(rev.y1), couple_reverse(rev.y0)) == c
 
 
 @pytest.mark.parametrize("couple", [
@@ -103,11 +103,10 @@ def test_l_case_in_the_unit_setting_is_the_co_unit_r_case(kind):
     c = DEFAULT_CASES[kind]
     u = HolmstedtCase(replace(c.y0, setting=UNIT), replace(c.y1, setting=UNIT))
     assert u.kind == kind and u.setting == UNIT
-    rev = u._reversed()
+    rev = HolmstedtCase(couple_reverse(u.y1), couple_reverse(u.y0))
     assert rev.kind == _MIRROR[kind] and rev.setting == CO_UNIT
-    assert rev == HolmstedtCase(*(replace(y, setting=CO_UNIT)
-                                  for y in (c._reversed().y0,
-                                            c._reversed().y1)))
+    assert rev == HolmstedtCase(*(replace(couple_reverse(y), setting=CO_UNIT)
+                                  for y in (c.y1, c.y0)))
 
 
 def test_verify_holmstedt_runs_every_unit_couple():

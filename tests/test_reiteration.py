@@ -1,17 +1,23 @@
 """Reduction of a second interpolation step to endpoint descriptors."""
 
+import functools
+
 import numpy as np
 import pytest
 
 from interpolab import corpus
-from interpolab.grid import L2, LINF, GridFunction, full_grid
+from interpolab.grid import L2, LINF, GridFunction, full_grid, unit_grid
 from interpolab.kfun import k_peetre, norm_in_space
 from interpolab.sv import (EllPow, BrokenEll, ONE, ComposeWithRho, NormTail,
                            Power, Product, compose_rho, sv_log_on_grid)
 from interpolab.spaces import (ThetaSpace, LSpace, RSpace, LLSpace, RRSpace,
-                               Intersection, EndpointX1, Over)
+                               Intersection, EndpointX0, Over)
 from interpolab.reiteration import reiterate, verify_reiteration, _pair
-from interpolab.holmstedt import DEFAULT_CASES, HolmstedtCase
+from interpolab.holmstedt import DEFAULT_CASES, L_CASES, HolmstedtCase
+from interpolab.applications import _reiterations
+
+from test_holmstedt import _EDGE_CASES
+from util import reiterate_by_reversal, rho_by_reversal
 
 
 def _over(c, theta, b=ONE, E=LINF):
@@ -49,6 +55,23 @@ def test_endpoint_branches_structure():
     assert {type(m) for m in e0.members} == {LSpace, LLSpace}
     e1 = reiterate(_over(DEFAULT_CASES["L_interior"], 1.0))
     assert isinstance(e1, RSpace) and e1.theta == pytest.approx(0.5)
+    # a theta member at theta0 = 0 or theta1 = 1 adds a theta space there
+    for kind, theta, single in (("R_theta0_zero", 0.0, LSpace),
+                                ("L_theta1_one", 1.0, RSpace)):
+        d = reiterate(_over(DEFAULT_CASES[kind], theta))
+        assert [type(m) for m in d.members] == [ThetaSpace, single]
+        assert [m.theta for m in d.members] == [theta, theta]
+
+
+def test_x_end_takes_the_interior_formula_without_a_zero_power():
+    # R_x0 at theta = 0: D^0 = 1 is left out, since D's L2 tail is 0 at
+    # the first node and 0 * log D would make the weight NaN there
+    c = HolmstedtCase(EndpointX0(), RSpace(0.5, EllPow(-1.0), L2, ONE, L2))
+    d = reiterate(_over(c, 0.0, EllPow(-1.0), L2))
+    gamma, sv = c.rho_params()
+    assert d == ThetaSpace(0.0, ComposeWithRho(EllPow(-1.0), gamma, sv), L2)
+    K = k_peetre(corpus.sample("pow:2", full_grid(512)))
+    assert np.isfinite(norm_in_space(K, d))
 
 
 def test_x_case_branches():
@@ -111,22 +134,25 @@ def test_verify_endpoint_window():
     assert win <= 100.0
 
 
-# The L cases are derived from the R cases of the reversed couple.  The
-# table below is the direct L formulas they replaced; the two must give
-# the same norms.  L_interior(0.1, 0.3) has thetas that are no dyadic
-# fractions, so 1 - (1 - theta) may differ from theta in the last bit,
-# and broken weights that are not symmetric under t -> 1/t.
-_L_CASES = [DEFAULT_CASES[k] for k in ("L_interior", "L_theta1_one", "L_x1")]
-_L_CASES.append(HolmstedtCase(
-    LSpace(0.1, BrokenEll(-0.5, -1.0), LINF, BrokenEll(0.25, -0.25), L2),
-    ThetaSpace(0.3, EllPow(0.5), L2)))
-
-
-def _direct_members(c):
-    y0 = LSpace(c.y0.theta, c.y0.b, c.y0.E, c.y0.a, c.y0.F)
-    if c.kind == "L_x1":
-        return y0, EndpointX1()
-    return y0, ThetaSpace(c.y1.theta, c.y1.b, c.y1.E)
+# The split formula and the reduction read each member by its own kind.
+# They must agree with the route the L cases took first, through the R
+# case of the reversed couple (util.rho_by_reversal and
+# util.reiterate_by_reversal; an R case reverses to an L one), bit for
+# bit where every theta is dyadic and within 1e-14 elsewhere: at outer
+# theta 0.3, for R_interior(0.1, 0.9) and for L_interior(0.1, 0.3),
+# whose broken weights are not symmetric under t -> 1/t.  An L case must
+# also agree, within 1e-12, with the L formulas written out below.
+_UNIT = {}      # the first scenario name of each distinct unit couple
+for _name, _d in _reiterations().items():
+    _UNIT.setdefault(_d.couple, _name)
+_CASES = [pytest.param(c, id=f"{c.kind}-{c.y0.theta}") for c in (
+    *DEFAULT_CASES.values(),
+    HolmstedtCase(LSpace(0.1, BrokenEll(-0.5, -1.0), LINF,
+                         BrokenEll(0.25, -0.25), L2),
+                  ThetaSpace(0.3, EllPow(0.5), L2)))] + [
+    pytest.param(c, id=f"edge-{c.kind}") for c in _EDGE_CASES] + [
+    pytest.param(HolmstedtCase(*couple), id=f"unit-{name}")
+    for couple, name in _UNIT.items()]
 
 
 def _direct_rho(c):
@@ -168,40 +194,61 @@ def _direct_reiterate(c, d):
         bmix = Product(Power(a_b0, 1 - th), Power(b1_low, th))
         return ThetaSpace(tmix, Product(bmix, brho), out.E)
     tmix = (1 - th) * y0.theta + th
+    if th == 1.0:       # a_b0^0 = 1, also where a_b0's tail is 0
+        return ThetaSpace(tmix, brho, out.E)
     return ThetaSpace(tmix, Product(Power(a_b0, 1 - th), brho), out.E)
 
 
-def _assert_same(a, b):
+def _dyadic(*thetas):
+    return all((64 * t).is_integer() for t in thetas)
+
+
+def _assert_same(a, b, exact=False, rtol=1e-14):
     a, b = np.asarray(a, float), np.asarray(b, float)
+    if exact:
+        assert a.tobytes() == b.tobytes(), (a, b)
+        return
     with np.errstate(invalid="ignore"):
         rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
-    assert np.all((a == b) | (rel <= 1e-12)), (a, b)
+    assert np.all((a == b) | (rel <= rtol)), (a, b)
 
 
 @pytest.fixture(scope="module")
 def standard_k():
-    g = full_grid(512)
-    rows = [corpus.sample(s, g).values for s in corpus.STANDARD]
-    return k_peetre(GridFunction(g, np.stack(rows)))
+    """K of the standard corpus on a grid of each setting."""
+    out = {}
+    for g in (full_grid(512), unit_grid(512)):
+        rows = [corpus.sample(s, g).values for s in corpus.STANDARD]
+        out[g.setting] = k_peetre(GridFunction(g, np.stack(rows)))
+    return out
 
 
-@pytest.mark.parametrize("c", _L_CASES, ids=lambda c: f"{c.kind}-{c.y0.theta}")
+@pytest.mark.parametrize("c", _CASES)
 def test_l_case_matches_direct_formulas(c, standard_k):
-    K = standard_k
-    for y, y_direct in zip((c.y0, c.y1), _direct_members(c)):
-        assert type(y) is type(y_direct)
-        _assert_same(norm_in_space(K, y), norm_in_space(K, y_direct))
-    (gamma, sv), (gamma_d, sv_d) = c.rho_params(), _direct_rho(c)
-    assert gamma == pytest.approx(gamma_d, rel=1e-12)
-    _assert_same(np.exp(sv_log_on_grid(sv, K.grid)),
-                 np.exp(sv_log_on_grid(sv_d, K.grid)))
+    K = standard_k[c.setting]
+    dyadic = _dyadic(c.y0.theta, c.y1.theta)
+    # each reference: rho, the reduction, bit for bit where dyadic, rtol
+    refs = [(rho_by_reversal, reiterate_by_reversal, True, 1e-14)]
+    if c.kind in L_CASES:
+        refs.append((_direct_rho, functools.partial(_direct_reiterate, c),
+                     False, 1e-12))
+
+    def rho(gamma, sv):
+        return np.exp(gamma * K.grid.x + sv_log_on_grid(sv, K.grid))
+
+    for rho_ref, _, exact, rtol in refs:
+        _assert_same(rho(*c.rho_params()), rho(*rho_ref(c)),
+                     exact and dyadic, rtol)
     finite = 0
-    for theta in (0.0, 0.25, 0.5, 0.75, 1.0):
+    for theta in (0.0, 0.25, 0.5, 0.75, 1.0, 0.3):
         for b, E in ((ONE, LINF), (EllPow(-1.0), L2)):
             case = _over(c, theta, b, E)
-            d, d_direct = reiterate(case), _direct_reiterate(c, case)
-            assert type(d) is type(d_direct)
+            d = reiterate(case)
             v = norm_in_space(K, d)
-            _assert_same(v, norm_in_space(K, d_direct))
+            for _, reduce_ref, exact, rtol in refs:
+                d_ref = reduce_ref(case)
+                assert type(d) is type(d_ref)
+                _assert_same(v, norm_in_space(K, d_ref),
+                             exact and dyadic and _dyadic(theta), rtol)
             finite += int(np.isfinite(v).sum())
-    assert finite >= 40         # at least half the comparisons are of numbers
+    assert finite >= 40         # at least a third of the comparisons

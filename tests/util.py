@@ -1,6 +1,7 @@
 """Shared helpers for the test suite, and the functions only tests call:
-the reversed Peetre profile, the slow-variation check and the oracle's
-K over all its pairs."""
+the reversed Peetre profile, the slow-variation check, the oracle's K
+over all its pairs and the split formula's rho and the reduction of a
+reiteration through the reversed couple."""
 
 from dataclasses import dataclass
 import math
@@ -10,10 +11,14 @@ import numpy as np
 from interpolab.applications import (GrandLp, SmallLp, UltraLp, LinfQBeta,
                                      GGamma, AType, BType)
 from interpolab.grid import Grid, L1, L2
+from interpolab.holmstedt import HolmstedtCase
 from interpolab.kfun import KProfile
+from interpolab.reiteration import reiterate
+from interpolab.spaces import Over, couple_reverse
 from interpolab.sv import (ONE, Const, EllPow, BrokenEll, IteratedEll,
                            ExpLogPow, Product, Power, InverseArg, NormTail,
-                           ComposeWithRho, sv_log_eval, sv_log_on_grid)
+                           ComposeWithRho, inverse_arg, sv_log_eval,
+                           sv_log_on_grid)
 
 # one concrete space of each kind
 APP_SPACES = (GrandLp(2.0, 1.0), SmallLp(2.0, 1.0),
@@ -75,6 +80,29 @@ def kprofile_reverse(K):
     """K(t; X1, X0) = t K(1/t; X0, X1), on the mirror grid."""
     g = mirror(K.grid)
     return KProfile(g, g.x + K.logk[..., ::-1], None)
+
+
+def reversed_case(c):
+    """The case over the reversed couple (X1, X0): an L case's is an R
+    case and an R case's an L case, in the reversed setting."""
+    return HolmstedtCase(couple_reverse(c.y1), couple_reverse(c.y0))
+
+
+def rho_by_reversal(c):
+    """(gamma, sv) of case c through its reversed case: rho(u) =
+    1 / rho'(1/u) for the rho' of the reversed case, since K(t; Y0, Y1)
+    = t K(1/t; Y1, Y0).  The route the L cases took first."""
+    gamma, sv = reversed_case(c).rho_params()
+    return gamma, Power(inverse_arg(sv), -1.0)
+
+
+def reiterate_by_reversal(d):
+    """reiterate(d) through the reversed couple: the outer space
+    reverses to (1 - theta, b(1/.), E), and the reduced descriptor back.
+    The route the L cases took first."""
+    rev = reversed_case(HolmstedtCase(*d.couple))
+    return couple_reverse(reiterate(
+        Over((rev.y0, rev.y1), couple_reverse(d.desc))))
 
 
 def k_all_pairs(A, B, tvals):

@@ -4,7 +4,10 @@ Runs, in-process through ``interpolab.cli.main``:
 
 * ``verify holmstedt`` for each of the six cases at the default grid;
 * ``verify reiteration`` for each of the six ThmR_*/ThmL_* cases at
-  theta in {0, 0.5, 1}, so every branch of ``reiterate`` on both sides;
+  theta in {0, 0.5, 1}, so every branch of ``reiterate`` on both sides,
+  and at theta = 0.3, which is no dyadic fraction;
+* ``verify holmstedt`` for the couple of each of the 10 distinct unit
+  couples of the reiteration scenarios, by a scenario's name;
 * ``verify identity`` for every registered scenario;
 * ``verify holmstedt`` for R_interior and L_interior at ``--grid 13,14``;
 * ``verify holmstedt`` for L_interior at ``--grid 13,14`` on a step
@@ -69,7 +72,11 @@ HOLMSTEDT = ("R_interior", "R_theta0_zero", "R_x0",
              "L_interior", "L_theta1_one", "L_x1")
 REITERATION = ("ThmR_interior", "ThmR_theta0_zero", "ThmR_x0",
                "ThmL_interior", "ThmL_theta1_one", "ThmL_x1")
-THETAS = ("0", "0.5", "1")
+THETAS = ("0", "0.5", "1", "0.3")
+# one scenario name per distinct couple of applications._reiterations()
+UNIT_COUPLES = ("small-dual-limit", "llogl-grand", "l1-grand",
+                "small-ultra", "small-linfq", "small-linf", "ggamma-ultra",
+                "a-type-ultra", "b-type-ultra", "b-as-limit-of-A")
 FINE = ("R_interior", "L_interior")
 
 
@@ -82,6 +89,8 @@ def runs():
             yield "default", ["verify", "reiteration", "--case", case,
                               "--theta", th]
     yield "default", ["verify", "identity", "--name", "all"]
+    for name in UNIT_COUPLES:
+        yield "unit", ["verify", "holmstedt", "--case", name]
     for case in FINE:
         yield "grid13_14", ["verify", "holmstedt", "--case", case,
                             "--grid", "13,14"]
