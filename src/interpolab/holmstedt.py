@@ -15,11 +15,10 @@ and three have an L-space as the first member:
   L_theta1_one    Y1 = (1, b1, E1),          theta0 in [0, 1)
   L_x1            Y1 = X1 itself,            theta0 in [0, 1)
 
-HolmstedtCase reads the configuration off the members' classes and
-thetas; an L couple's is read off the reversed couple, an R one, since
-K(t, f; X1, X0) = t K(1/t, f; X0, X1) (spaces.couple_reverse maps each
-member).  The members share one setting: FULL, or UNIT for couples
-over (0, 1), whose reversed couples are in CO_UNIT, (1, inf).
+HolmstedtCase reads the configuration off the couple as given, the
+members' classes and thetas; a refusal states the case's range in the
+couple's own thetas.  The members share one setting: FULL, or UNIT for
+couples over (0, 1).
 
 In every case K(rho(u), f; Y0, Y1) is comparable, uniformly in u and f,
 to an explicit expression in K(., f; X0, X1) split at u (Holmstedt,
@@ -36,16 +35,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import L2, LINF, log_norm_lower, log_norm_upper
-from .sv import (ONE, EllPow, Power, Product, NormTail, sv_log_on_grid,
-                 SvDivergenceError)
+from .sv import ONE, EllPow, Power, Product, NormTail, sv_log_on_grid
 from .spaces import (SpaceDescriptor, ThetaSpace, LSpace, RSpace,
-                     EndpointX0, EndpointX1, couple_reverse)
+                     EndpointX0, EndpointX1)
 from .kfun import KProfile, TruncationOracle, k_peetre, _cut_cap
 from .report import EquivalenceReport, _sweep
 
-R_CASES = ("R_interior", "R_theta0_zero", "R_x0")
-L_CASES = ("L_interior", "L_theta1_one", "L_x1")
-CASES = R_CASES + L_CASES
+CASES = ("R_interior", "R_theta0_zero", "R_x0",
+         "L_interior", "L_theta1_one", "L_x1")
 
 
 @dataclass(frozen=True)
@@ -60,25 +57,23 @@ class HolmstedtCase:
         y0, y1 = self.y0, self.y1
         if y0.setting != y1.setting:
             raise ValueError("a case's members must share one setting")
-        low = isinstance(y0, LSpace)
-        r0, r1 = map(couple_reverse, (y1, y0)) if low else (y0, y1)
-        if not (isinstance(r1, RSpace)
-                and isinstance(r0, (EndpointX0, ThetaSpace))):
+        if isinstance(y1, RSpace) and isinstance(y0, (EndpointX0, ThetaSpace)):
+            kind = ("R_x0" if isinstance(y0, EndpointX0) else
+                    "R_theta0_zero" if y0.theta == 0 else "R_interior")
+            need, ok = "theta1 in (0,1]", y1.theta > 0
+        elif (isinstance(y0, LSpace)
+              and isinstance(y1, (EndpointX1, ThetaSpace))):
+            kind = ("L_x1" if isinstance(y1, EndpointX1) else
+                    "L_theta1_one" if y1.theta == 1 else "L_interior")
+            need, ok = "theta0 in [0,1)", y0.theta < 1
+        else:
             raise ValueError(f"({type(y0).__name__}, {type(y1).__name__}) "
                              "is in none of the six configurations")
-        t0, t1 = r0.theta, r1.theta
-        if t0 == 0:
-            kind = "R_x0" if isinstance(r0, EndpointX0) else "R_theta0_zero"
-            need, ok = "theta1 in (0,1]", t1 > 0
-        else:
-            kind, need, ok = ("R_interior", "0 < theta0 < theta1 < 1",
-                              t0 < t1 < 1)
-        name = L_CASES[R_CASES.index(kind)] if low else kind
+        if kind.endswith("_interior"):
+            need, ok = "0 < theta0 < theta1 < 1", 0 < y0.theta < y1.theta < 1
         if not ok:
-            via = (f"{name} is the reversed couple's {kind} with theta0 -> "
-                   "1 - theta1, theta1 -> 1 - theta0, and ") if low else ""
-            raise ValueError(f"{via}{kind} needs {need}")
-        object.__setattr__(self, "kind", name)
+            raise ValueError(f"{kind} needs {need}")
+        object.__setattr__(self, "kind", kind)
 
     @property
     def setting(self) -> str:
@@ -190,11 +185,8 @@ def verify_holmstedt(case: HolmstedtCase, corpus=None, log2n=(9, 10)
             K = k_peetre(fstar)
             orc = TruncationOracle(K, case.y0, case.y1,
                                    max_cuts=_cut_cap(grid))
-        except ValueError as e:
-            return str(e)
-        try:
             lrho, lrhs = holmstedt_rhs(case, K)
-        except SvDivergenceError as e:
+        except ValueError as e:     # SvDivergenceError included
             return str(e)
         live = idx[np.isfinite(lrho[idx]) & np.isfinite(lrhs[idx])]
         lhs = np.exp(orc.k_at_log(lrho[live]))

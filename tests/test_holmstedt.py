@@ -1,6 +1,7 @@
 """Split-point estimates for K over derived couples."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,17 +11,23 @@ from interpolab.grid import (L1, L2, LINF, full_grid, log_norm_lower,
                              log_norm_upper)
 from interpolab.sv import EllPow, BrokenEll, ONE, sv_log_on_grid
 from interpolab.spaces import (EndpointX0, EndpointX1, ThetaSpace, LSpace,
-                               RSpace, UNIT, CO_UNIT, couple_reverse)
-from interpolab.holmstedt import (HolmstedtCase, CASES, R_CASES, L_CASES,
-                                  DEFAULT_CASES, holmstedt_rhs,
-                                  verify_holmstedt)
+                               RSpace, LLSpace, RRSpace, Intersection,
+                               AppMember, Over, FULL, UNIT, CO_UNIT,
+                               couple_reverse)
+from interpolab.holmstedt import (HolmstedtCase, CASES, DEFAULT_CASES,
+                                  holmstedt_rhs, verify_holmstedt)
 from interpolab.kfun import TruncationOracle, k_peetre, _cut_cap
 from interpolab.applications import GrandLp, SmallLp, _reiterations
 from interpolab import corpus
 
+from util import kind_by_reversal
+
+R_CASES = tuple(k for k in CASES if k.startswith("R_"))
+L_CASES = tuple(k for k in CASES if k.startswith("L_"))
+
 
 def test_case_registry():
-    assert set(CASES) == set(R_CASES) | set(L_CASES)
+    assert CASES == R_CASES + L_CASES
     assert len(CASES) == 6
     assert set(DEFAULT_CASES) == set(CASES)
 
@@ -75,31 +82,99 @@ def test_reversed_l_couple_is_the_mirror_r_case(kind):
     assert HolmstedtCase(couple_reverse(rev.y1), couple_reverse(rev.y0)) == c
 
 
-@pytest.mark.parametrize("couple", [
-    (SmallLp(2.0, 1.0).descriptor(), GrandLp(4.0, 1.0).descriptor()),
-    (ThetaSpace(0.25, ONE, L2), ThetaSpace(0.5, ONE, L2)),
-    (RSpace(0.25, ONE, L2, ONE, L2), ThetaSpace(0.5, ONE, L2)),
-    (EndpointX0(), EndpointX1()),
-    (ThetaSpace(0.25, ONE, L2, UNIT), RSpace(0.5, ONE, LINF, ONE, L2)),
-    (ThetaSpace(0.5, ONE, L2), RSpace(0.5, ONE, LINF, ONE, L2)),
-    (ThetaSpace(0.75, ONE, L2), RSpace(0.5, ONE, LINF, ONE, L2)),
+_NONE = "none of the six configurations"
+_L_UNIT = LSpace(0.25, ONE, LINF, ONE, L2, UNIT)
+
+
+@pytest.mark.parametrize("couple, match", [
+    ((SmallLp(2.0, 1.0).descriptor(), GrandLp(4.0, 1.0).descriptor()),
+     _NONE),
+    ((ThetaSpace(0.25, ONE, L2), ThetaSpace(0.5, ONE, L2)), _NONE),
+    ((RSpace(0.25, ONE, L2, ONE, L2), ThetaSpace(0.5, ONE, L2)), _NONE),
+    ((EndpointX0(), EndpointX1()), _NONE),
+    ((ThetaSpace(0.25, ONE, L2, UNIT), RSpace(0.5, ONE, LINF, ONE, L2)),
+     "share one setting"),
+    ((ThetaSpace(0.5, ONE, L2), RSpace(0.5, ONE, LINF, ONE, L2)),
+     "R_interior needs 0 < theta0 < theta1 < 1"),
+    ((ThetaSpace(0.75, ONE, L2), RSpace(0.5, ONE, LINF, ONE, L2)),
+     "R_interior needs 0 < theta0 < theta1 < 1"),
+    ((_L_UNIT, AppMember(GrandLp(2.0, 1.0))), _NONE),
+    ((_L_UNIT, Over((EndpointX0(UNIT), EndpointX1(UNIT)),
+                    ThetaSpace(0.5, ONE, L2, UNIT))), _NONE),
 ], ids=["L-R", "theta-theta", "R-theta", "X0-X1", "mixed-settings",
-        "interior-equal-thetas", "interior-decreasing-thetas"])
-def test_couples_in_no_configuration_are_refused(couple):
-    with pytest.raises(ValueError):
+        "interior-equal-thetas", "interior-decreasing-thetas", "L-app",
+        "L-over"])
+def test_couples_in_no_configuration_are_refused(couple, match):
+    with pytest.raises(ValueError, match=match):
         HolmstedtCase(*couple)
 
 
 def test_l_case_error_names_the_l_case():
-    with pytest.raises(ValueError, match="L_interior .* R_interior"):
+    # the range is stated in the couple's own thetas
+    with pytest.raises(ValueError,
+                       match="^L_interior needs 0 < theta0 < theta1 < 1$"):
         HolmstedtCase(LSpace(0.5, ONE, LINF, ONE, L2),
                       ThetaSpace(0.25, ONE, L2))
+    with pytest.raises(ValueError, match=r"^L_x1 needs theta0 in \[0,1\)$"):
+        HolmstedtCase(LSpace(1.0, ONE, LINF, ONE, L2), EndpointX1())
+
+
+def _member_pool(s):
+    """theta, L and R members at thetas from 0 to 1, two of them a
+    rounding away from an end, X0 and X1, and one member of each other
+    kind, all in setting s."""
+    thetas = (0.0, 1e-17, 0.1, 0.25, 0.3, 0.5, 0.7, 0.75, 1 - 1.1e-16, 1.0)
+    pool = [EndpointX0(s), EndpointX1(s)]
+    for t in thetas:
+        pool += [ThetaSpace(t, ONE, L2, s), LSpace(t, ONE, LINF, ONE, L2, s),
+                 RSpace(t, ONE, LINF, ONE, L2, s)]
+    pool += [LLSpace(0.5, ONE, LINF, ONE, L2, ONE, L2, s),
+             RRSpace(0.5, ONE, LINF, ONE, L2, ONE, L2, s),
+             Intersection((ThetaSpace(0.5, ONE, L2, s),)),
+             Over((EndpointX0(s), EndpointX1(s)), ThetaSpace(0.5, ONE, L2, s))]
+    return pool + [AppMember(GrandLp(2.0, 1.0))] * (s == UNIT)
+
+
+def test_configuration_matches_the_reversal_rule_on_a_member_sweep():
+    # every ordered pair of the pool, in each setting: the kind the
+    # couple names itself is the reversed couple's mirror, and a couple
+    # the reversal refuses is refused, each with a message in its own
+    # terms; the one difference is an L_interior couple whose 1 - theta0
+    # rounds to 1 (theta0 = 1e-17), which the reversal refused
+    differ = []
+    for s in (FULL, UNIT):
+        pool = _member_pool(s)
+        for y0 in pool:
+            for y1 in pool:
+                try:
+                    want = kind_by_reversal(y0, y1)
+                except ValueError:
+                    want = None
+                try:
+                    got = HolmstedtCase(y0, y1).kind
+                except ValueError as e:
+                    got, msg = None, str(e)
+                    assert msg.endswith(_NONE) or re.fullmatch(
+                        r"[RL]_\w+ needs (0 < theta0 < theta1 < 1|"
+                        r"theta1 in \(0,1\]|theta0 in \[0,1\))", msg), msg
+                if got != want:
+                    differ.append((y0, y1, got, want))
+    assert len(differ) == 14
+    for y0, y1, got, want in differ:
+        assert (got, want) == ("L_interior", None)
+        assert y0.theta == 1e-17 and 1 - y0.theta == 1
+
+
+def test_l_interior_near_theta0_zero_is_named():
+    c = HolmstedtCase(LSpace(1e-17, ONE, LINF, ONE, L2),
+                      ThetaSpace(0.5, ONE, L2))
+    assert c.kind == "L_interior"
 
 
 @pytest.mark.parametrize("kind", L_CASES)
 def test_l_case_in_the_unit_setting_is_the_co_unit_r_case(kind):
-    # reversal maps (0, 1) onto (1, inf): a unit L couple reads its kind
-    # off the reversed couple, an R case in the co_unit setting
+    # reversal maps (0, 1) onto (1, inf): a unit L couple's reversed
+    # couple is the mirror R case in the co_unit setting
     c = DEFAULT_CASES[kind]
     u = HolmstedtCase(replace(c.y0, setting=UNIT), replace(c.y1, setting=UNIT))
     assert u.kind == kind and u.setting == UNIT

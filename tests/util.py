@@ -1,7 +1,8 @@
 """Shared helpers for the test suite, and the functions only tests call:
 the reversed Peetre profile, the slow-variation check, the oracle's K
-over all its pairs and the split formula's rho and the reduction of a
-reiteration through the reversed couple."""
+over all its pairs, and the configuration of a couple, the split
+formula's rho and the reduction of a reiteration through the reversed
+couple."""
 
 from dataclasses import dataclass
 import math
@@ -11,10 +12,11 @@ import numpy as np
 from interpolab.applications import (GrandLp, SmallLp, UltraLp, LinfQBeta,
                                      GGamma, AType, BType)
 from interpolab.grid import Grid, L1, L2
-from interpolab.holmstedt import HolmstedtCase
+from interpolab.holmstedt import CASES, HolmstedtCase
 from interpolab.kfun import KProfile
 from interpolab.reiteration import reiterate
-from interpolab.spaces import Over, couple_reverse
+from interpolab.spaces import (EndpointX0, ThetaSpace, LSpace, RSpace, Over,
+                               couple_reverse)
 from interpolab.sv import (ONE, Const, EllPow, BrokenEll, IteratedEll,
                            ExpLogPow, Product, Power, InverseArg, NormTail,
                            ComposeWithRho, inverse_arg, sv_log_eval,
@@ -80,6 +82,30 @@ def kprofile_reverse(K):
     """K(t; X1, X0) = t K(1/t; X0, X1), on the mirror grid."""
     g = mirror(K.grid)
     return KProfile(g, g.x + K.logk[..., ::-1], None)
+
+
+def kind_by_reversal(y0, y1):
+    """The configuration of (Y0, Y1) as first named, a ValueError for a
+    couple in none: an L couple's is the mirror of its reversed couple's
+    R case, with theta0 -> 1 - theta1 and theta1 -> 1 - theta0.  The
+    rule HolmstedtCase took first."""
+    if y0.setting != y1.setting:
+        raise ValueError("a case's members must share one setting")
+    low = isinstance(y0, LSpace)
+    r0, r1 = map(couple_reverse, (y1, y0)) if low else (y0, y1)
+    if not (isinstance(r1, RSpace)
+            and isinstance(r0, (EndpointX0, ThetaSpace))):
+        raise ValueError(f"({type(y0).__name__}, {type(y1).__name__}) "
+                         "is in none of the six configurations")
+    t0, t1 = r0.theta, r1.theta
+    if t0 == 0:
+        kind = "R_x0" if isinstance(r0, EndpointX0) else "R_theta0_zero"
+        ok = t1 > 0
+    else:
+        kind, ok = "R_interior", t0 < t1 < 1
+    if not ok:
+        raise ValueError(f"{kind} needs its range (reversed couple)")
+    return CASES[CASES.index(kind) + 3] if low else kind
 
 
 def reversed_case(c):
