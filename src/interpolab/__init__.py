@@ -11,7 +11,7 @@ from .sv import (SvExpr, Const, EllPow, BrokenEll, IteratedEll, ExpLogPow,
                  Product, Power, InverseArg, NormTail, ComposeWithRho, ONE)
 from .spaces import (EndpointX0, EndpointX1, ThetaSpace, LSpace, RSpace,
                      LLSpace, RRSpace, Intersection, AppMember, Over, FULL,
-                     UNIT, CO_UNIT, couple_reverse, check_admissible)
+                     UNIT, CO_UNIT, check_admissible)
 from .kfun import KProfile, k_peetre, norm_in_space, TruncationOracle
 from .holmstedt import HolmstedtCase, CASES, holmstedt_rhs, verify_holmstedt
 from .reiteration import reiterate, verify_reiteration

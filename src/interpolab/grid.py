@@ -226,7 +226,8 @@ def _logaddexp_scan(lw: np.ndarray, q: float, dx: float) -> np.ndarray:
     return out
 
 
-def _shifted_scan(lw: np.ndarray, q: float, dx: float):
+def _shifted_scan(lw: np.ndarray, q: float, dx: float, out=None,
+                  scratch=None):
     """log_norm_lower for q < inf on a (rows x n) stack, one shift a row.
 
     Returns (log norms of the rows kept, rows to redo).  A row is redone
@@ -234,17 +235,20 @@ def _shifted_scan(lw: np.ndarray, q: float, dx: float):
     term sits more than _GUARD below its max; that is decided first, and
     each row kept is exponentiated after a shift by its max, its
     trapezoid cells are summed with one cumsum, and each node costs one
-    log.
+    log.  The shifted terms go to scratch and the norms to out, (rows x
+    n) arrays, where given; the norms of the rows kept when some row is
+    redone go to a new array.
     """
-    e = np.multiply(lw, q)
+    e = np.multiply(lw, q, out=scratch)
     top = e.max(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         shift = np.where(top > NEG_INF, top, 0.0)
         e -= shift[:, None]
         redo = ((e < -_GUARD) & (e > NEG_INF)).any(axis=1) | ~(top < np.inf)
         if redo.any():
-            e, shift = e[~redo], shift[~redo]
-        out = np.empty(e.shape)
+            e, shift, out = e[~redo], shift[~redo], None
+        if out is None:
+            out = np.empty(e.shape)
         out[:, 0] = NEG_INF
         cells = out[:, 1:]
         np.exp(e, out=e)
@@ -256,39 +260,50 @@ def _shifted_scan(lw: np.ndarray, q: float, dx: float):
     return out, redo
 
 
-def log_norm_lower(lw: np.ndarray, q: float, dx: float) -> np.ndarray:
+def log_norm_lower(lw: np.ndarray, q: float, dx: float, out=None,
+                   scratch=None) -> np.ndarray:
     """log of || w ||_{L~q} over (x_0, x_i), for every node i.
 
     For q = inf this is the running sup (node i included); for q < inf
     the value at i = 0 is -inf (empty interval -> norm 0), and each row
     is the one-shift scan of _shifted_scan, or _logaddexp_scan where
-    that row has a term it cannot shift.
+    that row has a term it cannot shift.  out (the result) and scratch
+    (the shifted terms), arrays of lw's shape, are written instead of
+    new arrays where given; out may be lw's own memory, which is read
+    before out is written.
     """
     if math.isinf(q):
-        return np.maximum.accumulate(lw, axis=-1)
+        return np.maximum.accumulate(lw, axis=-1, out=out)
     lw = np.asarray(lw, dtype=float)
-    flat = lw.reshape(math.prod(lw.shape[:-1]), lw.shape[-1])
-    out, redo = _shifted_scan(flat, q, dx)
+    shape = (math.prod(lw.shape[:-1]), lw.shape[-1])
+    flat = lw.reshape(shape)
+    out, scratch = (None if a is None else a.reshape(shape)
+                    for a in (out, scratch))
+    res, redo = _shifted_scan(flat, q, dx, out, scratch)
     if redo.any():
-        kept, out = out, np.empty(flat.shape)
-        out[~redo] = kept
-        out[redo] = _logaddexp_scan(flat[redo], q, dx)
-    return out.reshape(lw.shape)
+        kept, ref = res, _logaddexp_scan(flat[redo], q, dx)
+        res = np.empty(shape) if out is None else out
+        res[~redo], res[redo] = kept, ref
+    return res.reshape(lw.shape)
 
 
-def log_norm_upper(lw: np.ndarray, q: float, dx: float) -> np.ndarray:
-    """Mirror of log_norm_lower: norm over (x_i, x_{n-1})."""
-    return log_norm_lower(lw[..., ::-1], q, dx)[..., ::-1]
+def log_norm_upper(lw: np.ndarray, q: float, dx: float, out=None,
+                   scratch=None) -> np.ndarray:
+    """Mirror of log_norm_lower: norm over (x_i, x_{n-1}).  A given out
+    holds the result with its nodes reversed, as the scan runs."""
+    return log_norm_lower(lw[..., ::-1], q, dx, out, scratch)[..., ::-1]
 
 
 def log_norm_between(lw: np.ndarray, q: float, dx: float,
-                     i0: int, i1: int):
+                     i0: int, i1: int, scratch=None):
     """log norm over the node range [i0, i1] (empty -> -inf).
 
     A float for one integrand, an array with one value per row for a
     stack.  For q < inf: with M the row max of q lw, the trapezoid sum
     is e^M dx sum_k w_k e^{q lw_k - M}, w_k = 1/2 at both ends and 1
     between; a row whose max is not finite goes the reference path.
+    The terms go to scratch where given: a (rows x (i1 + 1 - i0))
+    array.
     """
     lw = np.asarray(lw, dtype=float)
     if i1 <= i0:
@@ -297,7 +312,7 @@ def log_norm_between(lw: np.ndarray, q: float, dx: float,
         out = np.max(lw[..., i0:i1 + 1], axis=-1)
     else:
         seg = lw[..., i0:i1 + 1].reshape(-1, i1 + 1 - i0)
-        e = q * seg
+        e = np.multiply(q, seg, out=scratch)
         top = e.max(axis=-1)
         with np.errstate(invalid="ignore", divide="ignore"):
             e -= top[:, None]
@@ -423,18 +438,18 @@ def _final(logval) -> np.ndarray:
 
 
 def checked_norm(lw: np.ndarray, q: float, grid: Grid, i0: int = 0,
-                 i1: int | None = None):
+                 i1: int | None = None, scratch=None):
     """|| e^lw ||_{L~q} over the node range [i0, i1] (default: all nodes).
 
     The one checked truncated norm: log_norm_between, then _final, then
     math.inf wherever an end of [i0, i1] is an end of the grid and one
     edge_diverges call on lw[..., i0:i1 + 1] fires there.  An empty
     range gives 0.  A float for one integrand, an array with one value
-    per row for a stack.
+    per row for a stack.  scratch is log_norm_between's.
     """
     lw = np.asarray(lw, dtype=float)
     i1 = grid.n - 1 if i1 is None else i1
-    val = _final(log_norm_between(lw, q, grid.dx, i0, i1))
+    val = _final(log_norm_between(lw, q, grid.dx, i0, i1, scratch))
     lo, hi = i0 == 0, i1 == grid.n - 1
     if i1 > i0 and (lo or hi):
         side = "both" if lo and hi else "low" if lo else "high"
@@ -443,13 +458,17 @@ def checked_norm(lw: np.ndarray, q: float, grid: Grid, i0: int = 0,
     return float(val) if val.ndim == 0 else val
 
 
-def checked_scan(lw: np.ndarray, q: float, grid: Grid, side: str):
+def checked_scan(lw: np.ndarray, q: float, grid: Grid, side: str,
+                 out=None, scratch=None):
     """(log_norm_lower for side 'low' or log_norm_upper for 'high',
-    edge_diverges at that end): the nested norms miss the mass past it."""
+    edge_diverges at that end): the nested norms miss the mass past it.
+    out and scratch are the scan's: out may be lw's own memory, as the
+    edge is tested first."""
     if side not in ("low", "high"):
         raise ValueError(f"side must be 'low' or 'high', got {side!r}")
     scan = log_norm_lower if side == "low" else log_norm_upper
-    return scan(lw, q, grid.dx), edge_diverges(lw, q, grid, side)
+    edge = edge_diverges(lw, q, grid, side)
+    return scan(lw, q, grid.dx, out, scratch), edge
 
 
 def tilde_norm(g: GridFunction, E: RiSpace,
@@ -587,7 +606,7 @@ def lebesgue_suffix(values: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
-def _running(ufunc, a: np.ndarray) -> np.ndarray:
+def _running(ufunc, a: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """ufunc.accumulate along the last axis, ufunc np.maximum or np.minimum.
 
     A running max (min) of a nondecreasing (nonincreasing) array is the
@@ -599,7 +618,8 @@ def _running(ufunc, a: np.ndarray) -> np.ndarray:
     past the stretch each node is in order, so its running value is
     ufunc of the node and the stretch's last one (min and max do not
     round).  The scan and the skip can differ only in the sign of a tie
-    between 0.0 and -0.0.
+    between 0.0 and -0.0.  With overwrite the scan writes over a, which
+    it returns; otherwise into a new array.
     """
     ordered = np.greater_equal if ufunc is np.maximum else np.less_equal
     ok = ordered(a[..., 1:], a[..., :-1])
@@ -610,7 +630,7 @@ def _running(ufunc, a: np.ndarray) -> np.ndarray:
     cells = ok.reshape(-1, ok.shape[-1]).all(axis=0)
     lo = int(cells.argmin())
     hi = a.shape[-1] - int(cells[::-1].argmin())
-    out = np.empty(a.shape, a.dtype)
+    out = a if overwrite else np.empty(a.shape, a.dtype)
     out[..., :lo] = a[..., :lo]
     ufunc.accumulate(a[..., lo:hi], axis=-1, out=out[..., lo:hi])
     ufunc(a[..., hi:], out[..., hi - 1:hi], out=out[..., hi:])

@@ -32,12 +32,20 @@ constants everywhere the verification harnesses use it.
 
 The cuts are built and normed together: their profiles form a
 (cuts x n) array, taken in row blocks of at most _BLOCK_ELEMS elements,
-and norm_in_space works along the last axis of such a stack.  A block
-is built in place: S - c t broadcast once, each row's constant tail
-past its cut written once, then the clip, the repair and the logs.  A
-block holds only the pieces its members read (_reads): log K of a piece
-for a member normed from K, the piece itself for a concrete one; the
-first block also carries the trivial splittings as its row 0.  Every
+and norm_in_space works along the last axis of such a stack.  Each
+oracle allocates one workspace, four (rows + 1) x n buffers for the
+rows cuts of its largest block, and every block of every round reuses
+it: building and norming a block of log K pieces allocates no float
+array of the block's size.  A block is built in place there: S - c t
+broadcast once, each row's constant tail past its cut written once,
+then the clip, the repair into the second buffer, S - K(g_c) into the
+first, and the logs.  The norms of a block write their terms and scans
+into the other two buffers, and over the block itself where one member
+alone reads it.  Every ufunc runs in the order and on the operands it
+would with new arrays, so the buffers change no bit.  A block holds
+only the pieces its members read (_reads): log K of a piece for a
+member normed from K, the piece itself for a concrete one; the first
+block also carries the trivial splittings as its row 0.  Every
 truncated integral it takes goes through the one edge test,
 grid.edge_diverges (a closed-form least-squares fit per row): the inner
 levels are the nested norms of grid.checked_scan towards the
@@ -94,12 +102,16 @@ class KProfile:
     from; concrete-space member norms need it.  A profile k_peetre formed
     keeps K itself too (``_k``), which an oracle over its f* cuts.
     ``logk`` is None in a block of cut pieces only concrete members read.
+    A block of cut pieces carries its oracle's workspace (``_ws``, two
+    buffers of at least its rows): its norms write their terms there,
+    and a member that alone reads the block writes over its ``logk``.
     """
 
     grid: Grid
     logk: np.ndarray | None
     fstar: np.ndarray | None = None
     _k: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _ws: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def values(self) -> np.ndarray:
@@ -107,15 +119,16 @@ class KProfile:
             return np.exp(self.logk)
 
 
-def repair_k(grid: Grid, k: np.ndarray) -> np.ndarray:
+def repair_k(grid: Grid, k: np.ndarray, out=None) -> np.ndarray:
     """Enforce K nondecreasing and K(t)/t nonincreasing (row by row).
 
-    Returns a new array.  Each running scan is skipped when its input
-    is already in order (grid._running), as sampled K almost always is.
+    Returns the repaired K in out, an array of k's shape, or in a new
+    array.  Each running scan is skipped when its input is already in
+    order (grid._running), as sampled K almost always is.
     """
     k = _running(np.maximum, k)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _cap_slope(grid, k, k / grid.t)
+        return _cap_slope(grid, k, np.divide(k, grid.t, out=out))
 
 
 def repair_slope(grid: Grid, k: np.ndarray) -> np.ndarray:
@@ -137,8 +150,8 @@ def repair_slope(grid: Grid, k: np.ndarray) -> np.ndarray:
 
 
 def _cap_slope(grid: Grid, k: np.ndarray, slope: np.ndarray) -> np.ndarray:
-    """min(K, t min_{s <= t} slope(s)); slope = K/t is overwritten."""
-    slope = _running(np.minimum, slope)
+    """min(K, t min_{s <= t} slope(s)), written over slope = K/t."""
+    slope = _running(np.minimum, slope, overwrite=True)
     slope *= grid.t
     return np.minimum(k, slope, out=slope)
 
@@ -192,7 +205,7 @@ def norm_in_space(K: KProfile, d: SpaceDescriptor):
     that row gives alone.  K.fstar is taken as valid: only an app
     member's AppSpace.norm checks its first sample again.
     """
-    return _unstack(_norms(K, d))
+    return _unstack(_norms(K, d, False))
 
 
 def _reads(d: SpaceDescriptor) -> tuple:
@@ -203,7 +216,8 @@ def _reads(d: SpaceDescriptor) -> tuple:
     return bool(levels(d)), isinstance(d, (AppMember, Over))
 
 
-def _norms(K: KProfile, d: SpaceDescriptor) -> np.ndarray:
+def _norms(K: KProfile, d: SpaceDescriptor, shared: bool) -> np.ndarray:
+    """The norms of norm_in_space; shared: another descriptor reads K."""
     grid = K.grid
     try:
         if lv := levels(d):
@@ -213,15 +227,22 @@ def _norms(K: KProfile, d: SpaceDescriptor) -> np.ndarray:
             # X0 = sup K and X1 = sup K(t)/t are the theta spaces with
             # b = 1, E = Linf.
             div = np.zeros(K.logk.shape[:-1], bool)   # rows found divergent
-            lw = -d.theta * grid.x + sv_log_on_grid(lv[0][0], grid) + K.logk
+            # in a workspace, lw goes to a buffer (the block itself
+            # unless shared) and each scan over it, the terms to another
+            e = a = None
+            if K._ws is not None:
+                e, a = K._ws[:, :len(K.logk)]
+                a = a if shared else K.logk
+            lw = np.add(-d.theta * grid.x + sv_log_on_grid(lv[0][0], grid),
+                        K.logk, out=a)
             for (_, F), (w, _) in zip(lv, lv[1:]):
-                scan, edge = checked_scan(lw, F.q, grid, d.side)
+                scan, edge = checked_scan(lw, F.q, grid, d.side, a, e)
                 div |= edge
-                lw = sv_log_on_grid(w, grid) + scan
+                lw = np.add(sv_log_on_grid(w, grid), scan, out=scan)
             return np.where(div, math.inf,
-                            checked_norm(lw, lv[-1][1].q, grid))
+                            checked_norm(lw, lv[-1][1].q, grid, scratch=e))
         if isinstance(d, Intersection):
-            return np.maximum.reduce([_norms(K, m) for m in d.members])
+            return np.maximum.reduce([_norms(K, m, True) for m in d.members])
         if not isinstance(d, (AppMember, Over)):
             raise TypeError(f"unknown descriptor {type(d).__name__}")
         if K.fstar is None:
@@ -246,7 +267,7 @@ def _over(K: KProfile, d: Over) -> float:
         orc = TruncationOracle(K, *d.couple, max_cuts=_cut_cap(K.grid))
     except ValueError:      # f lies outside Y0 + Y1
         return math.inf
-    return float(_norms(orc.profile(), d.desc))
+    return float(_norms(orc.profile(), d.desc, False))
 
 
 # ---------------------------------------------------------------------
@@ -285,7 +306,11 @@ class TruncationOracle:
     reads (_reads): log K(g_c) or log K(h_c), (f* - c)_+ or min(f*, c).
     The trivial splittings ride in row 0 of the first block (log K or f*
     itself), which so holds one row more than _BLOCK_ELEMS // n; an
-    oracle with no cut norms them on their own.
+    oracle with no cut norms them on their own.  The log K blocks and
+    their norms live in one workspace of four (rows + 1) x n buffers,
+    rows = min(_BLOCK_ELEMS // n, cuts), allocated per oracle and reused
+    by every block (see the module docstring); the f* pieces of app and
+    over members are new arrays.
     """
 
     def __init__(self, K: KProfile, Y0: SpaceDescriptor,
@@ -319,6 +344,9 @@ class TruncationOracle:
         # be monotone along the cuts
         if f0 or f1:
             todo = np.arange(2, len(A))
+        # the workspace every block reuses: the log K blocks of g_c and
+        # h_c, then the two buffers of their norms
+        ws = np.empty((4, min(rows, len(cuts)) + 1, grid.n))
         top = 1     # the first block norms the trivial splittings in row 0
         while len(todo):
             for s in range(0, len(todo), rows):
@@ -326,19 +354,21 @@ class TruncationOracle:
                 c = cuts[r - 2, None]
                 lg = lh = fg = fh = None
                 if k0 or k1:
-                    # K(., g_c) is S - c t up to node j - 1, constant after
-                    kg = np.multiply(c, grid.t)
+                    bg, bh = ws[:2, :top + len(r)]
+                    # K(., g_c) is S - c t up to node j - 1, constant
+                    # after; built in bh, repaired into bg
+                    kg = np.multiply(c, grid.t, out=bh[top:])
                     np.subtract(S, kg, out=kg)
                     for row, jr in zip(kg, j[r - 2].tolist()):
                         row[jr:] = row[jr - 1]
-                    np.clip(kg, 0.0, None, out=kg)
-                    kg = repair_k(grid, kg)
+                    np.maximum(kg, 0.0, out=kg)     # clipped at 0
+                    kg = repair_k(grid, kg, out=bg[top:])
                     if k1:
-                        kh = np.subtract(S, kg)
-                        np.clip(kh, 0.0, None, out=kh)
-                        lh = _log_block(kh, top, logS)
+                        kh = np.subtract(S, kg, out=bh[top:])
+                        np.maximum(kh, 0.0, out=kh)
+                        lh = _log_block(bh, top, logS)
                     if k0:
-                        lg = _log_block(kg, top, logS)
+                        lg = _log_block(bg, top, logS)
                 if f0:
                     fg = _block(len(r), top, f)
                     np.subtract(f, c, out=fg[top:])
@@ -346,8 +376,8 @@ class TruncationOracle:
                 if f1:
                     fh = _block(len(r), top, f)
                     np.minimum(f, c, out=fh[top:])
-                a = norm_in_space(KProfile(grid, lg, fg), Y0)
-                b = norm_in_space(KProfile(grid, lh, fh), Y1)
+                a = norm_in_space(KProfile(grid, lg, fg, _ws=ws[2:]), Y0)
+                b = norm_in_space(KProfile(grid, lh, fh, _ws=ws[2:]), Y1)
                 if top:
                     A[0], B[1], top = a[0], b[0], 0
                     a, b = a[1:], b[1:]
@@ -401,12 +431,13 @@ def _block(m: int, top: int, first: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_block(k: np.ndarray, top: int, first: np.ndarray) -> np.ndarray:
-    """log k, in place, or below the row first in a new block if top."""
-    out = _block(len(k), top, first) if top else k
+def _log_block(block: np.ndarray, top: int, first: np.ndarray) -> np.ndarray:
+    """block with the pieces below row top logged in place, its row 0
+    set to first if top."""
+    block[:top] = first
     with np.errstate(divide="ignore"):
-        np.log(k, out=out[top:])
-    return out
+        np.log(block[top:], out=block[top:])
+    return block
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:

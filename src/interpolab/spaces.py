@@ -26,7 +26,7 @@ Each descriptor has a JSON form through its wire tag (see wire.py).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 import math
 from typing import TYPE_CHECKING
 
@@ -35,7 +35,7 @@ import numpy as np
 from .grid import (Grid, RiSpace, LINF, Setting, FULL, UNIT, CO_UNIT,
                    checked_norm, checked_scan, log_norm_lower,
                    log_norm_upper)
-from .sv import ONE, SvExpr, sv_log_on_grid, inverse_arg, SvDivergenceError
+from .sv import ONE, SvExpr, sv_log_on_grid, SvDivergenceError
 from .wire import Wire
 
 if TYPE_CHECKING:
@@ -195,38 +195,6 @@ def levels(d: SpaceDescriptor) -> tuple:
     if isinstance(d, (EndpointX0, EndpointX1)):
         return ((ONE, LINF),)
     return ((d.b, d.E),) if isinstance(d, ThetaSpace) else ()
-
-
-# ---------------------------------------------------------------------
-# couple reversal
-# ---------------------------------------------------------------------
-
-_MIRROR = {EndpointX0: EndpointX1, ThetaSpace: ThetaSpace, LSpace: RSpace,
-           LLSpace: RRSpace, Intersection: Intersection}
-_MIRROR.update({v: k for k, v in _MIRROR.items()})
-
-
-def couple_reverse(d: SpaceDescriptor) -> SpaceDescriptor:
-    """Descriptor of the same space built from the reversed couple.
-
-    Uses K(t, f; X1, X0) = t K(1/t, f; X0, X1): theta goes to 1 - theta,
-    every slowly varying parameter is precomposed with t -> 1/t, so is
-    the setting (UNIT <-> CO_UNIT), members are reversed in turn, and the
-    class goes to its mirror (X0 <-> X1, L <-> R, LL <-> RR).
-    """
-    if type(d) not in _MIRROR:
-        raise ValueError(f"cannot reverse {type(d).__name__}")
-
-    def rev(name, v):
-        if name == "theta":
-            return 1.0 - v
-        if name == "setting":
-            return v.reversed()
-        if isinstance(v, SvExpr):
-            return inverse_arg(v)
-        return tuple(map(couple_reverse, v)) if isinstance(v, tuple) else v
-    return _MIRROR[type(d)](**{f.name: rev(f.name, getattr(d, f.name))
-                               for f in fields(d)})
 
 
 # ---------------------------------------------------------------------

@@ -27,14 +27,14 @@ from interpolab.grid import (Grid, GridFunction, L1, L2, LINF, UNIT,
 from interpolab.sv import EllPow, BrokenEll, ONE, sv_log_on_grid
 from interpolab.kfun import k_peetre, norm_in_space, TruncationOracle
 from interpolab.spaces import (EndpointX0, EndpointX1, ThetaSpace, LSpace,
-                               RSpace, Over, couple_reverse)
+                               RSpace, Over)
 from interpolab.holmstedt import DEFAULT_CASES, verify_holmstedt
 from interpolab.reiteration import verify_reiteration
 from interpolab.applications import verify_identity
 from interpolab.cli import main
 from interpolab import corpus
 
-from util import kprofile_reverse
+from util import couple_reverse, kprofile_reverse
 
 
 def _report(capsys, line):

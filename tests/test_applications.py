@@ -11,7 +11,7 @@ from interpolab.sv import EllPow, Power, ONE
 from interpolab.kfun import k_peetre, norm_in_space
 from interpolab.spaces import (EndpointX0, EndpointX1, LSpace, RSpace,
                                ThetaSpace, AppMember, Over, UNIT, CO_UNIT,
-                               couple_reverse, parts)
+                               parts)
 from interpolab.holmstedt import HolmstedtCase
 from interpolab.reiteration import reiterate, verify_reiteration, _pair
 from interpolab.report import _sweep
@@ -21,7 +21,7 @@ from interpolab.applications import (AppSpace, GrandLp, SmallLp, UltraLp,
                                      verify_identity, _reiterations)
 from interpolab import corpus
 
-from util import APP_SPACES, rel_err
+from util import APP_SPACES, couple_reverse, rel_err
 
 
 # -- parameter validation ----------------------------------------------

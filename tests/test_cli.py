@@ -18,10 +18,10 @@ from interpolab.cli import main
 from interpolab.grid import RiSpace
 from interpolab.spaces import (FULL, UNIT, AppMember, EndpointX0,
                                EndpointX1, Intersection, LLSpace, LSpace,
-                               RRSpace, RSpace, ThetaSpace, couple_reverse)
+                               RRSpace, RSpace, ThetaSpace)
 from interpolab.sv import ONE, EllPow, NormTail
 
-from util import APP_SPACES
+from util import APP_SPACES, couple_reverse
 
 L1 = RiSpace(1.0)
 L2 = RiSpace(2.0)

@@ -12,15 +12,14 @@ from interpolab.grid import (L1, L2, LINF, full_grid, log_norm_lower,
 from interpolab.sv import EllPow, BrokenEll, ONE, sv_log_on_grid
 from interpolab.spaces import (EndpointX0, EndpointX1, ThetaSpace, LSpace,
                                RSpace, LLSpace, RRSpace, Intersection,
-                               AppMember, Over, FULL, UNIT, CO_UNIT,
-                               couple_reverse)
+                               AppMember, Over, FULL, UNIT, CO_UNIT)
 from interpolab.holmstedt import (HolmstedtCase, CASES, DEFAULT_CASES,
                                   holmstedt_rhs, verify_holmstedt)
 from interpolab.kfun import TruncationOracle, k_peetre, _cut_cap
 from interpolab.applications import GrandLp, SmallLp, _reiterations
 from interpolab import corpus
 
-from util import kind_by_reversal
+from util import couple_reverse, kind_by_reversal
 
 R_CASES = tuple(k for k in CASES if k.startswith("R_"))
 L_CASES = tuple(k for k in CASES if k.startswith("L_"))

@@ -328,13 +328,17 @@ def test_endpoint_norms_are_the_sups_of_k(setting, log2n):
 def test_endpoint_norms_of_the_oracle_cuts_are_the_sups_of_k(
         monkeypatch, case):
     # R_x0 has Y0 = X0 and L_x1 has Y1 = X1: the oracle norms its
-    # stacks of cut profiles in them
+    # stacks of cut profiles in them.  A stack lives in the oracle's
+    # workspace, which its norm and the next block write over, so the
+    # reference is taken before the norm.
     seen = []
 
     def spy(K, d):
+        if not isinstance(d, (EndpointX0, EndpointX1)):
+            return norm_in_space(K, d)
+        ref = _endpoint_ref(K, d)
         out = norm_in_space(K, d)
-        if isinstance(d, (EndpointX0, EndpointX1)):
-            seen.append((K, d, out))
+        seen.append((ref, d, out))
         return out
 
     monkeypatch.setattr(kfun, "norm_in_space", spy)
@@ -344,5 +348,5 @@ def test_endpoint_norms_of_the_oracle_cuts_are_the_sups_of_k(
         TruncationOracle(k_peetre(corpus.sample(spec, g)), c.y0, c.y1,
                          max_cuts=64)
     assert any(np.ndim(out) == 1 for _, _, out in seen)
-    for K, d, out in seen:
-        assert _same_bits(out, _endpoint_ref(K, d)), d
+    for ref, d, out in seen:
+        assert _same_bits(out, ref), d

@@ -16,14 +16,14 @@ from interpolab.spaces import (EndpointX0, EndpointX1, ThetaSpace, LSpace,
                                RSpace, LLSpace, RRSpace, Intersection,
                                AppMember, Over,
                                FULL, UNIT, CO_UNIT, SpaceDescriptor,
-                               couple_reverse, check_admissible)
+                               check_admissible)
 from interpolab.wire import to_json
 from interpolab.kfun import k_peetre, norm_in_space
 from interpolab import corpus
 from interpolab.holmstedt import DEFAULT_CASES
 from interpolab.applications import GrandLp
 
-from util import SV_WEIGHTS, kprofile_reverse
+from util import SV_WEIGHTS, couple_reverse, kprofile_reverse
 
 
 # -- admissibility -----------------------------------------------------

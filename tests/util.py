@@ -1,10 +1,10 @@
 """Shared helpers for the test suite, and the functions only tests call:
 the reversed Peetre profile, the slow-variation check, the oracle's K
-over all its pairs, and the configuration of a couple, the split
-formula's rho and the reduction of a reiteration through the reversed
-couple."""
+over all its pairs, couple reversal, and the configuration of a couple,
+the split formula's rho and the reduction of a reiteration through the
+reversed couple."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import math
 
 import numpy as np
@@ -15,11 +15,11 @@ from interpolab.grid import Grid, L1, L2
 from interpolab.holmstedt import CASES, HolmstedtCase
 from interpolab.kfun import KProfile
 from interpolab.reiteration import reiterate
-from interpolab.spaces import (EndpointX0, ThetaSpace, LSpace, RSpace, Over,
-                               couple_reverse)
+from interpolab.spaces import (EndpointX0, EndpointX1, ThetaSpace, LSpace,
+                               RSpace, LLSpace, RRSpace, Intersection, Over)
 from interpolab.sv import (ONE, Const, EllPow, BrokenEll, IteratedEll,
                            ExpLogPow, Product, Power, InverseArg, NormTail,
-                           ComposeWithRho, inverse_arg, sv_log_eval,
+                           ComposeWithRho, SvExpr, inverse_arg, sv_log_eval,
                            sv_log_on_grid)
 
 # one concrete space of each kind
@@ -82,6 +82,34 @@ def kprofile_reverse(K):
     """K(t; X1, X0) = t K(1/t; X0, X1), on the mirror grid."""
     g = mirror(K.grid)
     return KProfile(g, g.x + K.logk[..., ::-1], None)
+
+
+_MIRROR = {EndpointX0: EndpointX1, ThetaSpace: ThetaSpace, LSpace: RSpace,
+           LLSpace: RRSpace, Intersection: Intersection}
+_MIRROR.update({v: k for k, v in _MIRROR.items()})
+
+
+def couple_reverse(d):
+    """Descriptor of the same space built from the reversed couple.
+
+    Uses K(t, f; X1, X0) = t K(1/t, f; X0, X1): theta goes to 1 - theta,
+    every slowly varying parameter is precomposed with t -> 1/t, so is
+    the setting (UNIT <-> CO_UNIT), members are reversed in turn, and the
+    class goes to its mirror (X0 <-> X1, L <-> R, LL <-> RR).
+    """
+    if type(d) not in _MIRROR:
+        raise ValueError(f"cannot reverse {type(d).__name__}")
+
+    def rev(name, v):
+        if name == "theta":
+            return 1.0 - v
+        if name == "setting":
+            return v.reversed()
+        if isinstance(v, SvExpr):
+            return inverse_arg(v)
+        return tuple(map(couple_reverse, v)) if isinstance(v, tuple) else v
+    return _MIRROR[type(d)](**{f.name: rev(f.name, getattr(d, f.name))
+                               for f in fields(d)})
 
 
 def kind_by_reversal(y0, y1):
