@@ -235,9 +235,8 @@ def _shifted_scan(lw: np.ndarray, q: float, dx: float, out=None,
     term sits more than _GUARD below its max; that is decided first, and
     each row kept is exponentiated after a shift by its max, its
     trapezoid cells are summed with one cumsum, and each node costs one
-    log.  The shifted terms go to scratch and the norms to out, (rows x
-    n) arrays, where given; the norms of the rows kept when some row is
-    redone go to a new array.
+    log.  The terms go to scratch and the norms to out where given
+    (to a new array when some row is redone).
     """
     e = np.multiply(lw, q, out=scratch)
     top = e.max(axis=1)
@@ -247,8 +246,7 @@ def _shifted_scan(lw: np.ndarray, q: float, dx: float, out=None,
         redo = ((e < -_GUARD) & (e > NEG_INF)).any(axis=1) | ~(top < np.inf)
         if redo.any():
             e, shift, out = e[~redo], shift[~redo], None
-        if out is None:
-            out = np.empty(e.shape)
+        out = np.empty(e.shape) if out is None else out
         out[:, 0] = NEG_INF
         cells = out[:, 1:]
         np.exp(e, out=e)
@@ -267,30 +265,25 @@ def log_norm_lower(lw: np.ndarray, q: float, dx: float, out=None,
     For q = inf this is the running sup (node i included); for q < inf
     the value at i = 0 is -inf (empty interval -> norm 0), and each row
     is the one-shift scan of _shifted_scan, or _logaddexp_scan where
-    that row has a term it cannot shift.  out (the result) and scratch
-    (the shifted terms), arrays of lw's shape, are written instead of
-    new arrays where given; out may be lw's own memory, which is read
-    before out is written.
+    that row has a term it cannot shift.  For a (rows x n) lw, out (the
+    norms, possibly lw's own memory) and scratch may be given.
     """
     if math.isinf(q):
         return np.maximum.accumulate(lw, axis=-1, out=out)
     lw = np.asarray(lw, dtype=float)
-    shape = (math.prod(lw.shape[:-1]), lw.shape[-1])
-    flat = lw.reshape(shape)
-    out, scratch = (None if a is None else a.reshape(shape)
-                    for a in (out, scratch))
+    flat = lw.reshape(math.prod(lw.shape[:-1]), lw.shape[-1])
     res, redo = _shifted_scan(flat, q, dx, out, scratch)
     if redo.any():
         kept, ref = res, _logaddexp_scan(flat[redo], q, dx)
-        res = np.empty(shape) if out is None else out
+        res = np.empty(flat.shape) if out is None else out
         res[~redo], res[redo] = kept, ref
     return res.reshape(lw.shape)
 
 
 def log_norm_upper(lw: np.ndarray, q: float, dx: float, out=None,
                    scratch=None) -> np.ndarray:
-    """Mirror of log_norm_lower: norm over (x_i, x_{n-1}).  A given out
-    holds the result with its nodes reversed, as the scan runs."""
+    """Mirror of log_norm_lower: norm over (x_i, x_{n-1}); out holds it
+    reversed."""
     return log_norm_lower(lw[..., ::-1], q, dx, out, scratch)[..., ::-1]
 
 
@@ -302,8 +295,7 @@ def log_norm_between(lw: np.ndarray, q: float, dx: float,
     stack.  For q < inf: with M the row max of q lw, the trapezoid sum
     is e^M dx sum_k w_k e^{q lw_k - M}, w_k = 1/2 at both ends and 1
     between; a row whose max is not finite goes the reference path.
-    The terms go to scratch where given: a (rows x (i1 + 1 - i0))
-    array.
+    The terms go to scratch, a (rows x (i1 + 1 - i0)) array, if given.
     """
     lw = np.asarray(lw, dtype=float)
     if i1 <= i0:
@@ -462,8 +454,7 @@ def checked_scan(lw: np.ndarray, q: float, grid: Grid, side: str,
                  out=None, scratch=None):
     """(log_norm_lower for side 'low' or log_norm_upper for 'high',
     edge_diverges at that end): the nested norms miss the mass past it.
-    out and scratch are the scan's: out may be lw's own memory, as the
-    edge is tested first."""
+    The edge is tested first, so the scan's out may be lw's memory."""
     if side not in ("low", "high"):
         raise ValueError(f"side must be 'low' or 'high', got {side!r}")
     scan = log_norm_lower if side == "low" else log_norm_upper
@@ -618,8 +609,7 @@ def _running(ufunc, a: np.ndarray, overwrite: bool = False) -> np.ndarray:
     past the stretch each node is in order, so its running value is
     ufunc of the node and the stretch's last one (min and max do not
     round).  The scan and the skip can differ only in the sign of a tie
-    between 0.0 and -0.0.  With overwrite the scan writes over a, which
-    it returns; otherwise into a new array.
+    between 0.0 and -0.0.  With overwrite the scan writes over a.
     """
     ordered = np.greater_equal if ufunc is np.maximum else np.less_equal
     ok = ordered(a[..., 1:], a[..., :-1])

@@ -33,19 +33,15 @@ constants everywhere the verification harnesses use it.
 The cuts are built and normed together: their profiles form a
 (cuts x n) array, taken in row blocks of at most _BLOCK_ELEMS elements,
 and norm_in_space works along the last axis of such a stack.  Each
-oracle allocates one workspace, four (rows + 1) x n buffers for the
-rows cuts of its largest block, and every block of every round reuses
-it: building and norming a block of log K pieces allocates no float
-array of the block's size.  A block is built in place there: S - c t
-broadcast once, each row's constant tail past its cut written once,
-then the clip, the repair into the second buffer, S - K(g_c) into the
-first, and the logs.  The norms of a block write their terms and scans
-into the other two buffers, and over the block itself where one member
-alone reads it.  Every ufunc runs in the order and on the operands it
-would with new arrays, so the buffers change no bit.  A block holds
-only the pieces its members read (_reads): log K of a piece for a
-member normed from K, the piece itself for a concrete one; the first
-block also carries the trivial splittings as its row 0.  Every
+oracle has one workspace, four (rows + 1) x n buffers, which every block
+reuses: a block of log K pieces is built in place there (S - c t
+broadcast once, each row's constant tail past its cut written once, the
+clip, the repair, S - K(g_c), the logs), and its norms write their terms
+and scans into the workspace and over the block itself.  Every ufunc
+runs on the operands it would with new arrays, so no bit changes.  A
+block holds only the pieces its members read (_reads): log K of a piece
+for a member normed from K, the piece itself for a concrete one; the
+first block also carries the trivial splittings as its row 0.  Every
 truncated integral it takes goes through the one edge test,
 grid.edge_diverges (a closed-form least-squares fit per row): the inner
 levels are the nested norms of grid.checked_scan towards the
@@ -102,9 +98,8 @@ class KProfile:
     from; concrete-space member norms need it.  A profile k_peetre formed
     keeps K itself too (``_k``), which an oracle over its f* cuts.
     ``logk`` is None in a block of cut pieces only concrete members read.
-    A block of cut pieces carries its oracle's workspace (``_ws``, two
-    buffers of at least its rows): its norms write their terms there,
-    and a member that alone reads the block writes over its ``logk``.
+    A block of cut pieces carries its oracle's workspace (``_ws``), and
+    the norm of a member that alone reads it writes over ``logk``.
     """
 
     grid: Grid
@@ -122,9 +117,9 @@ class KProfile:
 def repair_k(grid: Grid, k: np.ndarray, out=None) -> np.ndarray:
     """Enforce K nondecreasing and K(t)/t nonincreasing (row by row).
 
-    Returns the repaired K in out, an array of k's shape, or in a new
-    array.  Each running scan is skipped when its input is already in
-    order (grid._running), as sampled K almost always is.
+    Returns out, if given, or a new array.  Each running scan is skipped
+    when its input is already in order (grid._running), as sampled K
+    almost always is.
     """
     k = _running(np.maximum, k)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -205,7 +200,7 @@ def norm_in_space(K: KProfile, d: SpaceDescriptor):
     that row gives alone.  K.fstar is taken as valid: only an app
     member's AppSpace.norm checks its first sample again.
     """
-    return _unstack(_norms(K, d, False))
+    return _unstack(_norms(K, d))
 
 
 def _reads(d: SpaceDescriptor) -> tuple:
@@ -216,7 +211,7 @@ def _reads(d: SpaceDescriptor) -> tuple:
     return bool(levels(d)), isinstance(d, (AppMember, Over))
 
 
-def _norms(K: KProfile, d: SpaceDescriptor, shared: bool) -> np.ndarray:
+def _norms(K: KProfile, d: SpaceDescriptor, shared=False) -> np.ndarray:
     """The norms of norm_in_space; shared: another descriptor reads K."""
     grid = K.grid
     try:
@@ -227,8 +222,8 @@ def _norms(K: KProfile, d: SpaceDescriptor, shared: bool) -> np.ndarray:
             # X0 = sup K and X1 = sup K(t)/t are the theta spaces with
             # b = 1, E = Linf.
             div = np.zeros(K.logk.shape[:-1], bool)   # rows found divergent
-            # in a workspace, lw goes to a buffer (the block itself
-            # unless shared) and each scan over it, the terms to another
+            # on an oracle's block: lw and its scans over the block (or a
+            # buffer if shared), the terms e into the other buffer
             e = a = None
             if K._ws is not None:
                 e, a = K._ws[:, :len(K.logk)]
@@ -267,7 +262,7 @@ def _over(K: KProfile, d: Over) -> float:
         orc = TruncationOracle(K, *d.couple, max_cuts=_cut_cap(K.grid))
     except ValueError:      # f lies outside Y0 + Y1
         return math.inf
-    return float(_norms(orc.profile(), d.desc, False))
+    return float(_norms(orc.profile(), d.desc))
 
 
 # ---------------------------------------------------------------------
@@ -306,11 +301,8 @@ class TruncationOracle:
     reads (_reads): log K(g_c) or log K(h_c), (f* - c)_+ or min(f*, c).
     The trivial splittings ride in row 0 of the first block (log K or f*
     itself), which so holds one row more than _BLOCK_ELEMS // n; an
-    oracle with no cut norms them on their own.  The log K blocks and
-    their norms live in one workspace of four (rows + 1) x n buffers,
-    rows = min(_BLOCK_ELEMS // n, cuts), allocated per oracle and reused
-    by every block (see the module docstring); the f* pieces of app and
-    over members are new arrays.
+    oracle with no cut norms them on their own.  Blocks of log K live in
+    the oracle's workspace (see the module docstring).
     """
 
     def __init__(self, K: KProfile, Y0: SpaceDescriptor,
@@ -344,8 +336,7 @@ class TruncationOracle:
         # be monotone along the cuts
         if f0 or f1:
             todo = np.arange(2, len(A))
-        # the workspace every block reuses: the log K blocks of g_c and
-        # h_c, then the two buffers of their norms
+        # log K(g_c) and log K(h_c), then the buffers of their norms
         ws = np.empty((4, min(rows, len(cuts)) + 1, grid.n))
         top = 1     # the first block norms the trivial splittings in row 0
         while len(todo):
@@ -432,8 +423,7 @@ def _block(m: int, top: int, first: np.ndarray) -> np.ndarray:
 
 
 def _log_block(block: np.ndarray, top: int, first: np.ndarray) -> np.ndarray:
-    """block with the pieces below row top logged in place, its row 0
-    set to first if top."""
+    """block, its rows from top logged in place, row 0 first if top."""
     block[:top] = first
     with np.errstate(divide="ignore"):
         np.log(block[top:], out=block[top:])

@@ -708,6 +708,53 @@ def test_oracle_norms_each_member_once_per_block(monkeypatch, couple, spec,
     assert len(orc.A) <= sum(sizes[0::2]) + 1
 
 
+# -- caller arrays -------------------------------------------------------
+#
+# An oracle builds and norms its blocks in its workspace, over which the
+# norms write; no array of a profile handed to it or to norm_in_space
+# may change.
+
+def _caller_descriptors():
+    """(setting, descriptor): every kind parametrized above, an over
+    descriptor, and one app member of each class, alone and in an
+    Intersection."""
+    out = [(FULL, d) for d in FULL_DESCRIPTORS]
+    out.append((FULL, Over((EndpointX0(), EndpointX1()),
+                           ThetaSpace(0.5, ONE, L2))))
+    classes = {type(s): s for s in reversed(APP_SPACES)}
+    out += [(UNIT, AppMember(s, UNIT)) for s in classes.values()]
+    out.append((UNIT, Intersection((AppMember(GrandLp(4.0, 1.0)),
+                                    ThetaSpace(0.9, ONE, L2, UNIT)))))
+    return out
+
+
+def _arrays(K):
+    return [None if a is None else a.tobytes()
+            for a in (K.logk, K._k, K.fstar)]
+
+
+@pytest.mark.parametrize("setting,d", _caller_descriptors(),
+                         ids=lambda v: getattr(v, "name", type(v).__name__))
+def test_no_caller_array_is_written(setting, d):
+    g = full_grid(512) if setting == FULL else unit_grid(512)
+    row = k_peetre(corpus.sample("powlog:2,1", g))
+    bare = KProfile(g, row.logk.copy(), row.fstar.copy())   # no K
+    stack = KProfile(g, *_stack(g, corpus.STANDARD))
+    for K in (row, bare, stack):
+        before = _arrays(K)
+        norm_in_space(K, d)
+        assert _arrays(K) == before
+    other = ThetaSpace(0.5, EllPow(0.5), L2, setting)
+    for K in (row, bare):
+        before = _arrays(K)
+        for couple in ((d, other), (other, d), (d, d)):
+            try:
+                TruncationOracle(K, *couple, max_cuts=8)
+            except ValueError:      # no finite decomposition
+                pass
+            assert _arrays(K) == before, couple
+
+
 # -- (e) cut cap and errors ----------------------------------------------
 
 @pytest.mark.parametrize("a", [

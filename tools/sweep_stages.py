@@ -10,6 +10,8 @@ spent in each stage of a split-point sweep,
 
     K         kfun.k_peetre
     oracle    building a kfun.TruncationOracle
+    edge      grid.edge_diverges, the edge test of every truncated norm
+              (through both its grid and its applications bindings)
     rhs       holmstedt.holmstedt_rhs
     k_at_log  TruncationOracle.k_at_log
     to_csv    EquivalenceReport.to_csv
@@ -37,7 +39,7 @@ import tempfile
 import time
 
 HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-STAGES = ("K", "oracle", "rhs", "k_at_log", "to_csv", "to_json")
+STAGES = ("K", "oracle", "edge", "rhs", "k_at_log", "to_csv", "to_json")
 
 
 class Stages:
@@ -64,9 +66,11 @@ class Stages:
         return timed
 
     def install(self) -> None:
-        from interpolab import cli, holmstedt, kfun, reiteration, report
+        from interpolab import (applications, cli, grid, holmstedt, kfun,
+                                reiteration, report)
         for mods, name, stage in (
                 ((kfun, holmstedt, reiteration, cli), "k_peetre", "K"),
+                ((grid, applications), "edge_diverges", "edge"),
                 ((holmstedt,), "holmstedt_rhs", "rhs")):
             fn = self.wrap(getattr(mods[0], name), stage)
             for mod in mods:    # every module holding it by name
