@@ -321,6 +321,25 @@ def test_wide_chunk_takes_reference_path():
         assert_rows_alone(lambda a: log_norm_lower(a, q, dx), lw)
 
 
+def test_scans_into_given_buffers_keep_their_bits():
+    # an oracle's block hands the scans its own memory as out, lw's
+    # included, and a scratch for the terms: same bits as new arrays,
+    # for the rows kept and the row redone alike
+    n = 3 * 256
+    lw, dx = walk(np.random.default_rng(3), 3, n)
+    lw[1, 256 + 5] -= 700.0
+    for q in (1.0, 2.0, math.inf):
+        for scan in (log_norm_lower, log_norm_upper):
+            want = scan(lw, q, dx)
+            a = lw.copy()
+            got = scan(a, q, dx, out=a, scratch=np.empty_like(a))
+            assert np.array_equal(bits(got), bits(want)), (q, scan)
+            assert np.shares_memory(got, a)
+        want = log_norm_between(lw, q, dx, 0, n - 1)
+        got = log_norm_between(lw, q, dx, 0, n - 1, np.empty_like(lw))
+        assert np.array_equal(bits(got), bits(want)), q
+
+
 def test_steady_fall_past_guard_takes_reference_path():
     # q lw falls by 600 nats across the row, about 2.3 over any 256
     # nodes: no stretch is wide, but the whole row is past the guard,
