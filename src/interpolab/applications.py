@@ -74,7 +74,8 @@ class GrandLp(AppSpace, kind="grand"):
     def validate(self):
         # SmallLp's checks too: each message names the space's kind
         for ok, need in ((self.p > 1, "p > 1"), (self.p < math.inf, "p < inf"),
-                         (self.alpha > 0, "alpha > 0")):
+                         (self.alpha > 0, "alpha > 0"),
+                         (self.alpha < math.inf, "alpha < inf")):
             if not ok:
                 raise ValueError(f"{self._kind} space needs {need}")
 
@@ -150,6 +151,8 @@ class LinfQBeta(AppSpace, kind="linfq"):
                 raise ValueError("needs beta <= 0 when q = inf")
         elif not self.beta + 1.0 / self.q < 0:
             raise ValueError("needs beta + 1/q < 0")
+        if not self.beta > -math.inf:
+            raise ValueError("needs beta > -inf")
 
     def descriptor(self) -> SpaceDescriptor:
         return ThetaSpace(1.0, EllPow(self.beta), RiSpace(self.q), UNIT)
@@ -180,6 +183,8 @@ class GGamma(AppSpace, kind="ggamma"):
             raise ValueError("GGamma needs 1 <= p, q < inf")
         if math.isinf(self.p):
             raise ValueError("GGamma needs p < inf")
+        if not (math.isfinite(self.w1pow) and math.isfinite(self.w2pow)):
+            raise ValueError("GGamma needs finite w1pow and w2pow")
 
     def descriptor(self) -> SpaceDescriptor:
         if self.w1pow != -1.0 or self.w2pow != 0.0:
@@ -213,8 +218,8 @@ class AType(AppSpace, kind="atype"):
     def validate(self):
         if not self.p >= 1:
             raise ValueError("A-type space needs p >= 1")
-        if not self.alpha < 1:
-            raise ValueError("A-type space needs alpha < 1")
+        if not -math.inf < self.alpha < 1:
+            raise ValueError("A-type space needs -inf < alpha < 1")
         # l^(alpha-1) must lie in E~ near 0
         q = self.E.q
         if math.isinf(q):
@@ -248,6 +253,8 @@ class BType(AppSpace, kind="btype"):
     def validate(self):
         if not self.p >= 1:
             raise ValueError("B-type space needs p >= 1")
+        if not math.isfinite(self.alpha):
+            raise ValueError("B-type space needs a finite alpha")
 
     def descriptor(self) -> SpaceDescriptor:
         return LSpace(1.0 - 1.0 / self.p, ONE, self.E,

@@ -27,7 +27,7 @@ from .grid import Grid, L2, LINF
 from .sv import ONE, EllPow
 from .spaces import (AppMember, Over, ThetaSpace, check_admissible,
                      contains, space_from_obj)
-from .kfun import k_peetre, norm_in_space
+from .kfun import KProfile, k_peetre, norm_in_space, _reads
 from .holmstedt import CASES, DEFAULT_CASES, HolmstedtCase
 from .reiteration import verify_reiteration
 from . import corpus as corpus_mod
@@ -117,30 +117,23 @@ def cmd_norm(args) -> int:
         print(f"error: bad function spec: {e}", file=sys.stderr)
         return 1
 
-    if isinstance(desc, AppMember):
-        try:
-            desc.space.validate()
-            print("admissibility: parameter checks passed")
-        except ValueError as e:
-            print(f"admissibility: FAILED ({e})")
-            return 2
-    else:
-        try:
-            rep = check_admissible(desc, grid)
-        except ValueError as e:     # a full-line grid without t = 1
-            print(f"error: bad grid: {e}", file=sys.stderr)
-            return 1
-        for c in rep.conditions:
-            tag = "ok" if c.ok else "DIVERGENT"
-            print(f"admissibility: {c.name} = {c.value:.6g} [{tag}]")
-        if not rep.admissible:
-            return 2
+    try:
+        rep = check_admissible(desc, grid)
+    except ValueError as e:     # a full-line grid without t = 1
+        print(f"error: bad grid: {e}", file=sys.stderr)
+        return 1
+    for c in rep.conditions:
+        tag = "ok" if c.ok else "DIVERGENT"
+        print(f"admissibility: {c.name} = {c.value:.6g} [{tag}]")
+    if not rep.admissible:
+        return 2
 
+    # K is formed only where the norm reads it; an over's oracle is built
+    # from K, so K's refusals hold for it too
     try:    # f is not in X0 + X1, or f*(t_min) is out of float range
-        if isinstance(desc, AppMember):
-            value = app_mod.norm_app(desc.space, fstar)
-        else:
-            value = norm_in_space(k_peetre(fstar), desc)
+        K = k_peetre(fstar) if _reads(desc)[0] or contains(desc, Over) \
+            else KProfile(grid, None, fstar.values)
+        value = norm_in_space(K, desc)
     except ValueError as e:
         print(f"norm: {e}")
         return 2

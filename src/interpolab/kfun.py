@@ -34,10 +34,10 @@ The cuts are built and normed together: their profiles form a
 (cuts x n) array, taken in row blocks of at most _BLOCK_ELEMS elements,
 and norm_in_space works along the last axis of such a stack.  Each
 oracle has one workspace, four (rows + 1) x n buffers, which every block
-reuses: a block of log K pieces is built in place there (S - c t
+reuses: a block of log K pieces is built in place in two of them (S - c t
 broadcast once, each row's constant tail past its cut written once, the
 clip, the repair, S - K(g_c), the logs), and its norms write their terms
-and scans into the workspace and over the block itself.  Every ufunc
+and scans into the other two, never over a block.  Every ufunc
 runs on the operands it would with new arrays, so no bit changes.  A
 block holds only the pieces its members read (_reads): log K of a piece
 for a member normed from K, the piece itself for a concrete one; the
@@ -98,8 +98,8 @@ class KProfile:
     from; concrete-space member norms need it.  A profile k_peetre formed
     keeps K itself too (``_k``), which an oracle over its f* cuts.
     ``logk`` is None in a block of cut pieces only concrete members read.
-    A block of cut pieces carries its oracle's workspace (``_ws``), and
-    the norm of a member that alone reads it writes over ``logk``.
+    A block of cut pieces carries its oracle's workspace (``_ws``), which
+    its norms write into.
     """
 
     grid: Grid
@@ -211,8 +211,8 @@ def _reads(d: SpaceDescriptor) -> tuple:
     return bool(levels(d)), isinstance(d, (AppMember, Over))
 
 
-def _norms(K: KProfile, d: SpaceDescriptor, shared=False) -> np.ndarray:
-    """The norms of norm_in_space; shared: another descriptor reads K."""
+def _norms(K: KProfile, d: SpaceDescriptor) -> np.ndarray:
+    """The norms of norm_in_space."""
     grid = K.grid
     try:
         if lv := levels(d):
@@ -222,12 +222,11 @@ def _norms(K: KProfile, d: SpaceDescriptor, shared=False) -> np.ndarray:
             # X0 = sup K and X1 = sup K(t)/t are the theta spaces with
             # b = 1, E = Linf.
             div = np.zeros(K.logk.shape[:-1], bool)   # rows found divergent
-            # on an oracle's block: lw and its scans over the block (or a
-            # buffer if shared), the terms e into the other buffer
+            # on an oracle's block: the terms e into one buffer of its
+            # workspace, lw and its scans into the other
             e = a = None
             if K._ws is not None:
                 e, a = K._ws[:, :len(K.logk)]
-                a = a if shared else K.logk
             lw = np.add(-d.theta * grid.x + sv_log_on_grid(lv[0][0], grid),
                         K.logk, out=a)
             for (_, F), (w, _) in zip(lv, lv[1:]):
@@ -237,7 +236,7 @@ def _norms(K: KProfile, d: SpaceDescriptor, shared=False) -> np.ndarray:
             return np.where(div, math.inf,
                             checked_norm(lw, lv[-1][1].q, grid, scratch=e))
         if isinstance(d, Intersection):
-            return np.maximum.reduce([_norms(K, m, True) for m in d.members])
+            return np.maximum.reduce([_norms(K, m) for m in d.members])
         if not isinstance(d, (AppMember, Over)):
             raise TypeError(f"unknown descriptor {type(d).__name__}")
         if K.fstar is None:

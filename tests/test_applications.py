@@ -43,6 +43,8 @@ def test_validate_rejects_bad_params():
         AType(2.0, 0.5, L2).validate()       # (alpha-1) q = -1, not < -1
     with pytest.raises(ValueError):
         GGamma(2.0, math.inf, -1.0, ONE, 0.0, ONE).validate()
+    with pytest.raises(ValueError):
+        LinfQBeta(math.inf, math.nan).validate()
 
 
 def test_validate_accepts_registry_params():
@@ -50,6 +52,13 @@ def test_validate_accepts_registry_params():
               UltraLp(2.0, EllPow(-0.5), L2), LinfQBeta(2.0, -1.0),
               LinfQBeta(math.inf, 0.0), AType(4.0, 0.0, L2),
               GGamma(2.0, 2.0, -1.0, EllPow(-3.0), 0.0, ONE)):
+        s.validate()
+
+
+def test_validate_keeps_infinite_p_and_q_where_allowed():
+    for s in (UltraLp(math.inf, ONE, L2), LinfQBeta(math.inf, -1.0),
+              AType(math.inf, 0.0, RiSpace(math.inf)),
+              BType(math.inf, 0.0, RiSpace(math.inf))):
         s.validate()
 
 

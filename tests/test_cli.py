@@ -14,6 +14,7 @@ import pytest
 
 import interpolab
 from interpolab import cli
+from interpolab.applications import GrandLp
 from interpolab.cli import main
 from interpolab.grid import RiSpace
 from interpolab.spaces import (FULL, UNIT, AppMember, EndpointX0,
@@ -350,8 +351,8 @@ def test_norm_app_without_setting_is_unit(tmp_path, capsys):
     code = _norm_of_literal(tmp_path, {"kind": "app", "space": GRAND})
     lines = capsys.readouterr().out.strip().splitlines()
     assert code == 0
-    assert lines[0] == "admissibility: parameter checks passed"
-    assert math.isfinite(float(lines[-1]))
+    # validate passes and leaves no admissibility condition to print
+    assert len(lines) == 1 and math.isfinite(float(lines[0]))
 
 
 _W, _E = {"kind": "const", "c": 1.0}, {"q": 2}
@@ -508,18 +509,100 @@ def test_norm_divergent_tail_norm_parameter_exits_2(tmp_path, capsys):
     ({"kind": "ggamma", "p": "inf", "q": 2, "w1pow": -1,
       "w1sv": {"kind": "ell", "alpha": -3}, "w2pow": 0,
       "w2sv": {"kind": "const", "c": 1}}, "GGamma needs p < inf"),
+    ({"kind": "grand", "p": 2, "alpha": "inf"},
+     "grand space needs alpha < inf"),
+    ({"kind": "small", "p": 2, "alpha": "inf"},
+     "small space needs alpha < inf"),
+    ({"kind": "linfq", "q": "inf", "beta": "-inf"}, "needs beta > -inf"),
+    ({"kind": "linfq", "q": 2, "beta": "-inf"}, "needs beta > -inf"),
+    ({"kind": "atype", "p": 4, "alpha": "-inf", "E": _E},
+     "A-type space needs -inf < alpha < 1"),
+    ({"kind": "btype", "p": 2, "alpha": "inf", "E": _E},
+     "B-type space needs a finite alpha"),
+    ({"kind": "btype", "p": 2, "alpha": "-inf", "E": _E},
+     "B-type space needs a finite alpha"),
+    *(({"kind": "ggamma", "p": 2, "q": 2, "w1pow": -1, "w1sv": _W,
+        "w2pow": 0, "w2sv": _W, w: v}, "GGamma needs finite w1pow and w2pow")
+      for w in ("w1pow", "w2pow") for v in ("inf", "-inf")),
 ], ids=["linfq-q0", "linfq-q-half", "atype-p-half", "atype-p0",
         "btype-p0", "btype-p-neg", "grand-p-inf", "small-p-inf",
-        "ggamma-p-inf"])
+        "ggamma-p-inf", "grand-alpha-inf", "small-alpha-inf",
+        "linfq-q-inf-beta-neg-inf", "linfq-q2-beta-neg-inf",
+        "atype-alpha-neg-inf", "btype-alpha-inf", "btype-alpha-neg-inf",
+        "ggamma-w1pow-inf", "ggamma-w1pow-neg-inf", "ggamma-w2pow-inf",
+        "ggamma-w2pow-neg-inf"])
 def test_norm_bad_concrete_space_parameters(tmp_path, capsys, space, msg):
     # q = 0 ended in a ZeroDivisionError traceback; the others passed
     # validation and printed a number, or numpy warnings and "divergent"
-    # (ggamma with p = inf printed the same number for every chi:a)
+    # (ggamma with p = inf printed the same number for every chi:a, and
+    # an infinite alpha, beta, w1pow or w2pow printed "divergent")
     code = _norm_of_literal(tmp_path, {"kind": "app", "space": space})
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == ""
-    assert captured.out == f"admissibility: FAILED ({msg})\n"
+    assert captured.out == f"admissibility: {msg} = inf [DIVERGENT]\n"
+
+
+@pytest.mark.parametrize("space,args,last,code", [
+    *((s, ("--fn", "chi:0.5", "--grid", "9"), None, 0) for s in APP_SPACES),
+    (GrandLp(2.0, 1.0), ("--fn", "powlog:1.01,1", "--grid", "10"),
+     "35196.42347443801", 0),
+    (GrandLp(0.5, 1.0), ("--fn", "chi:0.5", "--grid", "9"),
+     "admissibility: grand space needs p > 1 = inf [DIVERGENT]", 2),
+], ids=[*(s._kind for s in APP_SPACES), "grand-powlog1.01", "grand-p-half"])
+def test_norm_concrete_space_alone_is_its_one_member_intersection(
+        tmp_path, capsys, space, args, last, code):
+    # alone, a concrete space went through a second path: grand(2, 1) on
+    # powlog:1.01,1 printed a number where the intersection exited 2 (f*
+    # not locally integrable), and with p = 0.5 the two worded the
+    # refusal differently.  That number is wrong, as the true norm is
+    # infinite: the grand recipe takes no edge decision (ROADMAP defect
+    # 10), so its mend moves it.
+    got = []
+    for desc in (AppMember(space), Intersection((AppMember(space),))):
+        spath = _write_space(tmp_path / "space.json", desc)
+        rc = main(["norm", "--space", spath, *args])
+        got.append((capsys.readouterr().out, rc))
+    assert got[0] == got[1] and got[0][1] == code
+    assert last is None or got[0][0].splitlines()[-1] == last
+
+
+@pytest.mark.parametrize("desc", [
+    AppMember(APP_SPACES[0]),
+    Intersection(tuple(AppMember(s) for s in APP_SPACES))],
+    ids=["app", "intersection-of-apps"])
+def test_norm_of_concrete_spaces_forms_no_k(tmp_path, capsys, monkeypatch,
+                                            desc):
+    # no concrete-space norm reads K, so the CLI does not form it
+    def refuse(fstar):
+        raise AssertionError("k_peetre called")
+
+    monkeypatch.setattr(cli, "k_peetre", refuse)
+    spath = _write_space(tmp_path / "space.json", desc)
+    code = main(["norm", "--space", spath, "--fn", "chi:0.5", "--grid", "9"])
+    assert code == 0
+    assert math.isfinite(float(capsys.readouterr().out.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("side", ["lhs", "reiteration"])
+@pytest.mark.parametrize("args,reason", [
+    (("--fn", "powlog:1.01,1", "--grid", "10"),
+     "f* is not locally integrable near 0 (not in L1 + Linf)"),
+    (("--fn", "powlog:1.0001,1.51", "--grid", "10", "--tmin", "1e-304"),
+     "the sample of f* at t_min is out of float range"),
+], ids=["not-integrable", "sample-out-of-range"])
+def test_norm_over_keeps_the_refusals_of_k(tmp_path, capsys, side, args,
+                                           reason):
+    # an over's oracle is built from K(t, f; L1, Linf), so the CLI forms K
+    # for it: an f* whose K cannot be formed is refused with the reason,
+    # not normed as divergent
+    from interpolab.applications import get_scenario
+    desc = getattr(get_scenario("l1-grand"), side)
+    spath = _write_space(tmp_path / "over.json", desc)
+    code = main(["norm", "--space", spath, *args])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    assert captured.out.splitlines()[-1] == f"norm: {reason}"
 
 
 def _over_descriptors():

@@ -373,15 +373,16 @@ def test_endpoint_norms_of_the_oracle_cuts_are_the_sups_of_k(
         monkeypatch, case):
     # R_x0 has Y0 = X0 and L_x1 has Y1 = X1: the oracle norms its
     # stacks of cut profiles in them.  A stack lives in the oracle's
-    # workspace, which its norm and the next block write over, so the
-    # reference is taken before the norm.
+    # workspace, which the next block writes over, so the reference is
+    # taken before the norm; the norm itself leaves the stack as it was.
     seen = []
 
     def spy(K, d):
         if not isinstance(d, (EndpointX0, EndpointX1)):
             return norm_in_space(K, d)
-        ref = _endpoint_ref(K, d)
+        ref, before = _endpoint_ref(K, d), K.logk.tobytes()
         out = norm_in_space(K, d)
+        assert K.logk.tobytes() == before
         seen.append((ref, d, out))
         return out
 

@@ -18,8 +18,9 @@ Runs, in-process through ``interpolab.cli.main``:
   excludes ``chi:1e-9`` at both grid sizes: no split point of it is
   admissible;
 * ``norm`` on a fixed set of descriptor files, written here as literal
-  JSON: every wire kind, and the L/R/LL/RR spaces at theta 0, 1/2 and 1
-  in both settings, on ``chi:0.5`` at ``--grid 10``;
+  JSON: every wire kind, the L/R/LL/RR spaces at theta 0, 1/2 and 1
+  in both settings, and every app kind alone and as the one member of
+  an intersection, on ``chi:0.5`` at ``--grid 10``;
 * ``norm`` at ``--grid 14`` and ``16`` with bounds other than the
   default ones, for every corpus kind (chi, pow, powlog with m < 0 and
   m > 0, log, and a csv step file written here) on the x0/x1 spaces,
@@ -198,6 +199,10 @@ def norm_descriptors():
     for space in APP_KINDS:
         yield f"app-{space['kind']}", {"kind": "app", "space": space,
                                        "setting": "unit"}
+    # the same as one-member intersections, which norm like the bare ones
+    for space in APP_KINDS:
+        yield f"app1-{space['kind']}", {"kind": "intersection", "members": [
+            {"kind": "app", "space": space, "setting": "unit"}]}
 
 
 # the further arguments of the norm calls of norm_descriptors()
